@@ -1,8 +1,14 @@
-"""SQUAREM acceleration for monotone MM fixed-point updates.
+"""The MM driver shared by all designs, and the monotone SQUAREM step.
 
-One step takes two MM updates V1, V2 from the current point V0, forms the
-differences L1 = V1 - V0, L2 = V2 - V1 - L1, picks the Cauchy-Barzilai-Borwein
-step length l = -||L1||_F / ||L2||_F and extrapolates to
+:func:`mm_loop` repeats a step ``step(iterate, obj) -> (iterate, obj,
+mm_calls)`` until the relative objective change drops below eps, recording
+a :class:`DesignTrace`.  Every design runs on it with one of two kinds of
+step: plain MM (:func:`plain_step`, one MM update per iteration) or SQUAREM
+(:func:`squarem_step`, two MM updates per block step).
+
+One SQUAREM step takes two MM updates V1, V2 from the current point V0, forms
+the differences L1 = V1 - V0, L2 = V2 - V1 - L1, picks the Cauchy-Barzilai-
+Borwein step length l = -||L1||_F / ||L2||_F and extrapolates to
 
     V_cand = project(V0 - 2 l L1 + l^2 L2).
 
@@ -13,7 +19,7 @@ the plain MM point V2 when the projection is inactive.
 from __future__ import annotations
 
 import time
-from typing import Callable, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -25,16 +31,15 @@ MAX_BACKTRACKS = 50
 MmUpdate = Callable[[np.ndarray], np.ndarray]
 Project = Callable[[np.ndarray], np.ndarray]
 Objective = Callable[[np.ndarray], float]
+Step = Callable[[Any, float], tuple[Any, float, int]]
 
 
 class SquaremStep(NamedTuple):
-    """Accepted iterate of one SQUAREM step plus its step statistics."""
+    """Accepted iterate of one SQUAREM step, its objective and MM-update count."""
 
     iterate: np.ndarray
     objective: float
     mm_calls: int
-    step_length: float
-    backtracks: int
 
 
 def squarem_step(
@@ -43,13 +48,12 @@ def squarem_step(
     project: Project,
     objective: Objective,
     objective_v0: float | None = None,
-    max_backtracks: int = MAX_BACKTRACKS,
 ) -> SquaremStep:
     """One monotone SQUAREM step.
 
     mm_update must be monotone for the objective and project idempotent.
     Near an MM fixed point (||L2||_F below DEGENERATE_STEP_TOL) the plain MM
-    point V2 is returned directly; after max_backtracks halvings the step also
+    point V2 is returned directly; after MAX_BACKTRACKS halvings the step also
     falls back to V2, whose objective is safe by MM monotonicity.
     """
     v1 = mm_update(v0)
@@ -58,49 +62,56 @@ def squarem_step(
     l2 = v2 - v1 - l1
     norm_l2 = np.linalg.norm(l2)
     if norm_l2 < DEGENERATE_STEP_TOL:
-        return SquaremStep(v2, objective(v2), 2, -1.0, 0)
+        return SquaremStep(v2, objective(v2), 2)
 
     if objective_v0 is None:
         objective_v0 = objective(v0)
     step = -np.linalg.norm(l1) / norm_l2
-    for tries in range(max_backtracks + 1):
+    for _ in range(MAX_BACKTRACKS + 1):
         cand = project(v0 - 2.0 * step * l1 + step**2 * l2)
         obj = objective(cand)
         if obj <= objective_v0:
-            return SquaremStep(cand, obj, 2, step, tries)
+            return SquaremStep(cand, obj, 2)
         step = (step - 1.0) / 2.0
-    return SquaremStep(v2, objective(v2), 2, -1.0, max_backtracks + 1)
+    return SquaremStep(v2, objective(v2), 2)
 
 
-def accelerate(
-    initial: np.ndarray,
-    mm_update: MmUpdate,
-    project: Project,
-    objective: Objective,
-    eps: float = 1e-3,
-    max_iter: int = 100,
-    max_backtracks: int = MAX_BACKTRACKS,
-) -> tuple[np.ndarray, DesignTrace]:
-    """Run SQUAREM steps until the relative objective change drops below eps.
+def plain_step(mm_update: Callable[[Any], Any], objective: Callable[[Any], float]) -> Step:
+    """Plain MM as a driver step: one update, then its objective."""
 
-    The trace is non-increasing by the back-tracking guarantee; converged is
-    False when the budget runs out (the best iterate is still returned).
+    def step(iterate, _obj: float):
+        iterate = mm_update(iterate)
+        return iterate, objective(iterate), 1
+
+    return step
+
+
+def mm_loop(
+    initial,
+    step: Step,
+    objective: Callable[[Any], float],
+    eps: float,
+    max_iter: int,
+) -> tuple[Any, DesignTrace]:
+    """Run step until the relative objective change drops below eps.
+
+    The trace holds the objective at the initial point and after every step,
+    the cumulative MM-update count and the elapsed time; it is non-increasing
+    when the step is monotone.  converged is False when the budget runs out
+    (the last iterate is still returned).
     """
     trace = DesignTrace()
     start = time.perf_counter()
-    v = np.array(initial, dtype=complex)
-    obj = objective(v)
+    iterate = initial
+    obj = objective(iterate)
     calls = 0
     trace.record(obj, calls, time.perf_counter() - start)
     for _ in range(max_iter):
-        v, new_obj, used = squarem_step(
-            v, mm_update, project, objective, objective_v0=obj,
-            max_backtracks=max_backtracks,
-        )
+        iterate, new_obj, used = step(iterate, obj)
         calls += used
         trace.record(new_obj, calls, time.perf_counter() - start)
         if abs(new_obj - obj) < eps * abs(obj):
             trace.converged = True
-            return v, trace
+            break
         obj = new_obj
-    return v, trace
+    return iterate, trace

@@ -101,6 +101,17 @@ class ExperimentConfig:
             self.rho < 1 or self.m % self.rho != 0
         ):
             raise ConfigError(f"rho={self.rho} must be a positive divisor of m={self.m}")
+        floats = (self.sigma2, self.eps, self.beta_min, self.alpha, self.delta,
+                  self.psi_ue, self.psi_ris, self.psi_bs, *self.snr_db)
+        if not all(np.isfinite(floats)):
+            raise ConfigError("sigma2, eps, snr_db, the reflection law and psi_* must be finite")
+        if self.eps <= 0.0:
+            raise ConfigError(f"eps must be > 0, got {self.eps}")
+        # Build the derived objects once so their own checks report as ConfigError.
+        try:
+            self.model, self.corr, self.system(self.snr_db[0])
+        except (ValueError, RisceError) as exc:
+            raise ConfigError(str(exc)) from exc
 
     @property
     def model(self) -> ReflectionModel:

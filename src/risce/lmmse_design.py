@@ -19,17 +19,20 @@ lambda2/lambda3 are spectral bounds computed by power iteration on the
 Kronecker factors and inflated by a small safety margin so the majorization
 survives numerical error.  Within one round the training step is anchored at
 (X0, V0) and the pattern step reuses Xi0 with the freshly updated X.
+
+The rounds run on :func:`risce.accel.mm_loop` over the pair (X, V).  A plain
+round is one MM update (one surrogate rebuild); a SQUAREM round takes one
+SQUAREM step per block, training then pattern, so four MM updates.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import numerics
-from .accel import squarem_step
+from .accel import mm_loop, plain_step, squarem_step
 from .baselines import naive_pattern
 from .ls_design import (
     DEFAULT_EPS,
@@ -219,9 +222,9 @@ def design_lmmse(
 
     Defaults start from the DFT training and the naive projected-DFT
     pattern.  The trace records J_LMMSE per iteration (non-increasing) and
-    the cumulative number of surrogate rebuilds; with accelerate=True each
-    block update is wrapped in a monotone SQUAREM step with its own
-    projection.
+    the cumulative number of MM updates (surrogate rebuilds); with
+    accelerate=True each block update is wrapped in a monotone SQUAREM step
+    with its own projection.
     """
     if init_x is None:
         init_x = dft_training(config.k, config.tau, config.power)
@@ -236,78 +239,41 @@ def design_lmmse(
     def mse_of(v: np.ndarray, x: np.ndarray) -> float:
         return mse_lmmse(np.kron(v, x), r_gamma, sigma2, l)
 
-    trace = DesignTrace()
-    start = time.perf_counter()
-    rebuilds = 0
-    x_cur, v_cur = init_x, init_v
-    obj = mse_of(v_cur.v, x_cur.x)
-    trace.record(obj, rebuilds, time.perf_counter() - start)
+    def objective(pair) -> float:
+        x, v = pair
+        return mse_of(v.v, x.x)
 
-    for _ in range(max_iter):
-        if accelerate:
-            x_cur, obj_x, n_x = _accelerated_training_step(
-                x_cur, v_cur, r_gamma, config, obj, grid_points
-            )
-            rebuilds += n_x
-            v_cur, new_obj, n_v = _accelerated_pattern_step(
-                x_cur, v_cur, r_gamma, config, model, obj_x, grid_points
-            )
-            rebuilds += n_v
-        else:
-            state = build_surrogate(x_cur, v_cur, r_gamma, sigma2, l)
-            rebuilds += 1
-            x_cur = update_training(state, power)
-            state = refresh_pattern_terms(state, x_cur)
-            v_cur = update_pattern(state, model, grid_points)
-            new_obj = mse_of(v_cur.v, x_cur.x)
-        trace.record(new_obj, rebuilds, time.perf_counter() - start)
-        if abs(new_obj - obj) < eps * abs(obj):
-            trace.converged = True
-            break
-        obj = new_obj
-    return x_cur, v_cur, trace
+    def surrogate(x: TrainingMatrix, v: ReflectionPattern) -> LmmseSurrogateState:
+        return build_surrogate(x, v, r_gamma, sigma2, l)
 
+    def mm_round(pair):
+        x, v = pair
+        state = surrogate(x, v)
+        x = update_training(state, power)
+        state = refresh_pattern_terms(state, x)
+        return x, update_pattern(state, model, grid_points)
 
-def _accelerated_training_step(x_cur, v_cur, r_gamma, config, obj, grid_points):
-    """SQUAREM-wrapped training block (pattern held fixed)."""
-    counter = [0]
-
-    def mm(x_arr: np.ndarray) -> np.ndarray:
-        counter[0] += 1
-        st = build_surrogate(
-            TrainingMatrix(x=x_arr, power=config.power), v_cur,
-            r_gamma, config.sigma2, config.l,
+    def squarem_round(pair, obj):
+        x, v = pair
+        x_arr, obj, n_x = squarem_step(
+            x.x,
+            lambda xa: update_training(
+                surrogate(TrainingMatrix(x=xa, power=power), v), power).x,
+            lambda xa: project_training_rows(xa, power),
+            lambda xa: mse_of(v.v, xa),
+            obj,
         )
-        return update_training(st, config.power).x
-
-    x_arr, obj_x, _ = squarem_step(
-        x_cur.x,
-        mm,
-        project=lambda x: project_training_rows(x, config.power),
-        objective=lambda x: mse_lmmse(np.kron(v_cur.v, x), r_gamma,
-                                      config.sigma2, config.l),
-        objective_v0=obj,
-    )
-    return TrainingMatrix(x=x_arr, power=config.power), obj_x, counter[0]
-
-
-def _accelerated_pattern_step(x_cur, v_cur, r_gamma, config, model, obj, grid_points):
-    """SQUAREM-wrapped pattern block (training held fixed)."""
-    counter = [0]
-
-    def mm(v_arr: np.ndarray) -> np.ndarray:
-        counter[0] += 1
-        st = build_surrogate(
-            x_cur, ReflectionPattern(v=v_arr), r_gamma, config.sigma2, config.l
+        x = TrainingMatrix(x=x_arr, power=power)
+        v_arr, obj, n_v = squarem_step(
+            v.v,
+            lambda va: update_pattern(
+                surrogate(x, ReflectionPattern(v=va)), model, grid_points).v,
+            lambda va: project_pattern(va, model),
+            lambda va: mse_of(va, x.x),
+            obj,
         )
-        return update_pattern(st, model, grid_points).v
+        return (x, ReflectionPattern(v=v_arr)), obj, n_x + n_v
 
-    v_arr, obj_v, _ = squarem_step(
-        v_cur.v,
-        mm,
-        project=lambda v: project_pattern(v, model),
-        objective=lambda v: mse_lmmse(np.kron(v, x_cur.x), r_gamma,
-                                      config.sigma2, config.l),
-        objective_v0=obj,
-    )
-    return ReflectionPattern(v=v_arr), obj_v, counter[0]
+    step = squarem_round if accelerate else plain_step(mm_round, objective)
+    (x, v), trace = mm_loop((init_x, init_v), step, objective, eps, max_iter)
+    return x, v, trace

@@ -15,12 +15,12 @@ with q = lambda1 and c = [A0]_{n,m}.  lambda1 is refreshed every iteration.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import accel, numerics
+from . import numerics
+from .accel import mm_loop, plain_step, squarem_step
 from .baselines import naive_pattern
 from .errors import InvalidDims
 from .phase_model import (
@@ -133,30 +133,17 @@ def design_ls(
     if max_iter is None:
         max_iter = DEFAULT_MAX_ITER_ACCEL if accelerate else DEFAULT_MAX_ITER_PLAIN
 
-    if accelerate:
-        v_star, trace = accel.accelerate(
-            init.v,
-            mm_update=lambda v: mm_update_ls(
-                ReflectionPattern(v=v), model, grid_points
-            ).v,
-            project=lambda v: project_pattern(v, model),
-            objective=lambda v: numerics.trace_of_inverse(v @ v.conj().T),
-            eps=eps,
-            max_iter=max_iter,
-        )
-        return ReflectionPattern(v=v_star), trace
+    def mm(v: np.ndarray) -> np.ndarray:
+        return mm_update_ls(ReflectionPattern(v=v), model, grid_points).v
 
-    trace = DesignTrace()
-    start = time.perf_counter()
-    pattern = init
-    obj = ls_objective(pattern)
-    trace.record(obj, 0, time.perf_counter() - start)
-    for it in range(1, max_iter + 1):
-        pattern = mm_update_ls(pattern, model, grid_points)
-        new_obj = ls_objective(pattern)
-        trace.record(new_obj, it, time.perf_counter() - start)
-        if abs(new_obj - obj) < eps * abs(obj):
-            trace.converged = True
-            break
-        obj = new_obj
-    return pattern, trace
+    def objective(v: np.ndarray) -> float:
+        return numerics.trace_of_inverse(v @ v.conj().T)
+
+    if accelerate:
+        def step(v, obj):
+            return squarem_step(v, mm, lambda u: project_pattern(u, model),
+                                objective, obj)
+    else:
+        step = plain_step(mm, objective)
+    v_star, trace = mm_loop(init.v, step, objective, eps, max_iter)
+    return ReflectionPattern(v=v_star), trace

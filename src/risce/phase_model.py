@@ -62,8 +62,10 @@ class ReflectionModel:
     def __post_init__(self) -> None:
         if not 0.0 <= self.beta_min <= 1.0:
             raise ValueError(f"beta_min must be in [0, 1], got {self.beta_min}")
-        if self.alpha < 0.0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not math.isfinite(self.delta):
+            raise ValueError(f"delta must be finite, got {self.delta}")
         object.__setattr__(self, "delta", float(self.delta) % TWO_PI)
 
     @property

@@ -43,6 +43,8 @@ class SystemConfig:
             raise InvalidDims(f"b must be >= m + 1 ({self.b} < {self.m + 1})")
         if self.power.shape != (self.k,):
             raise InvalidDims("power must have one entry per UE")
+        if not (np.all(np.isfinite(self.power)) and np.isfinite(self.sigma2)):
+            raise InvalidDims("power budgets and sigma2 must be finite")
         if np.any(self.power <= 0.0) or self.sigma2 < 0.0:
             raise InvalidDims("power budgets must be positive, sigma2 >= 0")
 
@@ -60,9 +62,10 @@ class SystemConfig:
 class DesignTrace:
     """Per-iteration convergence diagnostics of a pattern/training design.
 
-    objectives[0] is the value at the initial point; update_calls counts
-    cumulative MM updates (LS) or surrogate rebuilds (LMMSE) at each recorded
-    iterate, and elapsed_s the cumulative wall time.
+    objectives[0] is the value at the initial point; update_calls counts the
+    cumulative MM updates at each recorded iterate (0 at the start, then 1 per
+    plain iteration and 2 per SQUAREM block step; an LMMSE update is one
+    surrogate rebuild), and elapsed_s the cumulative wall time.
     """
 
     objectives: list[float] = field(default_factory=list)

@@ -1,10 +1,10 @@
-"""Tests for the SQUAREM step and the accelerated iteration driver."""
+"""Tests for the SQUAREM step and the MM driver."""
 
 import numpy as np
 import pytest
 
 from conftest import random_feasible_pattern
-from risce.accel import accelerate, squarem_step
+from risce.accel import mm_loop, squarem_step
 from risce.ls_design import ls_objective, mm_update_ls, project_pattern
 from risce.numerics import trace_of_inverse
 from risce.system import ReflectionPattern
@@ -75,14 +75,19 @@ class TestSquaremStep:
             assert obj <= obj0 + 1e-12
 
 
-class TestAccelerate:
+def _squarem(mm, project, objective):
+    """SQUAREM driver step around one MM update."""
+    return lambda v, obj: squarem_step(v, mm, project, objective, obj)
+
+
+class TestMmLoop:
     def test_monotone_trace_and_convergence(self, rng):
         target = rng.standard_normal((3, 3))
-        final, trace = accelerate(
+        objective = _distance_obj(target)
+        final, trace = mm_loop(
             target + rng.standard_normal((3, 3)),
-            _contraction(target, 0.9),
-            lambda v: v,
-            _distance_obj(target),
+            _squarem(_contraction(target, 0.9), lambda v: v, objective),
+            objective,
             eps=1e-10,
             max_iter=200,
         )
@@ -92,11 +97,11 @@ class TestAccelerate:
 
     def test_budget_exhaustion_flags_no_convergence(self, rng):
         target = rng.standard_normal((2, 2))
-        _, trace = accelerate(
+        objective = _distance_obj(target)
+        _, trace = mm_loop(
             target + 1.0,
-            _contraction(target, 0.999999),
-            lambda v: v,
-            _distance_obj(target),
+            _squarem(_contraction(target, 0.999999), lambda v: v, objective),
+            objective,
             eps=1e-16,
             max_iter=3,
         )

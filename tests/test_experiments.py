@@ -186,6 +186,14 @@ class TestCli:
         rc = main(["sweep", "--scheme", "bogus", "--trials", "1"])
         assert rc == 2
 
+    @pytest.mark.parametrize("flag", [
+        ["--beta-min", "2"], ["--alpha", "-1"], ["--sigma2", "nan"],
+        ["--psi-ue", "1.5"], ["--k", "0"], ["--eps", "nan"],
+    ])
+    def test_bad_value_is_config_error(self, flag):
+        rc = main(["sweep", "--analytic-only", "--scheme", "naive", *flag])
+        assert rc == 2
+
     def test_converge_subcommand(self, tmp_path):
         out = tmp_path / "conv.csv"
         rc = main(["converge", "--k", "2", "--m", "3", "--l", "2",

@@ -62,6 +62,14 @@ class TestAmplitudeLaw:
         with pytest.raises(ValueError):
             ReflectionModel(alpha=-1.0)
 
+    @pytest.mark.parametrize("params", [
+        dict(beta_min=np.nan), dict(alpha=np.nan), dict(alpha=np.inf),
+        dict(delta=np.nan), dict(delta=-np.inf),
+    ])
+    def test_non_finite_parameters_rejected(self, params):
+        with pytest.raises(ValueError):
+            ReflectionModel(**params)
+
 
 class TestReflectionCoefficient:
     def test_unit_modulus_at_peak(self, model):

@@ -10,7 +10,7 @@ from risce.channel import (
     cascaded_correlation,
     sample_channels,
 )
-from risce.errors import DimensionMismatch, SingularGram
+from risce.errors import DimensionMismatch, InvalidDims, SingularGram
 from risce.ls_design import dft_training
 from risce.baselines import naive_pattern
 from risce.system import (
@@ -32,6 +32,14 @@ class TestContainers:
     def test_pattern_requires_ones_row(self):
         with pytest.raises(DimensionMismatch):
             ReflectionPattern(v=np.zeros((3, 4), dtype=complex))
+
+    @pytest.mark.parametrize("params", [
+        dict(power=[np.nan, 1.0]), dict(power=[np.inf, 1.0]),
+        dict(sigma2=np.nan), dict(sigma2=np.inf),
+    ])
+    def test_config_rejects_non_finite(self, params):
+        with pytest.raises(InvalidDims):
+            SystemConfig(k=2, m=3, l=2, **params)
 
     def test_training_power_budget_enforced(self):
         with pytest.raises(DimensionMismatch):
