@@ -15,10 +15,11 @@ which is majorized once more per block to decouple the variables:
     reflection law, solved by the scalar phase search with q = lambda3 K and
     c = -c_{m,n}.
 
-lambda2/lambda3 are spectral bounds computed by power iteration on the
-Kronecker factors and inflated by a small safety margin so the majorization
-survives numerical error.  Within one round the training step is anchored at
-(X0, V0) and the pattern step reuses Xi0 with the freshly updated X.
+lambda2/lambda3 are spectral bounds: products of the largest eigenvalues
+(LAPACK eigvalsh) of the Kronecker factors, inflated by a small safety
+margin so the majorization survives rounding.  Within one round the training
+step is anchored at (X0, V0) and the pattern step reuses Xi0 with the freshly
+updated X.
 
 The rounds run on :func:`risce.accel.mm_loop` over the pair (X, V).  A plain
 round is one MM update (one surrogate rebuild); a SQUAREM round takes one
@@ -68,8 +69,9 @@ __all__ = [
     "design_lmmse",
 ]
 
-# Multiplicative slack on the power-iteration eigenvalue estimates; keeps the
-# quadratic bounds valid majorizers despite finite iteration tolerance.
+# Multiplicative slack on the eigenvalue products; the spectra are exact to
+# rounding, so the slack only has to cover rounding.  It stays at 1.0001
+# because a smaller margin would change the MM iterates of the algorithm.
 SAFETY_MARGIN = 1.0001
 
 

@@ -1,7 +1,8 @@
-"""Dense Hermitian kernels: power iteration, HPD solves, trace of inverse.
+"""Dense Hermitian kernels: largest eigenvalue, trace of inverse, HPD solves.
 
-Problem sizes stay small ((M+1)K below ~100 at paper scale), so everything is
-dense; explicit inverses are reserved for test oracles.
+Spectra come from one LAPACK ``eigvalsh`` call, exact to rounding.  Problem
+sizes stay small ((M+1)K below ~100 at paper scale), so everything is dense;
+explicit inverses are reserved for test oracles.
 """
 
 from __future__ import annotations
@@ -18,6 +19,12 @@ _HERMITIAN_TOL = 1e-10
 
 
 class PowerIterationResult(NamedTuple):
+    """Result of :func:`largest_eigenvalue`: always converged, 0 iterations.
+
+    The type outlives the power iteration it was named for because the
+    benchmark tracer (``perfbench/tracing.py``) reads ``iterations``.
+    """
+
     value: float
     converged: bool
     iterations: int
@@ -34,36 +41,29 @@ def require_hermitian(a: np.ndarray, tol: float = _HERMITIAN_TOL) -> np.ndarray:
     return a
 
 
-def largest_eigenvalue(
-    a: np.ndarray,
-    tol: float = 1e-8,
-    max_iter: int = 1000,
-) -> PowerIterationResult:
-    """Dominant eigenvalue of a Hermitian PSD matrix by power iteration.
+def largest_eigenvalue(a: np.ndarray) -> PowerIterationResult:
+    """Largest eigenvalue of a Hermitian matrix (LAPACK eigvalsh)."""
+    a = require_hermitian(a)
+    return PowerIterationResult(float(np.linalg.eigvalsh(a)[-1]), True, 0)
 
-    Stops when the relative Rayleigh-quotient change drops below tol.  The
-    start vector is deterministic (all-ones plus a small index-dependent
-    perturbation) so repeated runs agree bit-for-bit.  When the iteration
-    budget runs out the best estimate is returned with converged=False; since
-    Rayleigh quotients are lower bounds, callers needing a guaranteed upper
-    bound inflate the value by a safety margin.
+
+def conditioned_spectrum(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian PD matrix (LAPACK eigvalsh).
+
+    Raises SingularGram when A is not PD, its condition number exceeds
+    CONDITION_LIMIT, or LAPACK fails to converge.
     """
     a = require_hermitian(a)
-    n = a.shape[0]
-    v = (np.ones(n) + np.arange(n) * (1e-3 / max(n, 1))).astype(complex)
-    v /= np.linalg.norm(v)
-    lam = float(np.real(v.conj() @ (a @ v)))
-    for it in range(1, max_iter + 1):
-        w = a @ v
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return PowerIterationResult(0.0, True, it)
-        v = w / norm_w
-        lam_new = float(np.real(v.conj() @ (a @ v)))
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), np.finfo(float).tiny):
-            return PowerIterationResult(lam_new, True, it)
-        lam = lam_new
-    return PowerIterationResult(lam, False, max_iter)
+    try:
+        lam = np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularGram("eigenvalue decomposition failed") from exc
+    if not (lam[0] > 0.0 and lam[-1] <= CONDITION_LIMIT * lam[0]):
+        raise SingularGram(
+            f"eigenvalues in [{lam[0]:.3e}, {lam[-1]:.3e}]: not PD within "
+            f"condition number {CONDITION_LIMIT:.0e}"
+        )
+    return lam
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray:
@@ -74,18 +74,11 @@ def _cholesky(a: np.ndarray) -> np.ndarray:
 
 
 def trace_of_inverse(a: np.ndarray) -> float:
-    """Tr[A^{-1}] for Hermitian PD A via Cholesky (Tr = ||L^{-1}||_F^2).
+    """Tr[A^{-1}] = sum(1 / lambda) for Hermitian PD A.
 
-    Raises SingularGram when A is not PD or its condition number exceeds
-    CONDITION_LIMIT.
+    Raises SingularGram as :func:`conditioned_spectrum` does.
     """
-    a = require_hermitian(a)
-    cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise SingularGram(f"condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}")
-    low = _cholesky(a)
-    inv_low = scipy.linalg.solve_triangular(low, np.eye(a.shape[0]), lower=True)
-    return float(np.sum(np.abs(inv_low) ** 2))
+    return float(np.sum(1.0 / conditioned_spectrum(a)))
 
 
 def solve_hpd(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_hpd
+from conftest import random_feasible_pattern, random_hpd, random_training
 from risce.errors import SingularGram
 from risce.numerics import largest_eigenvalue, solve_hpd, trace_of_inverse
+from risce.phase_model import ReflectionModel
+from risce.system import build_S, estimate_ls
 
 
 class TestLargestEigenvalue:
@@ -13,6 +16,13 @@ class TestLargestEigenvalue:
         res = largest_eigenvalue(np.diag([1.0, 2.0, 3.0]))
         assert res.converged
         assert res.value == pytest.approx(3.0, rel=1e-8)
+
+    def test_close_gap_is_exact(self):
+        # With a 1e-3 spectral gap an iterative estimate can fall short of
+        # lambda_max by more than the LMMSE design's SAFETY_MARGIN.
+        res = largest_eigenvalue(np.diag([1.0, 0.999, 0.5]))
+        assert res.converged
+        assert res.value == pytest.approx(1.0, rel=1e-12)
 
     def test_rank_one(self, rng):
         v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
@@ -99,3 +109,66 @@ class TestSolveHpd:
     def test_not_pd_raises(self):
         with pytest.raises(SingularGram):
             solve_hpd(np.diag([1.0, -1.0]), np.eye(2))
+
+
+@st.composite
+def spectra(draw):
+    """(A, d, Q) with A = Q diag(d) Q^H, Q a random unitary and the condition
+    number max(d)/min(d) log-uniform in [1, 1e15]."""
+    n = draw(st.integers(1, 12))
+    log_cond = draw(st.floats(0.0, 15.0))
+    scale = draw(st.floats(-3.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    exponents = np.concatenate(([0.0, -log_cond], -log_cond * rng.uniform(size=n)))[:n]
+    d = 10.0 ** (scale + exponents)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return (q * d) @ q.conj().T, d, q
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=spectra())
+def test_spectra_exact_or_rejected(case):
+    a, d, q = case
+    cond = d.max() / d.min()
+    lam = largest_eigenvalue(a).value
+    assert np.isfinite(lam) and lam >= d.max() * (1.0 - 1e-12)
+
+    s = q * np.sqrt(d)                       # S S^H = A
+    gamma = np.random.default_rng(0).standard_normal((2, len(d))) + 0j
+    if cond >= 1e13:
+        with pytest.raises(SingularGram):
+            trace_of_inverse(a)
+        with pytest.raises(SingularGram):
+            estimate_ls(gamma @ s, s)
+        return
+    try:
+        trace, estimate = trace_of_inverse(a), estimate_ls(gamma @ s, s)
+    except SingularGram:
+        assert cond > 1e8
+        return
+    assert np.isfinite(trace) and np.all(np.isfinite(estimate))
+    if cond <= 1e8:
+        assert trace == pytest.approx(np.sum(1.0 / d), rel=1e-6)
+        assert np.linalg.norm(estimate - gamma) <= 1e-6 * np.linalg.norm(gamma)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(1, 3), m=st.integers(1, 4), extra_b=st.integers(0, 2),
+    extra_tau=st.integers(0, 2), beta_min=st.floats(0.0, 1.0),
+    alpha=st.floats(0.5, 3.0), delta=st.floats(0.0, 2.0 * np.pi),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kron_trace_identity(k, m, extra_b, extra_tau, beta_min, alpha, delta, seed):
+    # Tr[(S S^H)^-1] = Tr[(V V^H)^-1] Tr[(X X^H)^-1] for S = kron(V, X).
+    # Random feasible patterns reach condition numbers above 1e9, so the
+    # tolerance is the rounding bound eps * cond(S S^H) with a 64x margin.
+    rng = np.random.default_rng(seed)
+    model = ReflectionModel(beta_min=beta_min, alpha=alpha, delta=delta)
+    v = random_feasible_pattern(rng, m, m + 1 + extra_b, model)
+    x = random_training(rng, k, k + extra_tau, rng.uniform(0.5, 2.0, k))
+    s = build_S(v, x)
+    gram = s @ s.conj().T
+    expected = trace_of_inverse(v.v @ v.v.conj().T) * trace_of_inverse(x.x @ x.x.conj().T)
+    rel = 64.0 * np.finfo(float).eps * np.linalg.cond(gram)
+    assert trace_of_inverse(gram) == pytest.approx(expected, rel=rel)
