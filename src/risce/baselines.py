@@ -15,10 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDims, InvalidGrouping
-from .phase_model import (
-    ReflectionModel,
-    amplitude_of_phase,
-)
+from .phase_model import ReflectionModel, reflection_coefficient
 from .system import ReflectionPattern
 
 TWO_PI = 2.0 * np.pi
@@ -75,7 +72,7 @@ def naive_pattern(m: int, b: int, model: ReflectionModel) -> ReflectionPattern:
     cols = np.arange(b)
     phases = (-TWO_PI * np.outer(rows, cols) / b) % TWO_PI
     v = np.ones((m + 1, b), dtype=complex)
-    v[:m] = amplitude_of_phase(phases, model) * np.exp(1j * phases)
+    v[:m] = reflection_coefficient(phases, model)
     return ReflectionPattern(v=v)
 
 

@@ -110,15 +110,10 @@ def cascaded_correlation(corr: CorrelationSpec, m: int, k: int, l: int) -> np.nd
 
     Block-diagonal: L * (Psi_RIS o Psi_RIS) kron Psi_UE for the M reflected
     blocks (o = Hadamard product) and L * Psi_UE for the direct block; the
-    reflected/direct cross-blocks vanish.
+    reflected/direct cross-blocks vanish.  This is the grouped correlation
+    with every element in its own group.
     """
-    psi_ue = exp_correlation(k, corr.psi_ue)
-    psi_ris = exp_correlation(m, corr.psi_ris)
-    n = (m + 1) * k
-    r = np.zeros((n, n))
-    r[: m * k, : m * k] = l * np.kron(psi_ris * psi_ris, psi_ue)
-    r[m * k :, m * k :] = l * psi_ue
-    return r
+    return grouped_cascaded_correlation(corr, np.eye(m), k, l)
 
 
 def grouped_cascaded_correlation(

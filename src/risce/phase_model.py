@@ -7,7 +7,14 @@ the amplitude beta is a deterministic function of the phase shift theta,
 
 parameterized by (beta_min, alpha, delta).  The module also provides the
 feasibility projection (keep the phase, replace the amplitude by the law) and
-the one-dimensional phase search used by both pattern-design algorithms.
+the one-dimensional phase search behind both pattern-design algorithms,
+:func:`minimize_pattern_entries`.
+
+The phase search scores a dense grid, refines the best grid point by golden
+section, and then scores the amplitude minimum theta_d = delta - pi/2 as one
+last candidate.  For alpha < 1/2 the law has a cusp at theta_d whose dip can
+be narrower than the grid spacing, and then neither the grid nor the
+refinement finds a minimum that sits on it.
 """
 
 from __future__ import annotations
@@ -149,15 +156,18 @@ class ScalarPhaseObjective:
             raise ValueError(f"quad_coeff must be >= 0, got {self.quad_coeff}")
 
     def evaluate(self, theta, model: ReflectionModel):
-        beta = amplitude_of_phase(theta, model)
-        th = np.asarray(theta, dtype=float)
-        c = self.lin_coeff
-        out = self.quad_coeff * beta**2 + 2.0 * beta * (
-            c.real * np.cos(th) - c.imag * np.sin(th)
-        )
+        out = _phase_cost(self.quad_coeff, self.lin_coeff,
+                          np.asarray(theta, dtype=float), model)
         if np.isscalar(theta):
             return float(out)
         return out
+
+
+def _phase_cost(q, c, theta, model: ReflectionModel):
+    """q * beta(theta)^2 + 2*Re{c * beta(theta) * e^{j theta}}, broadcast."""
+    beta = amplitude_of_phase(theta, model)
+    return q * beta**2 + 2.0 * beta * (np.real(c) * np.cos(theta)
+                                       - np.imag(c) * np.sin(theta))
 
 
 def minimize_phase_objective(
@@ -168,8 +178,9 @@ def minimize_phase_objective(
     """Minimize a ScalarPhaseObjective over theta in [0, 2*pi).
 
     Dense uniform grid followed by a golden-section refinement on the
-    bracketing interval of the best grid point; ties break toward the
-    smallest theta.  Returns (theta_star, value).
+    bracketing interval of the best grid point, then the amplitude minimum
+    theta_d as a last candidate; ties break toward the grid/refined point.
+    Returns (theta_star, value).
     """
     thetas, values = minimize_phase_objectives(
         np.array([obj.quad_coeff]),
@@ -189,7 +200,7 @@ def minimize_phase_objectives(
     """Vectorized phase search for a batch of (q, c) objectives.
 
     Same algorithm as :func:`minimize_phase_objective` applied entrywise;
-    both pattern updates run all their element searches through this path.
+    both pattern updates reach it through :func:`minimize_pattern_entries`.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
@@ -199,21 +210,14 @@ def minimize_phase_objectives(
         raise ValueError("quad_coeffs and lin_coeffs must have the same length")
 
     grid = np.linspace(0.0, TWO_PI, grid_points, endpoint=False)
-    beta = amplitude_of_phase(grid, model)
     # (E, G) objective table; argmin picks the first (smallest-theta) minimum.
-    vals = (
-        q[:, None] * beta[None, :] ** 2
-        + 2.0 * beta[None, :] * (np.real(c)[:, None] * np.cos(grid)[None, :]
-                                 - np.imag(c)[:, None] * np.sin(grid)[None, :])
-    )
+    vals = _phase_cost(q[:, None], c[:, None], grid[None, :], model)
     best = np.argmin(vals, axis=1)
     theta0 = grid[best]
     f0 = vals[np.arange(q.size), best]
 
     def f(theta: np.ndarray) -> np.ndarray:
-        b = amplitude_of_phase(theta, model)
-        return q * b**2 + 2.0 * b * (np.real(c) * np.cos(theta)
-                                     - np.imag(c) * np.sin(theta))
+        return _phase_cost(q, c, theta, model)
 
     # Golden-section refinement on the bracketing interval of each best point.
     span = TWO_PI / grid_points
@@ -242,4 +246,29 @@ def minimize_phase_objectives(
     take_ref = f_ref < f0
     theta_star = np.where(take_ref, theta_ref, theta0) % TWO_PI
     value = np.where(take_ref, f_ref, f0)
-    return theta_star, value
+
+    # The amplitude minimum, where the law has a cusp for alpha < 1/2.
+    theta_d = (model.delta - 0.5 * math.pi) % TWO_PI
+    f_d = _phase_cost(q, c, theta_d, model)
+    take_d = f_d < value
+    return np.where(take_d, theta_d, theta_star), np.where(take_d, f_d, value)
+
+
+def minimize_pattern_entries(
+    q: float,
+    c: np.ndarray,
+    model: ReflectionModel,
+    grid_points: int = DEFAULT_GRID_POINTS,
+) -> np.ndarray:
+    """Entrywise pattern step: the (M+1, B) minimizer of the separable cost.
+
+    Entry (m, n) minimizes q |v|^2 + 2 Re{c[m, n] v} over the reflection law
+    (the phase search with quad coeff q and lin coeff c[m, n]); the all-ones
+    direct-link row is appended.  c is the (M, B) matrix of linear
+    coefficients.
+    """
+    m, b = c.shape
+    thetas, _ = minimize_phase_objectives(np.full(m * b, q), c, model, grid_points)
+    v = np.ones((m + 1, b), dtype=complex)
+    v[:m] = reflection_coefficient(thetas, model).reshape(m, b)
+    return v

@@ -99,13 +99,24 @@ def estimate_ls(y: np.ndarray, s: np.ndarray) -> np.ndarray:
     return numerics.solve_hpd(gram, s @ y.conj().T).conj().T
 
 
+def lmmse_filter(
+    s: np.ndarray, r_gamma: np.ndarray, sigma2: float, l: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """LMMSE filter W = (S^H R S + sigma^2 L I)^{-1} S^H R, with F = S^H R.
+
+    Returns (W, F); F is returned because the explained-variance trace
+    Re sum(W o conj(F)) needs it too.
+    """
+    f = s.conj().T @ r_gamma  # (tau*B, n)
+    a = f @ s + sigma2 * l * np.eye(s.shape[1])
+    return numerics.solve_hpd(a, f), f
+
+
 def estimate_lmmse(
     y: np.ndarray, s: np.ndarray, r_gamma: np.ndarray, sigma2: float, l: int
 ) -> np.ndarray:
-    """LMMSE estimate Y (S^H R S + sigma^2 L I)^{-1} S^H R."""
-    a = s.conj().T @ r_gamma @ s + sigma2 * l * np.eye(s.shape[1])
-    w = numerics.solve_hpd(a, s.conj().T @ r_gamma)
-    return y @ w
+    """LMMSE estimate Y W with the filter W of :func:`lmmse_filter`."""
+    return y @ lmmse_filter(s, r_gamma, sigma2, l)[0]
 
 
 def mse_ls(s: np.ndarray, sigma2: float, l: int) -> float:
@@ -115,9 +126,8 @@ def mse_ls(s: np.ndarray, sigma2: float, l: int) -> float:
 
 def _lmmse_explained(s: np.ndarray, r_gamma: np.ndarray, sigma2: float, l: int) -> float:
     """Tr[R S (S^H R S + sigma^2 L I)^{-1} S^H R], the prior-error reduction."""
-    f = s.conj().T @ r_gamma  # (tau*B, n)
-    a = f @ s + sigma2 * l * np.eye(s.shape[1])
-    return float(np.real(np.sum(numerics.solve_hpd(a, f) * f.conj())))
+    w, f = lmmse_filter(s, r_gamma, sigma2, l)
+    return float(np.real(np.sum(w * f.conj())))
 
 
 def mse_lmmse(s: np.ndarray, r_gamma: np.ndarray, sigma2: float, l: int) -> float:

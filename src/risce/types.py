@@ -48,15 +48,6 @@ class SystemConfig:
         if np.any(self.power <= 0.0) or self.sigma2 < 0.0:
             raise InvalidDims("power budgets must be positive, sigma2 >= 0")
 
-    @property
-    def channel_dim(self) -> int:
-        """Total number of estimated complex coefficients, L*K*(M+1)."""
-        return self.l * self.k * (self.m + 1)
-
-    def with_power(self, power) -> "SystemConfig":
-        return SystemConfig(self.k, self.m, self.l, self.b, self.tau,
-                            self.sigma2, np.asarray(power, dtype=float))
-
 
 @dataclass
 class DesignTrace:

@@ -1,9 +1,12 @@
 """Tests for the sweep/convergence harness and the command-line interface."""
 
+import re
+
 import numpy as np
 import pytest
 
 from risce.baselines import SchemeId
+from risce import experiments
 from risce.cli import main, read_config_file
 from risce.errors import ConfigError
 from risce.experiments import (
@@ -89,6 +92,30 @@ class TestRunSweep:
         rows = run_sweep(cfg)
         assert len(rows) == 2
         assert all(np.isfinite(r.analytic_nmse) for r in rows)
+
+    @pytest.mark.parametrize("estimator, designs", [("ls", 1), ("lmmse", 2)])
+    def test_each_distinct_design_runs_once(self, monkeypatch, estimator, designs):
+        # ideal-projection projects the ideal design, so a sweep of both at
+        # two SNRs runs one LS design, or one LMMSE design per SNR.
+        calls = []
+
+        def counted(name):
+            real = getattr(experiments, name)
+
+            def run(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return run
+
+        for name in ("design_ls", "design_lmmse"):
+            monkeypatch.setattr(experiments, name, counted(name))
+        cfg = ExperimentConfig(k=2, m=3, l=2, trials=2, snr_db=(0.0, 10.0),
+                               estimator=estimator, schemes=(
+                                   SchemeId.IDEAL_RIS, SchemeId.IDEAL_RIS_PROJECTION))
+        rows = run_sweep(cfg)
+        assert calls == [f"design_{estimator}"] * designs
+        ideal = [r.iterations for r in rows if r.scheme == "ideal"]
+        assert ideal == [r.iterations for r in rows if r.scheme == "ideal-projection"]
 
     def test_lmmse_estimator_path(self):
         cfg = ExperimentConfig(**FAST, estimator="lmmse",
@@ -189,10 +216,32 @@ class TestCli:
     @pytest.mark.parametrize("flag", [
         ["--beta-min", "2"], ["--alpha", "-1"], ["--sigma2", "nan"],
         ["--psi-ue", "1.5"], ["--k", "0"], ["--eps", "nan"],
+        ["--b", "3"], ["--tau", "1", "--k", "2"], ["--delta", "inf"],
+        ["--snr-db", "0", "nan"], ["--scheme", "proposed-grouped", "--rho", "3"],
     ])
     def test_bad_value_is_config_error(self, flag):
         rc = main(["sweep", "--analytic-only", "--scheme", "naive", *flag])
         assert rc == 2
+
+    @pytest.mark.parametrize("line", ["mm = 3", "k = two", "accelerate = maybe"])
+    def test_bad_config_line_named(self, tmp_path, capsys, line):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(f"m = 3\n{line}\n")
+        assert main(["sweep", "--config", str(cfgfile)]) == 2
+        assert "(line 2)" in capsys.readouterr().err
+
+    def test_flag_set(self, capsys):
+        # Every int/float config key is a flag of the same name.
+        with pytest.raises(SystemExit):
+            main(["sweep", "--help"])
+        flags = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", capsys.readouterr().out))
+        assert flags == {
+            "-h", "--help", "--config", "--profile", "--k", "--m", "--l", "--b",
+            "--tau", "--sigma2", "--snr-db", "--trials", "--seed", "--beta-min",
+            "--alpha", "--delta", "--psi-ue", "--psi-ris", "--psi-bs", "--scheme",
+            "--estimator", "--accel", "--no-accel", "--eps", "--max-iter",
+            "--grid-points", "--rho", "--output", "--analytic-only", "--plot-data",
+        }
 
     def test_converge_subcommand(self, tmp_path):
         out = tmp_path / "conv.csv"

@@ -111,6 +111,19 @@ class TestSolveHpd:
             solve_hpd(np.diag([1.0, -1.0]), np.eye(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("kernel", [
+    largest_eigenvalue, trace_of_inverse, lambda a: solve_hpd(a, np.eye(3)),
+], ids=["largest_eigenvalue", "trace_of_inverse", "solve_hpd"])
+def test_non_finite_matrix_rejected(kernel, bad):
+    # A symmetric pair of non-finite entries passes the symmetry check, so
+    # finiteness is checked on its own, before any LAPACK call.
+    a = np.eye(3)
+    a[0, 1] = a[1, 0] = bad
+    with pytest.raises(SingularGram):
+        kernel(a)
+
+
 @st.composite
 def spectra(draw):
     """(A, d, Q) with A = Q diag(d) Q^H, Q a random unitary and the condition
