@@ -11,6 +11,7 @@ produced by :func:`cascaded_correlation`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,6 +59,14 @@ def sqrt_psd(a: np.ndarray) -> np.ndarray:
     return (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
 
 
+@lru_cache(maxsize=32)
+def coloring_factor(n: int, psi: float) -> np.ndarray:
+    """Read-only sqrt_psd(exp_correlation(n, psi)), cached per (n, psi)."""
+    factor = sqrt_psd(exp_correlation(n, psi))
+    factor.flags.writeable = False
+    return factor
+
+
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     """i.i.d. CN(0, 1) samples: two real normals scaled by 1/sqrt(2)."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
@@ -72,12 +81,13 @@ def sample_channels(
 
     Coloring uses the symmetric square roots: H_r = R^(1/2) Hbar U^(T/2),
     G = B^(1/2) Gbar R^(T/2), H_d = B^(1/2) Dbar U^(T/2) with i.i.d. CN(0,1)
-    bar-matrices drawn in that fixed order.
+    bar-matrices drawn in that fixed order.  The square roots come from
+    :func:`coloring_factor`'s cache.
     """
     rng = np.random.default_rng(rng_seed)
-    s_ue = sqrt_psd(exp_correlation(config.k, corr.psi_ue))
-    s_ris = sqrt_psd(exp_correlation(config.m, corr.psi_ris))
-    s_bs = sqrt_psd(exp_correlation(config.l, corr.psi_bs))
+    s_ue = coloring_factor(config.k, corr.psi_ue)
+    s_ris = coloring_factor(config.m, corr.psi_ris)
+    s_bs = coloring_factor(config.l, corr.psi_bs)
 
     h_r = s_ris @ complex_gaussian(rng, (config.m, config.k)) @ s_ue.T
     g = s_bs @ complex_gaussian(rng, (config.l, config.m)) @ s_ris.T

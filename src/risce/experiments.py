@@ -3,7 +3,9 @@
 Designs are deterministic given their inputs, so each distinct design runs
 once per sweep and is reused across trials and schemes; channel and noise
 draws use per-(SNR, trial) seed streams shared by all schemes (common random
-numbers).
+numbers).  Both estimators are linear in the received block, so each
+(scheme, SNR) cell builds its estimator W once, through the public
+system.estimate_ls / estimate_lmmse, and every trial applies it as Y W.
 Output rows are emitted in deterministic (scheme, SNR, trial) order.
 """
 
@@ -246,24 +248,35 @@ def _analytic_nmse(cell: CellDesign, cfg: ExperimentConfig) -> float:
     return system.nmse(j, cfg.l, cfg.k, m_eff)
 
 
-def _empirical_nmse(
-    cell: CellDesign, cfg: ExperimentConfig, snr_index: int, trial: int
-) -> float:
-    ch_seed = np.random.SeedSequence([cfg.seed, snr_index, trial, 0])
-    noise_seed = np.random.SeedSequence([cfg.seed, snr_index, trial, 1])
-    realization = sample_channels(ch_seed, cfg.system(cfg.snr_db[snr_index]), cfg.corr)
-    gamma = cascaded_channel(realization)
-    if cell.grouping is not None:
-        gamma = cell.grouping.combine_gamma(gamma, cfg.k)
+def _empirical_nmses(cell: CellDesign, cfg: ExperimentConfig, snr_index: int) -> list[float]:
+    """Empirical NMSE of every trial of one (scheme, SNR) cell.
+
+    Trial t draws its channel and noise from SeedSequence([seed, snr_index,
+    t, 0 | 1]), the same streams for every scheme.
+    """
     s = cell.s
-    y = system.simulate_reception(gamma, s, cfg.sigma2, noise_seed)
+    # Both estimators are linear in Y, so W is the estimate of the identity
+    # block.  They are looked up on system at call time, so a replaced
+    # estimator is the one every trial applies.
+    eye = np.eye(s.shape[1])
     if cfg.estimator == "ls":
-        gamma_hat = system.estimate_ls(y, s)
+        w = system.estimate_ls(eye, s)
     else:
-        gamma_hat = system.estimate_lmmse(y, s, cell.r_gamma, cfg.sigma2, cfg.l)
+        w = system.estimate_lmmse(eye, s, cell.r_gamma, cfg.sigma2, cfg.l)
+    sys_cfg = cfg.system(cfg.snr_db[snr_index])
+    corr = cfg.corr
     m_eff = cell.grouping.m_grouped if cell.grouping else cfg.m
-    err = float(np.sum(np.abs(gamma_hat - gamma) ** 2))
-    return system.nmse(err, cfg.l, cfg.k, m_eff)
+    out = []
+    for trial in range(cfg.trials):
+        ch_seed = np.random.SeedSequence([cfg.seed, snr_index, trial, 0])
+        noise_seed = np.random.SeedSequence([cfg.seed, snr_index, trial, 1])
+        gamma = cascaded_channel(sample_channels(ch_seed, sys_cfg, corr))
+        if cell.grouping is not None:
+            gamma = cell.grouping.combine_gamma(gamma, cfg.k)
+        y = system.simulate_reception(gamma, s, cfg.sigma2, noise_seed)
+        err = float(np.sum(np.abs(y @ w - gamma) ** 2))
+        out.append(system.nmse(err, cfg.l, cfg.k, m_eff))
+    return out
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
@@ -282,8 +295,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
             analytic = _analytic_nmse(cell, cfg)
             analytic_by_snr.append((snr_db, analytic))
             if cfg.simulate:
-                for trial in range(cfg.trials):
-                    emp = _empirical_nmse(cell, cfg, si, trial)
+                for trial, emp in enumerate(_empirical_nmses(cell, cfg, si)):
                     rows.append(ResultRow(
                         scheme.value, cfg.estimator, snr_db, trial,
                         analytic, emp, cell.iterations, cell.wall_ms,

@@ -83,8 +83,8 @@ def simulate_reception(gamma: np.ndarray, s: np.ndarray, sigma2: float, rng_seed
     """Received training block Y = Gamma S + Z with i.i.d. CN(0, sigma2) noise."""
     if gamma.shape[1] != s.shape[0]:
         raise DimensionMismatch(f"Gamma {gamma.shape} does not match S {s.shape}")
-    if sigma2 < 0.0:
-        raise ValueError(f"noise variance must be >= 0, got {sigma2}")
+    if not (np.isfinite(sigma2) and sigma2 >= 0.0):
+        raise ValueError(f"noise variance must be finite and >= 0, got {sigma2}")
     rng = np.random.default_rng(rng_seed)
     y = gamma @ s
     if sigma2 > 0.0:

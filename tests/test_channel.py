@@ -8,9 +8,12 @@ from risce.channel import (
     CorrelationSpec,
     cascaded_channel,
     cascaded_correlation,
+    coloring_factor,
+    complex_gaussian,
     exp_correlation,
     grouped_cascaded_correlation,
     sample_channels,
+    sqrt_psd,
 )
 from risce.errors import DimensionMismatch, InvalidPsi
 from risce.types import SystemConfig
@@ -45,6 +48,29 @@ class TestSampleChannels:
         assert np.array_equal(a.g, b.g)
         assert np.array_equal(a.h_r, b.h_r)
         assert np.array_equal(a.h_d, b.h_d)
+
+    @pytest.mark.parametrize("k, m, l, psi", [
+        (3, 4, 2, (0.2, 0.4, 0.6)), (1, 5, 3, (0.0, 0.9, 0.3)), (4, 20, 16, (0.2, 0.4, 0.6)),
+    ])
+    def test_cached_coloring_matches_explicit(self, k, m, l, psi):
+        cfg = SystemConfig(k=k, m=m, l=l)
+        corr = CorrelationSpec(*psi)
+        s_ue, s_ris, s_bs = (sqrt_psd(exp_correlation(n, p)) for n, p in zip((k, m, l), psi))
+        for seed in (0, 7, np.random.SeedSequence([3, 1, 4, 0])):
+            ch = sample_channels(seed, cfg, corr)
+            rng = np.random.default_rng(seed)
+            bar = [complex_gaussian(rng, shape) for shape in ((m, k), (l, m), (l, k))]
+            assert np.array_equal(ch.h_r, s_ris @ bar[0] @ s_ue.T)
+            assert np.array_equal(ch.g, s_bs @ bar[1] @ s_ris.T)
+            assert np.array_equal(ch.h_d, s_bs @ bar[2] @ s_ue.T)
+
+    def test_cached_factor_is_read_only(self):
+        factor = coloring_factor(4, 0.4)
+        assert coloring_factor(4, 0.4) is factor
+        with pytest.raises(ValueError):
+            factor[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            factor.T[1, 0] = 2.0
 
     def test_white_case_unit_variance(self):
         corr = CorrelationSpec(psi_ue=0.0, psi_ris=0.0, psi_bs=0.0)

@@ -98,6 +98,13 @@ class TestSimulateReception:
             simulate_reception(gamma, s, 1.0, 11), simulate_reception(gamma, s, 1.0, 11)
         )
 
+    @pytest.mark.parametrize("sigma2", [np.nan, np.inf, -1.0])
+    def test_bad_noise_variance_rejected(self, rng, sigma2):
+        gamma = rng.standard_normal((2, 4)).astype(complex)
+        s = rng.standard_normal((4, 4)).astype(complex)
+        with pytest.raises(ValueError, match="noise variance"):
+            simulate_reception(gamma, s, sigma2, 0)
+
 
 class TestEstimators:
     def _setup(self, rng, sigma2=1.0, seed=0):
