@@ -33,8 +33,8 @@ from .channel import (
 )
 from .errors import ConfigError, RisceError
 from .lmmse_design import design_lmmse
-from .ls_design import design_ls, dft_training, project_pattern
-from .phase_model import ReflectionModel, ideal_model
+from .ls_design import DEFAULT_EPS, design_ls, dft_training, project_pattern
+from .phase_model import DEFAULT_GRID_POINTS, ReflectionModel, ideal_model
 from .system import ReflectionPattern, TrainingMatrix, build_S
 from .types import SystemConfig
 
@@ -58,12 +58,12 @@ class ExperimentConfig:
     snr_db: tuple[float, ...] = (-5.0, 0.0, 5.0, 10.0)
     trials: int = 50
     seed: int = 0
-    beta_min: float = 0.2
-    alpha: float = 2.0
-    delta: float = 0.43 * np.pi
-    psi_ue: float = 0.2
-    psi_ris: float = 0.4
-    psi_bs: float = 0.6
+    beta_min: float = ReflectionModel.beta_min
+    alpha: float = ReflectionModel.alpha
+    delta: float = ReflectionModel.delta
+    psi_ue: float = CorrelationSpec.psi_ue
+    psi_ris: float = CorrelationSpec.psi_ris
+    psi_bs: float = CorrelationSpec.psi_bs
     schemes: tuple[SchemeId, ...] = (
         SchemeId.PROPOSED,
         SchemeId.IDEAL_RIS,
@@ -72,10 +72,10 @@ class ExperimentConfig:
         SchemeId.ON_OFF,
     )
     estimator: str = "ls"
-    eps: float = 1e-3
+    eps: float = DEFAULT_EPS
     max_iter: int | None = None
     accelerate: bool = True
-    grid_points: int = 1024
+    grid_points: int = DEFAULT_GRID_POINTS
     rho: int = 1
     simulate: bool = True
 

@@ -17,18 +17,21 @@ which is majorized once more per block to decouple the variables:
 
 lambda2/lambda3 are spectral bounds: products of the largest eigenvalues
 (LAPACK eigvalsh) of the Kronecker factors, inflated by a small safety
-margin so the majorization survives rounding.  Within one round the training
-step is anchored at (X0, V0) and the pattern step reuses Xi0 with the freshly
-updated X.
+margin so the majorization survives rounding.  Each step builds only what it
+reads from the anchor (Xi0, Xi0 Xi0^H, X0, V0) of :func:`build_surrogate`:
+the training step lambda2 and B0 (:func:`training_terms`), the pattern step
+lambda3 and C0 at the X it sees (:func:`refresh_pattern_terms`), which in a
+plain round is the freshly updated X.  lambda_max(R) is computed once per
+design.
 
 The rounds run on :func:`risce.accel.mm_loop` over the pair (X, V).  A plain
-round is one MM update (one surrogate rebuild); a SQUAREM round takes one
-SQUAREM step per block, training then pattern, so four MM updates.
+round is one MM update (one anchor, three eigen-solves); a SQUAREM round
+takes one SQUAREM step per block, training then pattern, so four MM updates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,39 +54,39 @@ from .phase_model import (
 from .system import ReflectionPattern, TrainingMatrix, lmmse_filter, mse_lmmse
 from .types import DesignTrace, SystemConfig
 
-__all__ = [
-    "LmmseSurrogateState",
-    "SAFETY_MARGIN",
-    "build_surrogate",
-    "refresh_pattern_terms",
-    "surrogate_value",
-    "update_training",
-    "update_pattern",
-    "project_training_rows",
-    "design_lmmse",
-]
-
 # Multiplicative slack on the eigenvalue products; the spectra are exact to
 # rounding, so the slack only has to cover rounding.  It stays at 1.0001
 # because a smaller margin would change the MM iterates of the algorithm.
 SAFETY_MARGIN = 1.0001
 
 
-@dataclass(frozen=True)
-class LmmseSurrogateState:
-    """Anchor-point quantities shared by the two block updates."""
+class LmmseSurrogateState(NamedTuple):
+    """Anchor of the first majorization, shared by the two block steps."""
 
     xi0: np.ndarray        # (tau*B, (M+1)*K)
     xi_gram: np.ndarray    # Xi0 Xi0^H, (tau*B, tau*B)
-    lambda2: float
-    lambda3: float
-    b0: np.ndarray         # (tau*B, B*K) linear coefficients of the X step
-    c0: np.ndarray         # (B*K, (M+1)*K) linear coefficients of the V step
+    xt0: np.ndarray        # I_B kron X0, (BK, tau*B)
+    vt0: np.ndarray        # V0 kron I_K, ((M+1)K, BK)
     x0: TrainingMatrix
-    v0: ReflectionPattern
     r_gamma: np.ndarray
     sigma2: float
     l: int
+
+
+class TrainingTerms(NamedTuple):
+    """Second majorization of the training block at the anchor."""
+
+    lambda2: float
+    b0: np.ndarray         # (tau*B, B*K) linear coefficients of the X step
+    x0: TrainingMatrix     # a vanishing b_k keeps its row
+
+
+class PatternTerms(NamedTuple):
+    """Second majorization of the pattern block at one training X."""
+
+    lambda3: float
+    c0: np.ndarray         # (B*K, (M+1)*K) linear coefficients of the V step
+    k: int
 
 
 def _spectral_bound(a: np.ndarray) -> float:
@@ -97,46 +100,40 @@ def build_surrogate(
     sigma2: float,
     l: int,
 ) -> LmmseSurrogateState:
-    """Compute Xi0, the spectral bounds and both linear coefficient blocks."""
-    k = x0.k
-    b = v0.b
-    vt0 = np.kron(v0.v, np.eye(k))          # ((M+1)K, BK)
-    xt0 = np.kron(np.eye(b), x0.x)          # (BK, tau*B)
-    s0 = vt0 @ xt0
-    xi0, _ = lmmse_filter(s0, r_gamma, sigma2, l)
-    xi_gram = xi0 @ xi0.conj().T
-
-    m_v = vt0.conj().T @ r_gamma @ vt0      # (BK, BK)
-    lambda2 = SAFETY_MARGIN * _spectral_bound(xi_gram) * _spectral_bound(m_v)
-    b0 = lambda2 * xt0.conj().T - xi_gram @ xt0.conj().T @ m_v + xi0 @ r_gamma @ vt0
-
-    lambda3, c0 = _pattern_terms(xt0, xi0, xi_gram, vt0, r_gamma)
+    """Compute the anchor Xi0 and Xi0 Xi0^H at (X0, V0)."""
+    vt0 = np.kron(v0.v, np.eye(x0.k))       # ((M+1)K, BK)
+    xt0 = np.kron(np.eye(v0.b), x0.x)       # (BK, tau*B)
+    xi0, _ = lmmse_filter(vt0 @ xt0, r_gamma, sigma2, l)
     return LmmseSurrogateState(
-        xi0=xi0, xi_gram=xi_gram, lambda2=lambda2, lambda3=lambda3,
-        b0=b0, c0=c0, x0=x0, v0=v0, r_gamma=r_gamma, sigma2=sigma2, l=l,
+        xi0=xi0, xi_gram=xi0 @ xi0.conj().T, xt0=xt0, vt0=vt0, x0=x0,
+        r_gamma=r_gamma, sigma2=sigma2, l=l,
     )
 
 
-def _pattern_terms(xt, xi0, xi_gram, vt0, r_gamma):
-    w = xt @ xi_gram @ xt.conj().T          # (BK, BK)
-    lambda3 = SAFETY_MARGIN * _spectral_bound(w) * _spectral_bound(r_gamma)
-    c0 = lambda3 * vt0.conj().T - w @ vt0.conj().T @ r_gamma + xt @ xi0 @ r_gamma
-    return lambda3, c0
+def training_terms(state: LmmseSurrogateState) -> TrainingTerms:
+    """lambda2 and B0 of the training step, anchored at (X0, V0)."""
+    xt0, vt0, r_gamma = state.xt0, state.vt0, state.r_gamma
+    m_v = vt0.conj().T @ r_gamma @ vt0      # (BK, BK)
+    lambda2 = SAFETY_MARGIN * _spectral_bound(state.xi_gram) * _spectral_bound(m_v)
+    b0 = lambda2 * xt0.conj().T - state.xi_gram @ xt0.conj().T @ m_v + state.xi0 @ r_gamma @ vt0
+    return TrainingTerms(lambda2=lambda2, b0=b0, x0=state.x0)
 
 
 def refresh_pattern_terms(
-    state: LmmseSurrogateState, x_new: TrainingMatrix
-) -> LmmseSurrogateState:
-    """Recompute lambda3/C0 with the updated training, keeping Xi0 and V0.
+    state: LmmseSurrogateState, x: TrainingMatrix, r_max: float
+) -> PatternTerms:
+    """lambda3 and C0 of the pattern step at training x, keeping Xi0 and V0.
 
-    This is the within-round refresh: the pattern step sees the new X while
-    staying anchored at the round's Xi0, which preserves monotone descent.
+    r_max is lambda_max(R).  Within a plain round x is the updated training:
+    the pattern step sees the new X while staying anchored at the round's
+    Xi0, which preserves monotone descent.
     """
-    b = state.v0.b
-    xt = np.kron(np.eye(b), x_new.x)
-    vt0 = np.kron(state.v0.v, np.eye(state.x0.k))
-    lambda3, c0 = _pattern_terms(xt, state.xi0, state.xi_gram, vt0, state.r_gamma)
-    return replace(state, lambda3=lambda3, c0=c0, x0=x_new)
+    xt = np.kron(np.eye(state.xt0.shape[0] // x.k), x.x)    # I_B kron X
+    vt0, r_gamma = state.vt0, state.r_gamma
+    w = xt @ state.xi_gram @ xt.conj().T    # (BK, BK)
+    lambda3 = SAFETY_MARGIN * _spectral_bound(w) * r_max
+    c0 = lambda3 * vt0.conj().T - w @ vt0.conj().T @ r_gamma + xt @ state.xi0 @ r_gamma
+    return PatternTerms(lambda3=lambda3, c0=c0, k=x.k)
 
 
 def surrogate_value(state: LmmseSurrogateState, s: np.ndarray) -> float:
@@ -149,7 +146,7 @@ def surrogate_value(state: LmmseSurrogateState, s: np.ndarray) -> float:
     return quad + lin + const
 
 
-def update_training(state: LmmseSurrogateState, power) -> TrainingMatrix:
+def update_training(terms: TrainingTerms, power) -> TrainingMatrix:
     """Closed-form per-UE training update of the decoupled quadratic problem.
 
     b_k sums the conjugated diagonal (subframe) blocks of B0; the solution is
@@ -158,35 +155,33 @@ def update_training(state: LmmseSurrogateState, power) -> TrainingMatrix:
     keeps the previous training row.
     """
     power = np.asarray(power, dtype=float)
-    tau, k = state.x0.tau, state.x0.k
-    b = state.v0.b
-    blocks = np.conj(state.b0).reshape(b, tau, b, k)
+    tau, k = terms.x0.tau, terms.x0.k
+    b = terms.b0.shape[0] // tau
+    blocks = np.conj(terms.b0).reshape(b, tau, b, k)
     b_sum = np.einsum("btbk->tk", blocks)    # (tau, K); column k is b_k
     x_new = np.empty((k, tau), dtype=complex)
     for uk in range(k):
         b_k = b_sum[:, uk]
         norm_b = np.linalg.norm(b_k)
         if norm_b == 0.0:
-            x_new[uk] = state.x0.x[uk]
-        elif norm_b > np.sqrt(power[uk]) * state.lambda2 * b:
+            x_new[uk] = terms.x0.x[uk]
+        elif norm_b > np.sqrt(power[uk]) * terms.lambda2 * b:
             x_new[uk] = np.sqrt(power[uk]) / norm_b * b_k
         else:
-            x_new[uk] = b_k / (state.lambda2 * b)
+            x_new[uk] = b_k / (terms.lambda2 * b)
     return TrainingMatrix(x=x_new, power=power)
 
 
 def update_pattern(
-    state: LmmseSurrogateState,
+    terms: PatternTerms,
     model: ReflectionModel,
     grid_points: int = DEFAULT_GRID_POINTS,
 ) -> ReflectionPattern:
     """Entrywise pattern update of the decoupled quadratic problem."""
-    k = state.x0.k
-    b = state.v0.b
-    m = state.v0.m
-    blocks = state.c0.reshape(b, k, m + 1, k)
+    k = terms.k
+    blocks = terms.c0.reshape(terms.c0.shape[0] // k, k, terms.c0.shape[1] // k, k)
     c_mat = np.einsum("nkmk->mn", blocks)    # (M+1, B)
-    v = minimize_pattern_entries(state.lambda3 * k, -c_mat[:m], model, grid_points)
+    v = minimize_pattern_entries(terms.lambda3 * k, -c_mat[:-1], model, grid_points)
     return ReflectionPattern(v=v)
 
 
@@ -226,6 +221,7 @@ def design_lmmse(
 
     sigma2, l = config.sigma2, config.l
     power = config.power
+    r_max = _spectral_bound(r_gamma)
 
     def mse_of(v: np.ndarray, x: np.ndarray) -> float:
         return mse_lmmse(np.kron(v, x), r_gamma, sigma2, l)
@@ -234,22 +230,21 @@ def design_lmmse(
         x, v = pair
         return mse_of(v.v, x.x)
 
-    def surrogate(x: TrainingMatrix, v: ReflectionPattern) -> LmmseSurrogateState:
+    def anchor(x: TrainingMatrix, v: ReflectionPattern) -> LmmseSurrogateState:
         return build_surrogate(x, v, r_gamma, sigma2, l)
 
     def mm_round(pair):
         x, v = pair
-        state = surrogate(x, v)
-        x = update_training(state, power)
-        state = refresh_pattern_terms(state, x)
-        return x, update_pattern(state, model, grid_points)
+        state = anchor(x, v)
+        x = update_training(training_terms(state), power)
+        return x, update_pattern(refresh_pattern_terms(state, x, r_max), model, grid_points)
 
     def squarem_round(pair, obj):
         x, v = pair
         x_arr, obj, n_x = squarem_step(
             x.x,
             lambda xa: update_training(
-                surrogate(TrainingMatrix(x=xa, power=power), v), power).x,
+                training_terms(anchor(TrainingMatrix(x=xa, power=power), v)), power).x,
             lambda xa: project_training_rows(xa, power),
             lambda xa: mse_of(v.v, xa),
             obj,
@@ -257,8 +252,8 @@ def design_lmmse(
         x = TrainingMatrix(x=x_arr, power=power)
         v_arr, obj, n_v = squarem_step(
             v.v,
-            lambda va: update_pattern(
-                surrogate(x, ReflectionPattern(v=va)), model, grid_points).v,
+            lambda va: update_pattern(refresh_pattern_terms(
+                anchor(x, ReflectionPattern(v=va)), x, r_max), model, grid_points).v,
             lambda va: project_pattern(va, model),
             lambda va: mse_of(va, x.x),
             obj,

@@ -11,6 +11,9 @@ point V0 the quadratic surrogate is
 
 which separates over entries; each entry reduces to a scalar phase search
 with q = lambda1 and c = [A0]_{n,m}.  lambda1 is refreshed every iteration.
+The MM descent argument needs the bound only on the sublevel set
+f(V) <= f(V0); f is unbounded near rank-deficient V, so no quadratic
+majorizes it on the whole feasible set.
 """
 
 from __future__ import annotations

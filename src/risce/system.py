@@ -21,7 +21,7 @@ from . import numerics
 from .channel import complex_gaussian
 from .errors import DimensionMismatch
 
-POWER_TOL = 1e-9
+POWER_TOL = 1e-9  # relative: a row on its budget meets P_k only to rounding
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class TrainingMatrix:
         if x.ndim != 2 or p.shape != (x.shape[0],):
             raise DimensionMismatch(f"X must be K x tau with K budgets, got {x.shape}")
         row_power = np.sum(np.abs(x) ** 2, axis=1)
-        if np.any(row_power > p + POWER_TOL):
+        if np.any(row_power > p * (1.0 + POWER_TOL)):
             raise DimensionMismatch("per-UE power budget exceeded")
 
     @property

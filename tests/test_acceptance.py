@@ -16,7 +16,7 @@ from risce.channel import (
 )
 from risce.experiments import ExperimentConfig, run_sweep
 from risce.lmmse_design import (
-    LmmseSurrogateState,
+    TrainingTerms,
     build_surrogate,
     design_lmmse,
     surrogate_value,
@@ -166,14 +166,10 @@ def test_c4_closed_form_optimality_oracles():
         p = rng.uniform(0.2, 4.0)
         b_k = rng.standard_normal(tau) + 1j * rng.standard_normal(tau)
         x0 = TrainingMatrix(x=np.zeros((1, tau), dtype=complex), power=np.array([p]))
-        v0 = ReflectionPattern(v=np.ones((2, 1), dtype=complex))
-        state = LmmseSurrogateState(
-            xi0=np.zeros((tau, 2)), xi_gram=np.zeros((tau, tau)),
-            lambda2=lam2 * n_sub, lambda3=1.0,
-            b0=np.conj(b_k).reshape(tau, 1), c0=np.zeros((1, 2)),
-            x0=x0, v0=v0, r_gamma=np.eye(2), sigma2=1.0, l=1,
+        terms = TrainingTerms(
+            lambda2=lam2 * n_sub, b0=np.conj(b_k).reshape(tau, 1), x0=x0,
         )
-        x_closed = update_training(state, [p]).x[0]
+        x_closed = update_training(terms, [p]).x[0]
         # independent oracle: projected gradient descent on the ball
         x = np.zeros(tau, dtype=complex)
         step = 0.4 / (2 * lam2 * n_sub)

@@ -7,6 +7,7 @@ import pytest
 
 from risce.baselines import SchemeId
 from risce import experiments
+from risce.channel import CorrelationSpec
 from risce.cli import main, read_config_file
 from risce.errors import ConfigError
 from risce.experiments import (
@@ -15,6 +16,8 @@ from risce.experiments import (
     run_sweep,
     run_validation,
 )
+from risce.ls_design import DEFAULT_EPS
+from risce.phase_model import DEFAULT_GRID_POINTS, ReflectionModel
 
 FAST = dict(k=2, m=3, l=2, trials=3, snr_db=(0.0, 10.0), accelerate=True)
 
@@ -41,6 +44,13 @@ class TestExperimentConfig:
     def test_power_from_snr(self):
         cfg = ExperimentConfig(**FAST)
         assert np.allclose(cfg.power(10.0), 10.0)
+
+    def test_defaults_come_from_their_owners(self):
+        cfg = ExperimentConfig()
+        assert cfg.model == ReflectionModel()
+        assert cfg.corr == CorrelationSpec()
+        assert cfg.eps == DEFAULT_EPS
+        assert cfg.grid_points == DEFAULT_GRID_POINTS
 
 
 class TestRunSweep:
@@ -289,6 +299,18 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert len(lines) == 2
         assert lines[1].split(",")[5] == ""  # empirical column empty
+
+    @pytest.mark.parametrize("accel", ["--no-accel", "--accel"])
+    def test_high_snr_lmmse_sweep_succeeds(self, tmp_path, accel):
+        # the closed-form boundary rows meet their budgets only to rounding
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--analytic-only", "--estimator", "lmmse",
+                   "--snr-db", "80", accel, "--output", str(out)])
+        assert rc == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 5
+        nmse = np.array([float(row.split(",")[4]) for row in rows])
+        assert np.all(np.isfinite(nmse)) and np.all(nmse > 0.0)
 
     def test_twelve_significant_digits(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -4,21 +4,22 @@ import numpy as np
 import pytest
 
 from conftest import random_feasible_pattern, random_training
+from risce import lmmse_design, numerics
 from risce.baselines import ideal_update_lmmse
 from risce.channel import CorrelationSpec, cascaded_correlation
 from risce.lmmse_design import (
     SAFETY_MARGIN,
-    LmmseSurrogateState,
+    TrainingTerms,
     build_surrogate,
     design_lmmse,
     refresh_pattern_terms,
     surrogate_value,
+    training_terms,
     update_pattern,
     update_training,
 )
 from risce.phase_model import ScalarPhaseObjective, ideal_model, project_to_feasible
 from risce.system import (
-    ReflectionPattern,
     TrainingMatrix,
     build_S,
     lmmse_objective,
@@ -38,6 +39,10 @@ def _state(rng, model, cfg=CFG, r=R):
     v0 = random_feasible_pattern(rng, cfg.m, cfg.b, model)
     x0 = random_training(rng, cfg.k, cfg.tau, cfg.power)
     return build_surrogate(x0, v0, r, cfg.sigma2, cfg.l), x0, v0
+
+
+def _pattern_terms(state, x, r=R):
+    return refresh_pattern_terms(state, x, numerics.largest_eigenvalue(r).value)
 
 
 class TestFirstMajorization:
@@ -79,15 +84,16 @@ class TestFirstMajorization:
 class TestSecondMajorization:
     def _training_bound(self, state, xt, xt0, m_v):
         # quadratic bound of the training subproblem including its constant
+        lambda2 = training_terms(state).lambda2
         quad_anchor = np.real(
             np.vdot(xt0.reshape(-1, order="F"),
-                    (state.lambda2 * np.eye(xt0.size)
+                    (lambda2 * np.eye(xt0.size)
                      - np.kron(state.xi_gram.T, m_v)) @ xt0.reshape(-1, order="F"))
         )
-        lin = state.lambda2 * np.trace(xt0.conj().T @ xt) \
+        lin = lambda2 * np.trace(xt0.conj().T @ xt) \
             - np.trace(state.xi_gram @ xt0.conj().T @ m_v @ xt)
         return (
-            state.lambda2 * np.linalg.norm(xt) ** 2
+            lambda2 * np.linalg.norm(xt) ** 2
             - 2.0 * np.real(lin)
             + quad_anchor
         )
@@ -117,12 +123,14 @@ class TestSecondMajorization:
         lam2_oracle = float(
             np.linalg.eigvalsh(state.xi_gram)[-1] * np.linalg.eigvalsh(m_v)[-1]
         )
-        assert state.lambda2 / SAFETY_MARGIN == pytest.approx(lam2_oracle, rel=1e-12)
+        assert training_terms(state).lambda2 / SAFETY_MARGIN == pytest.approx(
+            lam2_oracle, rel=1e-12)
         w = xt0 @ state.xi_gram @ xt0.conj().T
         lam3_oracle = float(
             np.linalg.eigvalsh(w)[-1] * np.linalg.eigvalsh(R)[-1]
         )
-        assert state.lambda3 / SAFETY_MARGIN == pytest.approx(lam3_oracle, rel=1e-12)
+        assert _pattern_terms(state, x0).lambda3 / SAFETY_MARGIN == pytest.approx(
+            lam3_oracle, rel=1e-12)
 
     def test_identity_prior_spectrum(self, model, rng):
         # R = L I makes lambda3 exactly L * lambda_max of the training factor
@@ -131,7 +139,7 @@ class TestSecondMajorization:
         xt0 = np.kron(np.eye(CFG.b), x0.x)
         w = xt0 @ state.xi_gram @ xt0.conj().T
         expected = SAFETY_MARGIN * float(np.linalg.eigvalsh(w)[-1]) * 4.0
-        assert state.lambda3 == pytest.approx(expected, rel=1e-12)
+        assert _pattern_terms(state, x0, r_id).lambda3 == pytest.approx(expected, rel=1e-12)
 
     def test_kron_eigenvalue_factorization(self, model, rng):
         # the factored bound equals the eigenvalue of the full Kronecker form
@@ -139,7 +147,7 @@ class TestSecondMajorization:
         vt0 = np.kron(v0.v, np.eye(CFG.k))
         m_v = vt0.conj().T @ R @ vt0
         full = np.kron(state.xi_gram.T, m_v)
-        assert state.lambda2 / SAFETY_MARGIN == pytest.approx(
+        assert training_terms(state).lambda2 / SAFETY_MARGIN == pytest.approx(
             float(np.linalg.eigvalsh(full)[-1]), rel=1e-12
         )
 
@@ -149,13 +157,7 @@ class TestUpdateTraining:
         tau = len(b_k)
         b0 = np.conj(np.asarray(b_k, dtype=complex)).reshape(tau, 1)
         x0 = TrainingMatrix(x=np.zeros((1, tau), dtype=complex), power=np.array([p]))
-        v0 = ReflectionPattern(v=np.ones((2, b), dtype=complex))
-        return LmmseSurrogateState(
-            xi0=np.zeros((tau * b, 2)), xi_gram=np.zeros((tau * b, tau * b)),
-            lambda2=lam2, lambda3=1.0, b0=np.tile(b0, (b, b)),
-            c0=np.zeros((b, 2)), x0=x0, v0=v0, r_gamma=np.eye(2),
-            sigma2=1.0, l=1,
-        )
+        return TrainingTerms(lambda2=lam2, b0=np.tile(b0, (b, b)), x0=x0)
 
     def test_boundary_branch(self):
         state = self._manual_state([2.0, 0.0], lam2=1.0, p=1.0)
@@ -196,38 +198,40 @@ class TestUpdateTraining:
 
     def test_power_feasibility_exact(self, model, rng):
         state, _, _ = _state(rng, model)
-        x = update_training(state, CFG.power)
+        x = update_training(training_terms(state), CFG.power)
         assert np.all(np.sum(np.abs(x.x) ** 2, axis=1) <= CFG.power + 1e-9)
 
 
 class TestUpdatePattern:
     def test_ideal_model_closed_form(self, rng):
         state, x0, v0 = _state(rng, ideal_model())
-        out = update_pattern(state, ideal_model())
+        terms = _pattern_terms(state, x0)
+        out = update_pattern(terms, ideal_model())
         c_mat = np.einsum(
-            "nkmk->mn", state.c0.reshape(CFG.b, CFG.k, CFG.m + 1, CFG.k)
+            "nkmk->mn", terms.c0.reshape(CFG.b, CFG.k, CFG.m + 1, CFG.k)
         )
         closed = ideal_update_lmmse(c_mat)
         assert np.allclose(out.v, closed.v, atol=1e-6)
 
     def test_entries_are_projection_fixed_points(self, model, rng):
-        state, _, _ = _state(rng, model)
-        out = update_pattern(state, model)
+        state, x0, _ = _state(rng, model)
+        out = update_pattern(_pattern_terms(state, x0), model)
         assert np.allclose(
             project_to_feasible(out.v[:-1], model), out.v[:-1], atol=1e-12
         )
         assert np.allclose(out.v[-1], 1.0)
 
     def test_matches_exhaustive_grid(self, model, rng):
-        state, _, _ = _state(rng, model)
-        out = update_pattern(state, model)
+        state, x0, _ = _state(rng, model)
+        terms = _pattern_terms(state, x0)
+        out = update_pattern(terms, model)
         c_mat = np.einsum(
-            "nkmk->mn", state.c0.reshape(CFG.b, CFG.k, CFG.m + 1, CFG.k)
+            "nkmk->mn", terms.c0.reshape(CFG.b, CFG.k, CFG.m + 1, CFG.k)
         )
         grid = np.linspace(0.0, TWO_PI, 200_000, endpoint=False)
         for m in range(CFG.m):
             for n in range(CFG.b):
-                obj = ScalarPhaseObjective(state.lambda3 * CFG.k, -c_mat[m, n])
+                obj = ScalarPhaseObjective(terms.lambda3 * CFG.k, -c_mat[m, n])
                 vals = obj.evaluate(grid, model)
                 achieved = obj.evaluate(float(np.angle(out.v[m, n]) % TWO_PI), model)
                 assert achieved <= np.min(vals) + 1e-9 * max(abs(np.min(vals)), 1e-9)
@@ -274,11 +278,17 @@ class TestDesignLmmse:
 
     def test_refresh_keeps_anchor_quantities(self, model, rng):
         state, x0, v0 = _state(rng, model)
-        x1 = update_training(state, CFG.power)
-        state2 = refresh_pattern_terms(state, x1)
-        assert state2.x0 is x1
-        assert np.array_equal(state2.xi0, state.xi0)
-        assert state2.lambda2 == state.lambda2
+        xi0, lambda2 = state.xi0.copy(), training_terms(state).lambda2
+        x1 = update_training(training_terms(state), CFG.power)
+        terms = _pattern_terms(state, x1)
+        # the terms are taken at x1, on the anchor's Xi0 and V0
+        xt1 = np.kron(np.eye(CFG.b), x1.x)
+        vt0 = np.kron(v0.v, np.eye(CFG.k))
+        w = xt1 @ state.xi_gram @ xt1.conj().T
+        c0 = terms.lambda3 * vt0.conj().T - w @ vt0.conj().T @ R + xt1 @ xi0 @ R
+        assert np.array_equal(terms.c0, c0)
+        assert np.array_equal(state.xi0, xi0)
+        assert training_terms(state).lambda2 == lambda2
 
     def test_round_descends_through_both_blocks(self, model, rng):
         # one full X-then-V round never increases the true objective
@@ -288,8 +298,52 @@ class TestDesignLmmse:
             x0 = random_training(g, self.BIG.k, self.BIG.tau, self.BIG.power)
             j0 = mse_lmmse(build_S(v0, x0), self.R_BIG, 1.0, 4)
             state = build_surrogate(x0, v0, self.R_BIG, 1.0, 4)
-            x1 = update_training(state, self.BIG.power)
-            state = refresh_pattern_terms(state, x1)
-            v1 = update_pattern(state, model)
+            x1 = update_training(training_terms(state), self.BIG.power)
+            v1 = update_pattern(_pattern_terms(state, x1, self.R_BIG), model)
             j1 = mse_lmmse(build_S(v1, x1), self.R_BIG, 1.0, 4)
             assert j1 <= j0 + 1e-10
+
+
+class TestEigenSolveCount:
+    """Each step builds only the surrogate terms it reads."""
+
+    BIG, R_BIG = TestDesignLmmse.BIG, TestDesignLmmse.R_BIG
+
+    @pytest.fixture
+    def eig_calls(self, monkeypatch):
+        calls = []
+        original = numerics.largest_eigenvalue
+
+        def counted(a):
+            calls.append(a.shape)
+            return original(a)
+
+        monkeypatch.setattr(numerics, "largest_eigenvalue", counted)
+        return calls
+
+    def test_plain_round_makes_three(self, model, eig_calls):
+        # lambda_max(R) once per design, then lambda_max of Xi0 Xi0^H and of
+        # M_v for lambda2, and of W for lambda3, per round
+        _, _, trace = design_lmmse(self.BIG, model, self.R_BIG, accelerate=False)
+        assert trace.iterations > 1
+        assert len(eig_calls) == 1 + 3 * trace.iterations
+
+    def test_squarem_update_builds_its_own_block_only(self, model, eig_calls, monkeypatch):
+        per_update = {"training": [], "pattern": []}
+
+        def counting(block, fn):
+            def wrapped(*args):
+                before = len(eig_calls)
+                out = fn(*args)
+                per_update[block].append(len(eig_calls) - before)
+                return out
+            return wrapped
+
+        monkeypatch.setattr(lmmse_design, "training_terms",
+                            counting("training", lmmse_design.training_terms))
+        monkeypatch.setattr(lmmse_design, "refresh_pattern_terms",
+                            counting("pattern", lmmse_design.refresh_pattern_terms))
+        _, _, trace = design_lmmse(self.BIG, model, self.R_BIG, accelerate=True)
+        assert per_update["training"] == [2] * (2 * trace.iterations)
+        assert per_update["pattern"] == [1] * (2 * trace.iterations)
+        assert len(eig_calls) == 1 + 6 * trace.iterations

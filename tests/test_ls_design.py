@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import random_feasible_pattern
 from risce.baselines import ideal_update_ls, naive_pattern
-from risce.errors import InvalidDims
+from risce.errors import InvalidDims, SingularGram
 from risce.ls_design import (
     design_ls,
     dft_training,
@@ -14,11 +15,13 @@ from risce.ls_design import (
     mm_update_ls,
 )
 from risce.phase_model import (
+    ReflectionModel,
     ScalarPhaseObjective,
     ideal_model,
     project_to_feasible,
+    reflection_coefficient,
 )
-from risce.system import build_S, mse_ls
+from risce.system import ReflectionPattern, build_S, mse_ls
 from risce.types import SystemConfig
 
 TWO_PI = 2.0 * np.pi
@@ -169,3 +172,51 @@ class TestDesignLs:
         _, trace = design_ls(self.CFG, model, eps=1e-12, max_iter=3, accelerate=False)
         assert not trace.converged
         assert trace.iterations == 3
+
+
+@st.composite
+def sublevel_problems(draw):
+    """A random law, pattern size and anchor seed for the majorization suite."""
+    m = draw(st.integers(1, 4))
+    b = m + draw(st.integers(1, 3))
+    model = ReflectionModel(
+        beta_min=draw(st.floats(0.0, 1.0)),
+        alpha=draw(st.floats(0.5, 3.0)),
+        delta=draw(st.floats(0.0, TWO_PI)),
+    )
+    return m, b, model, draw(st.integers(0, 2**32 - 1))
+
+
+def _phase_perturbed(rng, v0, model, scale):
+    """Feasible pattern whose phases are V0's moved by up to +-scale."""
+    thetas = np.angle(v0.v[:-1]) + rng.uniform(-scale, scale, v0.v[:-1].shape)
+    v = v0.v.copy()
+    v[:-1] = reflection_coefficient(thetas, model)
+    return ReflectionPattern(v=v)
+
+
+@settings(max_examples=25, deadline=None)
+@given(problem=sublevel_problems())
+def test_majorization_on_the_sublevel_set(problem):
+    # Tr[(V V^H)^-1] is unbounded near rank-deficient V, so no quadratic
+    # majorizes it on the whole feasible set; the MM argument needs the bound
+    # only on the sublevel set f(V) <= f(V0), which is what is checked here.
+    m, b, model, seed = problem
+    rng = np.random.default_rng(seed)
+    v0 = random_feasible_pattern(rng, m, b, model)
+    try:
+        f0 = ls_objective(v0)
+    except SingularGram:
+        assume(False)
+    sur = ls_surrogate(v0)
+    scale = sur.lambda1 * float(np.sum(np.abs(v0.v) ** 2))
+    assert abs(sur.value(v0.v) - f0) <= 1e-9 * f0 + 1e-12 * scale
+    for i in range(60):
+        v = (random_feasible_pattern(rng, m, b, model) if i % 2 == 0
+             else _phase_perturbed(rng, v0, model, 10.0 ** -(i % 7)))
+        try:
+            f = ls_objective(v)
+        except SingularGram:
+            continue
+        if f <= f0:
+            assert sur.value(v.v) >= f - 1e-12 * scale

@@ -45,6 +45,15 @@ class TestContainers:
         with pytest.raises(DimensionMismatch):
             TrainingMatrix(x=2.0 * np.ones((1, 2)), power=np.array([1.0]))
 
+    @pytest.mark.parametrize("p", [1.0, 1e8])
+    def test_training_power_tolerance_is_relative(self, p):
+        # a row on its budget passes to rounding at every scale; a 1e-6
+        # relative excess fails at every scale
+        row = np.sqrt(p) * np.array([[3.0, 4.0j]]) / 5.0
+        TrainingMatrix(x=row * (1.0 + 1e-15), power=np.array([p]))
+        with pytest.raises(DimensionMismatch):
+            TrainingMatrix(x=row * np.sqrt(1.0 + 1e-6), power=np.array([p]))
+
 
 class TestBuildS:
     def test_scalar_unfold(self):
