@@ -1,10 +1,11 @@
 """Reference schemes for performance comparison, plus element grouping.
 
-Schemes: the proposed designs, the ideal unit-modulus RIS (closed-form MM
-updates), its entrywise projection onto the reflection law, the naive
-projected-DFT pattern (also the initial point of the iterative designs), and
-the classic on-off pattern.  Element grouping shares one coefficient across
-rho neighboring elements, cutting the training overhead to K(M/rho + 1).
+Schemes: the proposed designs, the ideal unit-modulus RIS (the same MM
+designs, whose phase search is then exact), its entrywise projection onto the
+reflection law, the naive projected-DFT pattern (also the initial point of the
+iterative designs), and the classic on-off pattern.  Element grouping shares
+one coefficient across rho neighboring elements, cutting the training
+overhead to K(M/rho + 1).
 """
 
 from __future__ import annotations
@@ -28,35 +29,6 @@ class SchemeId(enum.Enum):
     NAIVE = "naive"
     ON_OFF = "onoff"
     PROPOSED_GROUPED = "proposed-grouped"
-
-
-def _unit_phasor(z: np.ndarray) -> np.ndarray:
-    """exp(-j arg(z)) entrywise; arg(0) = 0 keeps the result deterministic."""
-    return np.exp(-1j * np.angle(z))
-
-
-def ideal_update_ls(a0: np.ndarray) -> ReflectionPattern:
-    """Closed-form ideal-RIS MM step for the LS surrogate.
-
-    a0 is the (B, M+1) linear-coefficient block; entry (m, n) of the result
-    is e^{-j arg(-[A0]_{n,m})}, the unit-modulus minimizer of
-    lambda1 + 2 Re{[A0]_{n,m} v}.
-    """
-    b, m_plus_1 = a0.shape
-    v = np.ones((m_plus_1, b), dtype=complex)
-    v[:-1] = _unit_phasor(-a0[:, :-1].T)
-    return ReflectionPattern(v=v)
-
-
-def ideal_update_lmmse(c_map: np.ndarray) -> ReflectionPattern:
-    """Closed-form ideal-RIS MM step for the LMMSE surrogate.
-
-    c_map is the (M+1, B) matrix of summed diagonal C0 entries; entry (m, n)
-    becomes e^{-j arg(c_{m,n})}, maximizing Re{c_{m,n} v} over |v| = 1.
-    """
-    v = np.ones(c_map.shape, dtype=complex)
-    v[:-1] = _unit_phasor(c_map[:-1])
-    return ReflectionPattern(v=v)
 
 
 def naive_pattern(m: int, b: int, model: ReflectionModel) -> ReflectionPattern:

@@ -10,17 +10,18 @@ feasibility projection (keep the phase, replace the amplitude by the law) and
 the one-dimensional phase search behind both pattern-design algorithms,
 :func:`minimize_pattern_entries`.
 
-The phase search scores a dense grid, refines the best grid point by golden
-section, and then scores the amplitude minimum theta_d = delta - pi/2 as one
-last candidate.  For alpha < 1/2 the law has a cusp at theta_d whose dip can
-be narrower than the grid spacing, and then neither the grid nor the
-refinement finds a minimum that sits on it.
+The phase search is exact under the ideal law.  Otherwise it scores a grid,
+refines the best point by safeguarded Newton (for alpha < 1, the best point
+on each side of the cusp at theta_d = delta - pi/2) and scores theta_d last.
+For alpha < 1/2 a dip at the cusp can be narrower than the grid spacing,
+and then neither the grid nor the refinement finds a minimum that sits on it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,8 +31,8 @@ TWO_PI = 2.0 * math.pi
 
 # Grid/refinement defaults for the one-dimensional phase search.
 DEFAULT_GRID_POINTS = 1024
-_GOLDEN_ITERS = 40
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_NEWTON_CAP = 60
+_STEP_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -177,10 +178,11 @@ def minimize_phase_objective(
 ) -> tuple[float, float]:
     """Minimize a ScalarPhaseObjective over theta in [0, 2*pi).
 
-    Dense uniform grid followed by a golden-section refinement on the
-    bracketing interval of the best grid point, then the amplitude minimum
-    theta_d as a last candidate; ties break toward the grid/refined point.
-    Returns (theta_star, value).
+    Under the ideal law the step is exact: pi - arg(c), or 0 when c = 0.
+    Otherwise the best grid point (for alpha < 1, of each side of the cusp
+    theta_d) is refined by safeguarded Newton within one grid step and kept
+    only if strictly better; theta_d is scored last.  Ties break toward the
+    grid point.  Returns (theta_star, value).
     """
     thetas, values = minimize_phase_objectives(
         np.array([obj.quad_coeff]),
@@ -189,6 +191,68 @@ def minimize_phase_objective(
         grid_points=grid_points,
     )
     return float(thetas[0]), float(values[0])
+
+
+@lru_cache(maxsize=16)
+def _search_grid(model: ReflectionModel, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only grid and (3, G) basis [beta^2; 2 beta cos; -2 beta sin].
+
+    For alpha < 1 the grid starts half a step past the cusp at theta_d.
+    """
+    start = _amplitude_minimum(model) + math.pi / grid_points if model.alpha < 1.0 else 0.0
+    grid = np.linspace(start, start + TWO_PI, grid_points, endpoint=False)
+    beta = amplitude_of_phase(grid, model)
+    basis = np.stack([beta**2, 2.0 * beta * np.cos(grid), -2.0 * beta * np.sin(grid)])
+    grid.flags.writeable = basis.flags.writeable = False
+    return grid, basis
+
+
+def _amplitude_minimum(model: ReflectionModel) -> float:
+    """theta_d = delta - pi/2 in [0, 2*pi), where beta = beta_min."""
+    return (model.delta - 0.5 * math.pi) % TWO_PI
+
+
+def _phase_cost_slopes(q, c, theta, model: ReflectionModel):
+    """First and second theta-derivatives of :func:`_phase_cost`, broadcast.
+
+    beta'' uses cos^2 u = 2 s (1 - sin u), so both are finite for alpha >= 1.
+    """
+    sin_t, cos_t = np.sin(theta), np.cos(theta)
+    sin_u, cos_u = np.sin(theta - model.delta), np.cos(theta - model.delta)
+    s, a, k = 0.5 * (sin_u + 1.0), model.alpha, 1.0 - model.beta_min
+    g = np.real(c) * cos_t - np.imag(c) * sin_t    # Re{c e^{j theta}}
+    dg = -np.real(c) * sin_t - np.imag(c) * cos_t
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p = s ** (a - 1.0)
+        beta, p = k * p * s + model.beta_min, 0.5 * a * k * p
+        d_beta, dd_beta = p * cos_u, p * (a - 1.0 - a * sin_u)
+        d1 = 2.0 * (d_beta * (q * beta + g) + beta * dg)
+        d2 = 2.0 * (q * (d_beta**2 + beta * dd_beta) + dd_beta * g
+                    + 2.0 * d_beta * dg - beta * g)
+    return d1, d2
+
+
+def _newton_refine(q, c, x, lo, hi, model: ReflectionModel) -> np.ndarray:
+    """Safeguarded Newton on f' from x inside [lo, hi], entrywise.
+
+    Bisects where a step is not finite, has f'' <= 0 or leaves the bracket;
+    an entry stops once it moves at most _STEP_ULPS ulps of 2 pi.
+    """
+    shape = x.shape
+    q, c, x, lo, hi = (np.broadcast_to(v, shape).ravel() for v in (q, c, x, lo, hi))
+    out, live = x.copy(), np.arange(x.size)
+    for _ in range(_NEWTON_CAP):
+        d1, d2 = _phase_cost_slopes(q, c, x, model)
+        lo, hi = np.where(d1 > 0.0, lo, x), np.where(d1 > 0.0, x, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = x - d1 / d2
+        x_new = np.where((d2 > 0.0) & (step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+        out[live] = x_new
+        moving = np.abs(x_new - x) > _STEP_ULPS * np.spacing(TWO_PI)
+        if not moving.any():
+            break
+        live, q, c, lo, hi, x = (v[moving] for v in (live, q, c, lo, hi, x_new))
+    return out.reshape(shape)
 
 
 def minimize_phase_objectives(
@@ -208,50 +272,28 @@ def minimize_phase_objectives(
     c = np.asarray(lin_coeffs, dtype=complex).ravel()
     if q.shape != c.shape:
         raise ValueError("quad_coeffs and lin_coeffs must have the same length")
+    if model.is_ideal:   # q + 2|c| cos(theta + arg c) is least at pi - arg c
+        return np.where(c == 0.0, 0.0, (math.pi - np.angle(c)) % TWO_PI), q - 2.0 * np.abs(c)
 
-    grid = np.linspace(0.0, TWO_PI, grid_points, endpoint=False)
-    # (E, G) objective table; argmin picks the first (smallest-theta) minimum.
-    vals = _phase_cost(q[:, None], c[:, None], grid[None, :], model)
-    best = np.argmin(vals, axis=1)
-    theta0 = grid[best]
-    f0 = vals[np.arange(q.size), best]
-
-    def f(theta: np.ndarray) -> np.ndarray:
-        return _phase_cost(q, c, theta, model)
-
-    # Golden-section refinement on the bracketing interval of each best point.
-    span = TWO_PI / grid_points
-    a = theta0 - span
-    b = theta0 + span
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1 = f(x1)
-    f2 = f(x2)
-    for _ in range(_GOLDEN_ITERS):
-        shrink_right = f1 <= f2
-        b = np.where(shrink_right, x2, b)
-        a = np.where(shrink_right, a, x1)
-        x1_new = b - _INVPHI * (b - a)
-        x2_new = a + _INVPHI * (b - a)
-        # Reuse the surviving interior evaluation, recompute the other one.
-        x1, x2 = np.where(shrink_right, x1_new, x2), np.where(shrink_right, x1, x2_new)
-        f_keep = np.where(shrink_right, f1, f2)
-        f_new = f(np.where(shrink_right, x1, x2))
-        f1 = np.where(shrink_right, f_new, f_keep)
-        f2 = np.where(shrink_right, f_keep, f_new)
-
-    theta_ref = np.where(f1 <= f2, x1, x2)
-    f_ref = np.minimum(f1, f2)
-
-    take_ref = f_ref < f0
-    theta_star = np.where(take_ref, theta_ref, theta0) % TWO_PI
-    value = np.where(take_ref, f_ref, f0)
-
-    # The amplitude minimum, where the law has a cusp for alpha < 1/2.
-    theta_d = (model.delta - 0.5 * math.pi) % TWO_PI
-    f_d = _phase_cost(q, c, theta_d, model)
-    take_d = f_d < value
-    return np.where(take_d, theta_d, theta_star), np.where(take_d, f_d, value)
+    grid, basis = _search_grid(model, grid_points)
+    vals = np.stack([q, c.real, c.imag], axis=1) @ basis    # (E, G)
+    theta_d, span = _amplitude_minimum(model), TWO_PI / grid_points
+    cuts, lo, hi = [0, grid_points], -np.inf, np.inf
+    if model.alpha < 1.0:   # a slice per side of the cusp; no bracket crosses it
+        cuts, lo, hi = [0, grid_points // 2, grid_points], theta_d, theta_d + TWO_PI
+    best = np.stack([i + np.argmin(vals[:, i:j], axis=1)    # first best of each slice
+                     for i, j in zip(cuts[:-1], cuts[1:])], axis=1)
+    theta0, qc, cc = grid[best], q[:, None], c[:, None]
+    refined = _newton_refine(qc, cc, theta0, np.maximum(theta0 - span, lo),
+                             np.minimum(theta0 + span, hi), model)
+    cand = np.concatenate([refined % TWO_PI, np.full_like(qc, theta_d)], axis=1)
+    # Grid points first, so refined points and theta_d must be strictly better.
+    thetas = np.concatenate([theta0 % TWO_PI, cand], axis=1)
+    values = np.concatenate([np.take_along_axis(vals, best, axis=1),
+                             _phase_cost(qc, cc, cand, model)], axis=1)
+    pick = np.argmin(values, axis=1)[:, None]
+    return (np.take_along_axis(thetas, pick, axis=1)[:, 0],
+            np.take_along_axis(values, pick, axis=1)[:, 0])
 
 
 def minimize_pattern_entries(

@@ -13,6 +13,35 @@ def random_feasible_pattern(rng, m, b, model) -> ReflectionPattern:
     return ReflectionPattern(v=v)
 
 
+def _unit_phasor(z: np.ndarray) -> np.ndarray:
+    """exp(-j arg(z)) entrywise, with arg(0) = 0 (also for a signed zero)."""
+    return np.where(z == 0, 1.0, np.exp(-1j * np.angle(z)))
+
+
+def ideal_update_ls(a0: np.ndarray) -> ReflectionPattern:
+    """Closed-form ideal-RIS MM step for the LS surrogate (test oracle).
+
+    a0 is the (B, M+1) linear-coefficient block; entry (m, n) of the result
+    is e^{-j arg(-[A0]_{n,m})}, the unit-modulus minimizer of
+    lambda1 + 2 Re{[A0]_{n,m} v}.
+    """
+    b, m_plus_1 = a0.shape
+    v = np.ones((m_plus_1, b), dtype=complex)
+    v[:-1] = _unit_phasor(-a0[:, :-1].T)
+    return ReflectionPattern(v=v)
+
+
+def ideal_update_lmmse(c_map: np.ndarray) -> ReflectionPattern:
+    """Closed-form ideal-RIS MM step for the LMMSE surrogate (test oracle).
+
+    c_map is the (M+1, B) matrix of summed diagonal C0 entries; entry (m, n)
+    becomes e^{-j arg(c_{m,n})}, maximizing Re{c_{m,n} v} over |v| = 1.
+    """
+    v = np.ones(c_map.shape, dtype=complex)
+    v[:-1] = _unit_phasor(c_map[:-1])
+    return ReflectionPattern(v=v)
+
+
 def random_training(rng, k, tau, power) -> TrainingMatrix:
     """Random training rows scaled exactly to their power budgets."""
     power = np.asarray(power, dtype=float)

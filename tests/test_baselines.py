@@ -5,12 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import random_feasible_pattern
+from conftest import ideal_update_lmmse, ideal_update_ls, random_feasible_pattern
 from risce.baselines import (
     SchemeId,
     group_reduce,
-    ideal_update_ls,
-    ideal_update_lmmse,
     naive_pattern,
     onoff_pattern,
 )

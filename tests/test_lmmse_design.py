@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import random_feasible_pattern, random_training
+from conftest import ideal_update_lmmse, random_feasible_pattern, random_training
 from risce import lmmse_design, numerics
-from risce.baselines import ideal_update_lmmse
 from risce.channel import CorrelationSpec, cascaded_correlation
 from risce.lmmse_design import (
     SAFETY_MARGIN,
@@ -211,7 +210,7 @@ class TestUpdatePattern:
             "nkmk->mn", terms.c0.reshape(CFG.b, CFG.k, CFG.m + 1, CFG.k)
         )
         closed = ideal_update_lmmse(c_mat)
-        assert np.allclose(out.v, closed.v, atol=1e-6)
+        assert np.allclose(out.v, closed.v, atol=1e-12)
 
     def test_entries_are_projection_fixed_points(self, model, rng):
         state, x0, _ = _state(rng, model)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import random_feasible_pattern
-from risce.baselines import ideal_update_ls, naive_pattern
+from conftest import ideal_update_ls, random_feasible_pattern
+from risce.baselines import naive_pattern
 from risce.errors import InvalidDims, SingularGram
 from risce.ls_design import (
     design_ls,
@@ -99,7 +99,7 @@ class TestMmUpdate:
         sur = ls_surrogate(v0)
         updated = mm_update_ls(v0, ideal_model())
         closed = ideal_update_ls(sur.a0)
-        assert np.allclose(updated.v, closed.v, atol=1e-6)
+        assert np.allclose(updated.v, closed.v, atol=1e-12)
 
     def test_entries_are_projection_fixed_points(self, model, rng):
         v0 = random_feasible_pattern(rng, 2, 3, model)

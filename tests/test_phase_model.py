@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import ideal_update_lmmse, ideal_update_ls
 from risce.errors import MissingCircuitParams
 from risce.phase_model import (
     CircuitParams,
@@ -17,6 +18,9 @@ from risce.phase_model import (
     minimize_phase_objectives,
     project_to_feasible,
     reflection_coefficient,
+    _phase_cost,
+    _phase_cost_slopes,
+    _search_grid,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -242,6 +246,73 @@ class TestPhaseSearch:
         assert value == pytest.approx(0.0, abs=1e-12)
         assert theta == pytest.approx((m.delta - np.pi / 2) % TWO_PI, abs=1e-12)
 
+    def test_two_minima_below_one_found(self):
+        # For 1/2 <= alpha < 1 with beta_min = 0 and a small |c| / q the cost
+        # has a minimum on each side of theta_d, closer in value than the
+        # grid error; refining only the best grid point found -2.23e-6.
+        m = ReflectionModel(beta_min=0.0, alpha=0.5, delta=1.71875)
+        obj = ScalarPhaseObjective(3.0, 0.0103 + 0.0879j)
+        _, value = minimize_phase_objective(obj, m)
+        oracle = float(np.min(obj.evaluate(DENSE_GRID, m)))
+        assert oracle == pytest.approx(-2.900145e-6, rel=1e-6)
+        assert value == pytest.approx(-2.900162e-6, rel=1e-6)
+        assert value <= oracle
+
+    def test_ideal_step_matches_closed_forms(self, rng):
+        # The ideal law's exact step equals the LS and LMMSE closed forms;
+        # a zero coefficient, where every phase is optimal, gives theta = 0.
+        q = 1.7
+        c = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        c[1, 2] = 0.0
+        v = minimize_pattern_entries(q, c, ideal_model())
+        a0 = np.zeros((4, 4), dtype=complex)     # (B, M+1), last column unused
+        a0[:, :3] = c.T
+        assert np.allclose(v, ideal_update_ls(a0).v, rtol=0.0, atol=1e-15)
+        c_map = np.zeros((4, 4), dtype=complex)  # (M+1, B), last row unused
+        c_map[:3] = -c
+        assert np.allclose(v, ideal_update_lmmse(c_map).v, rtol=0.0, atol=1e-15)
+        assert v[1, 2] == 1.0
+        thetas, values = minimize_phase_objectives(np.full(c.size, q), c, ideal_model())
+        assert np.allclose(values, q - 2.0 * np.abs(c.ravel()), rtol=0.0, atol=1e-15)
+        assert np.all((thetas >= 0.0) & (thetas < TWO_PI))
+
+    def test_cached_basis_is_read_only(self, model):
+        grid, basis = _search_grid(model, 64)
+        assert _search_grid(model, 64)[1] is basis
+        assert basis.shape == (3, 64)
+        for array in (grid, basis):
+            with pytest.raises(ValueError):
+                array[0] = 2.0
+            with pytest.raises(ValueError):
+                array.T[0] = 2.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    beta_min=st.floats(0.0, 0.99),
+    alpha=st.floats(0.5, 3.0),
+    delta=st.floats(0.0, TWO_PI),
+    q=st.floats(0.0, 10.0),
+    c_re=st.floats(-5.0, 5.0),
+    c_im=st.floats(-5.0, 5.0),
+    offset=st.floats(0.5, TWO_PI - 0.5),
+)
+def test_phase_cost_slopes_match_central_differences(
+        beta_min, alpha, delta, q, c_re, c_im, offset):
+    # f' against central differences of f, and f'' against central
+    # differences of f', at least 0.5 rad away from the amplitude minimum.
+    m = ReflectionModel(beta_min=beta_min, alpha=alpha, delta=delta)
+    c = complex(c_re, c_im)
+    theta = (m.delta - np.pi / 2 + offset) % TWO_PI
+    h = 1e-6
+    d1, d2 = _phase_cost_slopes(q, c, theta, m)
+    fd1 = (_phase_cost(q, c, theta + h, m) - _phase_cost(q, c, theta - h, m)) / (2 * h)
+    fd2 = (_phase_cost_slopes(q, c, theta + h, m)[0]
+           - _phase_cost_slopes(q, c, theta - h, m)[0]) / (2 * h)
+    scale = q + 2.0 * abs(c) + 1.0
+    assert d1 == pytest.approx(fd1, abs=1e-6 * scale)
+    assert d2 == pytest.approx(fd2, abs=1e-6 * scale)
+
 
 @st.composite
 def pattern_problems(draw, alphas):
@@ -297,9 +368,8 @@ def test_pattern_step_matches_dense_oracle(problem):
 def test_pattern_step_near_dense_oracle_below_one(problem):
     # For 1/2 <= alpha < 1 the law is not twice differentiable at theta_d.
     # With a small |c| the cost then has two near-equal minima on either
-    # side of theta_d, and the grid can pick the worse one by up to its
-    # discretization error (1.1e-6 relative, seen with beta_min = 0).
-    _check_pattern_step(*problem, DENSE_GRID, rtol=1e-5)
+    # side of theta_d; the search refines the best point of each side.
+    _check_pattern_step(*problem, DENSE_GRID, rtol=1e-9)
 
 
 @settings(max_examples=10, deadline=None)
