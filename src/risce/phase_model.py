@@ -236,14 +236,16 @@ def _newton_refine(q, c, x, lo, hi, model: ReflectionModel) -> np.ndarray:
     """Safeguarded Newton on f' from x inside [lo, hi], entrywise.
 
     Bisects where a step is not finite, has f'' <= 0 or leaves the bracket;
-    an entry stops once it moves at most _STEP_ULPS ulps of 2 pi.
+    an entry stops once it moves at most _STEP_ULPS ulps of 2 pi.  A point
+    where f' is not finite (s rounds to 0 next to the alpha < 1 cusp) leaves
+    the bracket as it is.
     """
     shape = x.shape
     q, c, x, lo, hi = (np.broadcast_to(v, shape).ravel() for v in (q, c, x, lo, hi))
     out, live = x.copy(), np.arange(x.size)
     for _ in range(_NEWTON_CAP):
         d1, d2 = _phase_cost_slopes(q, c, x, model)
-        lo, hi = np.where(d1 > 0.0, lo, x), np.where(d1 > 0.0, x, hi)
+        lo, hi = np.where(d1 <= 0.0, x, lo), np.where(d1 > 0.0, x, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = x - d1 / d2
         x_new = np.where((d2 > 0.0) & (step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
