@@ -1,22 +1,23 @@
 """Seeded Monte Carlo experiment harness over schemes, estimators and SNRs.
 
-Designs are deterministic given their inputs, so each distinct design runs
-once per sweep and is reused across trials and schemes; channel and noise
-draws use per-(SNR, trial) seed streams shared by all schemes (common random
-numbers).  Both estimators are linear in the received block, so each
-(scheme, SNR) cell builds its estimator W once, through the public
-system.estimate_ls / estimate_lmmse, and every trial applies it as Y W.
-Output rows are emitted in deterministic (scheme, SNR, trial) order.
+Sweeps and convergence traces design through :func:`_design`, with the
+config's eps, max_iter and grid_points.  A sweep runs each distinct design
+once and caches it whole, (X, V, DesignTrace), for every cell that reads it.
+Channel and noise draws use per-(SNR, trial) seed streams shared by all
+schemes (common random numbers).  Both estimators are linear in the received
+block, so each (scheme, SNR) cell builds its estimator W once, through the
+public system.estimate_ls / estimate_lmmse, and every trial applies it as
+Y W.  Output rows are emitted in deterministic (scheme, SNR, trial) order.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import system
+from . import phase_model, system
 from .baselines import (
     ElementGrouping,
     SchemeId,
@@ -100,6 +101,10 @@ class ExperimentConfig:
             raise ConfigError("eps and snr_db must be finite")
         if self.eps <= 0.0:
             raise ConfigError(f"eps must be > 0, got {self.eps}")
+        if self.grid_points < 2:
+            raise ConfigError(f"grid_points must be >= 2, got {self.grid_points}")
+        if self.max_iter is not None and self.max_iter < 0:
+            raise ConfigError(f"max_iter must be >= 0, got {self.max_iter}")
         # The objects that own the other values check them; build each once
         # and report their errors as ConfigError.
         try:
@@ -140,10 +145,7 @@ class ResultRow:
     wall_ms: float
 
 
-RESULT_COLUMNS = (
-    "scheme", "estimator", "snr_db", "trial",
-    "analytic_nmse", "empirical_nmse", "iterations", "wall_ms",
-)
+RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 @dataclass(frozen=True)
@@ -162,6 +164,19 @@ class CellDesign:
         return build_S(self.pattern, self.training)
 
 
+def _design(cfg, sys_cfg, model, r_gamma, accelerate):
+    """(X, V, DesignTrace) of the config's MM design at sys_cfg and law model.
+
+    An LS design returns its V with the DFT training of sys_cfg.
+    """
+    opts = dict(eps=cfg.eps, max_iter=cfg.max_iter, accelerate=accelerate,
+                grid_points=cfg.grid_points)
+    if cfg.estimator == "ls":
+        v, trace = design_ls(sys_cfg, model, **opts)
+        return dft_training(sys_cfg.k, sys_cfg.tau, sys_cfg.power), v, trace
+    return design_lmmse(sys_cfg, model, r_gamma, **opts)
+
+
 def _design_cell(
     scheme: SchemeId,
     cfg: ExperimentConfig,
@@ -171,71 +186,42 @@ def _design_cell(
 ) -> CellDesign:
     """Design (X, V) for one scheme at one SNR.
 
-    designs memoizes the iterative designs across cells, see
-    :func:`_run_design`.
+    designs memoizes whole (X, V, trace) designs across cells, keyed by the
+    reflection law, grouped or not, and for LMMSE the SNR.  So
+    ideal-projection reuses the ideal design, and an LS pattern, whose
+    objective Tr[(V V^H)^{-1}] does not depend on the power budgets, is
+    designed once per sweep and paired with the DFT training of each SNR.
     """
     sys_cfg = cfg.system(snr_db)
     model = cfg.model
     start = time.perf_counter()
     grouping = None
+    x = dft_training(cfg.k, cfg.tau, sys_cfg.power)
+    iters = 0
 
     if scheme is SchemeId.NAIVE:
-        x = dft_training(cfg.k, cfg.tau, sys_cfg.power)
         v = naive_pattern(cfg.m, cfg.b, model)
-        iters = 0
     elif scheme is SchemeId.ON_OFF:
-        x = dft_training(cfg.k, cfg.tau, sys_cfg.power)
         v = onoff_pattern(cfg.m, cfg.b)
-        iters = 0
-    elif scheme is SchemeId.PROPOSED_GROUPED:
-        grouping = group_reduce(cfg.m, cfg.rho)
-        sys_g = SystemConfig(
-            k=cfg.k, m=grouping.m_grouped, l=cfg.l, b=grouping.m_grouped + 1,
-            tau=cfg.tau, sigma2=cfg.sigma2, power=sys_cfg.power,
-        )
-        r_gamma = grouped_cascaded_correlation(cfg.corr, grouping.indicator(), cfg.k, cfg.l)
-        x, v, iters = _run_design(cfg, sys_g, model, r_gamma, designs, True, snr_db)
     else:
-        design_model = model if scheme is SchemeId.PROPOSED else ideal_model()
-        x, v, iters = _run_design(cfg, sys_cfg, design_model, r_gamma,
-                                  designs, False, snr_db)
+        grouped = scheme is SchemeId.PROPOSED_GROUPED
+        if grouped:
+            grouping = group_reduce(cfg.m, cfg.rho)
+            sys_cfg = replace(sys_cfg, m=grouping.m_grouped, b=grouping.m_grouped + 1)
+            r_gamma = grouped_cascaded_correlation(cfg.corr, grouping.indicator(), cfg.k, cfg.l)
+        ideal = scheme in (SchemeId.IDEAL_RIS, SchemeId.IDEAL_RIS_PROJECTION)
+        design_model = ideal_model() if ideal else model
+        key = (design_model, grouped, snr_db)[:2 if cfg.estimator == "ls" else 3]
+        if key not in designs:
+            designs[key] = _design(cfg, sys_cfg, design_model, r_gamma, cfg.accelerate)
+        x_designed, v, trace = designs[key]
+        if cfg.estimator == "lmmse":
+            x = x_designed
+        iters = trace.iterations
         if scheme is SchemeId.IDEAL_RIS_PROJECTION:
             v = ReflectionPattern(v=project_pattern(v.v, model))
 
-    wall_ms = (time.perf_counter() - start) * 1e3
-    return CellDesign(
-        training=x, pattern=v, iterations=iters, wall_ms=wall_ms,
-        r_gamma=r_gamma, grouping=grouping,
-    )
-
-
-def _run_design(cfg, sys_cfg, model, r_gamma, designs, grouped, snr_db):
-    """(X, V, iterations) of the iterative design, run once per distinct input.
-
-    designs maps the design's inputs, the reflection law, grouped or not,
-    and for LMMSE the SNR, to its result.  So ideal-projection reuses the
-    ideal design, and an LS pattern, whose objective Tr[(V V^H)^{-1}] does
-    not depend on the power budgets, is designed once per sweep and paired
-    with the DFT training of each SNR.
-    """
-    if cfg.estimator == "ls":
-        key = (model, grouped)
-        if key not in designs:
-            v, trace = design_ls(
-                sys_cfg, model, eps=cfg.eps, max_iter=cfg.max_iter,
-                accelerate=cfg.accelerate, grid_points=cfg.grid_points,
-            )
-            designs[key] = (v, trace.iterations)
-        v, iters = designs[key]
-        return dft_training(sys_cfg.k, sys_cfg.tau, sys_cfg.power), v, iters
-    key = (model, grouped, snr_db)
-    if key not in designs:
-        x, v, trace = design_lmmse(
-            sys_cfg, model, r_gamma, eps=cfg.eps, max_iter=cfg.max_iter,
-            accelerate=cfg.accelerate, grid_points=cfg.grid_points,
-        )
-        designs[key] = (x, v, trace.iterations)
-    return designs[key]
+    return CellDesign(x, v, iters, (time.perf_counter() - start) * 1e3, r_gamma, grouping)
 
 
 def _analytic_nmse(cell: CellDesign, cfg: ExperimentConfig) -> float:
@@ -294,17 +280,10 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
             cell = _design_cell(scheme, cfg, snr_db, r_gamma, designs)
             analytic = _analytic_nmse(cell, cfg)
             analytic_by_snr.append((snr_db, analytic))
-            if cfg.simulate:
-                for trial, emp in enumerate(_empirical_nmses(cell, cfg, si)):
-                    rows.append(ResultRow(
-                        scheme.value, cfg.estimator, snr_db, trial,
-                        analytic, emp, cell.iterations, cell.wall_ms,
-                    ))
-            else:
-                rows.append(ResultRow(
-                    scheme.value, cfg.estimator, snr_db, 0,
-                    analytic, None, cell.iterations, cell.wall_ms,
-                ))
+            empirical = _empirical_nmses(cell, cfg, si) if cfg.simulate else [None]
+            for trial, emp in enumerate(empirical):
+                rows.append(ResultRow(scheme.value, cfg.estimator, snr_db, trial,
+                                      analytic, emp, cell.iterations, cell.wall_ms))
         _check_snr_monotonicity(scheme, analytic_by_snr)
     return rows
 
@@ -328,30 +307,19 @@ class ConvergenceRow:
     wall_ms: float
 
 
-CONVERGENCE_COLUMNS = ("variant", "iteration", "objective", "updates", "wall_ms")
+CONVERGENCE_COLUMNS = tuple(f.name for f in fields(ConvergenceRow))
 
 
 def run_convergence(cfg: ExperimentConfig) -> list[ConvergenceRow]:
     """Plain-MM and accelerated traces of the proposed design at the first SNR."""
-    snr_db = cfg.snr_db[0]
-    sys_cfg = cfg.system(snr_db)
+    sys_cfg = cfg.system(cfg.snr_db[0])
     r_gamma = cascaded_correlation(cfg.corr, cfg.m, cfg.k, cfg.l)
     rows: list[ConvergenceRow] = []
     for variant, accelerate in (("mm", False), ("accelerated", True)):
-        if cfg.estimator == "ls":
-            _, trace = design_ls(
-                sys_cfg, cfg.model, eps=cfg.eps, max_iter=cfg.max_iter,
-                accelerate=accelerate, grid_points=cfg.grid_points,
-            )
-        else:
-            _, _, trace = design_lmmse(
-                sys_cfg, cfg.model, r_gamma, eps=cfg.eps, max_iter=cfg.max_iter,
-                accelerate=accelerate, grid_points=cfg.grid_points,
-            )
-        for i, obj in enumerate(trace.objectives):
-            rows.append(ConvergenceRow(
-                variant, i, obj, trace.update_calls[i], trace.elapsed_s[i] * 1e3,
-            ))
+        _, _, trace = _design(cfg, sys_cfg, cfg.model, r_gamma, accelerate)
+        steps = zip(trace.objectives, trace.update_calls, trace.elapsed_s)
+        for i, (obj, calls, elapsed) in enumerate(steps):
+            rows.append(ConvergenceRow(variant, i, obj, calls, elapsed * 1e3))
     return rows
 
 
@@ -364,7 +332,7 @@ class DesignDumpRow:
     im: float
 
 
-DESIGN_COLUMNS = ("matrix", "row", "col", "re", "im")
+DESIGN_COLUMNS = tuple(f.name for f in fields(DesignDumpRow))
 
 
 def run_design_dump(cfg: ExperimentConfig) -> list[DesignDumpRow]:
@@ -383,8 +351,6 @@ def run_validation(cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
 
     Returns (name, passed, detail) triples; used by the `validate` subcommand.
     """
-    from . import phase_model
-
     checks: list[tuple[str, bool, str]] = []
     rng = np.random.default_rng(cfg.seed)
     model = cfg.model
@@ -472,11 +438,9 @@ def run_validation(cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
 
 
 def _random_feasible_pattern(rng, m, b, model) -> ReflectionPattern:
-    from .phase_model import reflection_coefficient
-
     thetas = rng.uniform(0.0, 2.0 * np.pi, (m, b))
     v = np.ones((m + 1, b), dtype=complex)
-    v[:m] = reflection_coefficient(thetas, model)
+    v[:m] = phase_model.reflection_coefficient(thetas, model)
     return ReflectionPattern(v=v)
 
 

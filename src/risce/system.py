@@ -19,9 +19,12 @@ import numpy as np
 
 from . import numerics
 from .channel import complex_gaussian
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, SingularGram
 
 POWER_TOL = 1e-9  # relative: a row on its budget meets P_k only to rounding
+# Tr R - explained carries a rounding error of about 0.1-0.5 eps Tr R, so an
+# LMMSE MSE below this share of Tr R has fewer than about 6 correct digits.
+_LMMSE_MSE_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -131,8 +134,17 @@ def _lmmse_explained(s: np.ndarray, r_gamma: np.ndarray, sigma2: float, l: int) 
 
 
 def mse_lmmse(s: np.ndarray, r_gamma: np.ndarray, sigma2: float, l: int) -> float:
-    """Analytic LMMSE MSE via the inversion-lemma form (no R^{-1} needed)."""
-    return float(np.real(np.trace(r_gamma))) - _lmmse_explained(s, r_gamma, sigma2, l)
+    """Analytic LMMSE MSE via the inversion-lemma form (no R^{-1} needed).
+
+    With noise, raises SingularGram when the MSE is below 1e-10 Tr R: there
+    the cancellation in Tr R - explained leaves too few correct digits.
+    """
+    total = float(np.real(np.trace(r_gamma)))
+    j = total - _lmmse_explained(s, r_gamma, sigma2, l)
+    if sigma2 > 0.0 and j < _LMMSE_MSE_FLOOR * total:
+        raise SingularGram(f"LMMSE MSE {j:.3g} is below {_LMMSE_MSE_FLOOR:g} Tr R, "
+                           "where Tr R - explained cancels to rounding")
+    return j
 
 
 def lmmse_objective(s: np.ndarray, r_gamma: np.ndarray, sigma2: float, l: int) -> float:

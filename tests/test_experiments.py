@@ -7,7 +7,7 @@ import pytest
 
 from risce.baselines import SchemeId
 from risce import experiments
-from risce.channel import CorrelationSpec
+from risce.channel import CorrelationSpec, cascaded_correlation
 from risce.cli import main, read_config_file
 from risce.errors import ConfigError
 from risce.experiments import (
@@ -16,7 +16,8 @@ from risce.experiments import (
     run_sweep,
     run_validation,
 )
-from risce.ls_design import DEFAULT_EPS
+from risce.lmmse_design import design_lmmse
+from risce.ls_design import DEFAULT_EPS, design_ls, dft_training
 from risce.phase_model import DEFAULT_GRID_POINTS, ReflectionModel
 
 FAST = dict(k=2, m=3, l=2, trials=3, snr_db=(0.0, 10.0), accelerate=True)
@@ -127,6 +128,20 @@ class TestRunSweep:
         ideal = [r.iterations for r in rows if r.scheme == "ideal"]
         assert ideal == [r.iterations for r in rows if r.scheme == "ideal-projection"]
 
+    def test_ls_pattern_paired_with_each_snr_training(self):
+        # One LS pattern serves every SNR; each cell pairs it with the DFT
+        # training of its own power budget, not the one it was designed at.
+        cfg = ExperimentConfig(**FAST)
+        r_gamma = cascaded_correlation(cfg.corr, cfg.m, cfg.k, cfg.l)
+        designs: dict = {}
+        cells = [experiments._design_cell(SchemeId.PROPOSED, cfg, snr, r_gamma, designs)
+                 for snr in cfg.snr_db]
+        assert cells[0].pattern is cells[1].pattern
+        for cell, snr in zip(cells, cfg.snr_db):
+            want = dft_training(cfg.k, cfg.tau, cfg.power(snr))
+            np.testing.assert_array_equal(cell.training.x, want.x)
+            np.testing.assert_array_equal(cell.training.power, want.power)
+
     def test_lmmse_estimator_path(self):
         cfg = ExperimentConfig(**FAST, estimator="lmmse",
                                schemes=(SchemeId.PROPOSED, SchemeId.NAIVE))
@@ -156,6 +171,26 @@ class TestRunConvergence:
         target = plain[-1].objective * (1 + 1e-3)
         reached = [r.updates for r in acc if r.objective <= target]
         assert reached and reached[0] < plain[-1].updates
+
+
+    @pytest.mark.parametrize("estimator", ["ls", "lmmse"])
+    def test_variants_are_the_configured_designs(self, estimator):
+        # Non-default eps, max_iter and grid_points must all reach the design.
+        cfg = ExperimentConfig(**FAST, estimator=estimator, eps=1e-6, max_iter=7,
+                               grid_points=17)
+        rows = run_convergence(cfg)
+        sys_cfg = cfg.system(cfg.snr_db[0])
+        r_gamma = cascaded_correlation(cfg.corr, cfg.m, cfg.k, cfg.l)
+        opts = dict(eps=cfg.eps, max_iter=cfg.max_iter, grid_points=cfg.grid_points)
+        for variant, accelerate in (("mm", False), ("accelerated", True)):
+            if estimator == "ls":
+                _, trace = design_ls(sys_cfg, cfg.model, accelerate=accelerate, **opts)
+            else:
+                _, _, trace = design_lmmse(sys_cfg, cfg.model, r_gamma,
+                                           accelerate=accelerate, **opts)
+            got = [r for r in rows if r.variant == variant]
+            assert [r.objective for r in got] == trace.objectives
+            assert [r.updates for r in got] == trace.update_calls
 
 
 class TestValidation:
@@ -228,6 +263,8 @@ class TestCli:
         ["--psi-ue", "1.5"], ["--k", "0"], ["--eps", "nan"],
         ["--b", "3"], ["--tau", "1", "--k", "2"], ["--delta", "inf"],
         ["--snr-db", "0", "nan"], ["--scheme", "proposed-grouped", "--rho", "3"],
+        ["--grid-points", "1"], ["--max-iter", "-1"],
+        ["--scheme", "proposed", "--grid-points", "1"],
     ])
     def test_bad_value_is_config_error(self, flag):
         rc = main(["sweep", "--analytic-only", "--scheme", "naive", *flag])
@@ -311,6 +348,16 @@ class TestCli:
         assert len(rows) == 5
         nmse = np.array([float(row.split(",")[4]) for row in rows])
         assert np.all(np.isfinite(nmse)) and np.all(nmse > 0.0)
+
+    @pytest.mark.parametrize("snr_db", ["150", "300"])
+    @pytest.mark.parametrize("accel", ["--no-accel", "--accel"])
+    def test_extreme_snr_lmmse_sweep_is_numerical_failure(self, tmp_path, snr_db, accel):
+        # an LMMSE NMSE below 1e-10 is lost to rounding, so no row is written
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--analytic-only", "--estimator", "lmmse",
+                   "--snr-db", snr_db, accel, "--output", str(out)])
+        assert rc == 3
+        assert not out.exists()
 
     def test_twelve_significant_digits(self, tmp_path):
         out = tmp_path / "sweep.csv"

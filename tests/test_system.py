@@ -240,6 +240,22 @@ class TestAnalyticMse:
         assert np.real(np.trace(r)) + g == pytest.approx(j, rel=1e-12)
         assert lmmse_objective(np.zeros((6, 7)), r, 1.0, 4) == pytest.approx(0.0, abs=1e-12)
 
+    def test_lmmse_high_snr_accurate_or_rejected(self):
+        # Paper profile, naive pattern, DFT training: at 80 dB the MSE matches
+        # sigma^2 L Tr[(R S S^H + sigma^2 L I)^{-1} R]; at 150 dB the
+        # Tr R - explained form has cancelled to rounding and must raise.
+        from risce.phase_model import ReflectionModel
+
+        k, m, l = 4, 20, 16
+        r = cascaded_correlation(CorrelationSpec(), m, k, l)
+        v = naive_pattern(m, m + 1, ReflectionModel())
+        s80 = build_S(v, dft_training(k, k, np.full(k, 1e8)))
+        reference = l * np.real(np.trace(np.linalg.solve(
+            r @ s80 @ s80.conj().T + l * np.eye(r.shape[0]), r)))
+        assert mse_lmmse(s80, r, 1.0, l) == pytest.approx(reference, rel=1e-6)
+        with pytest.raises(SingularGram):
+            mse_lmmse(build_S(v, dft_training(k, k, np.full(k, 1e15))), r, 1.0, l)
+
     def test_trace_bound_for_gap_argument(self, rng):
         # Tr[(I + A)^{-1}] <= N a / (N + a) with a = Tr[A^{-1}]
         for _ in range(100):
