@@ -19,10 +19,8 @@ from .lmmse_design import design_lmmse
 from .ls_design import design_ls, dft_training
 from .phase_model import (
     ReflectionModel,
-    ScalarPhaseObjective,
     amplitude_of_phase,
     ideal_model,
-    minimize_phase_objective,
     project_to_feasible,
     reflection_coefficient,
 )
@@ -48,7 +46,6 @@ __all__ = [
     "ExperimentConfig",
     "ReflectionModel",
     "ReflectionPattern",
-    "ScalarPhaseObjective",
     "SchemeId",
     "SystemConfig",
     "TrainingMatrix",
@@ -64,7 +61,6 @@ __all__ = [
     "exp_correlation",
     "group_reduce",
     "ideal_model",
-    "minimize_phase_objective",
     "mse_lmmse",
     "mse_ls",
     "naive_pattern",

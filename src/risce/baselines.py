@@ -69,26 +69,12 @@ class ElementGrouping:
     def m_grouped(self) -> int:
         return self.m // self.rho
 
-    def training_overhead(self, k: int) -> int:
-        """Training symbols needed when estimating the grouped channel."""
-        return k * (self.m_grouped + 1)
-
     def indicator(self) -> np.ndarray:
         """(M, M_grouped) 0/1 membership matrix."""
         out = np.zeros((self.m, self.m_grouped))
         for g in range(self.m_grouped):
             out[g * self.rho : (g + 1) * self.rho, g] = 1.0
         return out
-
-    def expand(self, pattern: ReflectionPattern) -> ReflectionPattern:
-        """Deploy a grouped design: repeat each RIS row rho times."""
-        if pattern.m != self.m_grouped:
-            raise InvalidGrouping(
-                f"pattern has {pattern.m} RIS rows, expected {self.m_grouped}"
-            )
-        v = np.ones((self.m + 1, pattern.b), dtype=complex)
-        v[: self.m] = np.repeat(pattern.v[:-1], self.rho, axis=0)
-        return ReflectionPattern(v=v)
 
     def combine_gamma(self, gamma: np.ndarray, k: int) -> np.ndarray:
         """Sum the cascaded-channel blocks of each group (direct block kept)."""

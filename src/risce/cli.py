@@ -46,7 +46,7 @@ def _tokens(raw: str) -> list[str]:
 # Every config key and the parser of its text value.  Each int and float key
 # is also a --flag of the same name ('_' written '-').
 _KEYS = {
-    "k": int, "m": int, "l": int, "b": int, "tau": int, "sigma2": float,
+    "k": int, "m": int, "l": int, "b": int, "tau": int,
     "trials": int, "seed": int, "beta_min": float, "alpha": float, "delta": float,
     "psi_ue": float, "psi_ris": float, "psi_bs": float, "eps": float,
     "max_iter": int, "grid_points": int, "rho": int,

@@ -17,10 +17,6 @@ class InvalidPsi(RisceError):
     """Spatial correlation coefficient outside [0, 1)."""
 
 
-class MissingCircuitParams(RisceError):
-    """Circuit-level reflection requested but no circuit parameters were given."""
-
-
 class InvalidDims(RisceError):
     """A dimension violates a structural precondition (e.g. tau < K)."""
 

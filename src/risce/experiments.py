@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -50,12 +51,13 @@ ESTIMATORS = ("ls", "lmmse")
 class ExperimentConfig:
     """Full description of one experiment run (desk-scale defaults)."""
 
+    # Power is SNR * sigma2, so no other noise variance could move an output.
+    sigma2: ClassVar[float] = 1.0
     k: int = 2
     m: int = 8
     l: int = 4
     b: int | None = None
     tau: int | None = None
-    sigma2: float = 1.0
     snr_db: tuple[float, ...] = (-5.0, 0.0, 5.0, 10.0)
     trials: int = 50
     seed: int = 0

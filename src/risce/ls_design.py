@@ -98,9 +98,9 @@ def mm_update_ls(
     return ReflectionPattern(v=minimize_pattern_entries(sur.lambda1, c, model, grid_points))
 
 
-def ls_objective(pattern: ReflectionPattern) -> float:
-    """Pattern-design objective Tr[(V V^H)^{-1}]."""
-    return numerics.trace_of_inverse(pattern.v @ pattern.v.conj().T)
+def ls_objective(v: np.ndarray) -> float:
+    """Pattern-design objective Tr[(V V^H)^{-1}] of the (M+1, B) matrix v."""
+    return numerics.trace_of_inverse(v @ v.conj().T)
 
 
 def project_pattern(v: np.ndarray, model: ReflectionModel) -> np.ndarray:
@@ -134,14 +134,11 @@ def design_ls(
     def mm(v: np.ndarray) -> np.ndarray:
         return mm_update_ls(ReflectionPattern(v=v), model, grid_points).v
 
-    def objective(v: np.ndarray) -> float:
-        return numerics.trace_of_inverse(v @ v.conj().T)
-
     if accelerate:
         def step(v, obj):
             return squarem_step(v, mm, lambda u: project_pattern(u, model),
-                                objective, obj)
+                                ls_objective, obj)
     else:
-        step = plain_step(mm, objective)
-    v_star, trace = mm_loop(init.v, step, objective, eps, max_iter)
+        step = plain_step(mm, ls_objective)
+    v_star, trace = mm_loop(init.v, step, ls_objective, eps, max_iter)
     return ReflectionPattern(v=v_star), trace

@@ -25,8 +25,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import MissingCircuitParams
-
 TWO_PI = 2.0 * math.pi
 
 # Grid/refinement defaults for the one-dimensional phase search.
@@ -36,36 +34,18 @@ _STEP_ULPS = 4
 
 
 @dataclass(frozen=True)
-class CircuitParams:
-    """Parallel-resonant-circuit parameters of a reflecting element.
-
-    l1/l2 are the bottom/top layer inductances (H), r the effective
-    resistance (ohm), z0 the free-space impedance (ohm) and omega the angular
-    frequency of the incident signal (rad/s).
-    """
-
-    l1: float
-    l2: float
-    r: float
-    z0: float
-    omega: float
-
-
-@dataclass(frozen=True)
 class ReflectionModel:
     """Amplitude-phase coupling law of a reflecting element.
 
     beta_min is the minimum reflection amplitude, alpha the steepness of the
     amplitude curve and delta (radians) the phase offset of the amplitude
     minimum relative to -pi/2.  beta_min = 1 collapses the law to the ideal
-    unit-modulus model.  Circuit parameters are optional and only used by
-    :func:`circuit_reflection`.
+    unit-modulus model.
     """
 
     beta_min: float = 0.2
     alpha: float = 2.0
     delta: float = 0.43 * math.pi
-    circuit: CircuitParams | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.beta_min <= 1.0:
@@ -104,29 +84,6 @@ def reflection_coefficient(theta, model: ReflectionModel):
     return out
 
 
-def circuit_reflection(capacitance, model: ReflectionModel):
-    """Reflection coefficient from the equivalent-circuit impedance.
-
-    The element impedance is the parallel combination of the bottom-layer
-    inductance and the (top inductance + capacitor + resistor) series branch;
-    the coefficient is the usual impedance mismatch (Z - Z0)/(Z + Z0).
-    Raises MissingCircuitParams when the model carries no circuit parameters.
-    """
-    p = model.circuit
-    if p is None:
-        raise MissingCircuitParams("ReflectionModel has no circuit parameters")
-    c = np.asarray(capacitance, dtype=float)
-    if np.any(c <= 0.0):
-        raise ValueError("capacitance must be positive")
-    jw = 1j * p.omega
-    branch = jw * p.l2 + 1.0 / (jw * c) + p.r
-    z = (jw * p.l1 * branch) / (jw * p.l1 + branch)
-    out = (z - p.z0) / (z + p.z0)
-    if np.isscalar(capacitance):
-        return complex(out)
-    return out
-
-
 def project_to_feasible(z, model: ReflectionModel):
     """Project onto the reflection law: keep arg(z), set the amplitude.
 
@@ -140,57 +97,15 @@ def project_to_feasible(z, model: ReflectionModel):
     return out
 
 
-@dataclass(frozen=True)
-class ScalarPhaseObjective:
-    """Scalar objective q * beta(theta)^2 + 2*Re{c * beta(theta) * e^{j theta}}.
-
-    This is the per-entry cost minimized by both pattern updates; the LS
-    update uses (q, c) = (lambda1, A0[n, m]) and the LMMSE update uses
-    (q, c) = (lambda3 * K, -c[m, n]).
-    """
-
-    quad_coeff: float
-    lin_coeff: complex
-
-    def __post_init__(self) -> None:
-        if self.quad_coeff < 0.0:
-            raise ValueError(f"quad_coeff must be >= 0, got {self.quad_coeff}")
-
-    def evaluate(self, theta, model: ReflectionModel):
-        out = _phase_cost(self.quad_coeff, self.lin_coeff,
-                          np.asarray(theta, dtype=float), model)
-        if np.isscalar(theta):
-            return float(out)
-        return out
-
-
 def _phase_cost(q, c, theta, model: ReflectionModel):
-    """q * beta(theta)^2 + 2*Re{c * beta(theta) * e^{j theta}}, broadcast."""
+    """q * beta(theta)^2 + 2*Re{c * beta(theta) * e^{j theta}}, broadcast.
+
+    The per-entry cost of both pattern updates: (q, c) = (lambda1, A0[n, m])
+    for LS and (lambda3 * K, -c[m, n]) for LMMSE.
+    """
     beta = amplitude_of_phase(theta, model)
     return q * beta**2 + 2.0 * beta * (np.real(c) * np.cos(theta)
                                        - np.imag(c) * np.sin(theta))
-
-
-def minimize_phase_objective(
-    obj: ScalarPhaseObjective,
-    model: ReflectionModel,
-    grid_points: int = DEFAULT_GRID_POINTS,
-) -> tuple[float, float]:
-    """Minimize a ScalarPhaseObjective over theta in [0, 2*pi).
-
-    Under the ideal law the step is exact: pi - arg(c), or 0 when c = 0.
-    Otherwise the best grid point (for alpha < 1, of each side of the cusp
-    theta_d) is refined by safeguarded Newton within one grid step and kept
-    only if strictly better; theta_d is scored last.  Ties break toward the
-    grid point.  Returns (theta_star, value).
-    """
-    thetas, values = minimize_phase_objectives(
-        np.array([obj.quad_coeff]),
-        np.array([obj.lin_coeff]),
-        model,
-        grid_points=grid_points,
-    )
-    return float(thetas[0]), float(values[0])
 
 
 @lru_cache(maxsize=16)
@@ -263,10 +178,15 @@ def minimize_phase_objectives(
     model: ReflectionModel,
     grid_points: int = DEFAULT_GRID_POINTS,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized phase search for a batch of (q, c) objectives.
+    """Minimize q * beta(theta)^2 + 2*Re{c * beta(theta) * e^{j theta}} per entry.
 
-    Same algorithm as :func:`minimize_phase_objective` applied entrywise;
-    both pattern updates reach it through :func:`minimize_pattern_entries`.
+    Batched over the (q, c) pairs, theta in [0, 2*pi).  Under the ideal law
+    the step is exact: pi - arg(c), or 0 when c = 0.  Otherwise the best grid
+    point (for alpha < 1, of each side of the cusp theta_d) is refined by
+    safeguarded Newton within one grid step and kept only if strictly better;
+    theta_d is scored last.  Ties break toward the grid point.  Returns the
+    minimizing thetas and their values.  Both pattern updates reach it
+    through :func:`minimize_pattern_entries`.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")

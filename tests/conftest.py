@@ -13,6 +13,16 @@ def random_feasible_pattern(rng, m, b, model) -> ReflectionPattern:
     return ReflectionPattern(v=v)
 
 
+def phase_cost(q, c, theta, model: ReflectionModel):
+    """q |r|^2 + 2 Re{c r} with r = reflection_coefficient(theta, model) (test oracle).
+
+    The per-entry cost of both pattern steps, written from the complex
+    coefficient rather than from the amplitude and the cosine/sine split.
+    """
+    r = reflection_coefficient(theta, model)
+    return q * np.abs(r) ** 2 + 2.0 * np.real(c * r)
+
+
 def _unit_phasor(z: np.ndarray) -> np.ndarray:
     """exp(-j arg(z)) entrywise, with arg(0) = 0 (also for a signed zero)."""
     return np.where(z == 0, 1.0, np.exp(-1j * np.angle(z)))

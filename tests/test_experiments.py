@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import risce
 from risce.baselines import SchemeId
 from risce import experiments
 from risce.channel import CorrelationSpec, cascaded_correlation
@@ -259,7 +260,7 @@ class TestCli:
         assert rc == 2
 
     @pytest.mark.parametrize("flag", [
-        ["--beta-min", "2"], ["--alpha", "-1"], ["--sigma2", "nan"],
+        ["--beta-min", "2"], ["--alpha", "-1"], ["--psi-bs", "nan"],
         ["--psi-ue", "1.5"], ["--k", "0"], ["--eps", "nan"],
         ["--b", "3"], ["--tau", "1", "--k", "2"], ["--delta", "inf"],
         ["--snr-db", "0", "nan"], ["--scheme", "proposed-grouped", "--rho", "3"],
@@ -270,7 +271,9 @@ class TestCli:
         rc = main(["sweep", "--analytic-only", "--scheme", "naive", *flag])
         assert rc == 2
 
-    @pytest.mark.parametrize("line", ["mm = 3", "k = two", "accelerate = maybe"])
+    # sigma2 is fixed at 1 (power is SNR * sigma2), so it is no config key.
+    @pytest.mark.parametrize("line", ["mm = 3", "k = two", "accelerate = maybe",
+                                      "sigma2 = 1"])
     def test_bad_config_line_named(self, tmp_path, capsys, line):
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text(f"m = 3\n{line}\n")
@@ -284,7 +287,7 @@ class TestCli:
         flags = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", capsys.readouterr().out))
         assert flags == {
             "-h", "--help", "--config", "--profile", "--k", "--m", "--l", "--b",
-            "--tau", "--sigma2", "--snr-db", "--trials", "--seed", "--beta-min",
+            "--tau", "--snr-db", "--trials", "--seed", "--beta-min",
             "--alpha", "--delta", "--psi-ue", "--psi-ris", "--psi-bs", "--scheme",
             "--estimator", "--accel", "--no-accel", "--eps", "--max-iter",
             "--grid-points", "--rho", "--output", "--analytic-only", "--plot-data",
@@ -359,9 +362,34 @@ class TestCli:
         assert rc == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("estimator", ["ls", "lmmse"])
+    def test_near_singular_correlation_sweep(self, tmp_path, estimator):
+        # psi = 1 - 1e-10 everywhere: the sweep either succeeds with every
+        # NMSE finite and positive or is a numerical failure with no output.
+        out = tmp_path / "sweep.csv"
+        psi = "0.9999999999"
+        rc = main(["sweep", "--estimator", estimator, "--psi-ue", psi,
+                   "--psi-ris", psi, "--psi-bs", psi, "--trials", "2",
+                   "--snr-db", "0", "10", "--output", str(out)])
+        if rc == 3:
+            assert not out.exists()
+            return
+        assert rc == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 5 * 2 * 2
+        nmse = np.array([[float(v) for v in row.split(",")[4:6]] for row in rows])
+        assert np.all(np.isfinite(nmse)) and np.all(nmse > 0.0)
+
     def test_twelve_significant_digits(self, tmp_path):
         out = tmp_path / "sweep.csv"
         main(["sweep", "--k", "2", "--m", "3", "--l", "2", "--trials", "1",
               "--snr-db", "0", "--scheme", "naive", "--output", str(out)])
         value = out.read_text().splitlines()[1].split(",")[4]
         assert len(value.replace(".", "").replace("-", "").lstrip("0")) >= 10
+
+
+def test_public_names_resolve():
+    # Every name the package exports is importable from it.
+    missing = [name for name in risce.__all__ if not hasattr(risce, name)]
+    assert missing == []
+    assert len(set(risce.__all__)) == len(risce.__all__)

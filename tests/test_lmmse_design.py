@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import ideal_update_lmmse, random_feasible_pattern, random_training
+from conftest import ideal_update_lmmse, phase_cost, random_feasible_pattern, random_training
 from risce import lmmse_design, numerics
 from risce.channel import CorrelationSpec, cascaded_correlation
 from risce.lmmse_design import (
@@ -17,7 +17,7 @@ from risce.lmmse_design import (
     update_pattern,
     update_training,
 )
-from risce.phase_model import ScalarPhaseObjective, ideal_model, project_to_feasible
+from risce.phase_model import ideal_model, project_to_feasible
 from risce.system import (
     TrainingMatrix,
     build_S,
@@ -230,9 +230,9 @@ class TestUpdatePattern:
         grid = np.linspace(0.0, TWO_PI, 200_000, endpoint=False)
         for m in range(CFG.m):
             for n in range(CFG.b):
-                obj = ScalarPhaseObjective(terms.lambda3 * CFG.k, -c_mat[m, n])
-                vals = obj.evaluate(grid, model)
-                achieved = obj.evaluate(float(np.angle(out.v[m, n]) % TWO_PI), model)
+                q, c = terms.lambda3 * CFG.k, -c_mat[m, n]
+                vals = phase_cost(q, c, grid, model)
+                achieved = phase_cost(q, c, float(np.angle(out.v[m, n]) % TWO_PI), model)
                 assert achieved <= np.min(vals) + 1e-9 * max(abs(np.min(vals)), 1e-9)
 
 

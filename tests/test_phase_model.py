@@ -1,20 +1,15 @@
-"""Tests for the phase-dependent reflection law and the scalar phase search."""
+"""Tests for the phase-dependent reflection law and the batched phase search."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ideal_update_lmmse, ideal_update_ls
-from risce.errors import MissingCircuitParams
+from conftest import ideal_update_lmmse, ideal_update_ls, phase_cost
 from risce.phase_model import (
-    CircuitParams,
     ReflectionModel,
-    ScalarPhaseObjective,
     amplitude_of_phase,
-    circuit_reflection,
     ideal_model,
     minimize_pattern_entries,
-    minimize_phase_objective,
     minimize_phase_objectives,
     project_to_feasible,
     reflection_coefficient,
@@ -99,34 +94,6 @@ class TestReflectionCoefficient:
         assert np.all((mod >= model.beta_min - 1e-12) & (mod <= 1.0 + 1e-12))
 
 
-class TestCircuitReflection:
-    CP = CircuitParams(l1=2.5e-9, l2=0.7e-9, r=1.0, z0=377.0, omega=TWO_PI * 2.4e9)
-
-    def test_missing_params(self, model):
-        with pytest.raises(MissingCircuitParams):
-            circuit_reflection(1e-12, model)
-
-    def test_passive_lossy(self):
-        m = ReflectionModel(circuit=self.CP)
-        for c in np.geomspace(0.2e-12, 5e-12, 25):
-            assert abs(circuit_reflection(float(c), m)) < 1.0
-
-    def test_lossless_limit(self):
-        cp = CircuitParams(l1=2.5e-9, l2=0.7e-9, r=1e12, z0=377.0, omega=TWO_PI * 2.4e9)
-        phi = circuit_reflection(1e-12, ReflectionModel(circuit=cp))
-        assert abs(phi) == pytest.approx(1.0, abs=1e-6)
-
-    def test_sweep_monotone_phase_with_amplitude_dip(self):
-        m = ReflectionModel(circuit=self.CP)
-        cs = np.geomspace(0.3e-12, 3e-12, 201)
-        phi = circuit_reflection(cs, m)
-        phase = np.unwrap(np.angle(phi))
-        diffs = np.diff(phase)
-        assert np.all(diffs < 0) or np.all(diffs > 0)
-        amp = np.abs(phi)
-        assert amp.min() < min(amp[0], amp[-1]) - 0.1
-
-
 class TestProjection:
     def test_feasible_point_unchanged(self, model):
         z = reflection_coefficient(model.delta + np.pi / 2, model)
@@ -163,39 +130,39 @@ class TestProjection:
 class TestPhaseSearch:
     def test_pure_linear_ideal(self):
         # For beta = 1 the objective is 2*cos(theta): minimum -2 at pi.
-        theta, value = minimize_phase_objective(
-            ScalarPhaseObjective(0.0, 1.0 + 0j), ideal_model()
-        )
+        (theta,), (value,) = minimize_phase_objectives([0.0], [1.0 + 0j], ideal_model())
         assert theta == pytest.approx(np.pi, abs=1e-6)
         assert value == pytest.approx(-2.0, abs=1e-10)
 
     def test_pure_quadratic(self, model):
         # Minimizing beta(theta)^2 lands at the amplitude minimum.
-        theta, value = minimize_phase_objective(ScalarPhaseObjective(1.0, 0j), model)
+        (theta,), (value,) = minimize_phase_objectives([1.0], [0j], model)
         assert value == pytest.approx(model.beta_min**2, abs=1e-12)
         # The bowl is quartically flat there, so the phase tolerance is loose.
         target = (model.delta - np.pi / 2) % TWO_PI
         assert abs(theta - target) < 2e-2
 
     def test_beats_every_grid_point(self, model, rng):
+        qs, cs = [], []
         for _ in range(10):
-            q = rng.uniform(0.0, 5.0)
-            c = rng.standard_normal() + 1j * rng.standard_normal()
-            obj = ScalarPhaseObjective(q, c)
-            theta, value = minimize_phase_objective(obj, model, grid_points=1024)
-            grid = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
-            assert value <= np.min(obj.evaluate(grid, model)) + 1e-14
+            qs.append(rng.uniform(0.0, 5.0))
+            cs.append(rng.standard_normal() + 1j * rng.standard_normal())
+        thetas, values = minimize_phase_objectives(qs, cs, model, grid_points=1024)
+        grid = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
+        for q, c, theta, value in zip(qs, cs, thetas, values):
+            assert value <= np.min(phase_cost(q, c, grid, model)) + 1e-14
             assert 0.0 <= theta < TWO_PI
 
     def test_matches_dense_grid_oracle(self, model, rng):
         # 2e5-point exhaustive oracle; the acceptance suite runs the 1e6 one.
         dense = np.linspace(0.0, TWO_PI, 200_000, endpoint=False)
+        qs, cs = [], []
         for _ in range(30):
-            q = rng.uniform(0.0, 10.0)
-            c = 3.0 * (rng.standard_normal() + 1j * rng.standard_normal())
-            obj = ScalarPhaseObjective(q, c)
-            _, value = minimize_phase_objective(obj, model)
-            oracle = float(np.min(obj.evaluate(dense, model)))
+            qs.append(rng.uniform(0.0, 10.0))
+            cs.append(3.0 * (rng.standard_normal() + 1j * rng.standard_normal()))
+        _, values = minimize_phase_objectives(qs, cs, model)
+        for q, c, value in zip(qs, cs, values):
+            oracle = float(np.min(phase_cost(q, c, dense, model)))
             scale = max(abs(oracle), 1e-9)
             assert value <= oracle + 1e-9 * scale
 
@@ -220,29 +187,20 @@ class TestPhaseSearch:
             ) + 2.0 * np.abs(c) * (xi * s**m.alpha + m.beta_min) * np.cos(
                 np.angle(c) + theta
             )
-            direct = ScalarPhaseObjective(q, c).evaluate(theta, m)
+            direct = _phase_cost(q, c, theta, m)
             scale = np.maximum(np.abs(expanded), 1e-12)
             assert np.max(np.abs(direct - expanded) / scale) < 1e-12
 
-    def test_batch_matches_scalar(self, model, rng):
-        qs = rng.uniform(0.0, 4.0, 8)
-        cs = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        thetas, values = minimize_phase_objectives(qs, cs, model)
-        for i in range(8):
-            t, v = minimize_phase_objective(ScalarPhaseObjective(qs[i], cs[i]), model)
-            assert t == pytest.approx(thetas[i], abs=1e-12)
-            assert v == pytest.approx(values[i], abs=1e-12)
-
     def test_tiny_grid_rejected(self, model):
         with pytest.raises(ValueError):
-            minimize_phase_objective(ScalarPhaseObjective(1.0, 0j), model, grid_points=1)
+            minimize_phase_objectives([1.0], [0j], model, grid_points=1)
 
     def test_cusp_minimum_found(self):
         # For alpha < 1/2 the amplitude minimum theta_d = delta - pi/2 is a
         # cusp whose dip is narrower than the grid spacing.  With beta_min = 0
         # the cost is 0 there, while the smooth minimum elsewhere is 1.15.
         m = ReflectionModel(beta_min=0.0, alpha=0.05, delta=0.43 * np.pi)
-        theta, value = minimize_phase_objective(ScalarPhaseObjective(4.0, 1.0 + 1j), m)
+        (theta,), (value,) = minimize_phase_objectives([4.0], [1.0 + 1j], m)
         assert value == pytest.approx(0.0, abs=1e-12)
         assert theta == pytest.approx((m.delta - np.pi / 2) % TWO_PI, abs=1e-12)
 
@@ -251,9 +209,9 @@ class TestPhaseSearch:
         # has a minimum on each side of theta_d, closer in value than the
         # grid error; refining only the best grid point found -2.23e-6.
         m = ReflectionModel(beta_min=0.0, alpha=0.5, delta=1.71875)
-        obj = ScalarPhaseObjective(3.0, 0.0103 + 0.0879j)
-        _, value = minimize_phase_objective(obj, m)
-        oracle = float(np.min(obj.evaluate(DENSE_GRID, m)))
+        q, c = 3.0, 0.0103 + 0.0879j
+        _, (value,) = minimize_phase_objectives([q], [c], m)
+        oracle = float(np.min(phase_cost(q, c, DENSE_GRID, m)))
         assert oracle == pytest.approx(-2.900145e-6, rel=1e-6)
         assert value == pytest.approx(-2.900162e-6, rel=1e-6)
         assert value <= oracle
@@ -349,7 +307,7 @@ def _check_pattern_step(q, c, model, grid, rtol):
     candidates = np.append(grid, (model.delta - np.pi / 2) % TWO_PI)
     found = q * np.abs(v[:m]) ** 2 + 2.0 * np.real(c * v[:m])
     for (i, j), cost in np.ndenumerate(found):
-        oracle = np.min(ScalarPhaseObjective(q, c[i, j]).evaluate(candidates, model))
+        oracle = np.min(phase_cost(q, c[i, j], candidates, model))
         assert cost <= oracle + rtol * (q + 2.0 * abs(c[i, j]))
 
 
