@@ -49,7 +49,7 @@ _KEYS = {
     "k": int, "m": int, "l": int, "b": int, "tau": int,
     "trials": int, "seed": int, "beta_min": float, "alpha": float, "delta": float,
     "psi_ue": float, "psi_ris": float, "psi_bs": float, "eps": float,
-    "max_iter": int, "grid_points": int, "rho": int,
+    "max_iter": int, "rho": int,
     "accelerate": _parse_bool,
     "simulate": _parse_bool,
     "snr_db": lambda raw: tuple(float(tok) for tok in _tokens(raw)),
@@ -58,8 +58,8 @@ _KEYS = {
 }
 
 
-def _parse_scalar(key: str, raw: str, line_no: int | None = None):
-    where = f" (line {line_no})" if line_no is not None else ""
+def _parse_scalar(key: str, raw: str, line_no: int):
+    where = f" (line {line_no})"
     if key not in _KEYS:
         raise ConfigError(f"unknown config key {key!r}{where}")
     try:

@@ -1,8 +1,8 @@
 """Seeded Monte Carlo experiment harness over schemes, estimators and SNRs.
 
 Sweeps and convergence traces design through :func:`_design`, with the
-config's eps, max_iter and grid_points.  A sweep runs each distinct design
-once and caches it whole, (X, V, DesignTrace), for every cell that reads it.
+config's eps and max_iter.  A sweep runs each distinct design once and
+caches it whole, (X, V, DesignTrace), for every cell that reads it.
 Channel and noise draws use per-(SNR, trial) seed streams shared by all
 schemes (common random numbers).  Both estimators are linear in the received
 block, so each (scheme, SNR) cell builds its estimator W once, through the
@@ -36,7 +36,7 @@ from .channel import (
 from .errors import ConfigError, RisceError
 from .lmmse_design import design_lmmse
 from .ls_design import DEFAULT_EPS, design_ls, dft_training, project_pattern
-from .phase_model import DEFAULT_GRID_POINTS, ReflectionModel, ideal_model
+from .phase_model import ReflectionModel, ideal_model
 from .system import ReflectionPattern, TrainingMatrix, build_S
 from .types import SystemConfig
 
@@ -78,7 +78,6 @@ class ExperimentConfig:
     eps: float = DEFAULT_EPS
     max_iter: int | None = None
     accelerate: bool = True
-    grid_points: int = DEFAULT_GRID_POINTS
     rho: int = 1
     simulate: bool = True
 
@@ -103,8 +102,6 @@ class ExperimentConfig:
             raise ConfigError("eps and snr_db must be finite")
         if self.eps <= 0.0:
             raise ConfigError(f"eps must be > 0, got {self.eps}")
-        if self.grid_points < 2:
-            raise ConfigError(f"grid_points must be >= 2, got {self.grid_points}")
         if self.max_iter is not None and self.max_iter < 0:
             raise ConfigError(f"max_iter must be >= 0, got {self.max_iter}")
         # The objects that own the other values check them; build each once
@@ -171,8 +168,7 @@ def _design(cfg, sys_cfg, model, r_gamma, accelerate):
 
     An LS design returns its V with the DFT training of sys_cfg.
     """
-    opts = dict(eps=cfg.eps, max_iter=cfg.max_iter, accelerate=accelerate,
-                grid_points=cfg.grid_points)
+    opts = dict(eps=cfg.eps, max_iter=cfg.max_iter, accelerate=accelerate)
     if cfg.estimator == "ls":
         v, trace = design_ls(sys_cfg, model, **opts)
         return dft_training(sys_cfg.k, sys_cfg.tau, sys_cfg.power), v, trace
@@ -380,12 +376,16 @@ def run_validation(cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
     v = naive_pattern(cfg.m, cfg.b, model)
     x = dft_training(cfg.k, cfg.tau, sys_cfg.power)
     s = build_S(v, x)
-    direct = np.trace(np.linalg.inv(
-        np.linalg.inv(r_gamma) + (s @ s.conj().T) / (cfg.sigma2 * cfg.l)
-    )).real
     lemma = system.mse_lmmse(s, r_gamma, cfg.sigma2, cfg.l)
-    rel = abs(direct - lemma) / abs(direct)
-    add("lmmse-mse-forms-agree", rel < 1e-8, f"rel err {rel:.2e}")
+    try:
+        direct = np.trace(np.linalg.inv(
+            np.linalg.inv(r_gamma) + (s @ s.conj().T) / (cfg.sigma2 * cfg.l)
+        )).real
+    except np.linalg.LinAlgError as exc:   # R_Gamma or the sum is singular
+        add("lmmse-mse-forms-agree", False, f"direct form: {exc}")
+    else:
+        rel = abs(direct - lemma) / abs(direct)
+        add("lmmse-mse-forms-agree", rel < 1e-8, f"rel err {rel:.2e}")
 
     add(
         "lmmse-not-worse-than-ls",
@@ -417,11 +417,11 @@ def run_validation(cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
 
     # Short design runs descend monotonically.
     _, trace = design_ls(sys_cfg, model, eps=cfg.eps, max_iter=20,
-                         accelerate=cfg.accelerate, grid_points=cfg.grid_points)
+                         accelerate=cfg.accelerate)
     diffs = np.diff(trace.objectives)
     add("ls-design-monotone", bool(np.all(diffs <= 1e-10)), "")
     _, _, trace = design_lmmse(sys_cfg, model, r_gamma, eps=cfg.eps, max_iter=10,
-                               accelerate=cfg.accelerate, grid_points=cfg.grid_points)
+                               accelerate=cfg.accelerate)
     diffs = np.diff(trace.objectives)
     add("lmmse-design-monotone", bool(np.all(diffs <= 1e-10)), "")
 

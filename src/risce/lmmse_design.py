@@ -12,8 +12,9 @@ which is majorized once more per block to decouple the variables:
   * training: per UE, minimize lambda2 B ||x_k||^2 - 2 Re{b_k^H x_k} under
     ||x_k||^2 <= P_k, solved in closed form (boundary or interior branch);
   * pattern: per entry, minimize lambda3 K |v|^2 - 2 Re{c_{m,n} v} over the
-    reflection law, solved by the scalar phase search with q = lambda3 K and
-    c = -c_{m,n}.
+    reflection law, solved by the per-entry phase search
+    :func:`~risce.phase_model.minimize_pattern_entries` with q = lambda3 K
+    and c = -c_{m,n}.
 
 lambda2/lambda3 are spectral bounds: products of the largest eigenvalues
 (LAPACK eigvalsh) of the Kronecker factors, inflated by a small safety
@@ -46,7 +47,6 @@ from .ls_design import (
     project_pattern,
 )
 from .phase_model import (
-    DEFAULT_GRID_POINTS,
     ReflectionModel,
     minimize_pattern_entries,
     minimize_phase_objectives,  # noqa: F401  perfbench/selftest.py checks the tracer rebinds it here
@@ -175,13 +175,12 @@ def update_training(terms: TrainingTerms, power) -> TrainingMatrix:
 def update_pattern(
     terms: PatternTerms,
     model: ReflectionModel,
-    grid_points: int = DEFAULT_GRID_POINTS,
 ) -> ReflectionPattern:
     """Entrywise pattern update of the decoupled quadratic problem."""
     k = terms.k
     blocks = terms.c0.reshape(terms.c0.shape[0] // k, k, terms.c0.shape[1] // k, k)
     c_mat = np.einsum("nkmk->mn", blocks)    # (M+1, B)
-    v = minimize_pattern_entries(terms.lambda3 * k, -c_mat[:-1], model, grid_points)
+    v = minimize_pattern_entries(terms.lambda3 * k, -c_mat[:-1], model)
     return ReflectionPattern(v=v)
 
 
@@ -197,23 +196,19 @@ def design_lmmse(
     config: SystemConfig,
     model: ReflectionModel,
     r_gamma: np.ndarray,
-    init_x: TrainingMatrix | None = None,
     init_v: ReflectionPattern | None = None,
     eps: float = DEFAULT_EPS,
     max_iter: int | None = None,
     accelerate: bool = False,
-    grid_points: int = DEFAULT_GRID_POINTS,
 ) -> tuple[TrainingMatrix, ReflectionPattern, DesignTrace]:
     """Alternate training and pattern updates until the MSE change is < eps.
 
-    Defaults start from the DFT training and the naive projected-DFT
-    pattern.  The trace records J_LMMSE per iteration (non-increasing) and
-    the cumulative number of MM updates (surrogate rebuilds); with
-    accelerate=True each block update is wrapped in a monotone SQUAREM step
-    with its own projection.
+    Starts from the DFT training and, unless init_v is given, the naive
+    projected-DFT pattern.  The trace records J_LMMSE per iteration
+    (non-increasing) and the cumulative number of MM updates (surrogate
+    rebuilds); with accelerate=True each block update is wrapped in a
+    monotone SQUAREM step with its own projection.
     """
-    if init_x is None:
-        init_x = dft_training(config.k, config.tau, config.power)
     if init_v is None:
         init_v = naive_pattern(config.m, config.b, model)
     if max_iter is None:
@@ -237,7 +232,7 @@ def design_lmmse(
         x, v = pair
         state = anchor(x, v)
         x = update_training(training_terms(state), power)
-        return x, update_pattern(refresh_pattern_terms(state, x, r_max), model, grid_points)
+        return x, update_pattern(refresh_pattern_terms(state, x, r_max), model)
 
     def squarem_round(pair, obj):
         x, v = pair
@@ -253,7 +248,7 @@ def design_lmmse(
         v_arr, obj, n_v = squarem_step(
             v.v,
             lambda va: update_pattern(refresh_pattern_terms(
-                anchor(x, ReflectionPattern(v=va)), x, r_max), model, grid_points).v,
+                anchor(x, ReflectionPattern(v=va)), x, r_max), model).v,
             lambda va: project_pattern(va, model),
             lambda va: mse_of(va, x.x),
             obj,
@@ -261,5 +256,6 @@ def design_lmmse(
         return (x, ReflectionPattern(v=v_arr)), obj, n_x + n_v
 
     step = squarem_round if accelerate else plain_step(mm_round, objective)
-    (x, v), trace = mm_loop((init_x, init_v), step, objective, eps, max_iter)
+    x0 = dft_training(config.k, config.tau, power)
+    (x, v), trace = mm_loop((x0, init_v), step, objective, eps, max_iter)
     return x, v, trace

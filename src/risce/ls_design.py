@@ -28,7 +28,6 @@ from .baselines import naive_pattern
 from .errors import InvalidDims
 from .phase_model import (
     ReflectionModel,
-    DEFAULT_GRID_POINTS,
     minimize_pattern_entries,
     minimize_phase_objectives,  # noqa: F401  perfbench/selftest.py checks the tracer rebinds it here
     project_to_feasible,
@@ -89,13 +88,12 @@ def ls_surrogate(pattern: ReflectionPattern) -> LsSurrogate:
 def mm_update_ls(
     pattern: ReflectionPattern,
     model: ReflectionModel,
-    grid_points: int = DEFAULT_GRID_POINTS,
 ) -> ReflectionPattern:
     """One MM iteration: rebuild the surrogate, minimize it entrywise."""
     sur = ls_surrogate(pattern)
     # Entry (m, n) minimizes lambda1 |v|^2 + 2 Re{[A0]_{n,m} v}.
     c = sur.a0[:, :pattern.m].T
-    return ReflectionPattern(v=minimize_pattern_entries(sur.lambda1, c, model, grid_points))
+    return ReflectionPattern(v=minimize_pattern_entries(sur.lambda1, c, model))
 
 
 def ls_objective(v: np.ndarray) -> float:
@@ -117,7 +115,6 @@ def design_ls(
     eps: float = DEFAULT_EPS,
     max_iter: int | None = None,
     accelerate: bool = False,
-    grid_points: int = DEFAULT_GRID_POINTS,
 ) -> tuple[ReflectionPattern, DesignTrace]:
     """Minimize Tr[(V V^H)^{-1}] over feasible patterns by (accelerated) MM.
 
@@ -132,7 +129,7 @@ def design_ls(
         max_iter = DEFAULT_MAX_ITER_ACCEL if accelerate else DEFAULT_MAX_ITER_PLAIN
 
     def mm(v: np.ndarray) -> np.ndarray:
-        return mm_update_ls(ReflectionPattern(v=v), model, grid_points).v
+        return mm_update_ls(ReflectionPattern(v=v), model).v
 
     if accelerate:
         def step(v, obj):

@@ -30,8 +30,8 @@ class PowerIterationResult(NamedTuple):
     iterations: int
 
 
-def require_hermitian(a: np.ndarray, tol: float = _HERMITIAN_TOL) -> np.ndarray:
-    """Validate Hermitian symmetry (relative Frobenius deviation < tol).
+def require_hermitian(a: np.ndarray) -> np.ndarray:
+    """Validate Hermitian symmetry (relative Frobenius deviation < _HERMITIAN_TOL).
 
     Raises SingularGram when A holds a NaN or an infinite entry.
     """
@@ -41,7 +41,7 @@ def require_hermitian(a: np.ndarray, tol: float = _HERMITIAN_TOL) -> np.ndarray:
     scale = np.linalg.norm(a)
     if not np.isfinite(scale):
         raise SingularGram(f"matrix is not finite (Frobenius norm {scale})")
-    if scale > 0 and np.linalg.norm(a - a.conj().T) >= tol * scale:
+    if scale > 0 and np.linalg.norm(a - a.conj().T) >= _HERMITIAN_TOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     return a
 

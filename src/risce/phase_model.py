@@ -10,9 +10,10 @@ feasibility projection (keep the phase, replace the amplitude by the law) and
 the one-dimensional phase search behind both pattern-design algorithms,
 :func:`minimize_pattern_entries`.
 
-The phase search is exact under the ideal law.  Otherwise it scores a grid,
-refines the best point by safeguarded Newton (for alpha < 1, the best point
-on each side of the cusp at theta_d = delta - pi/2) and scores theta_d last.
+The phase search is exact under the ideal law.  Otherwise it scores a fixed
+grid of GRID_POINTS phases, refines the best point by safeguarded Newton
+(for alpha < 1, the best point on each side of the cusp at
+theta_d = delta - pi/2) and scores theta_d last.
 For alpha < 1/2 a dip at the cusp can be narrower than the grid spacing,
 and then neither the grid nor the refinement finds a minimum that sits on it.
 """
@@ -27,8 +28,8 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# Grid/refinement defaults for the one-dimensional phase search.
-DEFAULT_GRID_POINTS = 1024
+# Grid size and Newton limits of the one-dimensional phase search.
+GRID_POINTS = 1024
 _NEWTON_CAP = 60
 _STEP_ULPS = 4
 
@@ -109,13 +110,13 @@ def _phase_cost(q, c, theta, model: ReflectionModel):
 
 
 @lru_cache(maxsize=16)
-def _search_grid(model: ReflectionModel, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only grid and (3, G) basis [beta^2; 2 beta cos; -2 beta sin].
+def _search_grid(model: ReflectionModel) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only grid and (3, GRID_POINTS) basis [beta^2; 2 beta cos; -2 beta sin].
 
     For alpha < 1 the grid starts half a step past the cusp at theta_d.
     """
-    start = _amplitude_minimum(model) + math.pi / grid_points if model.alpha < 1.0 else 0.0
-    grid = np.linspace(start, start + TWO_PI, grid_points, endpoint=False)
+    start = _amplitude_minimum(model) + math.pi / GRID_POINTS if model.alpha < 1.0 else 0.0
+    grid = np.linspace(start, start + TWO_PI, GRID_POINTS, endpoint=False)
     beta = amplitude_of_phase(grid, model)
     basis = np.stack([beta**2, 2.0 * beta * np.cos(grid), -2.0 * beta * np.sin(grid)])
     grid.flags.writeable = basis.flags.writeable = False
@@ -176,7 +177,6 @@ def minimize_phase_objectives(
     quad_coeffs: np.ndarray,
     lin_coeffs: np.ndarray,
     model: ReflectionModel,
-    grid_points: int = DEFAULT_GRID_POINTS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minimize q * beta(theta)^2 + 2*Re{c * beta(theta) * e^{j theta}} per entry.
 
@@ -188,8 +188,6 @@ def minimize_phase_objectives(
     minimizing thetas and their values.  Both pattern updates reach it
     through :func:`minimize_pattern_entries`.
     """
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
     q = np.asarray(quad_coeffs, dtype=float).ravel()
     c = np.asarray(lin_coeffs, dtype=complex).ravel()
     if q.shape != c.shape:
@@ -197,12 +195,12 @@ def minimize_phase_objectives(
     if model.is_ideal:   # q + 2|c| cos(theta + arg c) is least at pi - arg c
         return np.where(c == 0.0, 0.0, (math.pi - np.angle(c)) % TWO_PI), q - 2.0 * np.abs(c)
 
-    grid, basis = _search_grid(model, grid_points)
+    grid, basis = _search_grid(model)
     vals = np.stack([q, c.real, c.imag], axis=1) @ basis    # (E, G)
-    theta_d, span = _amplitude_minimum(model), TWO_PI / grid_points
-    cuts, lo, hi = [0, grid_points], -np.inf, np.inf
+    theta_d, span = _amplitude_minimum(model), TWO_PI / GRID_POINTS
+    cuts, lo, hi = [0, GRID_POINTS], -np.inf, np.inf
     if model.alpha < 1.0:   # a slice per side of the cusp; no bracket crosses it
-        cuts, lo, hi = [0, grid_points // 2, grid_points], theta_d, theta_d + TWO_PI
+        cuts, lo, hi = [0, GRID_POINTS // 2, GRID_POINTS], theta_d, theta_d + TWO_PI
     best = np.stack([i + np.argmin(vals[:, i:j], axis=1)    # first best of each slice
                      for i, j in zip(cuts[:-1], cuts[1:])], axis=1)
     theta0, qc, cc = grid[best], q[:, None], c[:, None]
@@ -222,7 +220,6 @@ def minimize_pattern_entries(
     q: float,
     c: np.ndarray,
     model: ReflectionModel,
-    grid_points: int = DEFAULT_GRID_POINTS,
 ) -> np.ndarray:
     """Entrywise pattern step: the (M+1, B) minimizer of the separable cost.
 
@@ -232,7 +229,7 @@ def minimize_pattern_entries(
     coefficients.
     """
     m, b = c.shape
-    thetas, _ = minimize_phase_objectives(np.full(m * b, q), c, model, grid_points)
+    thetas, _ = minimize_phase_objectives(np.full(m * b, q), c, model)
     v = np.ones((m + 1, b), dtype=complex)
     v[:m] = reflection_coefficient(thetas, model).reshape(m, b)
     return v

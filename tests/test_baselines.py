@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import ideal_update_lmmse, ideal_update_ls, random_feasible_pattern
 from risce.baselines import (
@@ -12,6 +13,7 @@ from risce.baselines import (
     naive_pattern,
     onoff_pattern,
 )
+from risce.channel import CorrelationSpec, cascaded_correlation, grouped_cascaded_correlation
 from risce.errors import InvalidDims, InvalidGrouping
 from risce.ls_design import design_ls, dft_training, ls_objective
 from risce.phase_model import (
@@ -167,6 +169,35 @@ class TestGrouping:
             group_reduce(8, 3)
         with pytest.raises(InvalidGrouping):
             group_reduce(8, 0)
+
+
+_psi = st.floats(0.0, 0.95, exclude_max=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 3), m_g=st.integers(1, 4), rho=st.integers(1, 3),
+       l=st.integers(1, 3), psi=st.tuples(_psi, _psi, _psi),
+       seed=st.integers(0, 2**32 - 1))
+def test_grouping_is_the_block_expansion_map(k, m_g, rho, l, psi, seed):
+    # Grouping is Gamma -> Gamma P with P = blockdiag(kron(indicator, I_K), I_K):
+    # the simulated sweep applies combine_gamma, the grouped LMMSE design
+    # reads the grouped correlation, and both must be this one map.
+    m = m_g * rho
+    grouping = group_reduce(m, rho)
+    indicator = grouping.indicator()
+    p = np.zeros(((m + 1) * k, (m_g + 1) * k))
+    p[: m * k, : m_g * k] = np.kron(indicator, np.eye(k))
+    p[m * k :, m_g * k :] = np.eye(k)
+    rng = np.random.default_rng(seed)
+    shape = (l, (m + 1) * k)
+    gamma = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    expected = gamma @ p
+    got = grouping.combine_gamma(gamma, k)
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+    corr = CorrelationSpec(*psi)
+    expected = p.T @ cascaded_correlation(corr, m, k, l) @ p
+    got = grouped_cascaded_correlation(corr, indicator, k, l)
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 class TestSchemeId:

@@ -1,6 +1,7 @@
 """Tests for the sweep/convergence harness and the command-line interface."""
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from risce.experiments import (
 )
 from risce.lmmse_design import design_lmmse
 from risce.ls_design import DEFAULT_EPS, design_ls, dft_training
-from risce.phase_model import DEFAULT_GRID_POINTS, ReflectionModel
+from risce.phase_model import ReflectionModel
 
 FAST = dict(k=2, m=3, l=2, trials=3, snr_db=(0.0, 10.0), accelerate=True)
 
@@ -52,7 +53,6 @@ class TestExperimentConfig:
         assert cfg.model == ReflectionModel()
         assert cfg.corr == CorrelationSpec()
         assert cfg.eps == DEFAULT_EPS
-        assert cfg.grid_points == DEFAULT_GRID_POINTS
 
 
 class TestRunSweep:
@@ -176,13 +176,12 @@ class TestRunConvergence:
 
     @pytest.mark.parametrize("estimator", ["ls", "lmmse"])
     def test_variants_are_the_configured_designs(self, estimator):
-        # Non-default eps, max_iter and grid_points must all reach the design.
-        cfg = ExperimentConfig(**FAST, estimator=estimator, eps=1e-6, max_iter=7,
-                               grid_points=17)
+        # Non-default eps and max_iter must both reach the design.
+        cfg = ExperimentConfig(**FAST, estimator=estimator, eps=1e-6, max_iter=7)
         rows = run_convergence(cfg)
         sys_cfg = cfg.system(cfg.snr_db[0])
         r_gamma = cascaded_correlation(cfg.corr, cfg.m, cfg.k, cfg.l)
-        opts = dict(eps=cfg.eps, max_iter=cfg.max_iter, grid_points=cfg.grid_points)
+        opts = dict(eps=cfg.eps, max_iter=cfg.max_iter)
         for variant, accelerate in (("mm", False), ("accelerated", True)):
             if estimator == "ls":
                 _, trace = design_ls(sys_cfg, cfg.model, accelerate=accelerate, **opts)
@@ -264,16 +263,16 @@ class TestCli:
         ["--psi-ue", "1.5"], ["--k", "0"], ["--eps", "nan"],
         ["--b", "3"], ["--tau", "1", "--k", "2"], ["--delta", "inf"],
         ["--snr-db", "0", "nan"], ["--scheme", "proposed-grouped", "--rho", "3"],
-        ["--grid-points", "1"], ["--max-iter", "-1"],
-        ["--scheme", "proposed", "--grid-points", "1"],
+        ["--trials", "0"], ["--max-iter", "-1"], ["--seed", "-1"],
     ])
     def test_bad_value_is_config_error(self, flag):
         rc = main(["sweep", "--analytic-only", "--scheme", "naive", *flag])
         assert rc == 2
 
-    # sigma2 is fixed at 1 (power is SNR * sigma2), so it is no config key.
+    # sigma2 is fixed at 1 (power is SNR * sigma2) and the phase-search grid
+    # at GRID_POINTS, so neither is a config key.
     @pytest.mark.parametrize("line", ["mm = 3", "k = two", "accelerate = maybe",
-                                      "sigma2 = 1"])
+                                      "sigma2 = 1", "grid_points = 64"])
     def test_bad_config_line_named(self, tmp_path, capsys, line):
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text(f"m = 3\n{line}\n")
@@ -290,7 +289,7 @@ class TestCli:
             "--tau", "--snr-db", "--trials", "--seed", "--beta-min",
             "--alpha", "--delta", "--psi-ue", "--psi-ris", "--psi-bs", "--scheme",
             "--estimator", "--accel", "--no-accel", "--eps", "--max-iter",
-            "--grid-points", "--rho", "--output", "--analytic-only", "--plot-data",
+            "--rho", "--output", "--analytic-only", "--plot-data",
         }
 
     def test_converge_subcommand(self, tmp_path):
@@ -318,6 +317,16 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_validate_near_singular_correlation_fails_check(self, capsys):
+        # R_Gamma is singular to working precision at psi = 1 - 1e-10, so the
+        # direct form of the LMMSE MSE cannot be formed: that check fails
+        # and validate exits as a numerical failure.
+        psi = "0.9999999999"
+        rc = main(["validate", "--psi-ue", psi, "--psi-ris", psi, "--psi-bs", psi])
+        assert rc == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert "FAIL lmmse-mse-forms-agree direct form: Singular matrix" in lines
 
     def test_plot_data_emitter(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -393,3 +402,15 @@ def test_public_names_resolve():
     missing = [name for name in risce.__all__ if not hasattr(risce, name)]
     assert missing == []
     assert len(set(risce.__all__)) == len(risce.__all__)
+
+
+def test_readme_quick_start_runs(capsys):
+    # The README's library example runs as written and prints two finite,
+    # positive NMSEs.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    values = [float(v) for v in re.findall(r"^(?:LS|LMMSE) NMSE: (\S+)$", out, flags=re.M)]
+    assert len(values) == 2
+    assert all(np.isfinite(v) and v > 0.0 for v in values)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import ideal_update_lmmse, ideal_update_ls, phase_cost
 from risce.phase_model import (
+    GRID_POINTS,
     ReflectionModel,
     amplitude_of_phase,
     ideal_model,
@@ -147,8 +148,8 @@ class TestPhaseSearch:
         for _ in range(10):
             qs.append(rng.uniform(0.0, 5.0))
             cs.append(rng.standard_normal() + 1j * rng.standard_normal())
-        thetas, values = minimize_phase_objectives(qs, cs, model, grid_points=1024)
-        grid = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
+        thetas, values = minimize_phase_objectives(qs, cs, model)
+        grid = np.linspace(0.0, TWO_PI, GRID_POINTS, endpoint=False)
         for q, c, theta, value in zip(qs, cs, thetas, values):
             assert value <= np.min(phase_cost(q, c, grid, model)) + 1e-14
             assert 0.0 <= theta < TWO_PI
@@ -191,10 +192,6 @@ class TestPhaseSearch:
             scale = np.maximum(np.abs(expanded), 1e-12)
             assert np.max(np.abs(direct - expanded) / scale) < 1e-12
 
-    def test_tiny_grid_rejected(self, model):
-        with pytest.raises(ValueError):
-            minimize_phase_objectives([1.0], [0j], model, grid_points=1)
-
     def test_cusp_minimum_found(self):
         # For alpha < 1/2 the amplitude minimum theta_d = delta - pi/2 is a
         # cusp whose dip is narrower than the grid spacing.  With beta_min = 0
@@ -235,9 +232,9 @@ class TestPhaseSearch:
         assert np.all((thetas >= 0.0) & (thetas < TWO_PI))
 
     def test_cached_basis_is_read_only(self, model):
-        grid, basis = _search_grid(model, 64)
-        assert _search_grid(model, 64)[1] is basis
-        assert basis.shape == (3, 64)
+        grid, basis = _search_grid(model)
+        assert _search_grid(model)[1] is basis
+        assert basis.shape == (3, GRID_POINTS)
         for array in (grid, basis):
             with pytest.raises(ValueError):
                 array[0] = 2.0
@@ -312,7 +309,7 @@ def _check_pattern_step(q, c, model, grid, rtol):
 
 
 DENSE_GRID = np.linspace(0.0, TWO_PI, 200_000, endpoint=False)
-SEARCH_GRID = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
+SEARCH_GRID = np.linspace(0.0, TWO_PI, GRID_POINTS, endpoint=False)
 
 
 @settings(max_examples=20, deadline=None)
