@@ -98,7 +98,7 @@ def mm_loop(
     The trace holds the objective at the initial point and after every step,
     the cumulative MM-update count and the elapsed time; it is non-increasing
     when the step is monotone.  converged is False when the budget runs out
-    (the last iterate is still returned).
+    (the last iterate is still returned); a step from 0 to 0 has converged.
     """
     trace = DesignTrace()
     start = time.perf_counter()
@@ -110,7 +110,7 @@ def mm_loop(
         iterate, new_obj, used = step(iterate, obj)
         calls += used
         trace.record(new_obj, calls, time.perf_counter() - start)
-        if abs(new_obj - obj) < eps * abs(obj):
+        if abs(new_obj - obj) < eps * abs(obj) or new_obj == obj == 0.0:
             trace.converged = True
             break
         obj = new_obj

@@ -5,13 +5,15 @@ psi^|i-j| at the UEs, the RIS and the BS; the same correlation matrix is used
 for both links seen at each node.  The quantity estimated at the BS is the
 cascaded channel Gamma = [g_1 h_{r,1}^H, ..., g_M h_{r,M}^H, H_d], whose
 correlation matrix E{Gamma^H Gamma} has the closed block-diagonal form
-produced by :func:`cascaded_correlation`.
+produced by :func:`cascaded_correlation`.  It is kron(A, L Psi_UE), and
+:func:`kronecker_factors` reads both factors back from its blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +43,15 @@ class ChannelRealization:
     g: np.ndarray      # (L, M)
     h_r: np.ndarray    # (M, K)
     h_d: np.ndarray    # (L, K)
+
+
+class KroneckerFactors(NamedTuple):
+    """R = kron(a, p), with the Hermitian square roots of both factors."""
+
+    a: np.ndarray
+    p: np.ndarray
+    a_half: np.ndarray
+    p_half: np.ndarray
 
 
 def exp_correlation(n: int, psi: float) -> np.ndarray:
@@ -145,3 +156,13 @@ def grouped_cascaded_correlation(
     r[: m_g * k, : m_g * k] = l * np.kron(factor, psi_ue)
     r[m_g * k :, m_g * k :] = l * psi_ue
     return r
+
+
+def kronecker_factors(r_gamma: np.ndarray, k: int) -> KroneckerFactors:
+    """P = R[-K:, -K:], A[i, j] = R[iK, jK] / P[0, 0]; DimensionMismatch unless R = kron(A, P)."""
+    p = r_gamma[-k:, -k:]
+    a = r_gamma[::k, ::k] / p[0, 0] if r_gamma.shape[0] % k == 0 and p[0, 0].real > 0 else None
+    tol = 4 * np.finfo(float).eps * np.max(np.abs(r_gamma))   # kron(A, P) rounds twice
+    if a is None or not np.max(np.abs(np.kron(a, p) - r_gamma)) <= tol:
+        raise DimensionMismatch(f"R {r_gamma.shape} is not kron(A, P) with a {k} x {k} P")
+    return KroneckerFactors(a, p, sqrt_psd(a), sqrt_psd(p))

@@ -31,6 +31,7 @@ from .channel import (
     cascaded_channel,
     cascaded_correlation,
     grouped_cascaded_correlation,
+    kronecker_factors,
     sample_channels,
 )
 from .errors import ConfigError, RisceError
@@ -223,12 +224,12 @@ def _design_cell(
 
 
 def _analytic_nmse(cell: CellDesign, cfg: ExperimentConfig) -> float:
-    s = cell.s
     m_eff = cell.grouping.m_grouped if cell.grouping else cfg.m
     if cfg.estimator == "ls":
-        j = system.mse_ls(s, cfg.sigma2, cfg.l)
+        j = system.mse_ls(cell.s, cfg.sigma2, cfg.l)
     else:
-        j = system.mse_lmmse(s, cell.r_gamma, cfg.sigma2, cfg.l)
+        j = system.mse_lmmse(cell.pattern.v, cell.training.x,
+                             kronecker_factors(cell.r_gamma, cfg.k), cfg.sigma2, cfg.l)
     return system.nmse(j, cfg.l, cfg.k, m_eff)
 
 
@@ -372,11 +373,11 @@ def run_validation(cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
     add("kronecker-trace-identity", worst < 1e-8, f"max rel err {worst:.2e}")
 
-    # LMMSE MSE: inversion-lemma form vs direct form.
+    # LMMSE MSE: factored form vs direct form.
     v = naive_pattern(cfg.m, cfg.b, model)
     x = dft_training(cfg.k, cfg.tau, sys_cfg.power)
     s = build_S(v, x)
-    lemma = system.mse_lmmse(s, r_gamma, cfg.sigma2, cfg.l)
+    lemma = system.mse_lmmse(v.v, x.x, kronecker_factors(r_gamma, cfg.k), cfg.sigma2, cfg.l)
     try:
         direct = np.trace(np.linalg.inv(
             np.linalg.inv(r_gamma) + (s @ s.conj().T) / (cfg.sigma2 * cfg.l)

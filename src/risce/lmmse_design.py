@@ -16,17 +16,22 @@ which is majorized once more per block to decouple the variables:
     :func:`~risce.phase_model.minimize_pattern_entries` with q = lambda3 K
     and c = -c_{m,n}.
 
-lambda2/lambda3 are spectral bounds: products of the largest eigenvalues
-(LAPACK eigvalsh) of the Kronecker factors, inflated by a small safety
-margin so the majorization survives rounding.  Each step builds only what it
-reads from the anchor (Xi0, Xi0 Xi0^H, X0, V0) of :func:`build_surrogate`:
-the training step lambda2 and B0 (:func:`training_terms`), the pattern step
-lambda3 and C0 at the X it sees (:func:`refresh_pattern_terms`), which in a
-plain round is the freshly updated X.  lambda_max(R) is computed once per
-design.
+R = kron(A, P) (:func:`~risce.channel.kronecker_factors`) and S0 = V0 kron X0, so
+Xi0 = (U1 kron U2) diag(1 / (d1 kron d2 + sigma^2 L)) (U1^H V0^H A kron U2^H X0^H P)
+with (d1, U1) = eigh(V0^H A V0) and (d2, U2) = eigh(X0^H P X0): no (M+1)K-sized
+solve.  Each step builds only what it reads, by contracting Xi0 and Xi0 Xi0^H
+with the factors: the per-UE sums b_k of B0's diagonal blocks
+(:func:`training_terms`), and the K x K block traces of C0 at the X the pattern
+step sees (:func:`refresh_pattern_terms`; in a plain round, the updated X).
+lambda2/lambda3 are spectral bounds with a small safety margin against
+rounding.  lambda_max(Vt0^H R Vt0) = d1_max lambda_max(P) and lambda_max(R) =
+lambda_max(A) lambda_max(P) come from the factors.  lambda_max(Xi0 Xi0^H) and
+lambda_max(W), W = (I_B kron X) Xi0 Xi0^H (I_B kron X)^H, stay dense eigvalsh
+calls: Xi0's middle factor (S0^H R S0 + sigma^2 L I)^{-1} is not a Kronecker
+product, so neither matrix is.
 
 The rounds run on :func:`risce.accel.mm_loop` over the pair (X, V).  A plain
-round is one MM update (one anchor, three eigen-solves); a SQUAREM round
+round is one MM update (one anchor, two dense eigen-solves); a SQUAREM round
 takes one SQUAREM step per block, training then pattern, so four MM updates.
 """
 
@@ -39,6 +44,7 @@ import numpy as np
 from . import numerics
 from .accel import mm_loop, plain_step, squarem_step
 from .baselines import naive_pattern
+from .channel import KroneckerFactors, kronecker_factors
 from .ls_design import (
     DEFAULT_EPS,
     DEFAULT_MAX_ITER_ACCEL,
@@ -51,7 +57,7 @@ from .phase_model import (
     minimize_pattern_entries,
     minimize_phase_objectives,  # noqa: F401  perfbench/selftest.py checks the tracer rebinds it here
 )
-from .system import ReflectionPattern, TrainingMatrix, lmmse_filter, mse_lmmse
+from .system import ReflectionPattern, TrainingMatrix, mse_lmmse
 from .types import DesignTrace, SystemConfig
 
 # Multiplicative slack on the eigenvalue products; the spectra are exact to
@@ -65,10 +71,11 @@ class LmmseSurrogateState(NamedTuple):
 
     xi0: np.ndarray        # (tau*B, (M+1)*K)
     xi_gram: np.ndarray    # Xi0 Xi0^H, (tau*B, tau*B)
-    xt0: np.ndarray        # I_B kron X0, (BK, tau*B)
-    vt0: np.ndarray        # V0 kron I_K, ((M+1)K, BK)
+    av0: np.ndarray        # A V0, (M+1, B)
+    vav0_max: float        # lambda_max(V0^H A V0)
     x0: TrainingMatrix
-    r_gamma: np.ndarray
+    v0: np.ndarray         # (M+1, B)
+    factors: KroneckerFactors
     sigma2: float
     l: int
 
@@ -77,7 +84,8 @@ class TrainingTerms(NamedTuple):
     """Second majorization of the training block at the anchor."""
 
     lambda2: float
-    b0: np.ndarray         # (tau*B, B*K) linear coefficients of the X step
+    b_sums: np.ndarray     # (tau, K); column k is b_k
+    b: int                 # subframes B
     x0: TrainingMatrix     # a vanishing b_k keeps its row
 
 
@@ -85,7 +93,7 @@ class PatternTerms(NamedTuple):
     """Second majorization of the pattern block at one training X."""
 
     lambda3: float
-    c0: np.ndarray         # (B*K, (M+1)*K) linear coefficients of the V step
+    c: np.ndarray          # (M+1, B); c[m, n] is the trace of C0's block (n, m)
     k: int
 
 
@@ -93,55 +101,61 @@ def _spectral_bound(a: np.ndarray) -> float:
     return numerics.largest_eigenvalue(a).value
 
 
-def build_surrogate(
-    x0: TrainingMatrix,
-    v0: ReflectionPattern,
-    r_gamma: np.ndarray,
-    sigma2: float,
-    l: int,
-) -> LmmseSurrogateState:
-    """Compute the anchor Xi0 and Xi0 Xi0^H at (X0, V0)."""
-    vt0 = np.kron(v0.v, np.eye(x0.k))       # ((M+1)K, BK)
-    xt0 = np.kron(np.eye(v0.b), x0.x)       # (BK, tau*B)
-    xi0, _ = lmmse_filter(vt0 @ xt0, r_gamma, sigma2, l)
-    return LmmseSurrogateState(
-        xi0=xi0, xi_gram=xi0 @ xi0.conj().T, xt0=xt0, vt0=vt0, x0=x0,
-        r_gamma=r_gamma, sigma2=sigma2, l=l,
-    )
+def build_surrogate(x0: TrainingMatrix, v0: ReflectionPattern, factors: KroneckerFactors,
+                    sigma2: float, l: int) -> LmmseSurrogateState:
+    """Compute the anchor Xi0 and Xi0 Xi0^H at (X0, V0) from the factors."""
+    av0, xp = factors.a @ v0.v, x0.x.conj().T @ factors.p
+    d1, u1 = np.linalg.eigh(numerics.require_hermitian(v0.v.conj().T @ av0))
+    d2, u2 = np.linalg.eigh(numerics.require_hermitian(xp @ x0.x))
+    right = np.kron(u1.conj().T @ av0.conj().T, u2.conj().T @ xp)
+    xi0 = (np.kron(u1, u2) / (np.kron(d1, d2) + sigma2 * l)) @ right
+    return LmmseSurrogateState(xi0, xi0 @ xi0.conj().T, av0, float(d1[-1]), x0, v0.v,
+                               factors, sigma2, l)
 
 
-def training_terms(state: LmmseSurrogateState) -> TrainingTerms:
-    """lambda2 and B0 of the training step, anchored at (X0, V0)."""
-    xt0, vt0, r_gamma = state.xt0, state.vt0, state.r_gamma
-    m_v = vt0.conj().T @ r_gamma @ vt0      # (BK, BK)
-    lambda2 = SAFETY_MARGIN * _spectral_bound(state.xi_gram) * _spectral_bound(m_v)
-    b0 = lambda2 * xt0.conj().T - state.xi_gram @ xt0.conj().T @ m_v + state.xi0 @ r_gamma @ vt0
-    return TrainingTerms(lambda2=lambda2, b0=b0, x0=state.x0)
+def training_terms(state: LmmseSurrogateState, p_max: float) -> TrainingTerms:
+    """lambda2 and the b_k of the training step at (X0, V0); p_max is lambda_max(P).
+
+    b_k is column k of conj(B lambda2 X0^H - T2 X0^H P + T3 P), with T2 =
+    sum_{b,b'} [V0^H A V0]_{b'b} (Xi0 Xi0^H)_{bb'} and T3 = sum_{b,m} [A V0]_{mb} (Xi0)_{bm}.
+    """
+    b, tau, k = state.v0.shape[1], state.x0.tau, state.x0.k
+    lambda2 = SAFETY_MARGIN * _spectral_bound(state.xi_gram) * (state.vav0_max * p_max)
+    t2 = np.einsum("asbt,ba->st", state.xi_gram.reshape(b, tau, b, tau),
+                   state.v0.conj().T @ state.av0)
+    t3 = np.einsum("atmk,ma->tk", state.xi0.reshape(b, tau, -1, k), state.av0)
+    x0h, p = state.x0.x.conj().T, state.factors.p
+    b_sums = np.conj(b * lambda2 * x0h - t2 @ x0h @ p + t3 @ p)
+    return TrainingTerms(lambda2=lambda2, b_sums=b_sums, b=b, x0=state.x0)
 
 
 def refresh_pattern_terms(
     state: LmmseSurrogateState, x: TrainingMatrix, r_max: float
 ) -> PatternTerms:
-    """lambda3 and C0 of the pattern step at training x, keeping Xi0 and V0.
+    """lambda3 and the C0 block traces of the pattern step at training x; r_max = lambda_max(R).
 
-    r_max is lambda_max(R).  Within a plain round x is the updated training:
-    the pattern step sees the new X while staying anchored at the round's
-    Xi0, which preserves monotone descent.
+    The traces are lambda3 K conj(V0) - (Tw V0^H A)^T + (Z A)^T, with
+    Tw[n, n'] = Tr(W_{nn'} P) and Z[n, m] = Tr(X (Xi0)_{nm} P).  Within a plain
+    round x is the updated training: the pattern step sees the new X while
+    staying anchored at the round's Xi0 and V0, which preserves monotone descent.
     """
-    xt = np.kron(np.eye(state.xt0.shape[0] // x.k), x.x)    # I_B kron X
-    vt0, r_gamma = state.vt0, state.r_gamma
-    w = xt @ state.xi_gram @ xt.conj().T    # (BK, BK)
+    b, tau, k, p = state.v0.shape[1], x.tau, x.k, state.factors.p
+    w = (x.x @ state.xi_gram.reshape(b, tau, b * tau)).reshape(-1, tau) @ x.x.conj().T
+    w = w.reshape(b * k, b * k)             # (I_B kron X) Xi0 Xi0^H (I_B kron X)^H
     lambda3 = SAFETY_MARGIN * _spectral_bound(w) * r_max
-    c0 = lambda3 * vt0.conj().T - w @ vt0.conj().T @ r_gamma + xt @ state.xi0 @ r_gamma
-    return PatternTerms(lambda3=lambda3, c0=c0, k=x.k)
+    tw = np.einsum("akbl,lk->ab", w.reshape(b, k, b, k), p)
+    z = np.einsum("lt,ntml->nm", p @ x.x, state.xi0.reshape(b, tau, -1, k))
+    c = lambda3 * k * np.conj(state.v0) - (tw @ state.av0.conj().T).T + (z @ state.factors.a).T
+    return PatternTerms(lambda3=lambda3, c=c, k=k)
 
 
 def surrogate_value(state: LmmseSurrogateState, s: np.ndarray) -> float:
     """g(S; S0) of the first majorization, for domination/tangency checks."""
+    r_gamma = np.kron(state.factors.a, state.factors.p)
     quad = float(np.real(np.trace(
-        state.xi0.conj().T @ s.conj().T @ state.r_gamma @ s @ state.xi0
+        state.xi0.conj().T @ s.conj().T @ r_gamma @ s @ state.xi0
     )))
-    lin = -2.0 * float(np.real(np.trace(state.xi0 @ state.r_gamma @ s)))
+    lin = -2.0 * float(np.real(np.trace(state.xi0 @ r_gamma @ s)))
     const = state.sigma2 * state.l * float(np.real(np.trace(state.xi_gram)))
     return quad + lin + const
 
@@ -149,38 +163,27 @@ def surrogate_value(state: LmmseSurrogateState, s: np.ndarray) -> float:
 def update_training(terms: TrainingTerms, power) -> TrainingMatrix:
     """Closed-form per-UE training update of the decoupled quadratic problem.
 
-    b_k sums the conjugated diagonal (subframe) blocks of B0; the solution is
-    sqrt(P_k) b_k / ||b_k|| on the power boundary when ||b_k|| exceeds
-    sqrt(P_k) lambda2 B, and b_k / (lambda2 B) inside it.  A vanishing b_k
-    keeps the previous training row.
+    The solution is sqrt(P_k) b_k / ||b_k|| on the power boundary when
+    ||b_k|| exceeds sqrt(P_k) lambda2 B, and b_k / (lambda2 B) inside it.
+    A vanishing b_k keeps the previous training row.
     """
     power = np.asarray(power, dtype=float)
-    tau, k = terms.x0.tau, terms.x0.k
-    b = terms.b0.shape[0] // tau
-    blocks = np.conj(terms.b0).reshape(b, tau, b, k)
-    b_sum = np.einsum("btbk->tk", blocks)    # (tau, K); column k is b_k
-    x_new = np.empty((k, tau), dtype=complex)
-    for uk in range(k):
-        b_k = b_sum[:, uk]
+    x_new = np.empty(terms.x0.x.shape, dtype=complex)
+    for uk in range(terms.x0.k):
+        b_k = terms.b_sums[:, uk]
         norm_b = np.linalg.norm(b_k)
         if norm_b == 0.0:
             x_new[uk] = terms.x0.x[uk]
-        elif norm_b > np.sqrt(power[uk]) * terms.lambda2 * b:
+        elif norm_b > np.sqrt(power[uk]) * terms.lambda2 * terms.b:
             x_new[uk] = np.sqrt(power[uk]) / norm_b * b_k
         else:
-            x_new[uk] = b_k / (terms.lambda2 * b)
+            x_new[uk] = b_k / (terms.lambda2 * terms.b)
     return TrainingMatrix(x=x_new, power=power)
 
 
-def update_pattern(
-    terms: PatternTerms,
-    model: ReflectionModel,
-) -> ReflectionPattern:
+def update_pattern(terms: PatternTerms, model: ReflectionModel) -> ReflectionPattern:
     """Entrywise pattern update of the decoupled quadratic problem."""
-    k = terms.k
-    blocks = terms.c0.reshape(terms.c0.shape[0] // k, k, terms.c0.shape[1] // k, k)
-    c_mat = np.einsum("nkmk->mn", blocks)    # (M+1, B)
-    v = minimize_pattern_entries(terms.lambda3 * k, -c_mat[:-1], model)
+    v = minimize_pattern_entries(terms.lambda3 * terms.k, -terms.c[:-1], model)
     return ReflectionPattern(v=v)
 
 
@@ -216,22 +219,24 @@ def design_lmmse(
 
     sigma2, l = config.sigma2, config.l
     power = config.power
-    r_max = _spectral_bound(r_gamma)
+    factors = kronecker_factors(r_gamma, config.k)
+    p_max = _spectral_bound(factors.p)
+    r_max = _spectral_bound(factors.a) * p_max
 
     def mse_of(v: np.ndarray, x: np.ndarray) -> float:
-        return mse_lmmse(np.kron(v, x), r_gamma, sigma2, l)
+        return mse_lmmse(v, x, factors, sigma2, l)
 
     def objective(pair) -> float:
         x, v = pair
         return mse_of(v.v, x.x)
 
     def anchor(x: TrainingMatrix, v: ReflectionPattern) -> LmmseSurrogateState:
-        return build_surrogate(x, v, r_gamma, sigma2, l)
+        return build_surrogate(x, v, factors, sigma2, l)
 
     def mm_round(pair):
         x, v = pair
         state = anchor(x, v)
-        x = update_training(training_terms(state), power)
+        x = update_training(training_terms(state, p_max), power)
         return x, update_pattern(refresh_pattern_terms(state, x, r_max), model)
 
     def squarem_round(pair, obj):
@@ -239,7 +244,7 @@ def design_lmmse(
         x_arr, obj, n_x = squarem_step(
             x.x,
             lambda xa: update_training(
-                training_terms(anchor(TrainingMatrix(x=xa, power=power), v)), power).x,
+                training_terms(anchor(TrainingMatrix(x=xa, power=power), v), p_max), power).x,
             lambda xa: project_training_rows(xa, power),
             lambda xa: mse_of(v.v, xa),
             obj,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from risce.channel import kronecker_factors
 from risce.phase_model import ReflectionModel, reflection_coefficient
 from risce.system import ReflectionPattern, TrainingMatrix
 
@@ -64,6 +65,11 @@ def random_hpd(rng, n, jitter=0.1) -> np.ndarray:
     """Random Hermitian positive definite matrix."""
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return a @ a.conj().T + jitter * np.eye(n)
+
+
+def random_factors(rng, n_a, k):
+    """Factors of R = kron(A, P) for random HPD A (n_a x n_a) and P (k x k)."""
+    return kronecker_factors(np.kron(random_hpd(rng, n_a), random_hpd(rng, k)), k)
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ from risce.channel import (
     CorrelationSpec,
     cascaded_channel,
     cascaded_correlation,
+    kronecker_factors,
     sample_channels,
 )
 from risce.experiments import ExperimentConfig, run_sweep
@@ -109,7 +110,7 @@ def test_c2_majorization_suites():
     r = cascaded_correlation(CORR, 3, 2, 4)
     x0 = random_training(rng, 2, 2, cfg.power)
     w0 = random_feasible_pattern(rng, 3, 4, MODEL)
-    state = build_surrogate(x0, w0, r, 1.0, 4)
+    state = build_surrogate(x0, w0, kronecker_factors(r, 2), 1.0, 4)
     s0 = build_S(w0, x0)
     g0 = lmmse_objective(s0, r, 1.0, 4)
     tangency2 = abs(surrogate_value(state, s0) - g0) / abs(g0)
@@ -167,7 +168,7 @@ def test_c4_closed_form_optimality_oracles():
         b_k = rng.standard_normal(tau) + 1j * rng.standard_normal(tau)
         x0 = TrainingMatrix(x=np.zeros((1, tau), dtype=complex), power=np.array([p]))
         terms = TrainingTerms(
-            lambda2=lam2 * n_sub, b0=np.conj(b_k).reshape(tau, 1), x0=x0,
+            lambda2=lam2 * n_sub, b_sums=b_k.reshape(tau, 1), b=1, x0=x0,
         )
         x_closed = update_training(terms, [p]).x[0]
         # independent oracle: projected gradient descent on the ball
@@ -341,7 +342,7 @@ def test_c9_estimator_consistency():
     ratio_ls = acc / n_trials / analytic_ls
     assert abs(ratio_ls - 1.0) < 0.03
 
-    analytic_lm = mse_lmmse(s, R_DESK, 1.0, 4)
+    analytic_lm = mse_lmmse(v.v, x.x, kronecker_factors(R_DESK, 2), 1.0, 4)
     acc = 0.0
     for t in range(n_trials):
         gamma = cascaded_channel(

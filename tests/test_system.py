@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
-from conftest import random_feasible_pattern, random_hpd, random_training
+from conftest import random_factors, random_feasible_pattern, random_hpd, random_training
 from risce.channel import (
     CorrelationSpec,
     cascaded_channel,
     cascaded_correlation,
+    grouped_cascaded_correlation,
+    kronecker_factors,
     sample_channels,
 )
 from risce.errors import DimensionMismatch, InvalidDims, SingularGram
+from risce.baselines import group_reduce
 from risce.ls_design import dft_training
 from risce.baselines import naive_pattern
 from risce.system import (
@@ -26,6 +29,19 @@ from risce.system import (
     simulate_reception,
 )
 from risce.types import SystemConfig
+
+
+def _ideal_naive_dft_mse(corr, indicator, k, l, power):
+    """sum_ij alpha_i p_j / (1 + B P alpha_i p_j / L) at sigma^2 = 1 (test oracle)."""
+    psi_ris = corr.psi_ris ** np.abs(np.subtract.outer(np.arange(indicator.shape[0]),
+                                                       np.arange(indicator.shape[0])))
+    n = indicator.shape[1] + 1
+    a = np.eye(n)
+    a[:-1, :-1] = indicator.T @ (psi_ris * psi_ris) @ indicator
+    psi_ue = corr.psi_ue ** np.abs(np.subtract.outer(np.arange(k), np.arange(k)))
+    alpha, p = np.linalg.eigvalsh(a), l * np.linalg.eigvalsh(psi_ue)
+    prod = np.outer(alpha, p)
+    return float(np.sum(prod / (1.0 + n * power * prod / l)))
 
 
 class TestContainers:
@@ -167,7 +183,10 @@ class TestEstimators:
     def test_lmmse_monte_carlo_mse(self, rng):
         cfg, s, _, r = self._setup(rng)
         corr = CorrelationSpec()
-        analytic = mse_lmmse(s, r, 1.0, 4)
+        from risce.phase_model import ReflectionModel
+
+        v, x = naive_pattern(3, 4, ReflectionModel()), dft_training(2, 2, cfg.power)
+        analytic = mse_lmmse(v.v, x.x, kronecker_factors(r, 2), 1.0, 4)
         errs = []
         for t in range(2000):
             gamma = cascaded_channel(sample_channels(np.random.SeedSequence([9, t]), cfg, corr))
@@ -198,9 +217,10 @@ class TestAnalyticMse:
         assert mse_ls(s, 2.0, 4) == pytest.approx(oracle, rel=1e-10)
 
     def test_lmmse_no_information(self, rng):
-        r = random_hpd(rng, 6)
-        s = np.zeros((6, 6))
-        assert mse_lmmse(s, r, 1.0, 4) == pytest.approx(np.real(np.trace(r)), rel=1e-12)
+        f = random_factors(rng, 3, 2)
+        r = np.kron(f.a, f.p)
+        j = mse_lmmse(np.zeros((3, 3)), np.zeros((2, 2)), f, 1.0, 4)
+        assert j == pytest.approx(np.real(np.trace(r)), rel=1e-12)
 
     def test_lmmse_closed_form_orthogonal(self):
         # R = L I, V V^H = (M+1) I, X X^H = P I
@@ -210,51 +230,77 @@ class TestAnalyticMse:
         v = naive_pattern(m, m + 1, ideal_model())
         x = dft_training(k, k, np.full(k, p))
         s = build_S(v, x)
-        r = l * np.eye((m + 1) * k)
+        f = kronecker_factors(l * np.eye((m + 1) * k), k)
         expected = (m + 1) * k * l / (1.0 + (m + 1) * p / sigma2)
-        assert mse_lmmse(s, r, sigma2, l) == pytest.approx(expected, rel=1e-10)
+        assert mse_lmmse(v.v, x.x, f, sigma2, l) == pytest.approx(expected, rel=1e-10)
 
     def test_lmmse_never_worse_than_ls(self, model, rng):
         for _ in range(10):
             v = random_feasible_pattern(rng, 3, 4, model)
             x = random_training(rng, 2, 2, [1.0, 1.0])
-            s = build_S(v, x)
-            r = cascaded_correlation(CorrelationSpec(), 3, 2, 4)
-            assert mse_lmmse(s, r, 1.0, 4) <= mse_ls(s, 1.0, 4) + 1e-9
+            f = kronecker_factors(cascaded_correlation(CorrelationSpec(), 3, 2, 4), 2)
+            assert mse_lmmse(v.v, x.x, f, 1.0, 4) <= mse_ls(build_S(v, x), 1.0, 4) + 1e-9
 
     def test_inversion_lemma_equivalence(self, rng):
-        # Eq-15-style direct form vs the implemented no-R-inverse form.
+        # Eq-15-style direct form vs the implemented factored form.
         for _ in range(10):
-            r = random_hpd(rng, 6)
-            s = rng.standard_normal((6, 7)) + 1j * rng.standard_normal((6, 7))
+            f = random_factors(rng, 3, 2)
+            v = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+            x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            s = np.kron(v, x)
             direct = np.real(np.trace(np.linalg.inv(
-                np.linalg.inv(r) + s @ s.conj().T / (0.8 * 3)
+                np.linalg.inv(np.kron(f.a, f.p)) + s @ s.conj().T / (0.8 * 3)
             )))
-            assert mse_lmmse(s, r, 0.8, 3) == pytest.approx(direct, rel=1e-8)
+            assert mse_lmmse(v, x, f, 0.8, 3) == pytest.approx(direct, rel=1e-8)
 
     def test_lmmse_objective_identity(self, rng):
-        r = random_hpd(rng, 6)
-        s = rng.standard_normal((6, 7)) + 1j * rng.standard_normal((6, 7))
-        j = mse_lmmse(s, r, 1.0, 4)
-        g = lmmse_objective(s, r, 1.0, 4)
+        f = random_factors(rng, 3, 2)
+        r = np.kron(f.a, f.p)
+        v = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        j = mse_lmmse(v, x, f, 1.0, 4)
+        g = lmmse_objective(np.kron(v, x), r, 1.0, 4)
         assert np.real(np.trace(r)) + g == pytest.approx(j, rel=1e-12)
-        assert lmmse_objective(np.zeros((6, 7)), r, 1.0, 4) == pytest.approx(0.0, abs=1e-12)
+        assert lmmse_objective(np.zeros((6, 8)), r, 1.0, 4) == pytest.approx(0.0, abs=1e-12)
 
     def test_lmmse_high_snr_accurate_or_rejected(self):
         # Paper profile, naive pattern, DFT training: at 80 dB the MSE matches
-        # sigma^2 L Tr[(R S S^H + sigma^2 L I)^{-1} R]; at 150 dB the
-        # Tr R - explained form has cancelled to rounding and must raise.
-        from risce.phase_model import ReflectionModel
+        # sigma^2 L Tr[(R S S^H + sigma^2 L I)^{-1} R]; at 150 dB, where the
+        # old Tr R - explained form cancelled to rounding and had to raise,
+        # the factored form matches the ideal-law closed form.
+        from risce.phase_model import ReflectionModel, ideal_model
 
         k, m, l = 4, 20, 16
         r = cascaded_correlation(CorrelationSpec(), m, k, l)
+        f = kronecker_factors(r, k)
         v = naive_pattern(m, m + 1, ReflectionModel())
-        s80 = build_S(v, dft_training(k, k, np.full(k, 1e8)))
+        x80 = dft_training(k, k, np.full(k, 1e8))
+        s80 = build_S(v, x80)
         reference = l * np.real(np.trace(np.linalg.solve(
             r @ s80 @ s80.conj().T + l * np.eye(r.shape[0]), r)))
-        assert mse_lmmse(s80, r, 1.0, l) == pytest.approx(reference, rel=1e-6)
-        with pytest.raises(SingularGram):
-            mse_lmmse(build_S(v, dft_training(k, k, np.full(k, 1e15))), r, 1.0, l)
+        assert mse_lmmse(v.v, x80.x, f, 1.0, l) == pytest.approx(reference, rel=1e-6)
+        v_ideal = naive_pattern(m, m + 1, ideal_model())
+        j150 = mse_lmmse(v_ideal.v, dft_training(k, k, np.full(k, 1e15)).x, f, 1.0, l)
+        assert j150 == pytest.approx(
+            _ideal_naive_dft_mse(CorrelationSpec(), np.eye(m), k, l, 1e15), rel=1e-12)
+
+    @pytest.mark.parametrize("rho", [1, 2])
+    def test_lmmse_closed_form_oracle(self, rho):
+        # Ideal law: the naive pattern has V V^H = B I and the DFT training
+        # X X^H = P I, so J = sum_ij alpha_i p_j / (1 + B P alpha_i p_j / (sigma^2 L))
+        # over the eigenvalues of A and of P = L Psi_UE.
+        from risce.phase_model import ideal_model
+
+        k, m, l = 4, 20, 16
+        indicator = group_reduce(m, rho).indicator()
+        m_g = indicator.shape[1]
+        f = kronecker_factors(grouped_cascaded_correlation(CorrelationSpec(), indicator, k, l), k)
+        v = naive_pattern(m_g, m_g + 1, ideal_model())
+        for snr_db in range(-10, 151, 10):
+            power = 10.0 ** (snr_db / 10.0)
+            j = mse_lmmse(v.v, dft_training(k, k, np.full(k, power)).x, f, 1.0, l)
+            oracle = _ideal_naive_dft_mse(CorrelationSpec(), indicator, k, l, power)
+            assert j == pytest.approx(oracle, rel=1e-12), snr_db
 
     def test_trace_bound_for_gap_argument(self, rng):
         # Tr[(I + A)^{-1}] <= N a / (N + a) with a = Tr[A^{-1}]
