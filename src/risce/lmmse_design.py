@@ -108,7 +108,10 @@ def build_surrogate(x0: TrainingMatrix, v0: ReflectionPattern, factors: Kronecke
     d1, u1 = np.linalg.eigh(numerics.require_hermitian(v0.v.conj().T @ av0))
     d2, u2 = np.linalg.eigh(numerics.require_hermitian(xp @ x0.x))
     right = np.kron(u1.conj().T @ av0.conj().T, u2.conj().T @ xp)
-    xi0 = (np.kron(u1, u2) / (np.kron(d1, d2) + sigma2 * l)) @ right
+    # Pseudo-inverse anchor: drop rounding-level directions (sigma2 = 0 and a singular factor).
+    den = np.kron(d1, d2) + sigma2 * l
+    kept = den > den.size * np.finfo(float).eps * np.max(den)
+    xi0 = np.divide(np.kron(u1, u2), den, out=np.zeros((den.size,) * 2, complex), where=kept) @ right
     return LmmseSurrogateState(xi0, xi0 @ xi0.conj().T, av0, float(d1[-1]), x0, v0.v,
                                factors, sigma2, l)
 

@@ -10,7 +10,8 @@ point V0 the quadratic surrogate is
     A0       = -V0^H (V0 V0^H)^{-2} - lambda1 V0^H,
 
 which separates over entries; each entry reduces to a scalar phase search
-with q = lambda1 and c = [A0]_{n,m}.  lambda1 is refreshed every iteration.
+with q = lambda1 and c = [A0]_{n,m}.  Every iteration takes one checked
+(lam, U) = eigh(V0 V0^H): Tr[(V0 V0^H)^{-1}] = sum 1/lam, W = (U / lam^2)(U^H V0).
 The MM descent argument needs the bound only on the sublevel set
 f(V) <= f(V0); f is unbounded near rank-deficient V, so no quadratic
 majorizes it on the whole feasible set.
@@ -71,11 +72,11 @@ class LsSurrogate:
 def ls_surrogate(pattern: ReflectionPattern) -> LsSurrogate:
     """Build the MM surrogate of Tr[(V V^H)^{-1}] at the given pattern."""
     v0 = pattern.v
-    gram = v0 @ v0.conj().T
-    trace_inv = numerics.trace_of_inverse(gram)
+    lam, u = numerics.conditioned_eigh(v0 @ v0.conj().T)
+    trace_inv = float(np.sum(1.0 / lam))
     lambda1 = 3.0 * trace_inv**2
-    # W = (V0 V0^H)^{-2} V0, so A0 = -W^H - lambda1 V0^H.
-    w = numerics.solve_hpd(gram, numerics.solve_hpd(gram, v0))
+    # W = (V0 V0^H)^{-2} V0 = U diag(lam^-2) U^H V0, so A0 = -W^H - lambda1 V0^H.
+    w = (u / lam**2) @ (u.conj().T @ v0)
     a0 = -w.conj().T - lambda1 * v0.conj().T
     const = (
         trace_inv

@@ -1,8 +1,9 @@
 """Dense Hermitian kernels: largest eigenvalue, trace of inverse, HPD solves.
 
-Spectra come from one LAPACK ``eigvalsh`` call, exact to rounding.  Problem
-sizes stay small ((M+1)K below ~100 at paper scale), so everything is dense;
-explicit inverses are reserved for test oracles.
+One LAPACK call each, exact to rounding: ``eigvalsh`` for ``largest_eigenvalue``,
+``conditioned_spectrum`` and ``trace_of_inverse``; ``eigh`` for ``conditioned_eigh``
+(the LS surrogate); Cholesky for ``solve_hpd``.  Sizes stay small ((M+1)K below ~100
+at paper scale), so all is dense; explicit inverses are reserved for test oracles.
 """
 
 from __future__ import annotations
@@ -52,30 +53,34 @@ def largest_eigenvalue(a: np.ndarray) -> PowerIterationResult:
     return PowerIterationResult(float(np.linalg.eigvalsh(a)[-1]), True, 0)
 
 
-def conditioned_spectrum(a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian PD matrix (LAPACK eigvalsh).
+def _conditioned(decompose, a: np.ndarray):
+    """decompose(A), ``eigvalsh`` or ``eigh``, of Hermitian PD A.
 
     Raises SingularGram when A is not PD, its condition number exceeds
     CONDITION_LIMIT, or LAPACK fails to converge.
     """
     a = require_hermitian(a)
     try:
-        lam = np.linalg.eigvalsh(a)
+        out = decompose(a)
     except np.linalg.LinAlgError as exc:
         raise SingularGram("eigenvalue decomposition failed") from exc
+    lam = out if decompose is np.linalg.eigvalsh else out[0]
     if not (lam[0] > 0.0 and lam[-1] <= CONDITION_LIMIT * lam[0]):
         raise SingularGram(
             f"eigenvalues in [{lam[0]:.3e}, {lam[-1]:.3e}]: not PD within "
             f"condition number {CONDITION_LIMIT:.0e}"
         )
-    return lam
+    return out
 
 
-def _cholesky(a: np.ndarray) -> np.ndarray:
-    try:
-        return scipy.linalg.cholesky(a, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularGram("matrix is not positive definite") from exc
+def conditioned_spectrum(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of Hermitian PD A (eigvalsh), checked by :func:`_conditioned`."""
+    return _conditioned(np.linalg.eigvalsh, a)
+
+
+def conditioned_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending (eigenvalues, eigenvectors) of Hermitian PD A (eigh), checked likewise."""
+    return _conditioned(np.linalg.eigh, a)
 
 
 def trace_of_inverse(a: np.ndarray) -> float:
@@ -87,8 +92,10 @@ def trace_of_inverse(a: np.ndarray) -> float:
 
 
 def solve_hpd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A X = B for Hermitian PD A via Cholesky."""
-    a = require_hermitian(a)
-    low = _cholesky(a)
+    """Solve A X = B for Hermitian PD A via Cholesky; SingularGram unless PD."""
+    try:
+        low = scipy.linalg.cholesky(require_hermitian(a), lower=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularGram("matrix is not positive definite") from exc
     y = scipy.linalg.solve_triangular(low, b, lower=True)
     return scipy.linalg.solve_triangular(low.conj().T, y, lower=False)

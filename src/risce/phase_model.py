@@ -128,23 +128,23 @@ def _amplitude_minimum(model: ReflectionModel) -> float:
     return (model.delta - 0.5 * math.pi) % TWO_PI
 
 
-def _phase_cost_slopes(q, c, theta, model: ReflectionModel):
-    """First and second theta-derivatives of :func:`_phase_cost`, broadcast.
+def _phase_cost_slopes(q, c_re, c_im, theta, model: ReflectionModel):
+    """First and second theta-derivatives of :func:`_phase_cost` at c = c_re + j c_im.
 
-    beta'' uses cos^2 u = 2 s (1 - sin u), so both are finite for alpha >= 1.
+    beta'' uses cos^2 u = 2 s (1 - sin u), so both are finite for alpha >= 1;
+    below that the caller sets the floating-point error state.
     """
     sin_t, cos_t = np.sin(theta), np.cos(theta)
     sin_u, cos_u = np.sin(theta - model.delta), np.cos(theta - model.delta)
     s, a, k = 0.5 * (sin_u + 1.0), model.alpha, 1.0 - model.beta_min
-    g = np.real(c) * cos_t - np.imag(c) * sin_t    # Re{c e^{j theta}}
-    dg = -np.real(c) * sin_t - np.imag(c) * cos_t
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        p = s ** (a - 1.0)
-        beta, p = k * p * s + model.beta_min, 0.5 * a * k * p
-        d_beta, dd_beta = p * cos_u, p * (a - 1.0 - a * sin_u)
-        d1 = 2.0 * (d_beta * (q * beta + g) + beta * dg)
-        d2 = 2.0 * (q * (d_beta**2 + beta * dd_beta) + dd_beta * g
-                    + 2.0 * d_beta * dg - beta * g)
+    g = c_re * cos_t - c_im * sin_t    # Re{c e^{j theta}}
+    dg = -c_re * sin_t - c_im * cos_t
+    p = s ** (a - 1.0)
+    beta, p = k * p * s + model.beta_min, 0.5 * a * k * p
+    d_beta, dd_beta = p * cos_u, p * (a - 1.0 - a * sin_u)
+    d1 = 2.0 * (d_beta * (q * beta + g) + beta * dg)
+    d2 = 2.0 * (q * (d_beta**2 + beta * dd_beta) + dd_beta * g
+                + 2.0 * d_beta * dg - beta * g)
     return d1, d2
 
 
@@ -154,22 +154,26 @@ def _newton_refine(q, c, x, lo, hi, model: ReflectionModel) -> np.ndarray:
     Bisects where a step is not finite, has f'' <= 0 or leaves the bracket;
     an entry stops once it moves at most _STEP_ULPS ulps of 2 pi.  A point
     where f' is not finite (s rounds to 0 next to the alpha < 1 cusp) leaves
-    the bracket as it is.
+    the bracket as it is.  The live set shrinks only when an entry stops.
     """
     shape = x.shape
     q, c, x, lo, hi = (np.broadcast_to(v, shape).ravel() for v in (q, c, x, lo, hi))
+    c_re, c_im = c.real.copy(), c.imag.copy()
     out, live = x.copy(), np.arange(x.size)
-    for _ in range(_NEWTON_CAP):
-        d1, d2 = _phase_cost_slopes(q, c, x, model)
-        lo, hi = np.where(d1 <= 0.0, x, lo), np.where(d1 > 0.0, x, hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_NEWTON_CAP):
+            d1, d2 = _phase_cost_slopes(q, c_re, c_im, x, model)
+            lo, hi = np.where(d1 <= 0.0, x, lo), np.where(d1 > 0.0, x, hi)
             step = x - d1 / d2
-        x_new = np.where((d2 > 0.0) & (step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
-        out[live] = x_new
-        moving = np.abs(x_new - x) > _STEP_ULPS * np.spacing(TWO_PI)
-        if not moving.any():
-            break
-        live, q, c, lo, hi, x = (v[moving] for v in (live, q, c, lo, hi, x_new))
+            x_new = np.where((d2 > 0.0) & (step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+            out[live] = x_new
+            moving = np.abs(x_new - x) > _STEP_ULPS * np.spacing(TWO_PI)
+            if not moving.all():
+                if not moving.any():
+                    break
+                live, q, c_re, c_im, lo, hi, x_new = (
+                    v[moving] for v in (live, q, c_re, c_im, lo, hi, x_new))
+            x = x_new
     return out.reshape(shape)
 
 

@@ -38,7 +38,7 @@ class ReflectionPattern:
         object.__setattr__(self, "v", v)
         if v.ndim != 2 or v.shape[0] < 2:
             raise DimensionMismatch(f"pattern must be (M+1) x B with M >= 1, got {v.shape}")
-        if not np.allclose(v[-1], 1.0, atol=1e-12):
+        if not np.all(np.abs(v[-1] - 1.0) <= 1e-12):   # NaN fails too
             raise DimensionMismatch("last pattern row must be all-ones")
 
     @property

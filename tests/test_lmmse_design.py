@@ -320,6 +320,22 @@ class TestDesignLmmse:
             assert trace.converged and trace.iterations == 1
             assert trace.objectives == [0.0, 0.0]
 
+    @pytest.mark.parametrize("extra", [dict(tau=3), dict(b=10)], ids=["tau3", "b10"])
+    def test_zero_noise_singular_factor_takes_pseudo_inverse_anchor(self, extra):
+        # sigma^2 = 0 with tau > K (or B > M + 1) leaves X0^H P X0 (or
+        # V0^H A V0) singular; the anchor drops its rounding-level directions
+        # instead of dividing by them.  Instances drawn as the desk benchmark's.
+        g = np.random.default_rng(20240328)
+        r = cascaded_correlation(CORR, 8, 2, 4)
+        for i in range(12):
+            model = ReflectionModel(beta_min=g.uniform(0.0, 0.5), alpha=g.uniform(1.0, 3.0),
+                                    delta=g.uniform(0.0, TWO_PI))
+            power = np.full(2, 10.0 ** ((-5.0, 0.0, 5.0, 10.0)[i % 4] / 10.0))
+            cfg = SystemConfig(k=2, m=8, l=4, sigma2=0.0, power=power, **extra)
+            for accelerate in (False, True):
+                _, _, trace = design_lmmse(cfg, model, r, accelerate=accelerate)
+                assert trace.converged and trace.objectives[-1] == 0.0
+
     def test_round_descends_through_both_blocks(self, model, rng):
         # one full X-then-V round never increases the true objective
         for seed in range(5):

@@ -72,6 +72,14 @@ class TestLsSurrogate:
             v = random_feasible_pattern(rng, 4, 6, model)
             assert sur.value(v.v) >= ls_objective(v.v) - 1e-8
 
+    @pytest.mark.parametrize("gap", [1e-7, 0.0])
+    def test_ill_conditioned_gram_raises(self, gap):
+        # V V^H has condition number about 8e14 (gap 1e-7) or is singular
+        v = ReflectionPattern(v=np.array([[1.0, 1.0 + gap], [1.0, 1.0]]))
+        assert gap == 0.0 or np.linalg.cond(v.v @ v.v.conj().T) > 1e12
+        with pytest.raises(SingularGram):
+            ls_surrogate(v)
+
     def test_gradient_matches_objective_at_anchor(self, model, rng):
         # finite-difference gradients of f and f(.; V0) agree at V0
         v0 = random_feasible_pattern(rng, 3, 4, model)
@@ -219,3 +227,40 @@ def test_majorization_on_the_sublevel_set(problem):
             continue
         if f <= f0:
             assert sur.value(v.v) >= f - 1e-12 * scale
+
+
+@st.composite
+def surrogate_problems(draw):
+    """A random law, pattern size and anchor seed for the surrogate oracle."""
+    m = draw(st.integers(1, 8))
+    b = m + draw(st.integers(1, 3))
+    model = ReflectionModel(
+        beta_min=draw(st.floats(0.0, 1.0)),
+        alpha=draw(st.floats(0.5, 3.0)),
+        delta=draw(st.floats(0.0, TWO_PI)),
+    )
+    return m, b, model, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=surrogate_problems())
+def test_surrogate_matches_explicit_inverse(problem):
+    # lambda1 = 3 Tr[G^-1]^2, A0 = -V^H G^-2 - lambda1 V^H and const =
+    # 3 Tr[G^-1] + lambda1 ||V||^2 (tangency at V), with G = V V^H, from an
+    # explicit inverse; both sides carry errors of order kappa(G) eps.
+    m, b, model, seed = problem
+    v = random_feasible_pattern(np.random.default_rng(seed), m, b, model)
+    try:
+        sur = ls_surrogate(v)
+    except SingularGram:
+        assume(False)
+    gram = v.v @ v.v.conj().T
+    tol = max(1e-12, 32 * np.linalg.cond(gram) * np.finfo(float).eps)
+    g_inv = np.linalg.inv(gram)
+    t = float(np.real(np.trace(g_inv)))
+    lambda1 = 3.0 * t**2
+    a0 = -v.v.conj().T @ g_inv @ g_inv - lambda1 * v.v.conj().T
+    const = 3.0 * t + lambda1 * float(np.sum(np.abs(v.v) ** 2))
+    assert sur.lambda1 == pytest.approx(lambda1, rel=tol)
+    assert np.linalg.norm(sur.a0 - a0) <= tol * np.linalg.norm(a0)
+    assert sur.const_term == pytest.approx(const, rel=tol)

@@ -260,10 +260,10 @@ def test_phase_cost_slopes_match_central_differences(
     c = complex(c_re, c_im)
     theta = (m.delta - np.pi / 2 + offset) % TWO_PI
     h = 1e-6
-    d1, d2 = _phase_cost_slopes(q, c, theta, m)
+    d1, d2 = _phase_cost_slopes(q, c_re, c_im, theta, m)
     fd1 = (_phase_cost(q, c, theta + h, m) - _phase_cost(q, c, theta - h, m)) / (2 * h)
-    fd2 = (_phase_cost_slopes(q, c, theta + h, m)[0]
-           - _phase_cost_slopes(q, c, theta - h, m)[0]) / (2 * h)
+    fd2 = (_phase_cost_slopes(q, c_re, c_im, theta + h, m)[0]
+           - _phase_cost_slopes(q, c_re, c_im, theta - h, m)[0]) / (2 * h)
     scale = q + 2.0 * abs(c) + 1.0
     assert d1 == pytest.approx(fd1, abs=1e-6 * scale)
     assert d2 == pytest.approx(fd2, abs=1e-6 * scale)

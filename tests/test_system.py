@@ -49,6 +49,20 @@ class TestContainers:
         with pytest.raises(DimensionMismatch):
             ReflectionPattern(v=np.zeros((3, 4), dtype=complex))
 
+    @pytest.mark.parametrize("last, ok", [
+        (1.0 + 1e-13, True), (1.0 - 1e-13j, True),
+        (1.0 + 9e-6, False), (1.0 + 2e-12, False), (np.nan, False), (complex(1.0, np.nan), False),
+    ])
+    def test_pattern_ones_row_tolerance_is_absolute(self, last, ok):
+        # max |v[-1] - 1| <= 1e-12; a relative tolerance would accept 1 + 9e-6
+        v = np.ones((3, 4), dtype=complex)
+        v[-1, 2] = last
+        if ok:
+            ReflectionPattern(v=v)
+        else:
+            with pytest.raises(DimensionMismatch):
+                ReflectionPattern(v=v)
+
     @pytest.mark.parametrize("params", [
         dict(power=[np.nan, 1.0]), dict(power=[np.inf, 1.0]),
         dict(sigma2=np.nan), dict(sigma2=np.inf),
