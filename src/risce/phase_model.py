@@ -158,7 +158,7 @@ def _newton_refine(q, c, x, lo, hi, model: ReflectionModel) -> np.ndarray:
     """
     shape = x.shape
     q, c, x, lo, hi = (np.broadcast_to(v, shape).ravel() for v in (q, c, x, lo, hi))
-    c_re, c_im = c.real.copy(), c.imag.copy()
+    c_re, c_im = c.real, c.imag
     out, live = x.copy(), np.arange(x.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_NEWTON_CAP):
