@@ -16,6 +16,12 @@ grid of GRID_POINTS phases, refines the best point by safeguarded Newton
 theta_d = delta - pi/2) and scores theta_d last.
 For alpha < 1/2 a dip at the cusp can be narrower than the grid spacing,
 and then neither the grid nor the refinement finds a minimum that sits on it.
+
+For q > 0 the cost is q |v - z|^2 - |c|^2 / q with z = -conj(c) / q: the
+search wants the law point nearest z.  The point at phase theta lies on the
+ray at angle theta, so its cost is at least -(|c| cos(theta - arg z))^2 / q.
+When the best of the 2 _BAND + 1 grid points nearest arg z is below that
+bound at _BAND steps, no other grid point can win, and only they are scored.
 """
 
 from __future__ import annotations
@@ -25,13 +31,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 TWO_PI = 2.0 * math.pi
 
-# Grid size and Newton limits of the one-dimensional phase search.
+# Grid size, band half-width and Newton limits of the one-dimensional phase search.
 GRID_POINTS = 1024
+_BAND = 8
+_BAND_BATCH = 128   # smaller batches score the whole grid faster than the bands
 _NEWTON_CAP = 60
-_STEP_ULPS = 4
+_STEP_TOL = 4 * float(np.spacing(TWO_PI))   # 4 ulps of 2 pi
 
 
 @dataclass(frozen=True)
@@ -118,7 +127,7 @@ def _search_grid(model: ReflectionModel) -> tuple[np.ndarray, np.ndarray]:
     start = _amplitude_minimum(model) + math.pi / GRID_POINTS if model.alpha < 1.0 else 0.0
     grid = np.linspace(start, start + TWO_PI, GRID_POINTS, endpoint=False)
     beta = amplitude_of_phase(grid, model)
-    basis = np.stack([beta**2, 2.0 * beta * np.cos(grid), -2.0 * beta * np.sin(grid)])
+    basis = np.stack([beta**2, 2.0 * beta * np.cos(grid), -2.0 * beta * np.sin(grid)], axis=1).T
     grid.flags.writeable = basis.flags.writeable = False
     return grid, basis
 
@@ -149,32 +158,66 @@ def _phase_cost_slopes(q, c_re, c_im, theta, model: ReflectionModel):
 
 
 def _newton_refine(q, c, x, lo, hi, model: ReflectionModel) -> np.ndarray:
-    """Safeguarded Newton on f' from x inside [lo, hi], entrywise.
+    """Safeguarded Newton on f' from x inside [lo, hi], over 1-D arrays.
 
     Bisects where a step is not finite, has f'' <= 0 or leaves the bracket;
-    an entry stops once it moves at most _STEP_ULPS ulps of 2 pi.  A point
-    where f' is not finite (s rounds to 0 next to the alpha < 1 cusp) leaves
-    the bracket as it is.  The live set shrinks only when an entry stops.
+    an entry stops once it moves at most _STEP_TOL.  A point where f' is not
+    finite (s rounds to 0 next to the alpha < 1 cusp) leaves the bracket as
+    it is.  The live set shrinks, and out is written, only when an entry stops.
     """
-    shape = x.shape
-    q, c, x, lo, hi = (np.broadcast_to(v, shape).ravel() for v in (q, c, x, lo, hi))
-    c_re, c_im = c.real, c.imag
-    out, live = x.copy(), np.arange(x.size)
+    c_re, c_im, out, live = c.real, c.imag, np.empty_like(x), np.arange(x.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_NEWTON_CAP):
             d1, d2 = _phase_cost_slopes(q, c_re, c_im, x, model)
             lo, hi = np.where(d1 <= 0.0, x, lo), np.where(d1 > 0.0, x, hi)
             step = x - d1 / d2
             x_new = np.where((d2 > 0.0) & (step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
-            out[live] = x_new
-            moving = np.abs(x_new - x) > _STEP_ULPS * np.spacing(TWO_PI)
+            moving = np.abs(x_new - x) > _STEP_TOL
             if not moving.all():
+                out[live[~moving]] = x_new[~moving]
                 if not moving.any():
-                    break
+                    return out
                 live, q, c_re, c_im, lo, hi, x_new = (
                     v[moving] for v in (live, q, c_re, c_im, lo, hi, x_new))
             x = x_new
-    return out.reshape(shape)
+    out[live] = x
+    return out
+
+
+@lru_cache(maxsize=16)
+def _band_windows(model: ReflectionModel) -> np.ndarray:
+    """Read-only (GRID_POINTS - 2 _BAND, 3, 2 _BAND + 1) view of the basis (stored by column)."""
+    return sliding_window_view(_search_grid(model)[1].T, 2 * _BAND + 1, axis=0)
+
+
+def _best_grid_points(q, c, model: ReflectionModel) -> tuple[np.ndarray, np.ndarray]:
+    """Index and value of each entry's first best grid point (per cusp side if alpha < 1).
+
+    Values round as coeffs @ basis rounds them; BLAS dot products round as a
+    product of two or more rows does.  In a batch of at least _BAND_BATCH, an
+    entry with alpha >= 1, q > 0, finite terms and a band that neither wraps
+    past 0 nor fails the bound scores only the band.
+    """
+    coeffs, basis = np.stack([q, c.real, c.imag], axis=1), _search_grid(model)[1]
+    if model.alpha < 1.0 or q.size < _BAND_BATCH:   # for alpha < 1, a slice per cusp side
+        table, sides = coeffs @ basis, 2 if model.alpha < 1.0 else 1
+        width = GRID_POINTS // sides
+        best = np.argmin(table.reshape(q.size, sides, width), axis=2) + np.arange(sides) * width
+        return best, np.take_along_axis(table, best, axis=1)
+    centre = np.rint(np.arctan2(c.imag, -c.real) % TWO_PI * (GRID_POINTS / TWO_PI))
+    rows = np.flatnonzero((q > 0.0) & np.isfinite(q) & np.isfinite(c)
+                          & (centre >= _BAND) & (centre < GRID_POINTS - _BAND))
+    start = centre[rows].astype(np.intp) - _BAND
+    band = np.vecdot(coeffs[rows, :, None], _band_windows(model)[start], axis=1)
+    k, value, qr, cr = np.argmin(band, axis=1), np.min(band, axis=1), q[rows], np.abs(c[rows])
+    slack = 1e-12 * (qr + 3.0 * cr)   # far above the rounding of a grid value
+    fits = qr * (value + slack) <= -(math.cos(_BAND * TWO_PI / GRID_POINTS) * cr) ** 2
+    best, low, wide = np.empty(q.size, np.intp), np.empty(q.size), np.ones(q.size, bool)
+    best[rows[fits]], low[rows[fits]], wide[rows[fits]] = start[fits] + k[fits], value[fits], False
+    rows = np.flatnonzero(wide)   # a one-row product would be matrix-vector, rounded otherwise
+    table = coeffs[rows] @ basis if rows.size != 1 else np.vecdot(coeffs[rows, None], basis.T)
+    best[rows], low[rows] = np.argmin(table, axis=1), np.min(table, axis=1)
+    return best[:, None], low[:, None]
 
 
 def minimize_phase_objectives(
@@ -188,9 +231,9 @@ def minimize_phase_objectives(
     the step is exact: pi - arg(c), or 0 when c = 0.  Otherwise the best grid
     point (for alpha < 1, of each side of the cusp theta_d) is refined by
     safeguarded Newton within one grid step and kept only if strictly better;
-    theta_d is scored last.  Ties break toward the grid point.  Returns the
-    minimizing thetas and their values.  Both pattern updates reach it
-    through :func:`minimize_pattern_entries`.
+    theta_d is scored last.  Ties break toward the grid point.  Most entries
+    score only the grid near arg z (module docstring).  Returns the thetas and
+    their values; both pattern updates call it via :func:`minimize_pattern_entries`.
     """
     q = np.asarray(quad_coeffs, dtype=float).ravel()
     c = np.asarray(lin_coeffs, dtype=complex).ravel()
@@ -199,25 +242,22 @@ def minimize_phase_objectives(
     if model.is_ideal:   # q + 2|c| cos(theta + arg c) is least at pi - arg c
         return np.where(c == 0.0, 0.0, (math.pi - np.angle(c)) % TWO_PI), q - 2.0 * np.abs(c)
 
-    grid, basis = _search_grid(model)
-    vals = np.stack([q, c.real, c.imag], axis=1) @ basis    # (E, G)
     theta_d, span = _amplitude_minimum(model), TWO_PI / GRID_POINTS
-    cuts, lo, hi = [0, GRID_POINTS], -np.inf, np.inf
-    if model.alpha < 1.0:   # a slice per side of the cusp; no bracket crosses it
-        cuts, lo, hi = [0, GRID_POINTS // 2, GRID_POINTS], theta_d, theta_d + TWO_PI
-    best = np.stack([i + np.argmin(vals[:, i:j], axis=1)    # first best of each slice
-                     for i, j in zip(cuts[:-1], cuts[1:])], axis=1)
-    theta0, qc, cc = grid[best], q[:, None], c[:, None]
-    refined = _newton_refine(qc, cc, theta0, np.maximum(theta0 - span, lo),
-                             np.minimum(theta0 + span, hi), model)
-    cand = np.concatenate([refined % TWO_PI, np.full_like(qc, theta_d)], axis=1)
-    # Grid points first, so refined points and theta_d must be strictly better.
-    thetas = np.concatenate([theta0 % TWO_PI, cand], axis=1)
-    values = np.concatenate([np.take_along_axis(vals, best, axis=1),
-                             _phase_cost(qc, cc, cand, model)], axis=1)
-    pick = np.argmin(values, axis=1)[:, None]
-    return (np.take_along_axis(thetas, pick, axis=1)[:, 0],
-            np.take_along_axis(values, pick, axis=1)[:, 0])
+    lo, hi = (theta_d, theta_d + TWO_PI) if model.alpha < 1.0 else (-np.inf, np.inf)
+    best, low = _best_grid_points(q, c, model)
+    theta0, sides = _search_grid(model)[0][best.ravel()], best.shape[1]
+    qs, cs, theta_ds = np.repeat(q, sides), np.repeat(c, sides), np.full_like(q, theta_d)
+    refined = _newton_refine(qs, cs, theta0, np.maximum(theta0 - span, lo),
+                             np.minimum(theta0 + span, hi), model) % TWO_PI
+    # Grid points, then refined points, then theta_d: a later candidate wins
+    # only if strictly better, so ties break early and a NaN never wins.
+    cands = [(theta0 % TWO_PI, low.ravel()), (refined, _phase_cost(qs, cs, refined, model))]
+    cands = [(t[j::sides], v[j::sides]) for t, v in cands for j in range(sides)]
+    theta, value = cands[0]
+    for t, v in cands[1:] + [(theta_ds, _phase_cost(q, c, theta_ds, model))]:
+        better = v < value
+        theta, value = np.where(better, t, theta), np.where(better, v, value)
+    return theta, value
 
 
 def minimize_pattern_entries(

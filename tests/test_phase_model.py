@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ideal_update_lmmse, ideal_update_ls, phase_cost
+from risce import phase_model
 from risce.phase_model import (
+    _BAND,
+    _BAND_BATCH,
     GRID_POINTS,
     ReflectionModel,
     amplitude_of_phase,
@@ -14,6 +17,8 @@ from risce.phase_model import (
     minimize_phase_objectives,
     project_to_feasible,
     reflection_coefficient,
+    _band_windows,
+    _best_grid_points,
     _phase_cost,
     _phase_cost_slopes,
     _search_grid,
@@ -334,3 +339,123 @@ def test_pattern_step_beats_its_candidates_below_half(problem):
     # grid spacing and no dense-oracle bound holds; the step still never
     # loses to its own grid or to theta_d.
     _check_pattern_step(*problem, SEARCH_GRID, rtol=1e-12)
+
+
+def _full_grid_minima(q, c, model):
+    """Index and value of the first best point of the whole grid (test oracle)."""
+    table = np.stack([q, c.real, c.imag], axis=1) @ _search_grid(model)[1]
+    best = np.argmin(table, axis=1)
+    return best, table[np.arange(q.size), best]
+
+
+def _assert_full_grid_minima(q, c, model):
+    # The same first best index; the same value up to the rounding of a
+    # three-term dot product (bitwise equal where BLAS dot and matrix
+    # products sum alike).
+    best, low = _best_grid_points(q, c, model)
+    oracle_best, oracle_low = _full_grid_minima(q, c, model)
+    assert np.array_equal(best[:, 0], oracle_best)
+    assert (np.array_equal(low[:, 0], oracle_low, equal_nan=True)
+            or np.all(np.abs(low[:, 0] - oracle_low) <= 1e-14 * (q + 3.0 * np.abs(c))))
+
+
+@st.composite
+def band_batches(draw):
+    """(q, c, model): _BAND_BATCH entries with z = -conj(c) / q near the law curve or far from it."""
+    model = ReflectionModel(
+        beta_min=draw(st.floats(0.0, 0.99)),
+        alpha=draw(st.floats(1.0, 3.0)),
+        delta=draw(st.floats(0.0, TWO_PI)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = _BAND_BATCH
+    near = rng.random(n) < draw(st.floats(0.0, 1.0))
+    radius = np.where(near, 1.0 + draw(st.floats(0.0, 1e-2)) * rng.standard_normal(n),
+                      np.exp(rng.uniform(-5.0, 5.0, n)))
+    z = radius * reflection_coefficient(rng.uniform(0.0, TWO_PI, n), model)
+    q = rng.uniform(0.01, 10.0, n)
+    return q, -np.conj(q * z), model
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=band_batches())
+def test_band_picks_the_full_grid_argmin(problem):
+    _assert_full_grid_minima(*problem)
+
+
+def _on_curve_batch(model, n):
+    """q = 2 and z on the law at n grid points whose bands do not wrap."""
+    grid = _search_grid(model)[0]
+    z = reflection_coefficient(grid[np.linspace(_BAND, GRID_POINTS - _BAND - 1, n).astype(int)], model)
+    q = np.full(n, 2.0)
+    return q, -np.conj(q * z)
+
+
+def _banded(q, c, model, monkeypatch):
+    """Which entries the band scores: the whole grid is swapped for NaN."""
+    windows, grid = _band_windows(model), _search_grid(model)[0]
+    monkeypatch.setattr(phase_model, "_band_windows", lambda m: windows)
+    monkeypatch.setattr(phase_model, "_search_grid",
+                        lambda m: (grid, np.full((3, GRID_POINTS), np.nan)))
+    low = _best_grid_points(q, c, model)[1][:, 0]
+    monkeypatch.undo()
+    return np.isfinite(low)
+
+
+class TestBand:
+    MODEL = ReflectionModel(beta_min=0.2, alpha=2.0, delta=1.0)
+
+    def pinned(self):
+        # q = 0; q = c = 0; z at the origin; z nearer the origin than the
+        # law (d_ref >= |z|); z far outside; arg z next to theta = 0, where
+        # the band would wrap.  Each must score the whole grid.
+        grid = _search_grid(self.MODEL)[0]
+        q = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 2.0])
+        z = np.array([1.0 + 1.0j, 0.0, 0.0, 0.05 * np.exp(1j), 50.0 * np.exp(1j),
+                      reflection_coefficient(grid[2], self.MODEL)])
+        return q, np.where(q > 0.0, -np.conj(q * z), z)
+
+    def test_entries_on_the_curve_score_the_band(self, monkeypatch):
+        q, c = _on_curve_batch(self.MODEL, _BAND_BATCH)
+        assert _banded(q, c, self.MODEL, monkeypatch).all()
+        _assert_full_grid_minima(q, c, self.MODEL)
+
+    def test_pinned_entries_score_the_whole_grid(self, monkeypatch):
+        pq, pc = self.pinned()
+        q, c = _on_curve_batch(self.MODEL, _BAND_BATCH)
+        q, c = np.concatenate([pq, q]), np.concatenate([pc, c])
+        banded = _banded(q, c, self.MODEL, monkeypatch)
+        assert not banded[:pq.size].any() and banded[pq.size:].all()
+        _assert_full_grid_minima(q, c, self.MODEL)
+
+    @pytest.mark.parametrize("entry", range(6))
+    def test_lone_wide_entry_matches_the_full_grid(self, entry, monkeypatch):
+        pq, pc = self.pinned()
+        q, c = _on_curve_batch(self.MODEL, _BAND_BATCH)
+        q, c = np.append(q, pq[entry]), np.append(c, pc[entry])
+        assert np.count_nonzero(~_banded(q, c, self.MODEL, monkeypatch)) == 1
+        _assert_full_grid_minima(q, c, self.MODEL)
+
+    def test_alpha_below_one_and_small_batches_score_the_whole_grid(self, monkeypatch):
+        q, c = _on_curve_batch(self.MODEL, _BAND_BATCH - 1)
+        assert not _banded(q, c, self.MODEL, monkeypatch).any()
+        cusp = ReflectionModel(beta_min=0.2, alpha=0.75, delta=1.0)
+        q, c = _on_curve_batch(cusp, 2 * _BAND_BATCH)
+        assert not _banded(q, c, cusp, monkeypatch).any()
+
+    def test_non_finite_entries_score_the_whole_grid(self):
+        q, c = _on_curve_batch(self.MODEL, _BAND_BATCH)
+        q[:2], c[2:5] = [np.nan, np.inf], [np.nan, np.inf, complex(0.0, -np.inf)]
+        with np.errstate(invalid="ignore"):   # inf - inf in the grid products
+            _assert_full_grid_minima(q, c, self.MODEL)
+
+
+def test_non_finite_refined_value_never_wins(model, rng, monkeypatch):
+    # np.argmin would pick a NaN; the strict comparisons keep the grid point.
+    q = rng.uniform(0.1, 5.0, 200)
+    c = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+    low = _best_grid_points(q, c, model)[1][:, 0]
+    monkeypatch.setattr(phase_model, "_newton_refine",
+                        lambda q, c, x, lo, hi, m: np.full_like(x, np.nan))
+    thetas, values = minimize_phase_objectives(q, c, model)
+    assert np.all(np.isfinite(thetas)) and np.all(values <= low)
