@@ -10,8 +10,10 @@ both sides.  Per workload the output holds, for every end-to-end metric of
 the number of pairs the change won (ties count for neither side); the
 environment of each side (revision, seeds, BLAS threads, library versions);
 and, where both sides have a traced seed-1 run, its per-layer metrics
-(``.calls``, ``.self_frac`` and the other counts).  Run it from the root of
-the repository.
+(``.calls``, ``.self_frac`` and the other counts).  The metrics come from the
+``BENCHMARK.json`` at the root of the checkout that holds this script, so it
+runs from any directory.  A workload with no untraced seed run on both sides
+is left out, with a note on standard error.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import statistics
 import sys
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parents[1]
 NAME = re.compile(r"(?P<workload>.+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json")
 
 
@@ -47,9 +50,13 @@ def environment(records: list[dict], seeds: list[int]) -> dict:
     return {**{k: env[k] for k in keep}, "seeds": seeds, "seconds": env["seconds"]}
 
 
-def workload_entry(workload: str, parent: dict, change: dict, metrics: list[dict]) -> dict:
-    seeds = sorted(s for (w, s, t) in parent if w == workload and t == 0
-                   and (w, s, t) in change)
+def common_seeds(workload: str, parent: dict, change: dict) -> list[int]:
+    """Seeds of the workload run untraced on both sides."""
+    return sorted(s for (w, s, t) in parent if w == workload and t == 0 and (w, s, t) in change)
+
+
+def workload_entry(workload: str, seeds: list[int], parent: dict, change: dict,
+                   metrics: list[dict]) -> dict:
     pairs = [(parent[(workload, s, 0)]["result"], change[(workload, s, 0)]["result"])
              for s in seeds]
     entry = {
@@ -91,10 +98,15 @@ def main(argv: list[str]) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     parent, change = load(Path(argv[0])), load(Path(argv[1]))
-    metrics = json.loads(Path("BENCHMARK.json").read_text())["end_to_end"]
-    workloads = sorted({w for (w, _, t) in parent if t == 0}
-                       & {w for (w, _, t) in change if t == 0})
-    out = {w: workload_entry(w, parent, change, metrics) for w in workloads}
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    out = {}
+    for w in sorted({w for (w, _, _) in parent} | {w for (w, _, _) in change}):
+        seeds = common_seeds(w, parent, change)
+        if seeds:
+            out[w] = workload_entry(w, seeds, parent, change, metrics)
+        else:
+            print(f"bench_json: {w}: no untraced seed run on both sides; left out",
+                  file=sys.stderr)
     Path(argv[2]).write_text(json.dumps(out, indent=1) + "\n")
     return 0
 
