@@ -50,11 +50,6 @@ def environment(records: list[dict], seeds: list[int]) -> dict:
     return {**{k: env[k] for k in keep}, "seeds": seeds, "seconds": env["seconds"]}
 
 
-def common_seeds(workload: str, parent: dict, change: dict) -> list[int]:
-    """Seeds of the workload run untraced on both sides."""
-    return sorted(s for (w, s, t) in parent if w == workload and t == 0 and (w, s, t) in change)
-
-
 def workload_entry(workload: str, seeds: list[int], parent: dict, change: dict,
                    metrics: list[dict]) -> dict:
     pairs = [(parent[(workload, s, 0)]["result"], change[(workload, s, 0)]["result"])
@@ -101,7 +96,7 @@ def main(argv: list[str]) -> int:
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     out = {}
     for w in sorted({w for (w, _, _) in parent} | {w for (w, _, _) in change}):
-        seeds = common_seeds(w, parent, change)
+        seeds = sorted(s for (v, s, t) in parent if v == w and t == 0 and (v, s, t) in change)
         if seeds:
             out[w] = workload_entry(w, seeds, parent, change, metrics)
         else:
