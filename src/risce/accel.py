@@ -4,7 +4,9 @@
 mm_calls)`` until the relative objective change drops below eps, recording
 a :class:`DesignTrace`.  Every design runs on it with one of two kinds of
 step: plain MM (:func:`plain_step`, one MM update per iteration) or SQUAREM
-(:func:`squarem_step`, two MM updates per block step).
+(:func:`squarem_step`, two MM updates per block step).  Iterates are bare
+arrays (the LS pattern, or the LMMSE (X, V) pair); the designs build their
+pattern and training types for the result only, never inside the loop.
 
 One SQUAREM step takes two MM updates V1, V2 from the current point V0, forms
 the differences L1 = V1 - V0, L2 = V2 - V1 - L1, picks the Cauchy-Barzilai-
@@ -19,7 +21,7 @@ the plain MM point V2 when the projection is inactive.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable
 
 import numpy as np
 
@@ -34,27 +36,21 @@ Objective = Callable[[np.ndarray], float]
 Step = Callable[[Any, float], tuple[Any, float, int]]
 
 
-class SquaremStep(NamedTuple):
-    """Accepted iterate of one SQUAREM step, its objective and MM-update count."""
-
-    iterate: np.ndarray
-    objective: float
-    mm_calls: int
-
-
 def squarem_step(
     v0: np.ndarray,
     mm_update: MmUpdate,
     project: Project,
     objective: Objective,
-    objective_v0: float | None = None,
-) -> SquaremStep:
-    """One monotone SQUAREM step.
+    objective_v0: float,
+) -> tuple[np.ndarray, float, int]:
+    """One monotone SQUAREM step from v0, whose objective is objective_v0.
 
-    mm_update must be monotone for the objective and project idempotent.
-    Near an MM fixed point (||L2||_F below DEGENERATE_STEP_TOL) the plain MM
-    point V2 is returned directly; after MAX_BACKTRACKS halvings the step also
-    falls back to V2, whose objective is safe by MM monotonicity.
+    Returns the accepted iterate, its objective and the MM-update count (2),
+    as :func:`plain_step` does.  mm_update must be monotone for the
+    objective and project idempotent.  Near an MM fixed point (||L2||_F
+    below DEGENERATE_STEP_TOL) the plain MM point V2 is returned directly;
+    after MAX_BACKTRACKS halvings the step also falls back to V2, whose
+    objective is safe by MM monotonicity.
     """
     v1 = mm_update(v0)
     v2 = mm_update(v1)
@@ -62,18 +58,16 @@ def squarem_step(
     l2 = v2 - v1 - l1
     norm_l2 = np.linalg.norm(l2)
     if norm_l2 < DEGENERATE_STEP_TOL:
-        return SquaremStep(v2, objective(v2), 2)
+        return v2, objective(v2), 2
 
-    if objective_v0 is None:
-        objective_v0 = objective(v0)
     step = -np.linalg.norm(l1) / norm_l2
     for _ in range(MAX_BACKTRACKS + 1):
         cand = project(v0 - 2.0 * step * l1 + step**2 * l2)
         obj = objective(cand)
         if obj <= objective_v0:
-            return SquaremStep(cand, obj, 2)
+            return cand, obj, 2
         step = (step - 1.0) / 2.0
-    return SquaremStep(v2, objective(v2), 2)
+    return v2, objective(v2), 2
 
 
 def plain_step(mm_update: Callable[[Any], Any], objective: Callable[[Any], float]) -> Step:

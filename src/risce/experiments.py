@@ -224,13 +224,12 @@ def _design_cell(
 
 
 def _analytic_nmse(cell: CellDesign, cfg: ExperimentConfig) -> float:
-    m_eff = cell.grouping.m_grouped if cell.grouping else cfg.m
     if cfg.estimator == "ls":
         j = system.mse_ls(cell.s, cfg.sigma2, cfg.l)
     else:
         j = system.mse_lmmse(cell.pattern.v, cell.training.x,
                              kronecker_factors(cell.r_gamma, cfg.k), cfg.sigma2, cfg.l)
-    return system.nmse(j, cfg.l, cfg.k, m_eff)
+    return system.nmse(j, cfg.l, cfg.k, cell.pattern.m)
 
 
 def _empirical_nmses(cell: CellDesign, cfg: ExperimentConfig, snr_index: int) -> list[float]:
@@ -250,7 +249,6 @@ def _empirical_nmses(cell: CellDesign, cfg: ExperimentConfig, snr_index: int) ->
         w = system.estimate_lmmse(eye, s, cell.r_gamma, cfg.sigma2, cfg.l)
     sys_cfg = cfg.system(cfg.snr_db[snr_index])
     corr = cfg.corr
-    m_eff = cell.grouping.m_grouped if cell.grouping else cfg.m
     out = []
     for trial in range(cfg.trials):
         ch_seed = np.random.SeedSequence([cfg.seed, snr_index, trial, 0])
@@ -260,7 +258,7 @@ def _empirical_nmses(cell: CellDesign, cfg: ExperimentConfig, snr_index: int) ->
             gamma = cell.grouping.combine_gamma(gamma, cfg.k)
         y = system.simulate_reception(gamma, s, cfg.sigma2, noise_seed)
         err = float(np.sum(np.abs(y @ w - gamma) ** 2))
-        out.append(system.nmse(err, cfg.l, cfg.k, m_eff))
+        out.append(system.nmse(err, cfg.l, cfg.k, cell.pattern.m))
     return out
 
 

@@ -30,9 +30,14 @@ lambda_max(W), W = (I_B kron X) Xi0 Xi0^H (I_B kron X)^H, stay dense eigvalsh
 calls: Xi0's middle factor (S0^H R S0 + sigma^2 L I)^{-1} is not a Kronecker
 product, so neither matrix is.
 
-The rounds run on :func:`risce.accel.mm_loop` over the pair (X, V).  A plain
-round is one MM update (one anchor, two dense eigen-solves); a SQUAREM round
-takes one SQUAREM step per block, training then pattern, so four MM updates.
+The rounds run on :func:`risce.accel.mm_loop` over the pair of bare arrays
+(X, V); :func:`design_lmmse` validates its initial point and builds a
+TrainingMatrix and a ReflectionPattern for its result only.  Both kinds of
+round use the same two block maps: the training update at an anchor, and
+the pattern update at an anchor and the X it sees.  A plain round is one MM
+update (one anchor for both maps, two dense eigen-solves); a SQUAREM round
+takes one SQUAREM step per block, training then pattern, each update at its
+own anchor, so four MM updates.
 """
 
 from __future__ import annotations
@@ -73,7 +78,7 @@ class LmmseSurrogateState(NamedTuple):
     xi_gram: np.ndarray    # Xi0 Xi0^H, (tau*B, tau*B)
     av0: np.ndarray        # A V0, (M+1, B)
     vav0_max: float        # lambda_max(V0^H A V0)
-    x0: TrainingMatrix
+    x0: np.ndarray         # (K, tau)
     v0: np.ndarray         # (M+1, B)
     factors: KroneckerFactors
     sigma2: float
@@ -86,7 +91,7 @@ class TrainingTerms(NamedTuple):
     lambda2: float
     b_sums: np.ndarray     # (tau, K); column k is b_k
     b: int                 # subframes B
-    x0: TrainingMatrix     # a vanishing b_k keeps its row
+    x0: np.ndarray         # (K, tau); a vanishing b_k keeps its row
 
 
 class PatternTerms(NamedTuple):
@@ -97,22 +102,18 @@ class PatternTerms(NamedTuple):
     k: int
 
 
-def _spectral_bound(a: np.ndarray) -> float:
-    return numerics.largest_eigenvalue(a).value
-
-
-def build_surrogate(x0: TrainingMatrix, v0: ReflectionPattern, factors: KroneckerFactors,
+def build_surrogate(x0: np.ndarray, v0: np.ndarray, factors: KroneckerFactors,
                     sigma2: float, l: int) -> LmmseSurrogateState:
     """Compute the anchor Xi0 and Xi0 Xi0^H at (X0, V0) from the factors."""
-    av0, xp = factors.a @ v0.v, x0.x.conj().T @ factors.p
-    d1, u1 = np.linalg.eigh(numerics.require_hermitian(v0.v.conj().T @ av0))
-    d2, u2 = np.linalg.eigh(numerics.require_hermitian(xp @ x0.x))
+    av0, xp = factors.a @ v0, x0.conj().T @ factors.p
+    d1, u1 = np.linalg.eigh(numerics.require_hermitian(v0.conj().T @ av0))
+    d2, u2 = np.linalg.eigh(numerics.require_hermitian(xp @ x0))
     right = np.kron(u1.conj().T @ av0.conj().T, u2.conj().T @ xp)
     # Pseudo-inverse anchor: drop rounding-level directions (sigma2 = 0 and a singular factor).
     den = np.kron(d1, d2) + sigma2 * l
     kept = den > den.size * np.finfo(float).eps * np.max(den)
     xi0 = np.divide(np.kron(u1, u2), den, out=np.zeros((den.size,) * 2, complex), where=kept) @ right
-    return LmmseSurrogateState(xi0, xi0 @ xi0.conj().T, av0, float(d1[-1]), x0, v0.v,
+    return LmmseSurrogateState(xi0, xi0 @ xi0.conj().T, av0, float(d1[-1]), x0, v0,
                                factors, sigma2, l)
 
 
@@ -122,18 +123,19 @@ def training_terms(state: LmmseSurrogateState, p_max: float) -> TrainingTerms:
     b_k is column k of conj(B lambda2 X0^H - T2 X0^H P + T3 P), with T2 =
     sum_{b,b'} [V0^H A V0]_{b'b} (Xi0 Xi0^H)_{bb'} and T3 = sum_{b,m} [A V0]_{mb} (Xi0)_{bm}.
     """
-    b, tau, k = state.v0.shape[1], state.x0.tau, state.x0.k
-    lambda2 = SAFETY_MARGIN * _spectral_bound(state.xi_gram) * (state.vav0_max * p_max)
+    b, (k, tau) = state.v0.shape[1], state.x0.shape
+    lambda2 = (SAFETY_MARGIN * numerics.largest_eigenvalue(state.xi_gram).value
+               * (state.vav0_max * p_max))
     t2 = np.einsum("asbt,ba->st", state.xi_gram.reshape(b, tau, b, tau),
                    state.v0.conj().T @ state.av0)
     t3 = np.einsum("atmk,ma->tk", state.xi0.reshape(b, tau, -1, k), state.av0)
-    x0h, p = state.x0.x.conj().T, state.factors.p
+    x0h, p = state.x0.conj().T, state.factors.p
     b_sums = np.conj(b * lambda2 * x0h - t2 @ x0h @ p + t3 @ p)
     return TrainingTerms(lambda2=lambda2, b_sums=b_sums, b=b, x0=state.x0)
 
 
 def refresh_pattern_terms(
-    state: LmmseSurrogateState, x: TrainingMatrix, r_max: float
+    state: LmmseSurrogateState, x: np.ndarray, r_max: float
 ) -> PatternTerms:
     """lambda3 and the C0 block traces of the pattern step at training x; r_max = lambda_max(R).
 
@@ -142,12 +144,12 @@ def refresh_pattern_terms(
     round x is the updated training: the pattern step sees the new X while
     staying anchored at the round's Xi0 and V0, which preserves monotone descent.
     """
-    b, tau, k, p = state.v0.shape[1], x.tau, x.k, state.factors.p
-    w = (x.x @ state.xi_gram.reshape(b, tau, b * tau)).reshape(-1, tau) @ x.x.conj().T
+    b, (k, tau), p = state.v0.shape[1], x.shape, state.factors.p
+    w = (x @ state.xi_gram.reshape(b, tau, b * tau)).reshape(-1, tau) @ x.conj().T
     w = w.reshape(b * k, b * k)             # (I_B kron X) Xi0 Xi0^H (I_B kron X)^H
-    lambda3 = SAFETY_MARGIN * _spectral_bound(w) * r_max
+    lambda3 = SAFETY_MARGIN * numerics.largest_eigenvalue(w).value * r_max
     tw = np.einsum("akbl,lk->ab", w.reshape(b, k, b, k), p)
-    z = np.einsum("lt,ntml->nm", p @ x.x, state.xi0.reshape(b, tau, -1, k))
+    z = np.einsum("lt,ntml->nm", p @ x, state.xi0.reshape(b, tau, -1, k))
     c = lambda3 * k * np.conj(state.v0) - (tw @ state.av0.conj().T).T + (z @ state.factors.a).T
     return PatternTerms(lambda3=lambda3, c=c, k=k)
 
@@ -163,31 +165,30 @@ def surrogate_value(state: LmmseSurrogateState, s: np.ndarray) -> float:
     return quad + lin + const
 
 
-def update_training(terms: TrainingTerms, power) -> TrainingMatrix:
-    """Closed-form per-UE training update of the decoupled quadratic problem.
+def update_training(terms: TrainingTerms, power) -> np.ndarray:
+    """Closed-form per-UE (K, tau) training update of the decoupled quadratic problem.
 
     The solution is sqrt(P_k) b_k / ||b_k|| on the power boundary when
     ||b_k|| exceeds sqrt(P_k) lambda2 B, and b_k / (lambda2 B) inside it.
     A vanishing b_k keeps the previous training row.
     """
     power = np.asarray(power, dtype=float)
-    x_new = np.empty(terms.x0.x.shape, dtype=complex)
-    for uk in range(terms.x0.k):
+    x_new = np.empty(terms.x0.shape, dtype=complex)
+    for uk in range(terms.x0.shape[0]):
         b_k = terms.b_sums[:, uk]
         norm_b = np.linalg.norm(b_k)
         if norm_b == 0.0:
-            x_new[uk] = terms.x0.x[uk]
+            x_new[uk] = terms.x0[uk]
         elif norm_b > np.sqrt(power[uk]) * terms.lambda2 * terms.b:
             x_new[uk] = np.sqrt(power[uk]) / norm_b * b_k
         else:
             x_new[uk] = b_k / (terms.lambda2 * terms.b)
-    return TrainingMatrix(x=x_new, power=power)
+    return x_new
 
 
-def update_pattern(terms: PatternTerms, model: ReflectionModel) -> ReflectionPattern:
-    """Entrywise pattern update of the decoupled quadratic problem."""
-    v = minimize_pattern_entries(terms.lambda3 * terms.k, -terms.c[:-1], model)
-    return ReflectionPattern(v=v)
+def update_pattern(terms: PatternTerms, model: ReflectionModel) -> np.ndarray:
+    """Entrywise (M+1, B) pattern update of the decoupled quadratic problem."""
+    return minimize_pattern_entries(terms.lambda3 * terms.k, -terms.c[:-1], model)
 
 
 def project_training_rows(x: np.ndarray, power) -> np.ndarray:
@@ -223,47 +224,39 @@ def design_lmmse(
     sigma2, l = config.sigma2, config.l
     power = config.power
     factors = kronecker_factors(r_gamma, config.k)
-    p_max = _spectral_bound(factors.p)
-    r_max = _spectral_bound(factors.a) * p_max
-
-    def mse_of(v: np.ndarray, x: np.ndarray) -> float:
-        return mse_lmmse(v, x, factors, sigma2, l)
+    p_max = numerics.largest_eigenvalue(factors.p).value
+    r_max = numerics.largest_eigenvalue(factors.a).value * p_max
 
     def objective(pair) -> float:
         x, v = pair
-        return mse_of(v.v, x.x)
+        return mse_lmmse(v, x, factors, sigma2, l)
 
-    def anchor(x: TrainingMatrix, v: ReflectionPattern) -> LmmseSurrogateState:
+    def anchor(x: np.ndarray, v: np.ndarray) -> LmmseSurrogateState:
         return build_surrogate(x, v, factors, sigma2, l)
 
+    # The block maps: a pattern update sees the x of its round, not the anchor's.
+    def train(state: LmmseSurrogateState) -> np.ndarray:
+        return update_training(training_terms(state, p_max), power)
+
+    def pattern(state: LmmseSurrogateState, x: np.ndarray) -> np.ndarray:
+        return update_pattern(refresh_pattern_terms(state, x, r_max), model)
+
     def mm_round(pair):
-        x, v = pair
-        state = anchor(x, v)
-        x = update_training(training_terms(state, p_max), power)
-        return x, update_pattern(refresh_pattern_terms(state, x, r_max), model)
+        state = anchor(*pair)
+        x = train(state)
+        return x, pattern(state, x)
 
     def squarem_round(pair, obj):
         x, v = pair
-        x_arr, obj, n_x = squarem_step(
-            x.x,
-            lambda xa: update_training(
-                training_terms(anchor(TrainingMatrix(x=xa, power=power), v), p_max), power).x,
-            lambda xa: project_training_rows(xa, power),
-            lambda xa: mse_of(v.v, xa),
-            obj,
-        )
-        x = TrainingMatrix(x=x_arr, power=power)
-        v_arr, obj, n_v = squarem_step(
-            v.v,
-            lambda va: update_pattern(refresh_pattern_terms(
-                anchor(x, ReflectionPattern(v=va)), x, r_max), model).v,
-            lambda va: project_pattern(va, model),
-            lambda va: mse_of(va, x.x),
-            obj,
-        )
-        return (x, ReflectionPattern(v=v_arr)), obj, n_x + n_v
+        x, obj, n_x = squarem_step(
+            x, lambda xa: train(anchor(xa, v)), lambda xa: project_training_rows(xa, power),
+            lambda xa: mse_lmmse(v, xa, factors, sigma2, l), obj)
+        v, obj, n_v = squarem_step(
+            v, lambda va: pattern(anchor(x, va), x), lambda va: project_pattern(va, model),
+            lambda va: mse_lmmse(va, x, factors, sigma2, l), obj)
+        return (x, v), obj, n_x + n_v
 
     step = squarem_round if accelerate else plain_step(mm_round, objective)
     x0 = dft_training(config.k, config.tau, power)
-    (x, v), trace = mm_loop((x0, init_v), step, objective, eps, max_iter)
-    return x, v, trace
+    (x, v), trace = mm_loop((x0.x, init_v.v), step, objective, eps, max_iter)
+    return TrainingMatrix(x=x, power=power), ReflectionPattern(v=v), trace

@@ -69,9 +69,8 @@ class LsSurrogate:
         return quad + lin + self.const_term
 
 
-def ls_surrogate(pattern: ReflectionPattern) -> LsSurrogate:
-    """Build the MM surrogate of Tr[(V V^H)^{-1}] at the given pattern."""
-    v0 = pattern.v
+def ls_surrogate(v0: np.ndarray) -> LsSurrogate:
+    """Build the MM surrogate of Tr[(V V^H)^{-1}] at the (M+1, B) pattern matrix v0."""
     lam, u = numerics.conditioned_eigh(v0 @ v0.conj().T)
     trace_inv = float(np.sum(1.0 / lam))
     lambda1 = 3.0 * trace_inv**2
@@ -86,15 +85,11 @@ def ls_surrogate(pattern: ReflectionPattern) -> LsSurrogate:
     return LsSurrogate(lambda1=lambda1, a0=a0, const_term=const)
 
 
-def mm_update_ls(
-    pattern: ReflectionPattern,
-    model: ReflectionModel,
-) -> ReflectionPattern:
-    """One MM iteration: rebuild the surrogate, minimize it entrywise."""
-    sur = ls_surrogate(pattern)
+def mm_update_ls(v: np.ndarray, model: ReflectionModel) -> np.ndarray:
+    """One MM iteration on the (M+1, B) matrix v: rebuild the surrogate, minimize it entrywise."""
+    sur = ls_surrogate(v)
     # Entry (m, n) minimizes lambda1 |v|^2 + 2 Re{[A0]_{n,m} v}.
-    c = sur.a0[:, :pattern.m].T
-    return ReflectionPattern(v=minimize_pattern_entries(sur.lambda1, c, model))
+    return minimize_pattern_entries(sur.lambda1, sur.a0[:, :-1].T, model)
 
 
 def ls_objective(v: np.ndarray) -> float:
@@ -122,7 +117,8 @@ def design_ls(
     Starts from the naive projected-DFT pattern unless an init is given;
     stops when the relative objective change drops below eps.  The trace
     records the objective per iteration (non-increasing) and the cumulative
-    number of MM updates.
+    number of MM updates.  The MM iterates are bare (M+1, B) arrays; only
+    the init and the result are ReflectionPatterns.
     """
     if init is None:
         init = naive_pattern(config.m, config.b, model)
@@ -130,7 +126,7 @@ def design_ls(
         max_iter = DEFAULT_MAX_ITER_ACCEL if accelerate else DEFAULT_MAX_ITER_PLAIN
 
     def mm(v: np.ndarray) -> np.ndarray:
-        return mm_update_ls(ReflectionPattern(v=v), model).v
+        return mm_update_ls(v, model)
 
     if accelerate:
         def step(v, obj):

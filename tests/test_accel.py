@@ -6,7 +6,6 @@ import pytest
 from conftest import random_feasible_pattern
 from risce.accel import mm_loop, squarem_step
 from risce.ls_design import ls_objective, mm_update_ls, project_pattern
-from risce.system import ReflectionPattern
 
 
 def _contraction(target, rate):
@@ -24,7 +23,8 @@ class TestSquaremStep:
         target = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         v0 = target + rng.standard_normal((4, 4))
         out, obj, calls = squarem_step(
-            v0, _contraction(target, 0.5), lambda v: v, _distance_obj(target)
+            v0, _contraction(target, 0.5), lambda v: v, _distance_obj(target),
+            _distance_obj(target)(v0),
         )
         assert calls == 2
         assert np.allclose(out, target, atol=1e-12)
@@ -43,7 +43,7 @@ class TestSquaremStep:
     def test_fixed_point_degenerates_to_plain(self, rng):
         v0 = rng.standard_normal((2, 2))
         out, obj, calls = squarem_step(
-            v0, lambda v: v, lambda v: v, _distance_obj(v0)
+            v0, lambda v: v, lambda v: v, _distance_obj(v0), 0.0
         )
         assert calls == 2
         assert np.allclose(out, v0)
@@ -56,7 +56,8 @@ class TestSquaremStep:
         v2 = mm(mm(v0))
         # projection that wrecks every extrapolated candidate
         out, obj, calls = squarem_step(
-            v0, mm, lambda v: v + 100.0, _distance_obj(target)
+            v0, mm, lambda v: v + 100.0, _distance_obj(target),
+            _distance_obj(target)(v0),
         )
         assert np.allclose(out, v2)
         assert obj <= _distance_obj(target)(v0)
@@ -67,9 +68,10 @@ class TestSquaremStep:
             obj0 = ls_objective(init.v)
             _, obj, _ = squarem_step(
                 init.v,
-                lambda v: mm_update_ls(ReflectionPattern(v=v), model).v,
+                lambda v: mm_update_ls(v, model),
                 lambda v: project_pattern(v, model),
                 ls_objective,
+                obj0,
             )
             assert obj <= obj0 + 1e-12
 

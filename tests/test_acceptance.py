@@ -32,7 +32,6 @@ from risce.ls_design import (
 from risce.phase_model import ReflectionModel, minimize_phase_objectives
 from risce.system import (
     ReflectionPattern,
-    TrainingMatrix,
     build_S,
     estimate_lmmse,
     estimate_ls,
@@ -89,7 +88,7 @@ def test_c2_majorization_suites():
 
     # quadratic upper bound of the pattern objective
     v0 = random_feasible_pattern(rng, m=3, b=4, model=MODEL)
-    sur = ls_surrogate(v0)
+    sur = ls_surrogate(v0.v)
     tangency = abs(sur.value(v0.v) - ls_objective(v0.v)) / ls_objective(v0.v)
     assert tangency < 1e-8
     min_slack = np.inf
@@ -110,7 +109,7 @@ def test_c2_majorization_suites():
     r = cascaded_correlation(CORR, 3, 2, 4)
     x0 = random_training(rng, 2, 2, cfg.power)
     w0 = random_feasible_pattern(rng, 3, 4, MODEL)
-    state = build_surrogate(x0, w0, kronecker_factors(r, 2), 1.0, 4)
+    state = build_surrogate(x0.x, w0.v, kronecker_factors(r, 2), 1.0, 4)
     s0 = build_S(w0, x0)
     g0 = lmmse_objective(s0, r, 1.0, 4)
     tangency2 = abs(surrogate_value(state, s0) - g0) / abs(g0)
@@ -166,11 +165,11 @@ def test_c4_closed_form_optimality_oracles():
         lam2 = rng.uniform(0.1, 4.0)
         p = rng.uniform(0.2, 4.0)
         b_k = rng.standard_normal(tau) + 1j * rng.standard_normal(tau)
-        x0 = TrainingMatrix(x=np.zeros((1, tau), dtype=complex), power=np.array([p]))
+        x0 = np.zeros((1, tau), dtype=complex)
         terms = TrainingTerms(
             lambda2=lam2 * n_sub, b_sums=b_k.reshape(tau, 1), b=1, x0=x0,
         )
-        x_closed = update_training(terms, [p]).x[0]
+        x_closed = update_training(terms, [p])[0]
         # independent oracle: projected gradient descent on the ball
         x = np.zeros(tau, dtype=complex)
         step = 0.4 / (2 * lam2 * n_sub)

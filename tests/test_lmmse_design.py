@@ -31,9 +31,13 @@ from risce.lmmse_design import (
     update_pattern,
     update_training,
 )
-from risce.phase_model import ReflectionModel, ideal_model, project_to_feasible
+from risce.phase_model import (
+    ReflectionModel,
+    ideal_model,
+    project_to_feasible,
+    reflection_coefficient,
+)
 from risce.system import (
-    TrainingMatrix,
     build_S,
     lmmse_filter,
     lmmse_objective,
@@ -52,7 +56,7 @@ R = cascaded_correlation(CORR, 2, 2, 4)
 def _state(rng, model, cfg=CFG, r=R):
     v0 = random_feasible_pattern(rng, cfg.m, cfg.b, model)
     x0 = random_training(rng, cfg.k, cfg.tau, cfg.power)
-    return build_surrogate(x0, v0, kronecker_factors(r, cfg.k), cfg.sigma2, cfg.l), x0, v0
+    return build_surrogate(x0.x, v0.v, kronecker_factors(r, cfg.k), cfg.sigma2, cfg.l), x0, v0
 
 
 def _training_terms(state):
@@ -152,7 +156,7 @@ class TestSecondMajorization:
         lam3_oracle = float(
             np.linalg.eigvalsh(w)[-1] * np.linalg.eigvalsh(R)[-1]
         )
-        assert _pattern_terms(state, x0).lambda3 / SAFETY_MARGIN == pytest.approx(
+        assert _pattern_terms(state, x0.x).lambda3 / SAFETY_MARGIN == pytest.approx(
             lam3_oracle, rel=1e-12)
 
     def test_identity_prior_spectrum(self, model, rng):
@@ -162,7 +166,7 @@ class TestSecondMajorization:
         xt0 = np.kron(np.eye(CFG.b), x0.x)
         w = xt0 @ state.xi_gram @ xt0.conj().T
         expected = SAFETY_MARGIN * float(np.linalg.eigvalsh(w)[-1]) * 4.0
-        assert _pattern_terms(state, x0, r_id).lambda3 == pytest.approx(expected, rel=1e-12)
+        assert _pattern_terms(state, x0.x, r_id).lambda3 == pytest.approx(expected, rel=1e-12)
 
     def test_kron_eigenvalue_factorization(self, model, rng):
         # the factored bound equals the eigenvalue of the full Kronecker form
@@ -180,23 +184,23 @@ class TestUpdateTraining:
         # B subframes whose diagonal blocks each contribute b_k
         tau = len(b_k)
         b_sums = b * np.asarray(b_k, dtype=complex).reshape(tau, 1)
-        x0 = TrainingMatrix(x=np.zeros((1, tau), dtype=complex), power=np.array([p]))
+        x0 = np.zeros((1, tau), dtype=complex)
         return TrainingTerms(lambda2=lam2, b_sums=b_sums, b=b, x0=x0)
 
     def test_boundary_branch(self):
         state = self._manual_state([2.0, 0.0], lam2=1.0, p=1.0)
         x = update_training(state, [1.0])
-        assert np.allclose(x.x[0], [1.0, 0.0])
+        assert np.allclose(x[0], [1.0, 0.0])
 
     def test_interior_branch(self):
         state = self._manual_state([0.5, 0.0], lam2=1.0, p=1.0)
         x = update_training(state, [1.0])
-        assert np.allclose(x.x[0], [0.5, 0.0])
+        assert np.allclose(x[0], [0.5, 0.0])
 
     def test_zero_gradient_keeps_previous_row(self):
         state = self._manual_state([0.0, 0.0], lam2=1.0, p=1.0)
         x = update_training(state, [1.0])
-        assert np.allclose(x.x[0], state.x0.x[0])
+        assert np.allclose(x[0], state.x0[0])
 
     def test_matches_projected_gradient_oracle(self, rng):
         for _ in range(100):
@@ -208,7 +212,7 @@ class TestUpdateTraining:
             # closed form through update_training; the single-subframe state
             # carries lam2*b so its threshold matches the b-subframe problem
             state = self._manual_state(b_k, lam2 * b, p, b=1)
-            x_closed = update_training(state, [p]).x[0]
+            x_closed = update_training(state, [p])[0]
             # independent oracle: projected gradient on
             # min lam2*b*||x||^2 - 2 Re{b_k^H x} s.t. ||x||^2 <= p
             x = np.zeros(tau, dtype=complex)
@@ -223,28 +227,28 @@ class TestUpdateTraining:
     def test_power_feasibility_exact(self, model, rng):
         state, _, _ = _state(rng, model)
         x = update_training(_training_terms(state), CFG.power)
-        assert np.all(np.sum(np.abs(x.x) ** 2, axis=1) <= CFG.power + 1e-9)
+        assert np.all(np.sum(np.abs(x) ** 2, axis=1) <= CFG.power + 1e-9)
 
 
 class TestUpdatePattern:
     def test_ideal_model_closed_form(self, rng):
         state, x0, v0 = _state(rng, ideal_model())
-        terms = _pattern_terms(state, x0)
+        terms = _pattern_terms(state, x0.x)
         out = update_pattern(terms, ideal_model())
         closed = ideal_update_lmmse(terms.c)
-        assert np.allclose(out.v, closed.v, atol=1e-12)
+        assert np.allclose(out, closed.v, atol=1e-12)
 
     def test_entries_are_projection_fixed_points(self, model, rng):
         state, x0, _ = _state(rng, model)
-        out = update_pattern(_pattern_terms(state, x0), model)
+        out = update_pattern(_pattern_terms(state, x0.x), model)
         assert np.allclose(
-            project_to_feasible(out.v[:-1], model), out.v[:-1], atol=1e-12
+            project_to_feasible(out[:-1], model), out[:-1], atol=1e-12
         )
-        assert np.allclose(out.v[-1], 1.0)
+        assert np.allclose(out[-1], 1.0)
 
     def test_matches_exhaustive_grid(self, model, rng):
         state, x0, _ = _state(rng, model)
-        terms = _pattern_terms(state, x0)
+        terms = _pattern_terms(state, x0.x)
         out = update_pattern(terms, model)
         c_mat = terms.c
         grid = np.linspace(0.0, TWO_PI, 200_000, endpoint=False)
@@ -252,7 +256,7 @@ class TestUpdatePattern:
             for n in range(CFG.b):
                 q, c = terms.lambda3 * CFG.k, -c_mat[m, n]
                 vals = phase_cost(q, c, grid, model)
-                achieved = phase_cost(q, c, float(np.angle(out.v[m, n]) % TWO_PI), model)
+                achieved = phase_cost(q, c, float(np.angle(out[m, n]) % TWO_PI), model)
                 assert achieved <= np.min(vals) + 1e-9 * max(abs(np.min(vals)), 1e-9)
 
 
@@ -301,7 +305,7 @@ class TestDesignLmmse:
         x1 = update_training(_training_terms(state), CFG.power)
         terms = _pattern_terms(state, x1)
         # the terms are taken at x1, on the anchor's Xi0 and V0
-        xt1 = np.kron(np.eye(CFG.b), x1.x)
+        xt1 = np.kron(np.eye(CFG.b), x1)
         vt0 = np.kron(v0.v, np.eye(CFG.k))
         w = xt1 @ state.xi_gram @ xt1.conj().T
         c0 = terms.lambda3 * vt0.conj().T - w @ vt0.conj().T @ R + xt1 @ xi0 @ R
@@ -344,10 +348,10 @@ class TestDesignLmmse:
             x0 = random_training(g, self.BIG.k, self.BIG.tau, self.BIG.power)
             f = kronecker_factors(self.R_BIG, 2)
             j0 = mse_lmmse(v0.v, x0.x, f, 1.0, 4)
-            state = build_surrogate(x0, v0, f, 1.0, 4)
+            state = build_surrogate(x0.x, v0.v, f, 1.0, 4)
             x1 = update_training(_training_terms(state), self.BIG.power)
             v1 = update_pattern(_pattern_terms(state, x1, self.R_BIG), model)
-            j1 = mse_lmmse(v1.v, x1.x, f, 1.0, 4)
+            j1 = mse_lmmse(v1, x1, f, 1.0, 4)
             assert j1 <= j0 + 1e-10
 
 
@@ -433,8 +437,8 @@ def test_factored_terms_match_dense(problem):
     f = kronecker_factors(r, k)
     p_max = numerics.largest_eigenvalue(f.p).value
     r_max = numerics.largest_eigenvalue(f.a).value * p_max
-    state = build_surrogate(x0, v0, f, 1.0, l)
-    train, pattern = training_terms(state, p_max), refresh_pattern_terms(state, x1, r_max)
+    state = build_surrogate(x0.x, v0.v, f, 1.0, l)
+    train, pattern = training_terms(state, p_max), refresh_pattern_terms(state, x1.x, r_max)
 
     vt0, xt0, xt1 = np.kron(v0.v, np.eye(k)), np.kron(np.eye(b), x0.x), np.kron(np.eye(b), x1.x)
     s0 = vt0 @ xt0
@@ -459,6 +463,90 @@ def test_factored_terms_match_dense(problem):
         # above 20 dB the dense Tr R - explained side loses digits itself
         dense = np.real(np.trace(r)) + lmmse_objective(build_S(v0, x1), r, 1.0, l)
         assert mse_lmmse(v0.v, x1.x, f, 1.0, l) == pytest.approx(dense, rel=1e-12)
+
+
+def _feasible_points(rng, cfg, model, v0, x0, count):
+    """Random feasible (V, X), half of them drawn afresh, half near (V0, X0).
+
+    A point near the anchor moves V0's phases and X0's rows by 10^-(i % 7);
+    a row longer than its budget is scaled back onto it.
+    """
+    for i in range(count):
+        if i % 2 == 0:
+            yield (random_feasible_pattern(rng, cfg.m, cfg.b, model).v,
+                   random_training(rng, cfg.k, cfg.tau, cfg.power).x)
+            continue
+        scale = 10.0 ** -(i % 7)
+        v = v0.copy()
+        v[:-1] = reflection_coefficient(
+            np.angle(v0[:-1]) + rng.uniform(-scale, scale, v0[:-1].shape), model)
+        x = x0 + scale * np.sqrt(cfg.power)[:, None] * (
+            rng.standard_normal(x0.shape) + 1j * rng.standard_normal(x0.shape))
+        norms = np.linalg.norm(x, axis=1)
+        yield v, x * np.minimum(1.0, np.sqrt(cfg.power) / norms)[:, None]
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=factored_problems())
+def test_majorizations_dominate_and_touch(problem):
+    # At a random anchor (X0, V0): g(S; S0) >= g(S), tangent at S0; the
+    # training-block bound >= g(S; S0) along X with V = V0; the pattern-block
+    # bound >= g(S; S0) along V at the X the step sees (X0 in a SQUAREM
+    # update, the updated X1 in a plain round).  Each block bound is the
+    # quadratic its step minimizes, lambda2 B ||X||^2 - 2 Re sum_k b_k^H x_k
+    # or lambda3 K ||V||^2 - 2 Re sum c[m, n] v[m, n], plus the constant that
+    # makes it touch g(S; S0) at the anchor.
+    cfg, r, model, seed = problem
+    rng = np.random.default_rng(seed)
+    k, b, tau, l = cfg.k, cfg.b, cfg.tau, cfg.l
+    f = kronecker_factors(r, k)
+    p_max = numerics.largest_eigenvalue(f.p).value
+    r_max = numerics.largest_eigenvalue(f.a).value * p_max
+    v0 = random_feasible_pattern(rng, cfg.m, b, model).v
+    x0, x1 = (random_training(rng, k, tau, cfg.power).x for _ in range(2))
+    state = build_surrogate(x0, v0, f, 1.0, l)
+    s0 = np.kron(v0, x0)
+    # 1e-12, or the dense Cholesky solve's forward-error scale where the
+    # anchor's condition number kappa makes that coarser
+    kappa = np.linalg.cond(s0.conj().T @ r @ s0 + l * np.eye(b * tau))
+    rel = max(1e-12, 32 * np.finfo(float).eps * kappa)
+    trace_r = float(np.real(np.trace(r)))
+
+    def sur(v, x):
+        return surrogate_value(state, np.kron(v, x))
+
+    def g(v, x):
+        return lmmse_objective(np.kron(v, x), r, 1.0, l)
+
+    assert abs(sur(v0, x0) - g(v0, x0)) <= rel * trace_r
+    for v, x in _feasible_points(rng, cfg, model, v0, x0, 20):
+        upper, true = sur(v, x), g(v, x)
+        assert upper >= true - rel * (abs(upper) + abs(true) + trace_r)
+
+    train = training_terms(state, p_max)
+
+    def train_bound(x):
+        quad = train.lambda2 * train.b * float(np.sum(np.abs(x) ** 2))
+        lin = 2.0 * float(np.real(np.sum(train.b_sums.T.conj() * x)))
+        return quad - lin, abs(quad) + abs(lin)
+
+    touch = sur(v0, x0) - train_bound(x0)[0]
+    for _, x in _feasible_points(rng, cfg, model, v0, x0, 20):
+        (bound, size), upper = train_bound(x), sur(v0, x)
+        assert bound + touch >= upper - rel * (size + abs(touch) + abs(upper) + trace_r)
+
+    for x_seen in (x0, x1):
+        pattern = refresh_pattern_terms(state, x_seen, r_max)
+
+        def pattern_bound(v):
+            quad = pattern.lambda3 * pattern.k * float(np.sum(np.abs(v) ** 2))
+            lin = 2.0 * float(np.real(np.sum(pattern.c * v)))
+            return quad - lin, abs(quad) + abs(lin)
+
+        touch = sur(v0, x_seen) - pattern_bound(v0)[0]
+        for v, _ in _feasible_points(rng, cfg, model, v0, x0, 20):
+            (bound, size), upper = pattern_bound(v), sur(v, x_seen)
+            assert bound + touch >= upper - rel * (size + abs(touch) + abs(upper) + trace_r)
 
 
 @settings(max_examples=20, deadline=None)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import ideal_update_lmmse, ideal_update_ls, phase_cost
 from risce import phase_model
@@ -294,18 +294,40 @@ def pattern_problems(draw, alphas):
     return q, c, model
 
 
-def _check_pattern_step(q, c, model, grid, rtol):
+def _amplitude_rounding(theta, model):
+    """Change of beta(theta) when s = (sin(theta - delta) + 1) / 2 moves by a few ulps of 1.
+
+    Next to the cusp sin(theta - delta) + 1 cancels, so s carries an absolute
+    rounding error of about an ulp of 1, and beta = (1 - beta_min) s^alpha +
+    beta_min moves by its slope in s times that.  Away from the cusp this is
+    below 1e-15.
+    """
+    s = (np.sin(theta - model.delta) + 1.0) / 2.0
+    ds = 4.0 * np.finfo(float).eps
+    lo = np.maximum(s - ds, 0.0)
+    return (1.0 - model.beta_min) * ((s + ds) ** model.alpha - lo**model.alpha)
+
+
+def _check_pattern_step(q, c, model, grid, rtol, cusp_rounding=False):
     # Every entry is within rtol * (q + 2|c|) of the best point of grid plus
     # theta_d, is a fixed point of the projection, and the last row is ones.
     # A zero entry (beta_min = 0, at theta_d) is on the law but has no phase
-    # to keep, so it is exempt from the fixed-point check.
+    # to keep, so it is exempt from the fixed-point check.  With cusp_rounding
+    # every entry must be the law point at the phase the search returns, and
+    # the fixed-point check allows 1e-12 plus the rounding of beta there.
     v = minimize_pattern_entries(q, c, model)
     m, b = c.shape
     assert v.shape == (m + 1, b)
     assert np.all(v[-1] == 1.0)
-    nonzero = v[:m][v[:m] != 0.0]
+    mask = v[:m] != 0.0
+    nonzero = v[:m][mask]
     assert model.beta_min == 0.0 or nonzero.size == m * b
-    assert np.allclose(project_to_feasible(nonzero, model), nonzero, rtol=0.0, atol=1e-12)
+    atol = 1e-12
+    if cusp_rounding:
+        thetas = minimize_phase_objectives(np.full(m * b, q), c, model)[0].reshape(m, b)
+        assert np.array_equal(v[:m], reflection_coefficient(thetas, model))
+        atol = atol + _amplitude_rounding(thetas[mask], model)
+    assert np.allclose(project_to_feasible(nonzero, model), nonzero, rtol=0.0, atol=atol)
     candidates = np.append(grid, (model.delta - np.pi / 2) % TWO_PI)
     found = q * np.abs(v[:m]) ** 2 + 2.0 * np.real(c * v[:m])
     for (i, j), cost in np.ndenumerate(found):
@@ -314,7 +336,6 @@ def _check_pattern_step(q, c, model, grid, rtol):
 
 
 DENSE_GRID = np.linspace(0.0, TWO_PI, 200_000, endpoint=False)
-SEARCH_GRID = np.linspace(0.0, TWO_PI, GRID_POINTS, endpoint=False)
 
 
 @settings(max_examples=20, deadline=None)
@@ -332,13 +353,29 @@ def test_pattern_step_near_dense_oracle_below_one(problem):
     _check_pattern_step(*problem, DENSE_GRID, rtol=1e-9)
 
 
+# An entry 1.8e-8 rad from the cusp, where s rounds to half an ulp of 1 and
+# recomputing beta from np.angle of the entry moves it by 2.7e-3.
+_CUSP_RNG = np.random.default_rng(1463)
+_CUSP_C = _CUSP_RNG.uniform(0.1, 5.0) * (_CUSP_RNG.standard_normal((3, 4))
+                                         + 1j * _CUSP_RNG.standard_normal((3, 4)))
+
+
+# A narrow dip at the cusp: the point of linspace(0, 2 pi, GRID_POINTS) 1.6e-4
+# rad from it scores 0.11 below the step, but the search's own grid starts
+# half a step (3.1e-3 rad) past the cusp.
+_DIP_C = np.array([[0.25146044 + 2.60800009j, -0.26420973 + 1.89416193j, 1.2808453 - 1.40747047j],
+                   [0.20980023 - 2.53084294j, -1.07133875 - 1.24654893j, 0.72319011 + 0.08265196j]])
+
+
 @settings(max_examples=10, deadline=None)
 @given(problem=pattern_problems(st.floats(0.0, 0.5, exclude_max=True)))
+@example(problem=(5.0, _CUSP_C, ReflectionModel(beta_min=0.0, alpha=0.08203125, delta=6.0)))
+@example(problem=(3.0, _DIP_C, ReflectionModel(beta_min=0.0, alpha=0.015625, delta=1.0)))
 def test_pattern_step_beats_its_candidates_below_half(problem):
     # For alpha < 1/2 a minimum next to the cusp can be narrower than the
     # grid spacing and no dense-oracle bound holds; the step still never
     # loses to its own grid or to theta_d.
-    _check_pattern_step(*problem, SEARCH_GRID, rtol=1e-12)
+    _check_pattern_step(*problem, _search_grid(problem[2])[0], rtol=1e-12, cusp_rounding=True)
 
 
 def _full_grid_minima(q, c, model):
