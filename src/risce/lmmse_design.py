@@ -250,10 +250,10 @@ def design_lmmse(
         x, v = pair
         x, obj, n_x = squarem_step(
             x, lambda xa: train(anchor(xa, v)), lambda xa: project_training_rows(xa, power),
-            lambda xa: mse_lmmse(v, xa, factors, sigma2, l), obj)
+            lambda xa: objective((xa, v)), obj)
         v, obj, n_v = squarem_step(
             v, lambda va: pattern(anchor(x, va), x), lambda va: project_pattern(va, model),
-            lambda va: mse_lmmse(va, x, factors, sigma2, l), obj)
+            lambda va: objective((x, va)), obj)
         return (x, v), obj, n_x + n_v
 
     step = squarem_round if accelerate else plain_step(mm_round, objective)

@@ -336,6 +336,13 @@ def _check_pattern_step(q, c, model, grid, rtol, cusp_rounding=False):
 
 
 DENSE_GRID = np.linspace(0.0, TWO_PI, 200_000, endpoint=False)
+SEARCH_GRID = np.linspace(0.0, TWO_PI, GRID_POINTS, endpoint=False)
+
+
+def _off_cusp(grid, model):
+    """The points of grid at least one SEARCH_GRID step away from theta_d."""
+    gap = (grid - (model.delta - np.pi / 2) + np.pi) % TWO_PI - np.pi
+    return grid[np.abs(gap) >= TWO_PI / GRID_POINTS]
 
 
 @settings(max_examples=20, deadline=None)
@@ -360,9 +367,9 @@ _CUSP_C = _CUSP_RNG.uniform(0.1, 5.0) * (_CUSP_RNG.standard_normal((3, 4))
                                          + 1j * _CUSP_RNG.standard_normal((3, 4)))
 
 
-# A narrow dip at the cusp: the point of linspace(0, 2 pi, GRID_POINTS) 1.6e-4
-# rad from it scores 0.11 below the step, but the search's own grid starts
-# half a step (3.1e-3 rad) past the cusp.
+# A narrow dip at the cusp: the point of SEARCH_GRID 1.6e-4 rad from it
+# scores 0.11 below the step, whose own grid starts half a step (3.1e-3 rad)
+# past the cusp.
 _DIP_C = np.array([[0.25146044 + 2.60800009j, -0.26420973 + 1.89416193j, 1.2808453 - 1.40747047j],
                    [0.20980023 - 2.53084294j, -1.07133875 - 1.24654893j, 0.72319011 + 0.08265196j]])
 
@@ -370,12 +377,22 @@ _DIP_C = np.array([[0.25146044 + 2.60800009j, -0.26420973 + 1.89416193j, 1.28084
 @settings(max_examples=10, deadline=None)
 @given(problem=pattern_problems(st.floats(0.0, 0.5, exclude_max=True)))
 @example(problem=(5.0, _CUSP_C, ReflectionModel(beta_min=0.0, alpha=0.08203125, delta=6.0)))
-@example(problem=(3.0, _DIP_C, ReflectionModel(beta_min=0.0, alpha=0.015625, delta=1.0)))
 def test_pattern_step_beats_its_candidates_below_half(problem):
     # For alpha < 1/2 a minimum next to the cusp can be narrower than the
     # grid spacing and no dense-oracle bound holds; the step still never
-    # loses to its own grid or to theta_d.
-    _check_pattern_step(*problem, _search_grid(problem[2])[0], rtol=1e-12, cusp_rounding=True)
+    # loses to its own grid, to theta_d, or to SEARCH_GRID outside one step
+    # of theta_d.  Inside that step it can (the strict xfail below).
+    model = problem[2]
+    grid = np.concatenate([_search_grid(model)[0], _off_cusp(SEARCH_GRID, model)])
+    _check_pattern_step(*problem, grid, rtol=1e-12, cusp_rounding=True)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="known limit: for alpha < 1/2 the phase search misses a dip "
+                          "at the cusp narrower than its grid step (CHANGES.md FOUND)")
+def test_pattern_step_beats_search_grid_in_a_narrow_cusp_dip():
+    model = ReflectionModel(beta_min=0.0, alpha=0.015625, delta=1.0)
+    _check_pattern_step(3.0, _DIP_C, model, SEARCH_GRID, rtol=1e-12, cusp_rounding=True)
 
 
 def _full_grid_minima(q, c, model):
