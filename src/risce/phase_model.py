@@ -11,9 +11,14 @@ the one-dimensional phase search behind both pattern-design algorithms,
 :func:`minimize_pattern_entries`.
 
 The phase search is exact under the ideal law.  Otherwise it scores a fixed
-grid of GRID_POINTS phases, refines the best point by safeguarded Newton
-(for alpha < 1, the best point on each side of the cusp at
-theta_d = delta - pi/2) and scores theta_d last.
+grid of GRID_POINTS phases and theta_d = delta - pi/2, then refines the best
+grid point (for alpha < 1, the best point on each side of the cusp at
+theta_d) by safeguarded Newton.  Each derivative of the cost is linear in
+(q, Re c, Im c), so a cached table of the basis's first three derivatives
+at the grid points gives f', f'' and f''' at the start from one gather and
+one contraction.  The first step is Halley's from them, and an entry stops
+once a Newton step s leaves an error |f''' / (2 f'')| s^2 of at most one
+ulp of 2 pi; most entries need one slope evaluation.
 For alpha < 1/2 a dip at the cusp can be narrower than the grid spacing,
 and then neither the grid nor the refinement finds a minimum that sits on it.
 
@@ -40,7 +45,8 @@ GRID_POINTS = 1024
 _BAND = 8
 _BAND_BATCH = 128   # smaller batches score the whole grid faster than the bands
 _NEWTON_CAP = 60
-_STEP_TOL = 4 * float(np.spacing(TWO_PI))   # 4 ulps of 2 pi
+_ULP = float(np.spacing(TWO_PI))   # the spacing of floats in [pi, 2 pi)
+_STEP_TOL = 4 * _ULP
 
 
 @dataclass(frozen=True)
@@ -157,28 +163,74 @@ def _phase_cost_slopes(q, c_re, c_im, theta, model: ReflectionModel):
     return d1, d2
 
 
-def _newton_refine(q, c, x, lo, hi, model: ReflectionModel) -> np.ndarray:
+@lru_cache(maxsize=2)   # a design keeps one law, and a table takes 72 kB
+def _slope_table(model: ReflectionModel) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only derivative table of the basis at the grid, and the basis at theta_d.
+
+    Entry [i, k - 1] of the (GRID_POINTS, 3, 3) table is the k-th theta-
+    derivative of [beta^2, 2 beta cos, -2 beta sin] at grid point i; its dot
+    product with (q, Re c, Im c) is the cost's k-th derivative there.
+    beta''' divides by s, so it is not finite at a grid point on the cusp,
+    and the first step from there bisects.
+    """
+    grid, a, k = _search_grid(model)[0], model.alpha, 1.0 - model.beta_min
+    sin_u, cos_u = np.sin(grid - model.delta), np.cos(grid - model.delta)
+    s, w = 0.5 * (sin_u + 1.0), a - 1.0 - a * sin_u
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = 0.5 * a * k * s ** (a - 1.0)
+        b, b1, b2 = amplitude_of_phase(grid, model), p * cos_u, p * w
+        b3 = b1 * ((a - 1.0) * w / (2.0 * s) - a)
+        # derivatives of 2 beta e^{j theta}: the basis rows 2 and 3 are its real and -imaginary parts
+        h = 2.0 * np.exp(1j * grid) * np.stack([b1 + 1j * b, b2 - b + 2j * b1,
+                                                b3 - 3.0 * b1 + 1j * (3.0 * b2 - b)])
+        quad = 2.0 * np.stack([b * b1, b1**2 + b * b2, 3.0 * b1 * b2 + b * b3])
+    table = np.ascontiguousarray(np.stack([quad, h.real, -h.imag], axis=2).transpose(1, 0, 2))
+    theta_d = _amplitude_minimum(model)
+    beta_d = amplitude_of_phase(theta_d, model)
+    at_theta_d = np.array([beta_d**2, 2.0 * beta_d * math.cos(theta_d),
+                           -2.0 * beta_d * math.sin(theta_d)])
+    table.flags.writeable = at_theta_d.flags.writeable = False
+    return table, at_theta_d
+
+
+def _newton_refine(q, c, x, lo, hi, slopes, model: ReflectionModel) -> np.ndarray:
     """Safeguarded Newton on f' from x inside [lo, hi], over 1-D arrays.
 
-    Bisects where a step is not finite, has f'' <= 0 or leaves the bracket;
-    an entry stops once it moves at most _STEP_TOL.  A point where f' is not
-    finite (s rounds to 0 next to the alpha < 1 cusp) leaves the bracket as
-    it is.  The live set shrinks, and out is written, only when an entry stops.
+    slopes holds f', f'' and f''' at x by column (from :func:`_slope_table`).
+    The first step is Halley's from them, each later one Newton's from
+    :func:`_phase_cost_slopes`.  A step that is not finite, has f'' <= 0 or
+    leaves the bracket bisects it instead.  An entry stops once it moves at
+    most _STEP_TOL, or, for alpha >= 1, once an in-bracket Newton step s has
+    |f''' / (2 f'')| s^2 <= _ULP (f''' from the start): that is the error
+    the next step would remove.  A last step of at most _STEP_TOL leaves an
+    error of order _STEP_TOL^2, so the bound is one ulp, not _STEP_TOL, to
+    keep that precision.  Below alpha = 1, f''' grows without
+    bound toward the cusp, so the start's value bounds nothing.  A point
+    where f' is not finite (s rounds to 0 next to the alpha < 1 cusp) leaves
+    the bracket as it is.  The live set shrinks, and out is written, only
+    when an entry stops.
     """
     c_re, c_im, out, live = c.real, c.imag, np.empty_like(x), np.arange(x.size)
+    d1, d2, d3 = slopes.T
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(_NEWTON_CAP):
-            d1, d2 = _phase_cost_slopes(q, c_re, c_im, x, model)
+        step, curv = x - d1 / (d2 - 0.5 * d1 * d3 / d2), np.inf   # Halley's error is cubic
+        d3 = 0.5 * np.abs(d3) if model.alpha >= 1.0 else np.full_like(x, np.inf)
+        for i in range(_NEWTON_CAP):
+            if i:
+                d1, d2 = _phase_cost_slopes(q, c_re, c_im, x, model)
+                step = x - d1 / d2
+                curv = d3 / d2
             lo, hi = np.where(d1 <= 0.0, x, lo), np.where(d1 > 0.0, x, hi)
-            step = x - d1 / d2
-            x_new = np.where((d2 > 0.0) & (step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
-            moving = np.abs(x_new - x) > _STEP_TOL
+            newton = (d2 > 0.0) & (step >= lo) & (step <= hi)
+            x_new = np.where(newton, step, 0.5 * (lo + hi))
+            move = np.abs(x_new - x)
+            moving = (move > _STEP_TOL) & ~(newton & (curv * move**2 <= _ULP))
             if not moving.all():
                 out[live[~moving]] = x_new[~moving]
-                if not moving.any():
-                    return out
-                live, q, c_re, c_im, lo, hi, x_new = (
-                    v[moving] for v in (live, q, c_re, c_im, lo, hi, x_new))
+                live, q, c_re, c_im, lo, hi, x_new, d3 = (
+                    v[moving] for v in (live, q, c_re, c_im, lo, hi, x_new, d3))
+            if not live.size:
+                return out
             x = x_new
     out[live] = x
     return out
@@ -229,11 +281,16 @@ def minimize_phase_objectives(
 
     Batched over the (q, c) pairs, theta in [0, 2*pi).  Under the ideal law
     the step is exact: pi - arg(c), or 0 when c = 0.  Otherwise the best grid
-    point (for alpha < 1, of each side of the cusp theta_d) is refined by
-    safeguarded Newton within one grid step and kept only if strictly better;
-    theta_d is scored last.  Ties break toward the grid point.  Most entries
-    score only the grid near arg z (module docstring).  Returns the thetas and
-    their values; both pattern updates call it via :func:`minimize_pattern_entries`.
+    point (for alpha < 1, of each side of the cusp theta_d) is refined within
+    one grid step, by a Halley step from the cached derivative table and then
+    safeguarded Newton until the error left is at most one ulp, and kept
+    only if strictly better; theta_d, scored from cached scalars, is the last
+    candidate.  Where beta_min = 0 and alpha >= 1, theta_d is a stationary
+    zero of the cost, flat to order 2 alpha, toward which Newton only creeps:
+    an entry whose grid best it matches is not refined and returns theta_d.
+    Ties break toward the grid point.  Most entries score only the grid near
+    arg z (module docstring).  Returns the thetas and their values; both
+    pattern updates call it via :func:`minimize_pattern_entries`.
     """
     q = np.asarray(quad_coeffs, dtype=float).ravel()
     c = np.asarray(lin_coeffs, dtype=complex).ravel()
@@ -245,16 +302,23 @@ def minimize_phase_objectives(
     theta_d, span = _amplitude_minimum(model), TWO_PI / GRID_POINTS
     lo, hi = (theta_d, theta_d + TWO_PI) if model.alpha < 1.0 else (-np.inf, np.inf)
     best, low = _best_grid_points(q, c, model)
-    theta0, sides = _search_grid(model)[0][best.ravel()], best.shape[1]
-    qs, cs, theta_ds = np.repeat(q, sides), np.repeat(c, sides), np.full_like(q, theta_d)
-    refined = _newton_refine(qs, cs, theta0, np.maximum(theta0 - span, lo),
-                             np.minimum(theta0 + span, hi), model) % TWO_PI
+    table, at_theta_d = _slope_table(model)
+    coeffs, sides = np.stack([q, c.real, c.imag], axis=1), best.shape[1]
+    value_d = coeffs @ at_theta_d
+    # A flat entry gets the empty bracket [theta0, theta0], so it stops
+    # before the first slope evaluation.
+    flat = np.repeat((model.beta_min == 0.0 and model.alpha >= 1.0) & (value_d <= low[:, 0]), sides)
+    theta0, best = _search_grid(model)[0][best.ravel()], best.ravel()
+    qs, cs, coeffs = np.repeat(q, sides), np.repeat(c, sides), np.repeat(coeffs, sides, axis=0)
+    refined = _newton_refine(qs, cs, theta0, np.where(flat, theta0, np.maximum(theta0 - span, lo)),
+                             np.where(flat, theta0, np.minimum(theta0 + span, hi)),
+                             np.vecdot(table[best], coeffs[:, None, :]), model) % TWO_PI
     # Grid points, then refined points, then theta_d: a later candidate wins
     # only if strictly better, so ties break early and a NaN never wins.
     cands = [(theta0 % TWO_PI, low.ravel()), (refined, _phase_cost(qs, cs, refined, model))]
     cands = [(t[j::sides], v[j::sides]) for t, v in cands for j in range(sides)]
     theta, value = cands[0]
-    for t, v in cands[1:] + [(theta_ds, _phase_cost(q, c, theta_ds, model))]:
+    for t, v in cands[1:] + [(np.full_like(q, theta_d), value_d)]:
         better = v < value
         theta, value = np.where(better, t, theta), np.where(better, v, value)
     return theta, value

@@ -9,6 +9,8 @@ from risce import phase_model
 from risce.phase_model import (
     _BAND,
     _BAND_BATCH,
+    _NEWTON_CAP,
+    _STEP_TOL,
     GRID_POINTS,
     ReflectionModel,
     amplitude_of_phase,
@@ -19,9 +21,11 @@ from risce.phase_model import (
     reflection_coefficient,
     _band_windows,
     _best_grid_points,
+    _newton_refine,
     _phase_cost,
     _phase_cost_slopes,
     _search_grid,
+    _slope_table,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -509,7 +513,145 @@ def test_non_finite_refined_value_never_wins(model, rng, monkeypatch):
     q = rng.uniform(0.1, 5.0, 200)
     c = rng.standard_normal(200) + 1j * rng.standard_normal(200)
     low = _best_grid_points(q, c, model)[1][:, 0]
-    monkeypatch.setattr(phase_model, "_newton_refine",
-                        lambda q, c, x, lo, hi, m: np.full_like(x, np.nan))
+    batches = []
+
+    def nan_refine(q, c, x, lo, hi, slopes, m):
+        batches.append(x.size)
+        return np.full_like(x, np.nan)
+
+    monkeypatch.setattr(phase_model, "_newton_refine", nan_refine)
     thetas, values = minimize_phase_objectives(q, c, model)
+    assert batches == [200]   # every entry's refined point came from the patch
     assert np.all(np.isfinite(thetas)) and np.all(values <= low)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    beta_min=st.floats(0.0, 0.99),
+    alpha=st.floats(1.0, 3.0),
+    delta=st.floats(0.0, TWO_PI),
+    q=st.floats(0.0, 10.0),
+    c_re=st.floats(-5.0, 5.0),
+    c_im=st.floats(-5.0, 5.0),
+    offset=st.floats(0.5, TWO_PI - 0.5),
+)
+def test_slope_table_matches_the_cost_slopes(beta_min, alpha, delta, q, c_re, c_im, offset):
+    # At every grid point the table's f' and f'' equal _phase_cost_slopes up
+    # to rounding; at one at least 0.5 rad from theta_d, f''' matches central
+    # differences of f''.
+    m = ReflectionModel(beta_min=beta_min, alpha=alpha, delta=delta)
+    grid, (table, _) = _search_grid(m)[0], _slope_table(m)
+    d = table @ np.array([q, c_re, c_im])
+    d1, d2 = _phase_cost_slopes(q, c_re, c_im, grid, m)
+    scale = (q + 2.0 * abs(complex(c_re, c_im)) + 1.0) * (1.0 + alpha) ** 2
+    assert np.max(np.abs(d[:, 0] - d1)) <= 1e-12 * scale
+    assert np.max(np.abs(d[:, 1] - d2)) <= 1e-12 * scale
+    i = int(np.rint((m.delta - np.pi / 2 + offset) % TWO_PI / TWO_PI * GRID_POINTS)) % GRID_POINTS
+    h = 1e-5
+    fd3 = (_phase_cost_slopes(q, c_re, c_im, grid[i] + h, m)[1]
+           - _phase_cost_slopes(q, c_re, c_im, grid[i] - h, m)[1]) / (2 * h)
+    assert d[i, 2] == pytest.approx(fd3, abs=1e-6 * scale * (1.0 + alpha))
+
+
+def test_theta_d_is_scored_from_cached_scalars(model, rng):
+    q = rng.uniform(0.0, 5.0, 50)
+    c = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+    theta_d = (model.delta - np.pi / 2) % TWO_PI
+    value = np.stack([q, c.real, c.imag], axis=1) @ _slope_table(model)[1]
+    assert np.allclose(value, _phase_cost(q, c, theta_d, model), rtol=0.0, atol=1e-15 * (q + 2 * np.abs(c)))
+
+
+# A desk-size law (beta_min in [0, 0.5], alpha in [1, 3]) and a 72-entry batch
+# with one quadratic coefficient, as one LS pattern step of a desk design.
+DESK_MODEL = ReflectionModel(beta_min=0.2, alpha=2.1, delta=0.24)
+
+
+def _desk_batch():
+    rng = np.random.default_rng(4)
+    return np.full(72, rng.uniform(1.0, 8.0)), rng.standard_normal(72) + 1j * rng.standard_normal(72)
+
+
+def _plain_newton(q, c, x, lo, hi, model):
+    """Safeguarded Newton on f' from x inside [lo, hi] until every step is at most _STEP_TOL (test oracle)."""
+    x, lo, hi = x.copy(), lo.copy(), hi.copy()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_NEWTON_CAP):
+            d1, d2 = _phase_cost_slopes(q, c.real, c.imag, x, model)
+            lo, hi = np.where(d1 <= 0.0, x, lo), np.where(d1 > 0.0, x, hi)
+            step = x - d1 / d2
+            x_new = np.where((d2 > 0.0) & (step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+            done = np.abs(x_new - x) <= _STEP_TOL
+            x = x_new
+            if done.all():
+                break
+    return x
+
+
+def test_desk_batch_needs_at_most_two_slope_evaluations(monkeypatch):
+    # Plain Newton from the grid needs 4 evaluations on this batch, and a
+    # Newton first step leaves most entries for a second one.
+    q, c = _desk_batch()
+    calls = []
+    slopes = phase_model._phase_cost_slopes
+    monkeypatch.setattr(phase_model, "_phase_cost_slopes",
+                        lambda *args: calls.append(args[3].size) or slopes(*args))
+    minimize_phase_objectives(q, c, DESK_MODEL)
+    assert len(calls) <= 2 and calls[0] == q.size and sum(calls[1:]) <= q.size // 4
+
+
+def test_refined_thetas_match_plain_newton():
+    q, c = _desk_batch()
+    best = _best_grid_points(q, c, DESK_MODEL)[0][:, 0]
+    x = _search_grid(DESK_MODEL)[0][best]
+    lo, hi = x - TWO_PI / GRID_POINTS, x + TWO_PI / GRID_POINTS
+    slopes = _slope_table(DESK_MODEL)[0][best] @ np.array([q, c.real, c.imag]).T[:, :, None]
+    refined = _newton_refine(q, c, x, lo, hi, slopes[:, :, 0], DESK_MODEL)
+    assert np.max(np.abs(refined - _plain_newton(q, c, x, lo, hi, DESK_MODEL))) <= 2 * _STEP_TOL
+
+
+def test_refinement_below_one_is_as_good_as_plain_newton():
+    # Below alpha = 1, f''' grows without bound toward the cusp: stopping on
+    # the start's f''' would end up to 2e-12 (q + 2|c|) short next to it.
+    m = ReflectionModel(beta_min=0.27, alpha=0.6, delta=4.7)
+    theta_d, rng = (m.delta - np.pi / 2) % TWO_PI, np.random.default_rng(0)
+    q = rng.uniform(0.5, 5.0, 72)
+    z = (reflection_coefficient(theta_d + rng.normal(0.0, 3e-3, 72), m)
+         * (1.0 + rng.normal(0.0, 0.3, 72)))
+    c = -np.conj(q * z)   # minima next to the cusp
+    x = _search_grid(m)[0][_best_grid_points(q, c, m)[0]]
+    lo = np.maximum(x - TWO_PI / GRID_POINTS, theta_d)
+    hi = np.minimum(x + TWO_PI / GRID_POINTS, theta_d + TWO_PI)
+    plain = np.min([phase_cost(q, c, _plain_newton(q, c, x[:, j], lo[:, j], hi[:, j], m), m)
+                    for j in range(2)], axis=0)
+    _, values = minimize_phase_objectives(q, c, m)
+    assert np.all(values <= plain + 1e-14 * (q + 2.0 * np.abs(c)))
+
+
+def test_flat_minimum_on_theta_d_leaves_the_batch(monkeypatch):
+    # beta_min = 0 and alpha >= 1: the cost is beta (q beta + 2|c| cos(theta -
+    # theta_d)) >= 0 for q >= 2|c|, so its minimum 0 sits on theta_d, flat to
+    # order 2 alpha, where Newton used to run all _NEWTON_CAP steps.
+    m = ReflectionModel(beta_min=0.0, alpha=2.0, delta=1.0)
+    theta_d = (m.delta - np.pi / 2) % TWO_PI
+    q = np.array([3.0, 3.0, 0.5])
+    c = np.array([np.exp(-1j * theta_d), 1.0 + 1.0j, -1.0 + 0.5j])
+    assert _best_grid_points(q, c, m)[1][0, 0] > 0.0
+    batches = []
+    slopes = phase_model._phase_cost_slopes
+    monkeypatch.setattr(phase_model, "_phase_cost_slopes",
+                        lambda *args: batches.append(args[1] + 1j * args[2]) or slopes(*args))
+    thetas, values = minimize_phase_objectives(q, c, m)
+    assert np.array_equal(batches[0], c[1:]) and not any(c[0] in b for b in batches)
+    assert thetas[0] == theta_d and abs(values[0]) <= 1e-15
+    assert np.all(values[1:] < 0.0)
+
+
+def test_batch_of_flat_minima_refines_nothing(monkeypatch):
+    m = ReflectionModel(beta_min=0.0, alpha=1.5, delta=2.0)
+    theta_d = (m.delta - np.pi / 2) % TWO_PI
+    calls = []
+    slopes = phase_model._phase_cost_slopes
+    monkeypatch.setattr(phase_model, "_phase_cost_slopes",
+                        lambda *args: calls.append(1) or slopes(*args))
+    thetas, _ = minimize_phase_objectives([3.0, 4.0], 0.5 * np.exp(-1j * theta_d) * np.ones(2), m)
+    assert np.all(thetas == theta_d) and not calls
