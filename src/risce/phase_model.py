@@ -13,12 +13,13 @@ the one-dimensional phase search behind both pattern-design algorithms,
 The phase search is exact under the ideal law.  Otherwise it scores a fixed
 grid of GRID_POINTS phases and theta_d = delta - pi/2, then refines the best
 grid point (for alpha < 1, the best point on each side of the cusp at
-theta_d) by safeguarded Newton.  Each derivative of the cost is linear in
-(q, Re c, Im c), so a cached table of the basis's first three derivatives
-at the grid points gives f', f'' and f''' at the start from one gather and
-one contraction.  The first step is Halley's from them, and an entry stops
-once a Newton step s leaves an error |f''' / (2 f'')| s^2 of at most one
-ulp of 2 pi; most entries need one slope evaluation.
+theta_d) by a safeguarded iteration on f'.  Each derivative of the cost is
+linear in (q, Re c, Im c), so a cached table of the basis's first three
+derivatives at the grid points gives f', f'' and f''' at the start from
+one gather and one contraction.  The steps are Halley's with that f''' (after the first,
+Newton's below alpha = 1), and an entry stops once the error a Newton step
+s would leave, |f''' / (2 f'')| s^2, is at most _STEP_TOL; most entries
+need one slope evaluation.
 For alpha < 1/2 a dip at the cusp can be narrower than the grid spacing,
 and then neither the grid nor the refinement finds a minimum that sits on it.
 
@@ -45,8 +46,7 @@ GRID_POINTS = 1024
 _BAND = 8
 _BAND_BATCH = 128   # smaller batches score the whole grid faster than the bands
 _NEWTON_CAP = 60
-_ULP = float(np.spacing(TWO_PI))   # the spacing of floats in [pi, 2 pi)
-_STEP_TOL = 4 * _ULP
+_STEP_TOL = 4 * float(np.spacing(TWO_PI))   # 4 ulps of 2 pi
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,7 @@ def _slope_table(model: ReflectionModel) -> tuple[np.ndarray, np.ndarray]:
         p = 0.5 * a * k * s ** (a - 1.0)
         b, b1, b2 = amplitude_of_phase(grid, model), p * cos_u, p * w
         b3 = b1 * ((a - 1.0) * w / (2.0 * s) - a)
-        # derivatives of 2 beta e^{j theta}: the basis rows 2 and 3 are its real and -imaginary parts
+        # derivatives of 2 beta e^{j theta}, whose real and -imaginary parts are basis rows 2 and 3
         h = 2.0 * np.exp(1j * grid) * np.stack([b1 + 1j * b, b2 - b + 2j * b1,
                                                 b3 - 3.0 * b1 + 1j * (3.0 * b2 - b)])
         quad = 2.0 * np.stack([b * b1, b1**2 + b * b2, 3.0 * b1 * b2 + b * b3])
@@ -194,43 +194,43 @@ def _slope_table(model: ReflectionModel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _newton_refine(q, c, x, lo, hi, slopes, model: ReflectionModel) -> np.ndarray:
-    """Safeguarded Newton on f' from x inside [lo, hi], over 1-D arrays.
+    """Safeguarded Halley iteration on f' from x inside [lo, hi], over 1-D arrays.
 
     slopes holds f', f'' and f''' at x by column (from :func:`_slope_table`).
-    The first step is Halley's from them, each later one Newton's from
+    The first step is Halley's from them; later ones take f' and f'' from
     :func:`_phase_cost_slopes`.  A step that is not finite, has f'' <= 0 or
     leaves the bracket bisects it instead.  An entry stops once it moves at
-    most _STEP_TOL, or, for alpha >= 1, once an in-bracket Newton step s has
-    |f''' / (2 f'')| s^2 <= _ULP (f''' from the start): that is the error
-    the next step would remove.  A last step of at most _STEP_TOL leaves an
-    error of order _STEP_TOL^2, so the bound is one ulp, not _STEP_TOL, to
-    keep that precision.  Below alpha = 1, f''' grows without
-    bound toward the cusp, so the start's value bounds nothing.  A point
-    where f' is not finite (s rounds to 0 next to the alpha < 1 cusp) leaves
-    the bracket as it is.  The live set shrinks, and out is written, only
-    when an entry stops.
+    most _STEP_TOL, or, for alpha >= 1, once a later in-bracket step s has
+    |f''' / (2 f'')| s^2 <= _STEP_TOL: that bounds the error a Newton step
+    would leave, and the later steps, Halley's with the start's f''' (at
+    most one grid step old), remove most of it.  Below alpha = 1, f''' grows
+    without bound toward the cusp, the start's value bounds nothing, and the
+    later steps are Newton's, stopped by their size only.  A point where f'
+    is not finite (s rounds to 0 next to the alpha < 1 cusp) leaves the
+    bracket as it is.  The live set shrinks, and out is written, only when
+    an entry stops.
     """
     c_re, c_im, out, live = c.real, c.imag, np.empty_like(x), np.arange(x.size)
-    d1, d2, d3 = slopes.T
+    (d1, d2, d3), reach = slopes.T, _STEP_TOL   # from the start, Halley's error is cubic
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        step, curv = x - d1 / (d2 - 0.5 * d1 * d3 / d2), np.inf   # Halley's error is cubic
-        d3 = 0.5 * np.abs(d3) if model.alpha >= 1.0 else np.full_like(x, np.inf)
         for i in range(_NEWTON_CAP):
             if i:
                 d1, d2 = _phase_cost_slopes(q, c_re, c_im, x, model)
-                step = x - d1 / d2
-                curv = d3 / d2
+                if model.alpha >= 1.0:   # the longest step that stops
+                    reach = np.maximum(np.sqrt(2.0 * _STEP_TOL * d2 / np.abs(d3)), _STEP_TOL)
+                else:
+                    d3 = np.zeros_like(d3)
             lo, hi = np.where(d1 <= 0.0, x, lo), np.where(d1 > 0.0, x, hi)
-            newton = (d2 > 0.0) & (step >= lo) & (step <= hi)
-            x_new = np.where(newton, step, 0.5 * (lo + hi))
-            move = np.abs(x_new - x)
-            moving = (move > _STEP_TOL) & ~(newton & (curv * move**2 <= _ULP))
-            if not moving.all():
+            step = x - d1 / (d2 - 0.5 * d1 * d3 / d2)
+            halley = (d2 > 0.0) & (step >= lo) & (step <= hi)
+            x_new = np.where(halley, step, 0.5 * (lo + hi))
+            moving = np.abs(x_new - x) > np.where(halley, reach, _STEP_TOL)
+            if (n := np.count_nonzero(moving)) < moving.size:
                 out[live[~moving]] = x_new[~moving]
+                if not n:
+                    return out
                 live, q, c_re, c_im, lo, hi, x_new, d3 = (
                     v[moving] for v in (live, q, c_re, c_im, lo, hi, x_new, d3))
-            if not live.size:
-                return out
             x = x_new
     out[live] = x
     return out
@@ -282,11 +282,11 @@ def minimize_phase_objectives(
     Batched over the (q, c) pairs, theta in [0, 2*pi).  Under the ideal law
     the step is exact: pi - arg(c), or 0 when c = 0.  Otherwise the best grid
     point (for alpha < 1, of each side of the cusp theta_d) is refined within
-    one grid step, by a Halley step from the cached derivative table and then
-    safeguarded Newton until the error left is at most one ulp, and kept
-    only if strictly better; theta_d, scored from cached scalars, is the last
+    one grid step, by safeguarded Halley steps that read f''' (and, for the
+    first, f' and f'') from the cached derivative table, and kept only if
+    strictly better; theta_d, scored from cached scalars, is the last
     candidate.  Where beta_min = 0 and alpha >= 1, theta_d is a stationary
-    zero of the cost, flat to order 2 alpha, toward which Newton only creeps:
+    zero of the cost, flat to order 2 alpha, toward which the steps creep:
     an entry whose grid best it matches is not refined and returns theta_d.
     Ties break toward the grid point.  Most entries score only the grid near
     arg z (module docstring).  Returns the thetas and their values; both
@@ -305,20 +305,22 @@ def minimize_phase_objectives(
     table, at_theta_d = _slope_table(model)
     coeffs, sides = np.stack([q, c.real, c.imag], axis=1), best.shape[1]
     value_d = coeffs @ at_theta_d
-    # A flat entry gets the empty bracket [theta0, theta0], so it stops
-    # before the first slope evaluation.
-    flat = np.repeat((model.beta_min == 0.0 and model.alpha >= 1.0) & (value_d <= low[:, 0]), sides)
     theta0, best = _search_grid(model)[0][best.ravel()], best.ravel()
     qs, cs, coeffs = np.repeat(q, sides), np.repeat(c, sides), np.repeat(coeffs, sides, axis=0)
-    refined = _newton_refine(qs, cs, theta0, np.where(flat, theta0, np.maximum(theta0 - span, lo)),
-                             np.where(flat, theta0, np.minimum(theta0 + span, hi)),
-                             np.vecdot(table[best], coeffs[:, None, :]), model) % TWO_PI
+    lo, hi = np.maximum(theta0 - span, lo), np.minimum(theta0 + span, hi)
+    if model.beta_min == 0.0 and model.alpha >= 1.0:   # then sides == 1
+        # A flat entry gets the empty bracket [theta0, theta0], so it stops
+        # before the first slope evaluation.
+        flat = value_d <= low[:, 0]
+        lo[flat] = hi[flat] = theta0[flat]
+    refined = _newton_refine(qs, cs, theta0, lo, hi, np.vecdot(table[best], coeffs[:, None, :]),
+                             model) % TWO_PI
     # Grid points, then refined points, then theta_d: a later candidate wins
     # only if strictly better, so ties break early and a NaN never wins.
     cands = [(theta0 % TWO_PI, low.ravel()), (refined, _phase_cost(qs, cs, refined, model))]
     cands = [(t[j::sides], v[j::sides]) for t, v in cands for j in range(sides)]
     theta, value = cands[0]
-    for t, v in cands[1:] + [(np.full_like(q, theta_d), value_d)]:
+    for t, v in cands[1:] + [(theta_d, value_d)]:
         better = v < value
         theta, value = np.where(better, t, theta), np.where(better, v, value)
     return theta, value
