@@ -16,10 +16,10 @@ grid point (for alpha < 1, the best point on each side of the cusp at
 theta_d) by a safeguarded iteration on f'.  Each derivative of the cost is
 linear in (q, Re c, Im c), so a cached table of the basis's first three
 derivatives at the grid points gives f', f'' and f''' at the start from
-one gather and one contraction.  The steps are Halley's with that f''' (after the first,
-Newton's below alpha = 1), and an entry stops once the error a Newton step
-s would leave, |f''' / (2 f'')| s^2, is at most _STEP_TOL; most entries
-need one slope evaluation.
+one gather and one contraction.  The steps are Halley's with that f'''
+(after the first, Newton's below alpha = 1), and an entry stops once the
+error a Newton step s would leave, |f''' / (2 f'')| s^2, is at most
+_STEP_TOL; most entries need one slope evaluation.
 For alpha < 1/2 a dip at the cusp can be narrower than the grid spacing,
 and then neither the grid nor the refinement finds a minimum that sits on it.
 
@@ -163,7 +163,7 @@ def _phase_cost_slopes(q, c_re, c_im, theta, model: ReflectionModel):
     return d1, d2
 
 
-@lru_cache(maxsize=2)   # a design keeps one law, and a table takes 72 kB
+@lru_cache(maxsize=1)   # a design keeps one law, and a table takes 72 kB
 def _slope_table(model: ReflectionModel) -> tuple[np.ndarray, np.ndarray]:
     """Read-only derivative table of the basis at the grid, and the basis at theta_d.
 
@@ -184,7 +184,8 @@ def _slope_table(model: ReflectionModel) -> tuple[np.ndarray, np.ndarray]:
         h = 2.0 * np.exp(1j * grid) * np.stack([b1 + 1j * b, b2 - b + 2j * b1,
                                                 b3 - 3.0 * b1 + 1j * (3.0 * b2 - b)])
         quad = 2.0 * np.stack([b * b1, b1**2 + b * b2, 3.0 * b1 * b2 + b * b3])
-    table = np.ascontiguousarray(np.stack([quad, h.real, -h.imag], axis=2).transpose(1, 0, 2))
+    table = np.empty((GRID_POINTS, 3, 3))
+    table[:, :, 0], table[:, :, 1], table[:, :, 2] = quad.T, h.real.T, -h.imag.T
     theta_d = _amplitude_minimum(model)
     beta_d = amplitude_of_phase(theta_d, model)
     at_theta_d = np.array([beta_d**2, 2.0 * beta_d * math.cos(theta_d),
@@ -211,12 +212,12 @@ def _newton_refine(q, c, x, lo, hi, slopes, model: ReflectionModel) -> np.ndarra
     an entry stops.
     """
     c_re, c_im, out, live = c.real, c.imag, np.empty_like(x), np.arange(x.size)
-    (d1, d2, d3), reach = slopes.T, _STEP_TOL   # from the start, Halley's error is cubic
+    (d1, d2, d3), reach = slopes.T, _STEP_TOL   # the first step's error is cubic: no bound
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(_NEWTON_CAP):
             if i:
                 d1, d2 = _phase_cost_slopes(q, c_re, c_im, x, model)
-                if model.alpha >= 1.0:   # the longest step that stops
+                if model.alpha >= 1.0:   # the longest step whose Newton error is <= _STEP_TOL
                     reach = np.maximum(np.sqrt(2.0 * _STEP_TOL * d2 / np.abs(d3)), _STEP_TOL)
                 else:
                     d3 = np.zeros_like(d3)

@@ -244,7 +244,9 @@ class TestPhaseSearch:
         grid, basis = _search_grid(model)
         assert _search_grid(model)[1] is basis
         assert basis.shape == (3, GRID_POINTS)
-        for array in (grid, basis):
+        table, at_theta_d = _slope_table(model)
+        assert _slope_table(model)[0] is table and table.shape == (GRID_POINTS, 3, 3)
+        for array in (grid, basis, table, at_theta_d):
             with pytest.raises(ValueError):
                 array[0] = 2.0
             with pytest.raises(ValueError):
