@@ -16,6 +16,9 @@ which is majorized once more per block to decouple the variables:
     :func:`~risce.phase_model.minimize_pattern_entries` with q = lambda3 K
     and c = -c_{m,n}.
 
+An MM update reads only these majorizers' minimizers, so their values are
+never built; the rounds score J_LMMSE = Tr[R] + g(S) by :func:`~risce.system.mse_lmmse`.
+
 R = kron(A, P) (:func:`~risce.channel.kronecker_factors`) and S0 = V0 kron X0, so
 Xi0 = (U1 kron U2) diag(1 / (d1 kron d2 + sigma^2 L)) (U1^H V0^H A kron U2^H X0^H P)
 with (d1, U1) = eigh(V0^H A V0) and (d2, U2) = eigh(X0^H P X0): no (M+1)K-sized
@@ -81,8 +84,6 @@ class LmmseSurrogateState(NamedTuple):
     x0: np.ndarray         # (K, tau)
     v0: np.ndarray         # (M+1, B)
     factors: KroneckerFactors
-    sigma2: float
-    l: int
 
 
 class TrainingTerms(NamedTuple):
@@ -113,8 +114,7 @@ def build_surrogate(x0: np.ndarray, v0: np.ndarray, factors: KroneckerFactors,
     den = np.kron(d1, d2) + sigma2 * l
     kept = den > den.size * np.finfo(float).eps * np.max(den)
     xi0 = np.divide(np.kron(u1, u2), den, out=np.zeros((den.size,) * 2, complex), where=kept) @ right
-    return LmmseSurrogateState(xi0, xi0 @ xi0.conj().T, av0, float(d1[-1]), x0, v0,
-                               factors, sigma2, l)
+    return LmmseSurrogateState(xi0, xi0 @ xi0.conj().T, av0, float(d1[-1]), x0, v0, factors)
 
 
 def training_terms(state: LmmseSurrogateState, p_max: float) -> TrainingTerms:
@@ -152,17 +152,6 @@ def refresh_pattern_terms(
     z = np.einsum("lt,ntml->nm", p @ x, state.xi0.reshape(b, tau, -1, k))
     c = lambda3 * k * np.conj(state.v0) - (tw @ state.av0.conj().T).T + (z @ state.factors.a).T
     return PatternTerms(lambda3=lambda3, c=c, k=k)
-
-
-def surrogate_value(state: LmmseSurrogateState, s: np.ndarray) -> float:
-    """g(S; S0) of the first majorization, for domination/tangency checks."""
-    r_gamma = np.kron(state.factors.a, state.factors.p)
-    quad = float(np.real(np.trace(
-        state.xi0.conj().T @ s.conj().T @ r_gamma @ s @ state.xi0
-    )))
-    lin = -2.0 * float(np.real(np.trace(state.xi0 @ r_gamma @ s)))
-    const = state.sigma2 * state.l * float(np.real(np.trace(state.xi_gram)))
-    return quad + lin + const
 
 
 def update_training(terms: TrainingTerms, power) -> np.ndarray:

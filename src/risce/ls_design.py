@@ -10,7 +10,8 @@ point V0 the quadratic surrogate is
     A0       = -V0^H (V0 V0^H)^{-2} - lambda1 V0^H,
 
 which separates over entries; each entry reduces to a scalar phase search
-with q = lambda1 and c = [A0]_{n,m}.  Every iteration takes one checked
+with q = lambda1 and c = [A0]_{n,m}.  The step reads only the minimizer, so
+const(V0) is never built.  Every iteration takes one checked
 (lam, U) = eigh(V0 V0^H): Tr[(V0 V0^H)^{-1}] = sum 1/lam, W = (U / lam^2)(U^H V0).
 The MM descent argument needs the bound only on the sublevel set
 f(V) <= f(V0); f is unbounded near rank-deficient V, so no quadratic
@@ -18,8 +19,6 @@ majorizes it on the whole feasible set.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,42 +53,20 @@ def dft_training(k: int, tau: int, power) -> TrainingMatrix:
     return TrainingMatrix(x=x, power=power)
 
 
-@dataclass(frozen=True)
-class LsSurrogate:
-    """Coefficients of the quadratic upper bound at one expansion point."""
-
-    lambda1: float
-    a0: np.ndarray       # (B, M+1)
-    const_term: float
-
-    def value(self, v: np.ndarray) -> float:
-        """Surrogate value at pattern matrix v."""
-        quad = self.lambda1 * float(np.sum(np.abs(v) ** 2))
-        lin = 2.0 * float(np.real(np.sum(self.a0 * v.T)))
-        return quad + lin + self.const_term
-
-
-def ls_surrogate(v0: np.ndarray) -> LsSurrogate:
-    """Build the MM surrogate of Tr[(V V^H)^{-1}] at the (M+1, B) pattern matrix v0."""
+def ls_surrogate(v0: np.ndarray) -> tuple[float, np.ndarray]:
+    """(lambda1, A0 of shape (B, M+1)) of the MM surrogate at the (M+1, B) pattern matrix v0."""
     lam, u = numerics.conditioned_eigh(v0 @ v0.conj().T)
-    trace_inv = float(np.sum(1.0 / lam))
-    lambda1 = 3.0 * trace_inv**2
+    lambda1 = 3.0 * float(np.sum(1.0 / lam)) ** 2
     # W = (V0 V0^H)^{-2} V0 = U diag(lam^-2) U^H V0, so A0 = -W^H - lambda1 V0^H.
     w = (u / lam**2) @ (u.conj().T @ v0)
-    a0 = -w.conj().T - lambda1 * v0.conj().T
-    const = (
-        trace_inv
-        + lambda1 * float(np.sum(np.abs(v0) ** 2))
-        + 2.0 * float(np.real(np.sum(np.conj(v0) * w)))
-    )
-    return LsSurrogate(lambda1=lambda1, a0=a0, const_term=const)
+    return lambda1, -w.conj().T - lambda1 * v0.conj().T
 
 
 def mm_update_ls(v: np.ndarray, model: ReflectionModel) -> np.ndarray:
     """One MM iteration on the (M+1, B) matrix v: rebuild the surrogate, minimize it entrywise."""
-    sur = ls_surrogate(v)
+    lambda1, a0 = ls_surrogate(v)
     # Entry (m, n) minimizes lambda1 |v|^2 + 2 Re{[A0]_{n,m} v}.
-    return minimize_pattern_entries(sur.lambda1, sur.a0[:, :-1].T, model)
+    return minimize_pattern_entries(lambda1, a0[:, :-1].T, model)
 
 
 def ls_objective(v: np.ndarray) -> float:

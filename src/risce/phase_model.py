@@ -243,20 +243,21 @@ def _band_windows(model: ReflectionModel) -> np.ndarray:
     return sliding_window_view(_search_grid(model)[1].T, 2 * _BAND + 1, axis=0)
 
 
-def _best_grid_points(q, c, model: ReflectionModel) -> tuple[np.ndarray, np.ndarray]:
+def _best_grid_points(q, c, coeffs, model: ReflectionModel) -> tuple[np.ndarray, np.ndarray]:
     """Index and value of each entry's first best grid point (per cusp side if alpha < 1).
 
-    Values round as coeffs @ basis rounds them; BLAS dot products round as a
-    product of two or more rows does.  In a batch of at least _BAND_BATCH, an
-    entry with alpha >= 1, q > 0, finite terms and a band that neither wraps
-    past 0 nor fails the bound scores only the band.
+    coeffs is the (n, 3) stack of (q, Re c, Im c).  Values round as coeffs @
+    basis rounds them; BLAS dot products round as a product of two or more
+    rows does.  In a batch of at least _BAND_BATCH, an entry with alpha >= 1,
+    q > 0, finite terms and a band that neither wraps past 0 nor fails the
+    bound scores only the band.
     """
-    coeffs, basis = np.stack([q, c.real, c.imag], axis=1), _search_grid(model)[1]
+    basis = _search_grid(model)[1]
     if model.alpha < 1.0 or q.size < _BAND_BATCH:   # for alpha < 1, a slice per cusp side
         table, sides = coeffs @ basis, 2 if model.alpha < 1.0 else 1
         width = GRID_POINTS // sides
         best = np.argmin(table.reshape(q.size, sides, width), axis=2) + np.arange(sides) * width
-        return best, np.take_along_axis(table, best, axis=1)
+        return best, table[np.arange(q.size)[:, None], best]
     centre = np.rint(np.arctan2(c.imag, -c.real) % TWO_PI * (GRID_POINTS / TWO_PI))
     rows = np.flatnonzero((q > 0.0) & np.isfinite(q) & np.isfinite(c)
                           & (centre >= _BAND) & (centre < GRID_POINTS - _BAND))
@@ -302,9 +303,10 @@ def minimize_phase_objectives(
 
     theta_d, span = _amplitude_minimum(model), TWO_PI / GRID_POINTS
     lo, hi = (theta_d, theta_d + TWO_PI) if model.alpha < 1.0 else (-np.inf, np.inf)
-    best, low = _best_grid_points(q, c, model)
+    coeffs = np.stack([q, c.real, c.imag], axis=1)
+    best, low = _best_grid_points(q, c, coeffs, model)
     table, at_theta_d = _slope_table(model)
-    coeffs, sides = np.stack([q, c.real, c.imag], axis=1), best.shape[1]
+    sides = best.shape[1]
     value_d = coeffs @ at_theta_d
     theta0, best = _search_grid(model)[0][best.ravel()], best.ravel()
     qs, cs, coeffs = np.repeat(q, sides), np.repeat(c, sides), np.repeat(coeffs, sides, axis=0)

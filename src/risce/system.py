@@ -38,7 +38,9 @@ class ReflectionPattern:
         object.__setattr__(self, "v", v)
         if v.ndim != 2 or v.shape[0] < 2:
             raise DimensionMismatch(f"pattern must be (M+1) x B with M >= 1, got {v.shape}")
-        if not np.all(np.abs(v[-1] - 1.0) <= 1e-12):   # NaN fails too
+        if not np.all(np.isfinite(v)):
+            raise DimensionMismatch("pattern entries must be finite")
+        if not np.all(np.abs(v[-1] - 1.0) <= 1e-12):
             raise DimensionMismatch("last pattern row must be all-ones")
 
     @property
@@ -64,6 +66,8 @@ class TrainingMatrix:
         object.__setattr__(self, "power", p)
         if x.ndim != 2 or p.shape != (x.shape[0],):
             raise DimensionMismatch(f"X must be K x tau with K budgets, got {x.shape}")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
+            raise DimensionMismatch("training entries and budgets must be finite")
         row_power = np.sum(np.abs(x) ** 2, axis=1)
         if np.any(row_power > p * (1.0 + POWER_TOL)):
             raise DimensionMismatch("per-UE power budget exceeded")
@@ -102,24 +106,13 @@ def estimate_ls(y: np.ndarray, s: np.ndarray) -> np.ndarray:
     return numerics.solve_hpd(gram, s @ y.conj().T).conj().T
 
 
-def lmmse_filter(
-    s: np.ndarray, r_gamma: np.ndarray, sigma2: float, l: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """LMMSE filter W = (S^H R S + sigma^2 L I)^{-1} S^H R, with F = S^H R.
-
-    Returns (W, F); F is returned because the explained-variance trace
-    Re sum(W o conj(F)) needs it too.
-    """
-    f = s.conj().T @ r_gamma  # (tau*B, n)
-    a = f @ s + sigma2 * l * np.eye(s.shape[1])
-    return numerics.solve_hpd(a, f), f
-
-
 def estimate_lmmse(
     y: np.ndarray, s: np.ndarray, r_gamma: np.ndarray, sigma2: float, l: int
 ) -> np.ndarray:
-    """LMMSE estimate Y W with the filter W of :func:`lmmse_filter`."""
-    return y @ lmmse_filter(s, r_gamma, sigma2, l)[0]
+    """LMMSE estimate Y W with the filter W = (S^H R S + sigma^2 L I)^{-1} S^H R."""
+    f = s.conj().T @ r_gamma  # (tau*B, n)
+    a = f @ s + sigma2 * l * np.eye(s.shape[1])
+    return y @ numerics.solve_hpd(a, f)
 
 
 def mse_ls(s: np.ndarray, sigma2: float, l: int) -> float:
@@ -146,15 +139,6 @@ def mse_lmmse(v: np.ndarray, x: np.ndarray, factors: KroneckerFactors,
     shared = noise + np.outer(lam1, lam2)
     kept = np.divide(noise, shared, out=np.ones_like(shared), where=shared > 0.0)
     return float(np.sum(np.outer(a1, a2) * kept))
-
-
-def lmmse_objective(s: np.ndarray, r_gamma: np.ndarray, sigma2: float, l: int) -> float:
-    """Design objective g(S) = -Tr[R S (S^H R S + sigma^2 L I)^{-1} S^H R].
-
-    Relates to the MSE by J_LMMSE = Tr[R] + g(S); dense, kept as the test oracle.
-    """
-    w, f = lmmse_filter(s, r_gamma, sigma2, l)
-    return -float(np.real(np.sum(w * f.conj())))
 
 
 def nmse(j: float, l: int, k: int, m: int) -> float:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from risce import numerics
 from risce.channel import kronecker_factors
+from risce.ls_design import ls_surrogate
 from risce.phase_model import ReflectionModel, reflection_coefficient
 from risce.system import ReflectionPattern, TrainingMatrix
 
@@ -51,6 +53,55 @@ def ideal_update_lmmse(c_map: np.ndarray) -> ReflectionPattern:
     v = np.ones(c_map.shape, dtype=complex)
     v[:-1] = _unit_phasor(c_map[:-1])
     return ReflectionPattern(v=v)
+
+
+def ls_majorizer(v0: np.ndarray):
+    """The LS MM surrogate f(V; V0) at the (M+1, B) anchor v0, as a function of V (test oracle).
+
+    f(V; V0) = lambda1 ||V||^2 + 2 Re{Tr[A0 V]} + const(V0), with lambda1 and
+    A0 from :func:`risce.ls_design.ls_surrogate` and const(V0) = Tr[G0^-1] +
+    lambda1 ||V0||^2 + 2 Re{Tr[V0^H W]}, G0 = V0 V0^H, W = G0^-2 V0, from the
+    step's own checked eigh(G0); 2 Re{Tr[V0^H W]} equals 2 Tr[G0^-1].
+    """
+    lambda1, a0 = ls_surrogate(v0)
+    lam, u = numerics.conditioned_eigh(v0 @ v0.conj().T)
+    w = (u / lam**2) @ (u.conj().T @ v0)
+    const = (float(np.sum(1.0 / lam)) + lambda1 * float(np.sum(np.abs(v0) ** 2))
+             + 2.0 * float(np.real(np.sum(np.conj(v0) * w))))
+
+    def value(v: np.ndarray) -> float:
+        quad = lambda1 * float(np.sum(np.abs(v) ** 2))
+        lin = 2.0 * float(np.real(np.sum(a0 * v.T)))
+        return quad + lin + const
+
+    return value
+
+
+def lmmse_filter(s, r_gamma, sigma2, l) -> np.ndarray:
+    """Dense LMMSE filter W = (S^H R S + sigma^2 L I)^{-1} S^H R, by Cholesky (test oracle)."""
+    f = s.conj().T @ r_gamma
+    return numerics.solve_hpd(f @ s + sigma2 * l * np.eye(s.shape[1]), f)
+
+
+def lmmse_objective(s, r_gamma, sigma2, l) -> float:
+    """Dense design objective g(S) = -Tr[R S (S^H R S + sigma^2 L I)^{-1} S^H R] (test oracle).
+
+    J_LMMSE = Tr[R] + g(S).
+    """
+    f = s.conj().T @ r_gamma
+    return -float(np.real(np.sum(lmmse_filter(s, r_gamma, sigma2, l) * f.conj())))
+
+
+def lmmse_surrogate_value(state, s, sigma2, l) -> float:
+    """g(S; S0) of the LMMSE first majorization at the anchor state (test oracle).
+
+    g(S; S0) = Tr[Xi0^H S^H R S Xi0] - 2 Re{Tr[Xi0 R S]} + sigma^2 L Tr[Xi0 Xi0^H],
+    with Xi0 and Xi0 Xi0^H from :func:`risce.lmmse_design.build_surrogate`.
+    """
+    r_gamma = np.kron(state.factors.a, state.factors.p)
+    quad = float(np.real(np.trace(state.xi0.conj().T @ s.conj().T @ r_gamma @ s @ state.xi0)))
+    lin = -2.0 * float(np.real(np.trace(state.xi0 @ r_gamma @ s)))
+    return quad + lin + sigma2 * l * float(np.real(np.trace(state.xi_gram)))
 
 
 def random_training(rng, k, tau, power) -> TrainingMatrix:

@@ -401,6 +401,11 @@ def test_pattern_step_beats_search_grid_in_a_narrow_cusp_dip():
     _check_pattern_step(3.0, _DIP_C, model, SEARCH_GRID, rtol=1e-12, cusp_rounding=True)
 
 
+def _grid_best(q, c, model):
+    """_best_grid_points with the (q, Re c, Im c) stack the phase search passes it."""
+    return _best_grid_points(q, c, np.stack([q, c.real, c.imag], axis=1), model)
+
+
 def _full_grid_minima(q, c, model):
     """Index and value of the first best point of the whole grid (test oracle)."""
     table = np.stack([q, c.real, c.imag], axis=1) @ _search_grid(model)[1]
@@ -412,7 +417,7 @@ def _assert_full_grid_minima(q, c, model):
     # The same first best index; the same value up to the rounding of a
     # three-term dot product (bitwise equal where BLAS dot and matrix
     # products sum alike).
-    best, low = _best_grid_points(q, c, model)
+    best, low = _grid_best(q, c, model)
     oracle_best, oracle_low = _full_grid_minima(q, c, model)
     assert np.array_equal(best[:, 0], oracle_best)
     assert (np.array_equal(low[:, 0], oracle_low, equal_nan=True)
@@ -457,7 +462,7 @@ def _banded(q, c, model, monkeypatch):
     monkeypatch.setattr(phase_model, "_band_windows", lambda m: windows)
     monkeypatch.setattr(phase_model, "_search_grid",
                         lambda m: (grid, np.full((3, GRID_POINTS), np.nan)))
-    low = _best_grid_points(q, c, model)[1][:, 0]
+    low = _grid_best(q, c, model)[1][:, 0]
     monkeypatch.undo()
     return np.isfinite(low)
 
@@ -514,7 +519,7 @@ def test_non_finite_refined_value_never_wins(model, rng, monkeypatch):
     # np.argmin would pick a NaN; the strict comparisons keep the grid point.
     q = rng.uniform(0.1, 5.0, 200)
     c = rng.standard_normal(200) + 1j * rng.standard_normal(200)
-    low = _best_grid_points(q, c, model)[1][:, 0]
+    low = _grid_best(q, c, model)[1][:, 0]
     batches = []
 
     def nan_refine(q, c, x, lo, hi, slopes, m):
@@ -605,7 +610,7 @@ def test_desk_batch_needs_at_most_two_slope_evaluations(monkeypatch):
 
 def test_refined_thetas_match_plain_newton():
     q, c = _desk_batch()
-    best = _best_grid_points(q, c, DESK_MODEL)[0][:, 0]
+    best = _grid_best(q, c, DESK_MODEL)[0][:, 0]
     x = _search_grid(DESK_MODEL)[0][best]
     lo, hi = x - TWO_PI / GRID_POINTS, x + TWO_PI / GRID_POINTS
     slopes = _slope_table(DESK_MODEL)[0][best] @ np.array([q, c.real, c.imag]).T[:, :, None]
@@ -622,7 +627,7 @@ def test_refinement_below_one_is_as_good_as_plain_newton():
     z = (reflection_coefficient(theta_d + rng.normal(0.0, 3e-3, 72), m)
          * (1.0 + rng.normal(0.0, 0.3, 72)))
     c = -np.conj(q * z)   # minima next to the cusp
-    x = _search_grid(m)[0][_best_grid_points(q, c, m)[0]]
+    x = _search_grid(m)[0][_grid_best(q, c, m)[0]]
     lo = np.maximum(x - TWO_PI / GRID_POINTS, theta_d)
     hi = np.minimum(x + TWO_PI / GRID_POINTS, theta_d + TWO_PI)
     plain = np.min([phase_cost(q, c, _plain_newton(q, c, x[:, j], lo[:, j], hi[:, j], m), m)
@@ -639,7 +644,7 @@ def test_flat_minimum_on_theta_d_leaves_the_batch(monkeypatch):
     theta_d = (m.delta - np.pi / 2) % TWO_PI
     q = np.array([3.0, 3.0, 0.5])
     c = np.array([np.exp(-1j * theta_d), 1.0 + 1.0j, -1.0 + 0.5j])
-    assert _best_grid_points(q, c, m)[1][0, 0] > 0.0
+    assert _grid_best(q, c, m)[1][0, 0] > 0.0
     batches = []
     slopes = phase_model._phase_cost_slopes
     monkeypatch.setattr(phase_model, "_phase_cost_slopes",

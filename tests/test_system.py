@@ -2,8 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_factors, random_feasible_pattern, random_hpd, random_training
+from conftest import (
+    lmmse_objective,
+    random_factors,
+    random_feasible_pattern,
+    random_hpd,
+    random_training,
+)
 from risce.channel import (
     CorrelationSpec,
     cascaded_channel,
@@ -22,7 +29,6 @@ from risce.system import (
     build_S,
     estimate_lmmse,
     estimate_ls,
-    lmmse_objective,
     mse_lmmse,
     mse_ls,
     nmse,
@@ -62,6 +68,23 @@ class TestContainers:
         else:
             with pytest.raises(DimensionMismatch):
                 ReflectionPattern(v=v)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.5, -np.inf), complex(np.nan, 0.5)])
+    def test_pattern_rejects_non_finite(self, entry):
+        # A non-finite reflection entry fails here, not later as SingularGram.
+        v = np.ones((3, 4), dtype=complex)
+        v[1, 2] = entry
+        with pytest.raises(DimensionMismatch, match="finite"):
+            ReflectionPattern(v=v)
+
+    @pytest.mark.parametrize("x, power", [
+        ([[np.nan, 1.0]], [1.0]), ([[0.5, complex(0.0, np.inf)]], [1.0]),
+        ([[0.5, 0.5]], [np.nan]), ([[0.5, 0.5]], [np.inf]),
+    ])
+    def test_training_rejects_non_finite(self, x, power):
+        # A NaN budget would pass the power check, whose comparisons are all false.
+        with pytest.raises(DimensionMismatch, match="finite"):
+            TrainingMatrix(x=np.array(x), power=np.array(power))
 
     @pytest.mark.parametrize("params", [
         dict(power=[np.nan, 1.0]), dict(power=[np.inf, 1.0]),
@@ -207,6 +230,25 @@ class TestEstimators:
             y = simulate_reception(gamma, s, 1.0, np.random.SeedSequence([10, t]))
             errs.append(np.sum(np.abs(estimate_lmmse(y, s, r, 1.0, 4) - gamma) ** 2))
         assert np.mean(errs) == pytest.approx(analytic, rel=0.05)
+
+
+@settings(max_examples=50, deadline=None)
+@given(k=st.integers(1, 3), m=st.integers(1, 4), b=st.integers(1, 5), tau=st.integers(1, 3),
+       rows=st.integers(1, 6), sigma2=st.floats(1e-3, 10.0), l=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1))
+def test_estimate_lmmse_matches_dense_solve(k, m, b, tau, rows, sigma2, l, seed):
+    # Y (S^H R S + sigma^2 L I)^-1 S^H R by a general dense solve (no
+    # Cholesky); both filters err by about kappa eps of the solved matrix.
+    rng = np.random.default_rng(seed)
+    n, cols = (m + 1) * k, b * tau
+    s = rng.standard_normal((n, cols)) + 1j * rng.standard_normal((n, cols))
+    r = random_hpd(rng, n)
+    y = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    a = s.conj().T @ r @ s + sigma2 * l * np.eye(cols)
+    w = np.linalg.solve(a, s.conj().T @ r)
+    tol = max(1e-12, 32 * np.finfo(float).eps * np.linalg.cond(a))
+    got = estimate_lmmse(y, s, r, sigma2, l)
+    assert np.linalg.norm(got - y @ w) <= tol * np.linalg.norm(y) * np.linalg.norm(w)
 
 
 class TestAnalyticMse:

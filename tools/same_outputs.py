@@ -1,0 +1,73 @@
+"""Check that two checkouts of risce write the same CSVs, apart from wall_ms.
+
+    python3 tools/same_outputs.py PARENT_ROOT CHANGE_ROOT
+
+In each checkout it runs ``python -m risce.cli`` with ``PYTHONPATH=<root>/src``
+for the four paper-profile analytic sweeps (LS and LMMSE, SQUAREM and plain
+MM) and for the desk ``converge`` runs of both estimators.  The ``wall_ms``
+column is dropped; every other field must match as text.  For each run that
+differs it prints the run and its first differing row.  Exit status: 0 when
+every CSV matches, 1 when any differs, 2 when a run fails or the arguments
+are wrong.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from itertools import zip_longest
+from pathlib import Path
+
+RUNS = tuple(
+    ("sweep", "--profile", "paper", "--analytic-only", "--estimator", est, accel)
+    for est in ("ls", "lmmse") for accel in ("--accel", "--no-accel")
+) + tuple(("converge", "--estimator", est) for est in ("ls", "lmmse"))
+
+DROPPED = "wall_ms"
+
+
+def csv_rows(root: Path, args: tuple[str, ...]) -> list[list[str]]:
+    """Rows of the CSV that `risce <args>` writes in the checkout at root, without wall_ms."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-m", "risce.cli", *args, "--output", "-"],
+                          env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        print(f"{root}: risce {' '.join(args)} exited {done.returncode}\n{done.stderr}",
+              file=sys.stderr)
+        sys.exit(2)
+    rows = [line.split(",") for line in done.stdout.splitlines()]
+    keep = [i for i, name in enumerate(rows[0]) if name != DROPPED]
+    return [[row[i] for i in keep] for row in rows]
+
+
+def _show(row: list[str] | None) -> str:
+    return "<missing>" if row is None else ",".join(row)
+
+
+def first_difference(old: list[list[str]], new: list[list[str]]) -> str | None:
+    """The first row (the header is row 0) where the two CSVs differ, or None."""
+    for i, (a, b) in enumerate(zip_longest(old, new)):
+        if a != b:
+            return f"row {i}:\n  parent: {_show(a)}\n  change: {_show(b)}"
+    return None
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    parent, change = (Path(arg).resolve() for arg in argv)
+    differ = 0
+    for args in RUNS:
+        diff = first_difference(csv_rows(parent, args), csv_rows(change, args))
+        print(f"{'differs' if diff else 'same   '} risce {' '.join(args)}")
+        if diff:
+            differ += 1
+            print(diff)
+    print(f"{len(RUNS) - differ} of {len(RUNS)} CSVs match")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
