@@ -9,12 +9,10 @@ gives the quadratic-plus-linear majorizer
 
 which is majorized once more per block to decouple the variables:
 
-  * training: per UE, minimize lambda2 B ||x_k||^2 - 2 Re{b_k^H x_k} under
+  * training: per UE, minimize mu_X ||x_k||^2 - 2 Re{b_k^H x_k} under
     ||x_k||^2 <= P_k, solved in closed form (boundary or interior branch);
-  * pattern: per entry, minimize lambda3 K |v|^2 - 2 Re{c_{m,n} v} over the
-    reflection law, solved by the per-entry phase search
-    :func:`~risce.phase_model.minimize_pattern_entries` with q = lambda3 K
-    and c = -c_{m,n}.
+  * pattern: per entry, minimize mu_V |v|^2 - 2 Re{c_{m,n} v} over the reflection
+    law by the phase search :func:`~risce.phase_model.minimize_pattern_entries`.
 
 An MM update reads only these majorizers' minimizers, so their values are
 never built; the rounds score J_LMMSE = Tr[R] + g(S) by :func:`~risce.system.mse_lmmse`.
@@ -26,21 +24,29 @@ solve.  Each step builds only what it reads, by contracting Xi0 and Xi0 Xi0^H
 with the factors: the per-UE sums b_k of B0's diagonal blocks
 (:func:`training_terms`), and the K x K block traces of C0 at the X the pattern
 step sees (:func:`refresh_pattern_terms`; in a plain round, the updated X).
-lambda2/lambda3 are spectral bounds with a small safety margin against
-rounding.  lambda_max(Vt0^H R Vt0) = d1_max lambda_max(P) and lambda_max(R) =
-lambda_max(A) lambda_max(P) come from the factors.  lambda_max(Xi0 Xi0^H) and
-lambda_max(W), W = (I_B kron X) Xi0 Xi0^H (I_B kron X)^H, stay dense eigvalsh
-calls: Xi0's middle factor (S0^H R S0 + sigma^2 L I)^{-1} is not a Kronecker
-product, so neither matrix is.
+
+The curvatures are exact, not the paper's looser lambda2 B and lambda3 K: any
+mu >= lambda_max of a quadratic's Hessian gives a majorizer mu ||x||^2 (Sun,
+Babu & Palomar 2017).  With G = Xi0 Xi0^H in tau x tau blocks G_{bb'},
+expanding S = V kron X blockwise turns the quadratic of g(S; S0) into
+
+    Tr[R S G S^H] = Tr[P X T2 X^H] = Tr[A V Tw V^H],
+    T2 = sum_{b,b'} (V^H A V)_{b'b} G_{bb'},   Tw_{bb'} = Tr[G_{bb'} X^H P X],
+
+so its Hessian is T2^T kron P in vec(X) and Tw^T kron A in vec(V), whose
+lambda_max is the product of its PSD factors'.  Hence mu_X = lambda_max(T2)
+lambda_max(P) at V0 and mu_V = lambda_max(Tw) lambda_max(A) at the X the step
+sees, each times SAFETY_MARGIN; restricting V to its first M rows cannot raise
+lambda_max (Cauchy interlacing).  lambda_max(A), lambda_max(P) are computed once.
 
 The rounds run on :func:`risce.accel.mm_loop` over the pair of bare arrays
 (X, V); :func:`design_lmmse` validates its initial point and builds a
 TrainingMatrix and a ReflectionPattern for its result only.  Both kinds of
 round use the same two block maps: the training update at an anchor, and
 the pattern update at an anchor and the X it sees.  A plain round is one MM
-update (one anchor for both maps, two dense eigen-solves); a SQUAREM round
-takes one SQUAREM step per block, training then pattern, each update at its
-own anchor, so four MM updates.
+update (one anchor for both maps, a tau x tau and a B x B eigen-solve); a
+SQUAREM round takes one SQUAREM step per block, training then pattern, each
+update at its own anchor, so four MM updates.
 """
 
 from __future__ import annotations
@@ -68,9 +74,9 @@ from .phase_model import (
 from .system import ReflectionPattern, TrainingMatrix, mse_lmmse
 from .types import DesignTrace, SystemConfig
 
-# Multiplicative slack on the eigenvalue products; the spectra are exact to
-# rounding, so the slack only has to cover rounding.  It stays at 1.0001
-# because a smaller margin would change the MM iterates of the algorithm.
+# Multiplicative slack on the exact block curvatures: a curvature equal to the
+# Hessian's lambda_max lets the bound touch the quadratic along the top
+# eigenvector, where rounding alone could break the majorization.
 SAFETY_MARGIN = 1.0001
 
 
@@ -80,7 +86,6 @@ class LmmseSurrogateState(NamedTuple):
     xi0: np.ndarray        # (tau*B, (M+1)*K)
     xi_gram: np.ndarray    # Xi0 Xi0^H, (tau*B, tau*B)
     av0: np.ndarray        # A V0, (M+1, B)
-    vav0_max: float        # lambda_max(V0^H A V0)
     x0: np.ndarray         # (K, tau)
     v0: np.ndarray         # (M+1, B)
     factors: KroneckerFactors
@@ -89,18 +94,16 @@ class LmmseSurrogateState(NamedTuple):
 class TrainingTerms(NamedTuple):
     """Second majorization of the training block at the anchor."""
 
-    lambda2: float
+    curvature: float       # mu_X
     b_sums: np.ndarray     # (tau, K); column k is b_k
-    b: int                 # subframes B
     x0: np.ndarray         # (K, tau); a vanishing b_k keeps its row
 
 
 class PatternTerms(NamedTuple):
     """Second majorization of the pattern block at one training X."""
 
-    lambda3: float
+    curvature: float       # mu_V
     c: np.ndarray          # (M+1, B); c[m, n] is the trace of C0's block (n, m)
-    k: int
 
 
 def build_surrogate(x0: np.ndarray, v0: np.ndarray, factors: KroneckerFactors,
@@ -114,51 +117,48 @@ def build_surrogate(x0: np.ndarray, v0: np.ndarray, factors: KroneckerFactors,
     den = np.kron(d1, d2) + sigma2 * l
     kept = den > den.size * np.finfo(float).eps * np.max(den)
     xi0 = np.divide(np.kron(u1, u2), den, out=np.zeros((den.size,) * 2, complex), where=kept) @ right
-    return LmmseSurrogateState(xi0, xi0 @ xi0.conj().T, av0, float(d1[-1]), x0, v0, factors)
+    return LmmseSurrogateState(xi0, xi0 @ xi0.conj().T, av0, x0, v0, factors)
 
 
 def training_terms(state: LmmseSurrogateState, p_max: float) -> TrainingTerms:
-    """lambda2 and the b_k of the training step at (X0, V0); p_max is lambda_max(P).
+    """mu_X and the b_k of the training step at (X0, V0); p_max is lambda_max(P).
 
-    b_k is column k of conj(B lambda2 X0^H - T2 X0^H P + T3 P), with T2 =
+    b_k is column k of conj(mu_X X0^H - T2 X0^H P + T3 P), with T2 =
     sum_{b,b'} [V0^H A V0]_{b'b} (Xi0 Xi0^H)_{bb'} and T3 = sum_{b,m} [A V0]_{mb} (Xi0)_{bm}.
     """
     b, (k, tau) = state.v0.shape[1], state.x0.shape
-    lambda2 = (SAFETY_MARGIN * numerics.largest_eigenvalue(state.xi_gram).value
-               * (state.vav0_max * p_max))
     t2 = np.einsum("asbt,ba->st", state.xi_gram.reshape(b, tau, b, tau),
                    state.v0.conj().T @ state.av0)
+    curvature = SAFETY_MARGIN * numerics.largest_eigenvalue(t2).value * p_max
     t3 = np.einsum("atmk,ma->tk", state.xi0.reshape(b, tau, -1, k), state.av0)
     x0h, p = state.x0.conj().T, state.factors.p
-    b_sums = np.conj(b * lambda2 * x0h - t2 @ x0h @ p + t3 @ p)
-    return TrainingTerms(lambda2=lambda2, b_sums=b_sums, b=b, x0=state.x0)
+    b_sums = np.conj(curvature * x0h - t2 @ x0h @ p + t3 @ p)
+    return TrainingTerms(curvature=curvature, b_sums=b_sums, x0=state.x0)
 
 
 def refresh_pattern_terms(
-    state: LmmseSurrogateState, x: np.ndarray, r_max: float
+    state: LmmseSurrogateState, x: np.ndarray, a_max: float
 ) -> PatternTerms:
-    """lambda3 and the C0 block traces of the pattern step at training x; r_max = lambda_max(R).
+    """mu_V and the C0 block traces of the pattern step at training x; a_max = lambda_max(A).
 
-    The traces are lambda3 K conj(V0) - (Tw V0^H A)^T + (Z A)^T, with
-    Tw[n, n'] = Tr(W_{nn'} P) and Z[n, m] = Tr(X (Xi0)_{nm} P).  Within a plain
+    The traces are mu_V conj(V0) - (Tw V0^H A)^T + (Z A)^T, with
+    Tw[n, n'] = Tr((Xi0 Xi0^H)_{nn'} X^H P X) and Z[n, m] = Tr(X (Xi0)_{nm} P).  Within a plain
     round x is the updated training: the pattern step sees the new X while
     staying anchored at the round's Xi0 and V0, which preserves monotone descent.
     """
     b, (k, tau), p = state.v0.shape[1], x.shape, state.factors.p
-    w = (x @ state.xi_gram.reshape(b, tau, b * tau)).reshape(-1, tau) @ x.conj().T
-    w = w.reshape(b * k, b * k)             # (I_B kron X) Xi0 Xi0^H (I_B kron X)^H
-    lambda3 = SAFETY_MARGIN * numerics.largest_eigenvalue(w).value * r_max
-    tw = np.einsum("akbl,lk->ab", w.reshape(b, k, b, k), p)
+    tw = np.einsum("asbt,ts->ab", state.xi_gram.reshape(b, tau, b, tau), x.conj().T @ p @ x)
+    curvature = SAFETY_MARGIN * numerics.largest_eigenvalue(tw).value * a_max
     z = np.einsum("lt,ntml->nm", p @ x, state.xi0.reshape(b, tau, -1, k))
-    c = lambda3 * k * np.conj(state.v0) - (tw @ state.av0.conj().T).T + (z @ state.factors.a).T
-    return PatternTerms(lambda3=lambda3, c=c, k=k)
+    c = curvature * np.conj(state.v0) - (tw @ state.av0.conj().T).T + (z @ state.factors.a).T
+    return PatternTerms(curvature=curvature, c=c)
 
 
 def update_training(terms: TrainingTerms, power) -> np.ndarray:
     """Closed-form per-UE (K, tau) training update of the decoupled quadratic problem.
 
     The solution is sqrt(P_k) b_k / ||b_k|| on the power boundary when
-    ||b_k|| exceeds sqrt(P_k) lambda2 B, and b_k / (lambda2 B) inside it.
+    ||b_k|| exceeds sqrt(P_k) mu_X, and b_k / mu_X inside it.
     A vanishing b_k keeps the previous training row.
     """
     power = np.asarray(power, dtype=float)
@@ -168,16 +168,16 @@ def update_training(terms: TrainingTerms, power) -> np.ndarray:
         norm_b = np.linalg.norm(b_k)
         if norm_b == 0.0:
             x_new[uk] = terms.x0[uk]
-        elif norm_b > np.sqrt(power[uk]) * terms.lambda2 * terms.b:
+        elif norm_b > np.sqrt(power[uk]) * terms.curvature:
             x_new[uk] = np.sqrt(power[uk]) / norm_b * b_k
         else:
-            x_new[uk] = b_k / (terms.lambda2 * terms.b)
+            x_new[uk] = b_k / terms.curvature
     return x_new
 
 
 def update_pattern(terms: PatternTerms, model: ReflectionModel) -> np.ndarray:
     """Entrywise (M+1, B) pattern update of the decoupled quadratic problem."""
-    return minimize_pattern_entries(terms.lambda3 * terms.k, -terms.c[:-1], model)
+    return minimize_pattern_entries(terms.curvature, -terms.c[:-1], model)
 
 
 def project_training_rows(x: np.ndarray, power) -> np.ndarray:
@@ -214,7 +214,7 @@ def design_lmmse(
     power = config.power
     factors = kronecker_factors(r_gamma, config.k)
     p_max = numerics.largest_eigenvalue(factors.p).value
-    r_max = numerics.largest_eigenvalue(factors.a).value * p_max
+    a_max = numerics.largest_eigenvalue(factors.a).value
 
     def objective(pair) -> float:
         x, v = pair
@@ -228,7 +228,7 @@ def design_lmmse(
         return update_training(training_terms(state, p_max), power)
 
     def pattern(state: LmmseSurrogateState, x: np.ndarray) -> np.ndarray:
-        return update_pattern(refresh_pattern_terms(state, x, r_max), model)
+        return update_pattern(refresh_pattern_terms(state, x, a_max), model)
 
     def mm_round(pair):
         state = anchor(*pair)

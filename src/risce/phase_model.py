@@ -117,7 +117,7 @@ def _phase_cost(q, c, theta, model: ReflectionModel):
     """q * beta(theta)^2 + 2*Re{c * beta(theta) * e^{j theta}}, broadcast.
 
     The per-entry cost of both pattern updates: (q, c) = (lambda1, A0[n, m])
-    for LS and (lambda3 * K, -c[m, n]) for LMMSE.
+    for LS and (mu_V, -c[m, n]) for LMMSE.
     """
     beta = amplitude_of_phase(theta, model)
     return q * beta**2 + 2.0 * beta * (np.real(c) * np.cos(theta)

@@ -171,9 +171,7 @@ def test_c4_closed_form_optimality_oracles():
         p = rng.uniform(0.2, 4.0)
         b_k = rng.standard_normal(tau) + 1j * rng.standard_normal(tau)
         x0 = np.zeros((1, tau), dtype=complex)
-        terms = TrainingTerms(
-            lambda2=lam2 * n_sub, b_sums=b_k.reshape(tau, 1), b=1, x0=x0,
-        )
+        terms = TrainingTerms(curvature=lam2 * n_sub, b_sums=b_k.reshape(tau, 1), x0=x0)
         x_closed = update_training(terms, [p])[0]
         # independent oracle: projected gradient descent on the ball
         x = np.zeros(tau, dtype=complex)

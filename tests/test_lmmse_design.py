@@ -59,8 +59,8 @@ def _training_terms(state):
     return training_terms(state, numerics.largest_eigenvalue(state.factors.p).value)
 
 
-def _pattern_terms(state, x, r=R):
-    return refresh_pattern_terms(state, x, numerics.largest_eigenvalue(r).value)
+def _pattern_terms(state, x):
+    return refresh_pattern_terms(state, x, numerics.largest_eigenvalue(state.factors.a).value)
 
 
 def _block_traces(c0, b, k):
@@ -105,83 +105,41 @@ class TestFirstMajorization:
 
 
 class TestSecondMajorization:
-    def _training_bound(self, state, xt, xt0, m_v):
-        # quadratic bound of the training subproblem including its constant
-        lambda2 = _training_terms(state).lambda2
-        quad_anchor = np.real(
-            np.vdot(xt0.reshape(-1, order="F"),
-                    (lambda2 * np.eye(xt0.size)
-                     - np.kron(state.xi_gram.T, m_v)) @ xt0.reshape(-1, order="F"))
-        )
-        lin = lambda2 * np.trace(xt0.conj().T @ xt) \
-            - np.trace(state.xi_gram @ xt0.conj().T @ m_v @ xt)
-        return (
-            lambda2 * np.linalg.norm(xt) ** 2
-            - 2.0 * np.real(lin)
-            + quad_anchor
-        )
-
-    def _training_quad(self, xt, state, m_v):
+    def _training_quad(self, x, state, m_v):
+        # the quadratic of g(S; S0) along X at V = V0: Tr[Xi0^H Xt^H M_v Xt Xi0]
+        xt = np.kron(np.eye(CFG.b), x)
         return float(np.real(np.trace(
             state.xi0.conj().T @ xt.conj().T @ m_v @ xt @ state.xi0
         )))
+
+    def _training_bound(self, state, x, x0, m_v):
+        # that quadratic's bound at X0, including its constant: the value and
+        # gradient at X0 plus mu_X ||X - X0||^2
+        xt0, d = np.kron(np.eye(CFG.b), x0), np.kron(np.eye(CFG.b), x - x0)
+        lin = np.trace(state.xi_gram @ d.conj().T @ m_v @ xt0)
+        curvature = _training_terms(state).curvature
+        return (self._training_quad(x0, state, m_v) + 2.0 * np.real(lin)
+                + curvature * np.linalg.norm(x - x0) ** 2)
 
     def test_training_bound_tangent_and_dominating(self, model, rng):
         state, x0, v0 = _state(rng, model)
         vt0 = np.kron(v0.v, np.eye(CFG.k))
         m_v = vt0.conj().T @ R @ vt0
-        xt0 = np.kron(np.eye(CFG.b), x0.x)
-        at_anchor = self._training_bound(state, xt0, xt0, m_v)
-        assert at_anchor == pytest.approx(self._training_quad(xt0, state, m_v), rel=1e-8)
+        at_anchor = self._training_bound(state, x0.x, x0.x, m_v)
+        assert at_anchor == pytest.approx(self._training_quad(x0.x, state, m_v), rel=1e-8)
         for _ in range(25):
-            xt = rng.standard_normal(xt0.shape) + 1j * rng.standard_normal(xt0.shape)
-            assert self._training_bound(state, xt, xt0, m_v) >= \
-                self._training_quad(xt, state, m_v) - 1e-8
-
-    def test_spectral_bounds_match_dense_eigensolver(self, model, rng):
-        state, x0, v0 = _state(rng, model)
-        vt0 = np.kron(v0.v, np.eye(CFG.k))
-        xt0 = np.kron(np.eye(CFG.b), x0.x)
-        m_v = vt0.conj().T @ R @ vt0
-        lam2_oracle = float(
-            np.linalg.eigvalsh(state.xi_gram)[-1] * np.linalg.eigvalsh(m_v)[-1]
-        )
-        assert _training_terms(state).lambda2 / SAFETY_MARGIN == pytest.approx(
-            lam2_oracle, rel=1e-12)
-        w = xt0 @ state.xi_gram @ xt0.conj().T
-        lam3_oracle = float(
-            np.linalg.eigvalsh(w)[-1] * np.linalg.eigvalsh(R)[-1]
-        )
-        assert _pattern_terms(state, x0.x).lambda3 / SAFETY_MARGIN == pytest.approx(
-            lam3_oracle, rel=1e-12)
-
-    def test_identity_prior_spectrum(self, model, rng):
-        # R = L I makes lambda3 exactly L * lambda_max of the training factor
-        r_id = 4.0 * np.eye((CFG.m + 1) * CFG.k)
-        state, x0, v0 = _state(rng, model, r=r_id)
-        xt0 = np.kron(np.eye(CFG.b), x0.x)
-        w = xt0 @ state.xi_gram @ xt0.conj().T
-        expected = SAFETY_MARGIN * float(np.linalg.eigvalsh(w)[-1]) * 4.0
-        assert _pattern_terms(state, x0.x, r_id).lambda3 == pytest.approx(expected, rel=1e-12)
-
-    def test_kron_eigenvalue_factorization(self, model, rng):
-        # the factored bound equals the eigenvalue of the full Kronecker form
-        state, x0, v0 = _state(rng, model)
-        vt0 = np.kron(v0.v, np.eye(CFG.k))
-        m_v = vt0.conj().T @ R @ vt0
-        full = np.kron(state.xi_gram.T, m_v)
-        assert _training_terms(state).lambda2 / SAFETY_MARGIN == pytest.approx(
-            float(np.linalg.eigvalsh(full)[-1]), rel=1e-12
-        )
+            x = rng.standard_normal(x0.x.shape) + 1j * rng.standard_normal(x0.x.shape)
+            assert self._training_bound(state, x, x0.x, m_v) >= \
+                self._training_quad(x, state, m_v) - 1e-8
 
 
 class TestUpdateTraining:
     def _manual_state(self, b_k, lam2, p, b=1):
-        # B subframes whose diagonal blocks each contribute b_k
+        # B subframes whose diagonal blocks each contribute b_k, at curvature lam2 B
         tau = len(b_k)
         b_sums = b * np.asarray(b_k, dtype=complex).reshape(tau, 1)
         x0 = np.zeros((1, tau), dtype=complex)
-        return TrainingTerms(lambda2=lam2, b_sums=b_sums, b=b, x0=x0)
+        return TrainingTerms(curvature=lam2 * b, b_sums=b_sums, x0=x0)
 
     def test_boundary_branch(self):
         state = self._manual_state([2.0, 0.0], lam2=1.0, p=1.0)
@@ -250,7 +208,7 @@ class TestUpdatePattern:
         grid = np.linspace(0.0, TWO_PI, 200_000, endpoint=False)
         for m in range(CFG.m):
             for n in range(CFG.b):
-                q, c = terms.lambda3 * CFG.k, -c_mat[m, n]
+                q, c = terms.curvature, -c_mat[m, n]
                 vals = phase_cost(q, c, grid, model)
                 achieved = phase_cost(q, c, float(np.angle(out[m, n]) % TWO_PI), model)
                 assert achieved <= np.min(vals) + 1e-9 * max(abs(np.min(vals)), 1e-9)
@@ -297,18 +255,18 @@ class TestDesignLmmse:
 
     def test_refresh_keeps_anchor_quantities(self, model, rng):
         state, x0, v0 = _state(rng, model)
-        xi0, lambda2 = state.xi0.copy(), _training_terms(state).lambda2
+        xi0, curvature = state.xi0.copy(), _training_terms(state).curvature
         x1 = update_training(_training_terms(state), CFG.power)
         terms = _pattern_terms(state, x1)
         # the terms are taken at x1, on the anchor's Xi0 and V0
         xt1 = np.kron(np.eye(CFG.b), x1)
         vt0 = np.kron(v0.v, np.eye(CFG.k))
         w = xt1 @ state.xi_gram @ xt1.conj().T
-        c0 = terms.lambda3 * vt0.conj().T - w @ vt0.conj().T @ R + xt1 @ xi0 @ R
+        c0 = terms.curvature / CFG.k * vt0.conj().T - w @ vt0.conj().T @ R + xt1 @ xi0 @ R
         dense = _block_traces(c0, CFG.b, CFG.k)
         assert np.max(np.abs(terms.c - dense)) <= 1e-12 * np.max(np.abs(dense))
         assert np.array_equal(state.xi0, xi0)
-        assert _training_terms(state).lambda2 == lambda2
+        assert _training_terms(state).curvature == curvature
 
     def test_zero_noise_stops_after_one_step(self, model):
         # sigma^2 = 0 makes J = 0 at every full-rank S; a step from 0 to 0
@@ -346,7 +304,7 @@ class TestDesignLmmse:
             j0 = mse_lmmse(v0.v, x0.x, f, 1.0, 4)
             state = build_surrogate(x0.x, v0.v, f, 1.0, 4)
             x1 = update_training(_training_terms(state), self.BIG.power)
-            v1 = update_pattern(_pattern_terms(state, x1, self.R_BIG), model)
+            v1 = update_pattern(_pattern_terms(state, x1), model)
             j1 = mse_lmmse(v1, x1, f, 1.0, 4)
             assert j1 <= j0 + 1e-10
 
@@ -369,13 +327,15 @@ class TestEigenSolveCount:
         return calls
 
     def test_plain_round_makes_two(self, model, eig_calls):
-        # lambda_max(A) and lambda_max(P) once per design, then the dense
-        # lambda_max of Xi0 Xi0^H for lambda2 and of W for lambda3, per round;
-        # lambda_max(M_v) comes from the anchor's B x B eigen-solve
-        _, _, trace = design_lmmse(self.BIG, model, self.R_BIG, accelerate=False)
+        # lambda_max(P) and lambda_max(A) once per design, then per round the
+        # tau x tau T2 for mu_X and the B x B Tw for mu_V; no (B tau)-sized
+        # matrix such as Xi0 Xi0^H reaches an eigen-solve
+        big = self.BIG
+        _, _, trace = design_lmmse(big, model, self.R_BIG, accelerate=False)
         assert trace.iterations > 1
-        assert eig_calls[:2] == [(self.BIG.k,) * 2, (self.BIG.m + 1,) * 2]
-        assert len(eig_calls) == 2 + 2 * trace.iterations
+        assert eig_calls[:2] == [(big.k,) * 2, (big.m + 1,) * 2]
+        assert eig_calls[2:] == [(big.tau,) * 2, (big.b,) * 2] * trace.iterations
+        assert (big.b * big.tau,) * 2 not in eig_calls
 
     def test_squarem_update_builds_its_own_block_only(self, model, eig_calls, monkeypatch):
         per_update = {"training": [], "pattern": []}
@@ -420,31 +380,73 @@ def _assert_close(got, want, rel=1e-12):
     assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
 
 
+def _block_hessian(r, gram, s_of, shape):
+    """Dense Hessian of Tr[R S G S^H] in vec(Y), for S = s_of(Y) linear in a (shape) Y.
+
+    Tr[R S G S^H] = vec(S)^H (G^T kron R) vec(S), with vec(S) = J vec(Y)
+    and J's columns the images of Y's unit entries.
+    """
+    units = np.eye(int(np.prod(shape)), dtype=complex).reshape(-1, *shape, order="F")
+    j = np.stack([s_of(e).reshape(-1, order="F") for e in units], axis=1)
+    return j.conj().T @ np.kron(gram.T, r) @ j
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=factored_problems())
+def test_block_curvatures_match_dense_hessians(problem):
+    # mu_X / SAFETY_MARGIN is lambda_max of the Hessian of the first
+    # majorization's quadratic Tr[R S Xi0 Xi0^H S^H] in vec(X) at V = V0, and
+    # mu_V / SAFETY_MARGIN its lambda_max in vec(V) at the X the pattern step
+    # sees (X0 in a SQUAREM update, the updated X1 in a plain round).  The
+    # step moves V's first M rows only, whose Hessian is no larger.
+    cfg, r, model, seed = problem
+    rng = np.random.default_rng(seed)
+    f = kronecker_factors(r, cfg.k)
+    v0 = random_feasible_pattern(rng, cfg.m, cfg.b, model).v
+    x0, x1 = (random_training(rng, cfg.k, cfg.tau, cfg.power).x for _ in range(2))
+    state = build_surrogate(x0, v0, f, 1.0, cfg.l)
+
+    mu_x = training_terms(state, numerics.largest_eigenvalue(f.p).value).curvature
+    h_x = _block_hessian(r, state.xi_gram, lambda x: np.kron(v0, x), x0.shape)
+    assert mu_x / SAFETY_MARGIN == pytest.approx(np.linalg.eigvalsh(h_x)[-1], rel=1e-12)
+    free = (np.arange(v0.size) % (cfg.m + 1)) < cfg.m    # vec(V) is column-major
+    for x in (x0, x1):
+        mu_v = refresh_pattern_terms(state, x, numerics.largest_eigenvalue(f.a).value).curvature
+        h_v = _block_hessian(r, state.xi_gram, lambda v: np.kron(v, x), v0.shape)
+        lam_v = np.linalg.eigvalsh(h_v)[-1]
+        assert mu_v / SAFETY_MARGIN == pytest.approx(lam_v, rel=1e-12)
+        assert np.linalg.eigvalsh(h_v[np.ix_(free, free)])[-1] <= lam_v * (1 + 1e-12)
+
+
 @settings(max_examples=100, deadline=None)
 @given(problem=factored_problems())
 def test_factored_terms_match_dense(problem):
-    # The anchor, the step terms, the spectral bounds and the MSE from the
-    # Kronecker factors against the dense (M+1)K-sized forms.
+    # The anchor, the step terms, the factor spectra and the MSE from the
+    # Kronecker factors against the dense (M+1)K-sized forms; the dense step
+    # terms take their curvatures from the dense block Hessians.
     cfg, r, model, seed = problem
     rng = np.random.default_rng(seed)
     k, b, tau, l = cfg.k, cfg.b, cfg.tau, cfg.l
     v0 = random_feasible_pattern(rng, cfg.m, b, model)
     x0, x1 = (random_training(rng, k, tau, cfg.power) for _ in range(2))
     f = kronecker_factors(r, k)
-    p_max = numerics.largest_eigenvalue(f.p).value
-    r_max = numerics.largest_eigenvalue(f.a).value * p_max
+    p_max, a_max = (numerics.largest_eigenvalue(g).value for g in (f.p, f.a))
     state = build_surrogate(x0.x, v0.v, f, 1.0, l)
-    train, pattern = training_terms(state, p_max), refresh_pattern_terms(state, x1.x, r_max)
+    train, pattern = training_terms(state, p_max), refresh_pattern_terms(state, x1.x, a_max)
 
     vt0, xt0, xt1 = np.kron(v0.v, np.eye(k)), np.kron(np.eye(b), x0.x), np.kron(np.eye(b), x1.x)
     s0 = vt0 @ xt0
     xi0 = lmmse_filter(s0, r, 1.0, l)
     gram, m_v = xi0 @ xi0.conj().T, vt0.conj().T @ r @ vt0
-    lambda2 = SAFETY_MARGIN * np.linalg.eigvalsh(gram)[-1] * np.linalg.eigvalsh(m_v)[-1]
-    b0 = lambda2 * xt0.conj().T - gram @ xt0.conj().T @ m_v + xi0 @ r @ vt0
+    # the diagonal blocks of mu_X / B Xt0^H sum to mu_X X0^H; the block traces
+    # of mu_V / K Vt0^H are mu_V conj(V0)
+    h_x = _block_hessian(r, gram, lambda x: np.kron(v0.v, x), x0.x.shape)
+    mu_x = SAFETY_MARGIN * np.linalg.eigvalsh(h_x)[-1]
+    b0 = mu_x / b * xt0.conj().T - gram @ xt0.conj().T @ m_v + xi0 @ r @ vt0
     w = xt1 @ gram @ xt1.conj().T
-    lambda3 = SAFETY_MARGIN * np.linalg.eigvalsh(w)[-1] * np.linalg.eigvalsh(r)[-1]
-    c0 = lambda3 * vt0.conj().T - w @ vt0.conj().T @ r + xt1 @ xi0 @ r
+    h_v = _block_hessian(r, gram, lambda v: np.kron(v, x1.x), v0.v.shape)
+    mu_v = SAFETY_MARGIN * np.linalg.eigvalsh(h_v)[-1]
+    c0 = mu_v / k * vt0.conj().T - w @ vt0.conj().T @ r + xt1 @ xi0 @ r
 
     # 1e-12, or the dense Cholesky solve's own forward-error scale where its
     # condition number kappa makes that coarser (both sides err by ~kappa eps)
@@ -453,8 +455,7 @@ def test_factored_terms_match_dense(problem):
     _assert_close(state.xi0, xi0, rel)
     _assert_close(train.b_sums, np.conj(np.einsum("atak->tk", b0.reshape(b, tau, b, k))), rel)
     _assert_close(pattern.c, _block_traces(c0, b, k), rel)
-    assert state.vav0_max * p_max == pytest.approx(np.linalg.eigvalsh(m_v)[-1], rel=1e-12)
-    assert r_max == pytest.approx(np.linalg.eigvalsh(r)[-1], rel=1e-12)
+    assert a_max * p_max == pytest.approx(np.linalg.eigvalsh(r)[-1], rel=1e-12)
     if cfg.power[0] <= 100.0:
         # above 20 dB the dense Tr R - explained side loses digits itself
         dense = np.real(np.trace(r)) + lmmse_objective(build_S(v0, x1), r, 1.0, l)
@@ -489,15 +490,14 @@ def test_majorizations_dominate_and_touch(problem):
     # training-block bound >= g(S; S0) along X with V = V0; the pattern-block
     # bound >= g(S; S0) along V at the X the step sees (X0 in a SQUAREM
     # update, the updated X1 in a plain round).  Each block bound is the
-    # quadratic its step minimizes, lambda2 B ||X||^2 - 2 Re sum_k b_k^H x_k
-    # or lambda3 K ||V||^2 - 2 Re sum c[m, n] v[m, n], plus the constant that
+    # quadratic its step minimizes, mu_X ||X||^2 - 2 Re sum_k b_k^H x_k
+    # or mu_V ||V||^2 - 2 Re sum c[m, n] v[m, n], plus the constant that
     # makes it touch g(S; S0) at the anchor.
     cfg, r, model, seed = problem
     rng = np.random.default_rng(seed)
     k, b, tau, l = cfg.k, cfg.b, cfg.tau, cfg.l
     f = kronecker_factors(r, k)
-    p_max = numerics.largest_eigenvalue(f.p).value
-    r_max = numerics.largest_eigenvalue(f.a).value * p_max
+    p_max, a_max = (numerics.largest_eigenvalue(g).value for g in (f.p, f.a))
     v0 = random_feasible_pattern(rng, cfg.m, b, model).v
     x0, x1 = (random_training(rng, k, tau, cfg.power).x for _ in range(2))
     state = build_surrogate(x0, v0, f, 1.0, l)
@@ -522,7 +522,7 @@ def test_majorizations_dominate_and_touch(problem):
     train = training_terms(state, p_max)
 
     def train_bound(x):
-        quad = train.lambda2 * train.b * float(np.sum(np.abs(x) ** 2))
+        quad = train.curvature * float(np.sum(np.abs(x) ** 2))
         lin = 2.0 * float(np.real(np.sum(train.b_sums.T.conj() * x)))
         return quad - lin, abs(quad) + abs(lin)
 
@@ -532,10 +532,10 @@ def test_majorizations_dominate_and_touch(problem):
         assert bound + touch >= upper - rel * (size + abs(touch) + abs(upper) + trace_r)
 
     for x_seen in (x0, x1):
-        pattern = refresh_pattern_terms(state, x_seen, r_max)
+        pattern = refresh_pattern_terms(state, x_seen, a_max)
 
         def pattern_bound(v):
-            quad = pattern.lambda3 * pattern.k * float(np.sum(np.abs(v) ** 2))
+            quad = pattern.curvature * float(np.sum(np.abs(v) ** 2))
             lin = 2.0 * float(np.real(np.sum(pattern.c * v)))
             return quad - lin, abs(quad) + abs(lin)
 
