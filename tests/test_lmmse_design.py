@@ -397,8 +397,7 @@ def test_block_curvatures_match_dense_hessians(problem):
     # mu_X / SAFETY_MARGIN is lambda_max of the Hessian of the first
     # majorization's quadratic Tr[R S Xi0 Xi0^H S^H] in vec(X) at V = V0, and
     # mu_V / SAFETY_MARGIN its lambda_max in vec(V) at the X the pattern step
-    # sees (X0 in a SQUAREM update, the updated X1 in a plain round).  The
-    # step moves V's first M rows only, whose Hessian is no larger.
+    # sees (X0 in a SQUAREM update, the updated X1 in a plain round).
     cfg, r, model, seed = problem
     rng = np.random.default_rng(seed)
     f = kronecker_factors(r, cfg.k)
@@ -409,13 +408,10 @@ def test_block_curvatures_match_dense_hessians(problem):
     mu_x = training_terms(state, numerics.largest_eigenvalue(f.p).value).curvature
     h_x = _block_hessian(r, state.xi_gram, lambda x: np.kron(v0, x), x0.shape)
     assert mu_x / SAFETY_MARGIN == pytest.approx(np.linalg.eigvalsh(h_x)[-1], rel=1e-12)
-    free = (np.arange(v0.size) % (cfg.m + 1)) < cfg.m    # vec(V) is column-major
     for x in (x0, x1):
         mu_v = refresh_pattern_terms(state, x, numerics.largest_eigenvalue(f.a).value).curvature
         h_v = _block_hessian(r, state.xi_gram, lambda v: np.kron(v, x), v0.shape)
-        lam_v = np.linalg.eigvalsh(h_v)[-1]
-        assert mu_v / SAFETY_MARGIN == pytest.approx(lam_v, rel=1e-12)
-        assert np.linalg.eigvalsh(h_v[np.ix_(free, free)])[-1] <= lam_v * (1 + 1e-12)
+        assert mu_v / SAFETY_MARGIN == pytest.approx(np.linalg.eigvalsh(h_v)[-1], rel=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
