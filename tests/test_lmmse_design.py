@@ -132,6 +132,52 @@ class TestSecondMajorization:
             assert self._training_bound(state, x, x0.x, m_v) >= \
                 self._training_quad(x, state, m_v) - 1e-8
 
+    @staticmethod
+    def _t2_tw(state, x, a, p):
+        # T2 = sum_{b,b'} (V0^H A V0)_{b'b} G_{bb'} and Tw_{bb'} = Tr[G_{bb'} X^H P X],
+        # G = Xi0 Xi0^H, summed block by block
+        tau, b = CFG.tau, CFG.b
+        vav = state.v0.conj().T @ a @ state.v0
+        xpx = x.conj().T @ p @ x
+        blk = [[state.xi_gram[i * tau:(i + 1) * tau, j * tau:(j + 1) * tau]
+                for j in range(b)] for i in range(b)]
+        t2 = sum(vav[j, i] * blk[i][j] for i in range(b) for j in range(b))
+        tw = np.array([[np.trace(blk[i][j] @ xpx) for j in range(b)] for i in range(b)])
+        return t2, tw
+
+    def test_spectral_bounds_match_dense_eigensolver(self, model, rng):
+        # mu_X and mu_V are lambda_max of the dense Hessians of Tr[R S G S^H]
+        # in vec(X) at V0 and in vec(V) at X0, with the full (M+1)K-sized R
+        state, x0, v0 = _state(rng, model)
+        h_x = _block_hessian(R, state.xi_gram, lambda x: np.kron(v0.v, x), x0.x.shape)
+        h_v = _block_hessian(R, state.xi_gram, lambda v: np.kron(v, x0.x), v0.v.shape)
+        assert _training_terms(state).curvature / SAFETY_MARGIN == pytest.approx(
+            float(np.linalg.eigvalsh(h_x)[-1]), rel=1e-12)
+        assert _pattern_terms(state, x0.x).curvature / SAFETY_MARGIN == pytest.approx(
+            float(np.linalg.eigvalsh(h_v)[-1]), rel=1e-12)
+
+    def test_identity_prior_spectrum(self, model, rng):
+        # R = L I makes mu_X exactly L lambda_max(T2) and mu_V L lambda_max(Tw)
+        # taken with A = P = I, whatever scale the factorization gives A and P
+        r_id = 4.0 * np.eye((CFG.m + 1) * CFG.k)
+        state, x0, _ = _state(rng, model, r=r_id)
+        t2, tw = self._t2_tw(state, x0.x, np.eye(CFG.m + 1), np.eye(CFG.k))
+        assert _training_terms(state).curvature == pytest.approx(
+            SAFETY_MARGIN * 4.0 * float(np.linalg.eigvalsh(t2)[-1]), rel=1e-12)
+        assert _pattern_terms(state, x0.x).curvature == pytest.approx(
+            SAFETY_MARGIN * 4.0 * float(np.linalg.eigvalsh(tw)[-1]), rel=1e-12)
+
+    def test_kron_eigenvalue_factorization(self, model, rng):
+        # the factored curvature equals the eigenvalue of the full Kronecker
+        # form: lambda_max(T2^T kron P) and lambda_max(Tw^T kron A)
+        state, x0, _ = _state(rng, model)
+        a, p = state.factors.a, state.factors.p
+        t2, tw = self._t2_tw(state, x0.x, a, p)
+        assert _training_terms(state).curvature / SAFETY_MARGIN == pytest.approx(
+            float(np.linalg.eigvalsh(np.kron(t2.T, p))[-1]), rel=1e-12)
+        assert _pattern_terms(state, x0.x).curvature / SAFETY_MARGIN == pytest.approx(
+            float(np.linalg.eigvalsh(np.kron(tw.T, a))[-1]), rel=1e-12)
+
 
 class TestUpdateTraining:
     def _manual_state(self, b_k, lam2, p, b=1):
