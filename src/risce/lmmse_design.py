@@ -18,12 +18,14 @@ An MM update reads only these majorizers' minimizers, so their values are
 never built; the rounds score J_LMMSE = Tr[R] + g(S) by :func:`~risce.system.mse_lmmse`.
 
 R = kron(A, P) (:func:`~risce.channel.kronecker_factors`) and S0 = V0 kron X0, so
-Xi0 = (U1 kron U2) diag(1 / (d1 kron d2 + sigma^2 L)) (U1^H V0^H A kron U2^H X0^H P)
-with (d1, U1) = eigh(V0^H A V0) and (d2, U2) = eigh(X0^H P X0): no (M+1)K-sized
-solve.  Each step builds only what it reads, by contracting Xi0 and Xi0 Xi0^H
-with the factors: the per-UE sums b_k of B0's diagonal blocks
-(:func:`training_terms`), and the K x K block traces of C0 at the X the pattern
-step sees (:func:`refresh_pattern_terms`; in a plain round, the updated X).
+Xi0 = (U1 kron U2) diag(dinv) (F1 kron F2) with F1 = U1^H V0^H A, F2 = U2^H X0^H P,
+(d1, U1) = eigh(V0^H A V0), (d2, U2) = eigh(X0^H P X0) and the B x tau dinv =
+1 / (d1_i d2_j + sigma^2 L), 0 for a dropped rounding-level direction (sigma^2 = 0).
+The anchor stays in these factors: as U1^H V0^H A V0 U1 = diag(d1), each block sum
+a step reads is a product of B- and tau-sized arrays, none (M+1)K or tau B: the per-UE
+sums b_k of B0's diagonal blocks (:func:`training_terms`), and the K x K block traces
+of C0 at the X the pattern step sees (:func:`refresh_pattern_terms`; in a plain
+round, the updated X).
 
 The curvatures are exact, not the paper's looser lambda2 B and lambda3 K: any
 mu >= lambda_max of a quadratic's Hessian gives a majorizer mu ||x||^2 (Sun,
@@ -37,7 +39,8 @@ so its Hessian is T2^T kron P in vec(X) and Tw^T kron A in vec(V), whose
 lambda_max is the product of its PSD factors'.  Hence mu_X = lambda_max(T2)
 lambda_max(P) at V0 and mu_V = lambda_max(Tw) lambda_max(A) at the X the step
 sees, each times SAFETY_MARGIN; restricting V to its first M rows cannot raise
-lambda_max (Cauchy interlacing).  lambda_max(A), lambda_max(P) are computed once.
+lambda_max (Cauchy interlacing).  T2 = U2 H U2^H and Tw = U1 Kw U1^H for the tau x tau
+H and the B x B Kw the steps build; lambda_max(A), lambda_max(P) are computed once.
 
 The rounds run on :func:`risce.accel.mm_loop` over the pair of bare arrays
 (X, V); :func:`design_lmmse` validates its initial point and builds a
@@ -59,6 +62,7 @@ from . import numerics
 from .accel import mm_loop, plain_step, squarem_step
 from .baselines import naive_pattern
 from .channel import KroneckerFactors, kronecker_factors
+from .errors import DimensionMismatch
 from .ls_design import (
     DEFAULT_EPS,
     DEFAULT_MAX_ITER_ACCEL,
@@ -81,11 +85,14 @@ SAFETY_MARGIN = 1.0001
 
 
 class LmmseSurrogateState(NamedTuple):
-    """Anchor of the first majorization, shared by the two block steps."""
+    """Anchor of the first majorization in factors, Xi0 = (U1 kron U2) diag(dinv) (F1 kron F2)."""
 
-    xi0: np.ndarray        # (tau*B, (M+1)*K)
-    xi_gram: np.ndarray    # Xi0 Xi0^H, (tau*B, tau*B)
-    av0: np.ndarray        # A V0, (M+1, B)
+    u1: np.ndarray         # eigenvectors of V0^H A V0, (B, B)
+    u2: np.ndarray         # eigenvectors of X0^H P X0, (tau, tau)
+    f1: np.ndarray         # U1^H (A V0)^H, (B, M+1)
+    f2: np.ndarray         # U2^H X0^H P, (tau, K)
+    dinv: np.ndarray       # 1 / (d1_i d2_j + sigma^2 L), 0 where dropped, (B, tau)
+    w1: np.ndarray         # d1 times F1's squared row norms, (B,)
     x0: np.ndarray         # (K, tau)
     v0: np.ndarray         # (M+1, B)
     factors: KroneckerFactors
@@ -108,31 +115,30 @@ class PatternTerms(NamedTuple):
 
 def build_surrogate(x0: np.ndarray, v0: np.ndarray, factors: KroneckerFactors,
                     sigma2: float, l: int) -> LmmseSurrogateState:
-    """Compute the anchor Xi0 and Xi0 Xi0^H at (X0, V0) from the factors."""
-    av0, xp = factors.a @ v0, x0.conj().T @ factors.p
-    d1, u1 = np.linalg.eigh(numerics.require_hermitian(v0.conj().T @ av0))
-    d2, u2 = np.linalg.eigh(numerics.require_hermitian(xp @ x0))
-    right = np.kron(u1.conj().T @ av0.conj().T, u2.conj().T @ xp)
+    """Compute the factors of the anchor Xi0 at (X0, V0)."""
+    d1, u1 = np.linalg.eigh(numerics.require_hermitian(v0.conj().T @ (factors.a @ v0)))
+    d2, u2 = np.linalg.eigh(numerics.require_hermitian(x0.conj().T @ factors.p @ x0))
+    f1, f2 = u1.conj().T @ (factors.a @ v0).conj().T, u2.conj().T @ (x0.conj().T @ factors.p)
     # Pseudo-inverse anchor: drop rounding-level directions (sigma2 = 0 and a singular factor).
-    den = np.kron(d1, d2) + sigma2 * l
+    den = np.outer(d1, d2) + sigma2 * l
     kept = den > den.size * np.finfo(float).eps * np.max(den)
-    xi0 = np.divide(np.kron(u1, u2), den, out=np.zeros((den.size,) * 2, complex), where=kept) @ right
-    return LmmseSurrogateState(xi0, xi0 @ xi0.conj().T, av0, x0, v0, factors)
+    dinv = np.divide(1.0, den, out=np.zeros(den.shape), where=kept)
+    w1 = d1 * np.sum(np.abs(f1) ** 2, axis=1)
+    return LmmseSurrogateState(u1, u2, f1, f2, dinv, w1, x0, v0, factors)
 
 
 def training_terms(state: LmmseSurrogateState, p_max: float) -> TrainingTerms:
     """mu_X and the b_k of the training step at (X0, V0); p_max is lambda_max(P).
 
-    b_k is column k of conj(mu_X X0^H - T2 X0^H P + T3 P), with T2 =
-    sum_{b,b'} [V0^H A V0]_{b'b} (Xi0 Xi0^H)_{bb'} and T3 = sum_{b,m} [A V0]_{mb} (Xi0)_{bm}.
+    b_k is column k of conj(mu_X X0^H - T2 X0^H P + T3 P) = conj(mu_X X0^H - U2 (H F2 - T P)),
+    with T2 = U2 H U2^H, H = (F2 F2^H) o (dinv^T diag(w1) dinv), T3 = U2 T and
+    T = diag(e1 dinv) F2, where e1 holds F1's squared row norms.
     """
-    b, (k, tau) = state.v0.shape[1], state.x0.shape
-    t2 = np.einsum("asbt,ba->st", state.xi_gram.reshape(b, tau, b, tau),
-                   state.v0.conj().T @ state.av0)
-    curvature = SAFETY_MARGIN * numerics.largest_eigenvalue(t2).value * p_max
-    t3 = np.einsum("atmk,ma->tk", state.xi0.reshape(b, tau, -1, k), state.av0)
-    x0h, p = state.x0.conj().T, state.factors.p
-    b_sums = np.conj(curvature * x0h - t2 @ x0h @ p + t3 @ p)
+    f2, dinv = state.f2, state.dinv
+    h = (f2 @ f2.conj().T) * (dinv.T @ (state.w1[:, None] * dinv))
+    curvature = SAFETY_MARGIN * numerics.largest_eigenvalue(h).value * p_max
+    t = (np.sum(np.abs(state.f1) ** 2, axis=1) @ dinv)[:, None] * f2
+    b_sums = np.conj(curvature * state.x0.conj().T - state.u2 @ (h @ f2 - t @ state.factors.p))
     return TrainingTerms(curvature=curvature, b_sums=b_sums, x0=state.x0)
 
 
@@ -141,16 +147,17 @@ def refresh_pattern_terms(
 ) -> PatternTerms:
     """mu_V and the C0 block traces of the pattern step at training x; a_max = lambda_max(A).
 
-    The traces are mu_V conj(V0) - (Tw V0^H A)^T + (Z A)^T, with
-    Tw[n, n'] = Tr((Xi0 Xi0^H)_{nn'} X^H P X) and Z[n, m] = Tr(X (Xi0)_{nm} P).  Within a plain
+    The traces are mu_V conj(V0) - (Tw V0^H A)^T + (Z A)^T, with Tw = U1 Kw U1^H,
+    Kw = (F1 F1^H) o (dinv ((F2 F2^H) o conj(U2^H X^H P X U2)) dinv^T), and
+    Z = U1 diag(dinv g) F1, g = diag(F2 P X U2).  Within a plain
     round x is the updated training: the pattern step sees the new X while
     staying anchored at the round's Xi0 and V0, which preserves monotone descent.
     """
-    b, (k, tau), p = state.v0.shape[1], x.shape, state.factors.p
-    tw = np.einsum("asbt,ts->ab", state.xi_gram.reshape(b, tau, b, tau), x.conj().T @ p @ x)
-    curvature = SAFETY_MARGIN * numerics.largest_eigenvalue(tw).value * a_max
-    z = np.einsum("lt,ntml->nm", p @ x, state.xi0.reshape(b, tau, -1, k))
-    c = curvature * np.conj(state.v0) - (tw @ state.av0.conj().T).T + (z @ state.factors.a).T
+    f1, f2, dinv, pxu2 = state.f1, state.f2, state.dinv, state.factors.p @ x @ state.u2
+    kw = f1 @ f1.conj().T * (dinv @ (f2 @ f2.conj().T * ((x @ state.u2).T @ pxu2.conj())) @ dinv.T)
+    curvature = SAFETY_MARGIN * numerics.largest_eigenvalue(kw).value * a_max
+    z = (dinv @ np.sum(f2 * pxu2.T, axis=1))[:, None] * f1
+    c = curvature * np.conj(state.v0) + (state.u1 @ (z @ state.factors.a - kw @ f1)).T
     return PatternTerms(curvature=curvature, c=c)
 
 
@@ -200,13 +207,18 @@ def design_lmmse(
     """Alternate training and pattern updates until the MSE change is < eps.
 
     Starts from the DFT training and, unless init_v is given, the naive
-    projected-DFT pattern.  The trace records J_LMMSE per iteration
+    projected-DFT pattern; DimensionMismatch unless init_v is (M+1, B) and
+    r_gamma is (M+1)K square.  The trace records J_LMMSE per iteration
     (non-increasing) and the cumulative number of MM updates (surrogate
     rebuilds); with accelerate=True each block update is wrapped in a
     monotone SQUAREM step with its own projection.
     """
+    if np.shape(r_gamma) != ((config.m + 1) * config.k,) * 2:
+        raise DimensionMismatch(f"R {np.shape(r_gamma)} is not the config's (M+1)K square")
     if init_v is None:
         init_v = naive_pattern(config.m, config.b, model)
+    elif init_v.v.shape != (config.m + 1, config.b):
+        raise DimensionMismatch(f"init pattern {init_v.v.shape} is not the config's (M+1) x B")
     if max_iter is None:
         max_iter = DEFAULT_MAX_ITER_ACCEL if accelerate else DEFAULT_MAX_ITER_PLAIN
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import numerics
 from .accel import mm_loop, plain_step, squarem_step
 from .baselines import naive_pattern
-from .errors import InvalidDims
+from .errors import DimensionMismatch, InvalidDims
 from .phase_model import (
     ReflectionModel,
     minimize_pattern_entries,
@@ -91,14 +91,17 @@ def design_ls(
 ) -> tuple[ReflectionPattern, DesignTrace]:
     """Minimize Tr[(V V^H)^{-1}] over feasible patterns by (accelerated) MM.
 
-    Starts from the naive projected-DFT pattern unless an init is given;
-    stops when the relative objective change drops below eps.  The trace
-    records the objective per iteration (non-increasing) and the cumulative
-    number of MM updates.  The MM iterates are bare (M+1, B) arrays; only
-    the init and the result are ReflectionPatterns.
+    Starts from the naive projected-DFT pattern unless an init is given
+    (DimensionMismatch unless it is (M+1, B)); stops when the relative
+    objective change drops below eps.  The trace records the objective per
+    iteration (non-increasing) and the cumulative number of MM updates.  The
+    MM iterates are bare (M+1, B) arrays; only the init and the result are
+    ReflectionPatterns.
     """
     if init is None:
         init = naive_pattern(config.m, config.b, model)
+    elif init.v.shape != (config.m + 1, config.b):
+        raise DimensionMismatch(f"init pattern {init.v.shape} is not the config's (M+1) x B")
     if max_iter is None:
         max_iter = DEFAULT_MAX_ITER_ACCEL if accelerate else DEFAULT_MAX_ITER_PLAIN
 

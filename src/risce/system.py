@@ -47,10 +47,6 @@ class ReflectionPattern:
     def m(self) -> int:
         return self.v.shape[0] - 1
 
-    @property
-    def b(self) -> int:
-        return self.v.shape[1]
-
 
 @dataclass(frozen=True)
 class TrainingMatrix:
@@ -71,14 +67,6 @@ class TrainingMatrix:
         row_power = np.sum(np.abs(x) ** 2, axis=1)
         if np.any(row_power > p * (1.0 + POWER_TOL)):
             raise DimensionMismatch("per-UE power budget exceeded")
-
-    @property
-    def k(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def tau(self) -> int:
-        return self.x.shape[1]
 
 
 def build_S(pattern: ReflectionPattern, training: TrainingMatrix) -> np.ndarray:

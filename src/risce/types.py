@@ -74,9 +74,5 @@ class DesignTrace:
         return max(len(self.objectives) - 1, 0)
 
     @property
-    def final_objective(self) -> float:
-        return self.objectives[-1]
-
-    @property
     def total_updates(self) -> int:
         return self.update_calls[-1] if self.update_calls else 0

@@ -92,16 +92,16 @@ def lmmse_objective(s, r_gamma, sigma2, l) -> float:
     return -float(np.real(np.sum(lmmse_filter(s, r_gamma, sigma2, l) * f.conj())))
 
 
-def lmmse_surrogate_value(state, s, sigma2, l) -> float:
-    """g(S; S0) of the LMMSE first majorization at the anchor state (test oracle).
+def lmmse_surrogate_value(x0, v0, r_gamma, s, sigma2, l) -> float:
+    """g(S; S0) of the LMMSE first majorization at the anchor S0 = kron(V0, X0) (test oracle).
 
     g(S; S0) = Tr[Xi0^H S^H R S Xi0] - 2 Re{Tr[Xi0 R S]} + sigma^2 L Tr[Xi0 Xi0^H],
-    with Xi0 and Xi0 Xi0^H from :func:`risce.lmmse_design.build_surrogate`.
+    with the dense Xi0 = :func:`lmmse_filter` at S0, built from the inputs alone.
     """
-    r_gamma = np.kron(state.factors.a, state.factors.p)
-    quad = float(np.real(np.trace(state.xi0.conj().T @ s.conj().T @ r_gamma @ s @ state.xi0)))
-    lin = -2.0 * float(np.real(np.trace(state.xi0 @ r_gamma @ s)))
-    return quad + lin + sigma2 * l * float(np.real(np.trace(state.xi_gram)))
+    xi0 = lmmse_filter(np.kron(v0, x0), r_gamma, sigma2, l)
+    quad = float(np.real(np.trace(xi0.conj().T @ s.conj().T @ r_gamma @ s @ xi0)))
+    lin = -2.0 * float(np.real(np.trace(xi0 @ r_gamma @ s)))
+    return quad + lin + sigma2 * l * float(np.sum(np.abs(xi0) ** 2))
 
 
 def random_training(rng, k, tau, power) -> TrainingMatrix:

@@ -26,7 +26,6 @@ from risce.channel import (
 from risce.experiments import ExperimentConfig, run_sweep
 from risce.lmmse_design import (
     TrainingTerms,
-    build_surrogate,
     design_lmmse,
     update_training,
 )
@@ -114,10 +113,13 @@ def test_c2_majorization_suites():
     r = cascaded_correlation(CORR, 3, 2, 4)
     x0 = random_training(rng, 2, 2, cfg.power)
     w0 = random_feasible_pattern(rng, 3, 4, MODEL)
-    state = build_surrogate(x0.x, w0.v, kronecker_factors(r, 2), 1.0, 4)
     s0 = build_S(w0, x0)
+
+    def sur2(s):
+        return lmmse_surrogate_value(x0.x, w0.v, r, s, 1.0, 4)
+
     g0 = lmmse_objective(s0, r, 1.0, 4)
-    tangency2 = abs(lmmse_surrogate_value(state, s0, 1.0, 4) - g0) / abs(g0)
+    tangency2 = abs(sur2(s0) - g0) / abs(g0)
     assert tangency2 < 1e-8
     min_slack2 = np.inf
     for _ in range(100):
@@ -125,11 +127,11 @@ def test_c2_majorization_suites():
             random_feasible_pattern(rng, 3, 4, MODEL),
             random_training(rng, 2, 2, cfg.power),
         )
-        slack = lmmse_surrogate_value(state, s, 1.0, 4) - lmmse_objective(s, r, 1.0, 4)
+        slack = sur2(s) - lmmse_objective(s, r, 1.0, 4)
         min_slack2 = min(min_slack2, slack)
         assert slack >= -1e-8 * abs(g0)
     g_g = _fd_gradient(lambda s: lmmse_objective(s, r, 1.0, 4), s0)
-    g_b = _fd_gradient(lambda s: lmmse_surrogate_value(state, s, 1.0, 4), s0)
+    g_b = _fd_gradient(sur2, s0)
     grad_err2 = np.linalg.norm(g_g - g_b) / np.linalg.norm(g_g)
     assert grad_err2 < 1e-4
 
@@ -301,7 +303,7 @@ def test_c7_squarem_acceleration():
         init = random_feasible_pattern(np.random.default_rng(1000 + seed), 8, 9, MODEL)
         _, plain = design_ls(DESK, MODEL, init=init, eps=1e-3, accelerate=False)
         _, acc = design_ls(DESK, MODEL, init=init, eps=1e-3, accelerate=True)
-        target = plain.final_objective * (1 + 1e-3)
+        target = plain.objectives[-1] * (1 + 1e-3)
         reached = [calls for obj, calls in zip(acc.objectives, acc.update_calls)
                    if obj <= target]
         assert reached, f"seed {seed}: acceleration never reached the MM objective"

@@ -15,7 +15,7 @@ from conftest import (
     random_training,
 )
 from risce import lmmse_design, numerics
-from risce.baselines import group_reduce
+from risce.baselines import group_reduce, naive_pattern
 from risce.channel import (
     CorrelationSpec,
     cascaded_correlation,
@@ -55,6 +55,11 @@ def _state(rng, model, cfg=CFG, r=R):
     return build_surrogate(x0.x, v0.v, kronecker_factors(r, cfg.k), cfg.sigma2, cfg.l), x0, v0
 
 
+def _dense_anchor(x0, v0, r=R, cfg=CFG):
+    """The dense Xi0 at S0 = kron(V0, X0), from the inputs alone."""
+    return lmmse_filter(np.kron(v0, x0), r, cfg.sigma2, cfg.l)
+
+
 def _training_terms(state):
     return training_terms(state, numerics.largest_eigenvalue(state.factors.p).value)
 
@@ -70,23 +75,23 @@ def _block_traces(c0, b, k):
 
 class TestFirstMajorization:
     def test_tangent_at_anchor(self, model, rng):
-        state, x0, v0 = _state(rng, model)
+        _, x0, v0 = _state(rng, model)
         s0 = build_S(v0, x0)
-        assert lmmse_surrogate_value(state, s0, 1.0, 4) == pytest.approx(
+        assert lmmse_surrogate_value(x0.x, v0.v, R, s0, 1.0, 4) == pytest.approx(
             lmmse_objective(s0, R, 1.0, 4), rel=1e-8
         )
 
     def test_dominates_on_random_points(self, model, rng):
-        state, _, _ = _state(rng, model)
+        _, x0, v0 = _state(rng, model)
         for _ in range(100):
             v = random_feasible_pattern(rng, CFG.m, CFG.b, model)
             x = random_training(rng, CFG.k, CFG.tau, CFG.power)
             s = build_S(v, x)
             g = lmmse_objective(s, R, 1.0, 4)
-            assert lmmse_surrogate_value(state, s, 1.0, 4) >= g - 1e-8 * abs(g)
+            assert lmmse_surrogate_value(x0.x, v0.v, R, s, 1.0, 4) >= g - 1e-8 * abs(g)
 
     def test_gradient_matches_at_anchor(self, model, rng):
-        state, x0, v0 = _state(rng, model)
+        _, x0, v0 = _state(rng, model)
         s0 = build_S(v0, x0)
         h = 1e-6
 
@@ -100,46 +105,45 @@ class TestFirstMajorization:
             return grad
 
         g_true = fd_grad(lambda s: lmmse_objective(s, R, 1.0, 4))
-        g_sur = fd_grad(lambda s: lmmse_surrogate_value(state, s, 1.0, 4))
+        g_sur = fd_grad(lambda s: lmmse_surrogate_value(x0.x, v0.v, R, s, 1.0, 4))
         assert np.linalg.norm(g_true - g_sur) <= 1e-4 * np.linalg.norm(g_true)
 
 
 class TestSecondMajorization:
-    def _training_quad(self, x, state, m_v):
+    def _training_quad(self, x, xi0, m_v):
         # the quadratic of g(S; S0) along X at V = V0: Tr[Xi0^H Xt^H M_v Xt Xi0]
         xt = np.kron(np.eye(CFG.b), x)
-        return float(np.real(np.trace(
-            state.xi0.conj().T @ xt.conj().T @ m_v @ xt @ state.xi0
-        )))
+        return float(np.real(np.trace(xi0.conj().T @ xt.conj().T @ m_v @ xt @ xi0)))
 
-    def _training_bound(self, state, x, x0, m_v):
+    def _training_bound(self, state, xi0, x, x0, m_v):
         # that quadratic's bound at X0, including its constant: the value and
-        # gradient at X0 plus mu_X ||X - X0||^2
+        # gradient at X0 plus the step's mu_X ||X - X0||^2
         xt0, d = np.kron(np.eye(CFG.b), x0), np.kron(np.eye(CFG.b), x - x0)
-        lin = np.trace(state.xi_gram @ d.conj().T @ m_v @ xt0)
+        lin = np.trace(xi0 @ xi0.conj().T @ d.conj().T @ m_v @ xt0)
         curvature = _training_terms(state).curvature
-        return (self._training_quad(x0, state, m_v) + 2.0 * np.real(lin)
+        return (self._training_quad(x0, xi0, m_v) + 2.0 * np.real(lin)
                 + curvature * np.linalg.norm(x - x0) ** 2)
 
     def test_training_bound_tangent_and_dominating(self, model, rng):
         state, x0, v0 = _state(rng, model)
+        xi0 = _dense_anchor(x0.x, v0.v)
         vt0 = np.kron(v0.v, np.eye(CFG.k))
         m_v = vt0.conj().T @ R @ vt0
-        at_anchor = self._training_bound(state, x0.x, x0.x, m_v)
-        assert at_anchor == pytest.approx(self._training_quad(x0.x, state, m_v), rel=1e-8)
+        at_anchor = self._training_bound(state, xi0, x0.x, x0.x, m_v)
+        assert at_anchor == pytest.approx(self._training_quad(x0.x, xi0, m_v), rel=1e-8)
         for _ in range(25):
             x = rng.standard_normal(x0.x.shape) + 1j * rng.standard_normal(x0.x.shape)
-            assert self._training_bound(state, x, x0.x, m_v) >= \
-                self._training_quad(x, state, m_v) - 1e-8
+            assert self._training_bound(state, xi0, x, x0.x, m_v) >= \
+                self._training_quad(x, xi0, m_v) - 1e-8
 
     @staticmethod
-    def _t2_tw(state, x, a, p):
+    def _t2_tw(xi0, v0, x, a, p):
         # T2 = sum_{b,b'} (V0^H A V0)_{b'b} G_{bb'} and Tw_{bb'} = Tr[G_{bb'} X^H P X],
         # G = Xi0 Xi0^H, summed block by block
-        tau, b = CFG.tau, CFG.b
-        vav = state.v0.conj().T @ a @ state.v0
+        tau, b, gram = CFG.tau, CFG.b, xi0 @ xi0.conj().T
+        vav = v0.conj().T @ a @ v0
         xpx = x.conj().T @ p @ x
-        blk = [[state.xi_gram[i * tau:(i + 1) * tau, j * tau:(j + 1) * tau]
+        blk = [[gram[i * tau:(i + 1) * tau, j * tau:(j + 1) * tau]
                 for j in range(b)] for i in range(b)]
         t2 = sum(vav[j, i] * blk[i][j] for i in range(b) for j in range(b))
         tw = np.array([[np.trace(blk[i][j] @ xpx) for j in range(b)] for i in range(b)])
@@ -149,8 +153,10 @@ class TestSecondMajorization:
         # mu_X and mu_V are lambda_max of the dense Hessians of Tr[R S G S^H]
         # in vec(X) at V0 and in vec(V) at X0, with the full (M+1)K-sized R
         state, x0, v0 = _state(rng, model)
-        h_x = _block_hessian(R, state.xi_gram, lambda x: np.kron(v0.v, x), x0.x.shape)
-        h_v = _block_hessian(R, state.xi_gram, lambda v: np.kron(v, x0.x), v0.v.shape)
+        xi0 = _dense_anchor(x0.x, v0.v)
+        gram = xi0 @ xi0.conj().T
+        h_x = _block_hessian(R, gram, lambda x: np.kron(v0.v, x), x0.x.shape)
+        h_v = _block_hessian(R, gram, lambda v: np.kron(v, x0.x), v0.v.shape)
         assert _training_terms(state).curvature / SAFETY_MARGIN == pytest.approx(
             float(np.linalg.eigvalsh(h_x)[-1]), rel=1e-12)
         assert _pattern_terms(state, x0.x).curvature / SAFETY_MARGIN == pytest.approx(
@@ -160,8 +166,9 @@ class TestSecondMajorization:
         # R = L I makes mu_X exactly L lambda_max(T2) and mu_V L lambda_max(Tw)
         # taken with A = P = I, whatever scale the factorization gives A and P
         r_id = 4.0 * np.eye((CFG.m + 1) * CFG.k)
-        state, x0, _ = _state(rng, model, r=r_id)
-        t2, tw = self._t2_tw(state, x0.x, np.eye(CFG.m + 1), np.eye(CFG.k))
+        state, x0, v0 = _state(rng, model, r=r_id)
+        xi0 = _dense_anchor(x0.x, v0.v, r=r_id)
+        t2, tw = self._t2_tw(xi0, v0.v, x0.x, np.eye(CFG.m + 1), np.eye(CFG.k))
         assert _training_terms(state).curvature == pytest.approx(
             SAFETY_MARGIN * 4.0 * float(np.linalg.eigvalsh(t2)[-1]), rel=1e-12)
         assert _pattern_terms(state, x0.x).curvature == pytest.approx(
@@ -170,9 +177,9 @@ class TestSecondMajorization:
     def test_kron_eigenvalue_factorization(self, model, rng):
         # the factored curvature equals the eigenvalue of the full Kronecker
         # form: lambda_max(T2^T kron P) and lambda_max(Tw^T kron A)
-        state, x0, _ = _state(rng, model)
+        state, x0, v0 = _state(rng, model)
         a, p = state.factors.a, state.factors.p
-        t2, tw = self._t2_tw(state, x0.x, a, p)
+        t2, tw = self._t2_tw(_dense_anchor(x0.x, v0.v), v0.v, x0.x, a, p)
         assert _training_terms(state).curvature / SAFETY_MARGIN == pytest.approx(
             float(np.linalg.eigvalsh(np.kron(t2.T, p))[-1]), rel=1e-12)
         assert _pattern_terms(state, x0.x).curvature / SAFETY_MARGIN == pytest.approx(
@@ -268,7 +275,7 @@ class TestDesignLmmse:
         x, v, trace = design_lmmse(self.BIG, model, self.R_BIG, accelerate=False)
         assert trace.converged
         assert np.all(np.diff(trace.objectives) <= 1e-10)
-        assert trace.final_objective <= trace.objectives[0]
+        assert trace.objectives[-1] <= trace.objectives[0]
 
     def test_final_power_budgets_hold(self, model):
         x, _, _ = design_lmmse(self.BIG, model, self.R_BIG, accelerate=True)
@@ -286,12 +293,12 @@ class TestDesignLmmse:
         r = l * np.eye(m + 1)
         x, v, trace = design_lmmse(cfg, ideal_model(), r, accelerate=False)
         expected = (m + 1) * 1 * l / (1.0 + (m + 1) * p / 1.0)
-        assert trace.final_objective == pytest.approx(expected, rel=0.01)
+        assert trace.objectives[-1] == pytest.approx(expected, rel=0.01)
 
     def test_acceleration_reaches_plain_level_with_fewer_rebuilds(self, model):
         _, _, plain = design_lmmse(self.BIG, model, self.R_BIG, accelerate=False)
         _, _, acc = design_lmmse(self.BIG, model, self.R_BIG, accelerate=True)
-        target = plain.final_objective * (1 + 1e-3)
+        target = plain.objectives[-1] * (1 + 1e-3)
         reached = [
             calls for obj, calls in zip(acc.objectives, acc.update_calls)
             if obj <= target
@@ -299,19 +306,30 @@ class TestDesignLmmse:
         assert reached, "accelerated run never reached the plain-MM objective"
         assert reached[0] < plain.total_updates
 
+    def test_init_pattern_of_another_size_is_rejected(self, model):
+        with pytest.raises(DimensionMismatch):
+            design_lmmse(self.BIG, model, self.R_BIG, init_v=naive_pattern(2, 3, model))
+
+    def test_correlation_of_another_size_is_rejected(self, model):
+        # R for M = 2 is a valid kron(A, P), but not (M+1)K square for M = 4
+        with pytest.raises(DimensionMismatch):
+            design_lmmse(self.BIG, model, R)
+
     def test_refresh_keeps_anchor_quantities(self, model, rng):
         state, x0, v0 = _state(rng, model)
-        xi0, curvature = state.xi0.copy(), _training_terms(state).curvature
+        before = [np.copy(field) for field in state[:-1]]
+        curvature = _training_terms(state).curvature
         x1 = update_training(_training_terms(state), CFG.power)
         terms = _pattern_terms(state, x1)
         # the terms are taken at x1, on the anchor's Xi0 and V0
+        xi0 = _dense_anchor(x0.x, v0.v)
         xt1 = np.kron(np.eye(CFG.b), x1)
         vt0 = np.kron(v0.v, np.eye(CFG.k))
-        w = xt1 @ state.xi_gram @ xt1.conj().T
+        w = xt1 @ xi0 @ xi0.conj().T @ xt1.conj().T
         c0 = terms.curvature / CFG.k * vt0.conj().T - w @ vt0.conj().T @ R + xt1 @ xi0 @ R
         dense = _block_traces(c0, CFG.b, CFG.k)
         assert np.max(np.abs(terms.c - dense)) <= 1e-12 * np.max(np.abs(dense))
-        assert np.array_equal(state.xi0, xi0)
+        assert all(np.array_equal(a, b) for a, b in zip(state[:-1], before))
         assert _training_terms(state).curvature == curvature
 
     def test_zero_noise_stops_after_one_step(self, model):
@@ -426,6 +444,16 @@ def _assert_close(got, want, rel=1e-12):
     assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
 
 
+def _dense_rel(s0, r, l):
+    """1e-12, or the dense Cholesky solve's forward-error scale at the anchor S0.
+
+    Where the condition number kappa of S0^H R S0 + L I makes that coarser,
+    a dense side errs by about kappa eps.
+    """
+    kappa = np.linalg.cond(s0.conj().T @ r @ s0 + l * np.eye(s0.shape[1]))
+    return max(1e-12, 32 * np.finfo(float).eps * kappa)
+
+
 def _block_hessian(r, gram, s_of, shape):
     """Dense Hessian of Tr[R S G S^H] in vec(Y), for S = s_of(Y) linear in a (shape) Y.
 
@@ -451,21 +479,44 @@ def test_block_curvatures_match_dense_hessians(problem):
     x0, x1 = (random_training(rng, cfg.k, cfg.tau, cfg.power).x for _ in range(2))
     state = build_surrogate(x0, v0, f, 1.0, cfg.l)
 
+    s0 = np.kron(v0, x0)
+    xi0, rel = lmmse_filter(s0, r, 1.0, cfg.l), _dense_rel(s0, r, cfg.l)
+    gram = xi0 @ xi0.conj().T
     mu_x = training_terms(state, numerics.largest_eigenvalue(f.p).value).curvature
-    h_x = _block_hessian(r, state.xi_gram, lambda x: np.kron(v0, x), x0.shape)
-    assert mu_x / SAFETY_MARGIN == pytest.approx(np.linalg.eigvalsh(h_x)[-1], rel=1e-12)
+    h_x = _block_hessian(r, gram, lambda x: np.kron(v0, x), x0.shape)
+    assert mu_x / SAFETY_MARGIN == pytest.approx(np.linalg.eigvalsh(h_x)[-1], rel=rel)
     for x in (x0, x1):
         mu_v = refresh_pattern_terms(state, x, numerics.largest_eigenvalue(f.a).value).curvature
-        h_v = _block_hessian(r, state.xi_gram, lambda v: np.kron(v, x), v0.shape)
-        assert mu_v / SAFETY_MARGIN == pytest.approx(np.linalg.eigvalsh(h_v)[-1], rel=1e-12)
+        h_v = _block_hessian(r, gram, lambda v: np.kron(v, x), v0.shape)
+        assert mu_v / SAFETY_MARGIN == pytest.approx(np.linalg.eigvalsh(h_v)[-1], rel=rel)
+
+
+def _dense_step_terms(r, xi0, v0, x0, x1):
+    """The b_k at (X0, V0) and the C0 block traces at X1 from a dense anchor Xi0.
+
+    The curvatures are those of the dense block Hessians.  The diagonal blocks
+    of mu_X / B Xt0^H sum to mu_X X0^H; the block traces of mu_V / K Vt0^H are
+    mu_V conj(V0).
+    """
+    (k, tau), b = x0.shape, v0.shape[1]
+    vt0, xt0, xt1 = np.kron(v0, np.eye(k)), np.kron(np.eye(b), x0), np.kron(np.eye(b), x1)
+    gram, m_v = xi0 @ xi0.conj().T, vt0.conj().T @ r @ vt0
+    h_x = _block_hessian(r, gram, lambda x: np.kron(v0, x), x0.shape)
+    mu_x = SAFETY_MARGIN * np.linalg.eigvalsh(h_x)[-1]
+    b0 = mu_x / b * xt0.conj().T - gram @ xt0.conj().T @ m_v + xi0 @ r @ vt0
+    w = xt1 @ gram @ xt1.conj().T
+    h_v = _block_hessian(r, gram, lambda v: np.kron(v, x1), v0.shape)
+    mu_v = SAFETY_MARGIN * np.linalg.eigvalsh(h_v)[-1]
+    c0 = mu_v / k * vt0.conj().T - w @ vt0.conj().T @ r + xt1 @ xi0 @ r
+    return np.conj(np.einsum("atak->tk", b0.reshape(b, tau, b, k))), _block_traces(c0, b, k)
 
 
 @settings(max_examples=100, deadline=None)
 @given(problem=factored_problems())
 def test_factored_terms_match_dense(problem):
-    # The anchor, the step terms, the factor spectra and the MSE from the
-    # Kronecker factors against the dense (M+1)K-sized forms; the dense step
-    # terms take their curvatures from the dense block Hessians.
+    # The step terms, the factor spectra and the MSE from the Kronecker
+    # factors against the dense (M+1)K-sized forms, with the dense anchor
+    # built from the inputs alone.
     cfg, r, model, seed = problem
     rng = np.random.default_rng(seed)
     k, b, tau, l = cfg.k, cfg.b, cfg.tau, cfg.l
@@ -476,32 +527,40 @@ def test_factored_terms_match_dense(problem):
     state = build_surrogate(x0.x, v0.v, f, 1.0, l)
     train, pattern = training_terms(state, p_max), refresh_pattern_terms(state, x1.x, a_max)
 
-    vt0, xt0, xt1 = np.kron(v0.v, np.eye(k)), np.kron(np.eye(b), x0.x), np.kron(np.eye(b), x1.x)
-    s0 = vt0 @ xt0
-    xi0 = lmmse_filter(s0, r, 1.0, l)
-    gram, m_v = xi0 @ xi0.conj().T, vt0.conj().T @ r @ vt0
-    # the diagonal blocks of mu_X / B Xt0^H sum to mu_X X0^H; the block traces
-    # of mu_V / K Vt0^H are mu_V conj(V0)
-    h_x = _block_hessian(r, gram, lambda x: np.kron(v0.v, x), x0.x.shape)
-    mu_x = SAFETY_MARGIN * np.linalg.eigvalsh(h_x)[-1]
-    b0 = mu_x / b * xt0.conj().T - gram @ xt0.conj().T @ m_v + xi0 @ r @ vt0
-    w = xt1 @ gram @ xt1.conj().T
-    h_v = _block_hessian(r, gram, lambda v: np.kron(v, x1.x), v0.v.shape)
-    mu_v = SAFETY_MARGIN * np.linalg.eigvalsh(h_v)[-1]
-    c0 = mu_v / k * vt0.conj().T - w @ vt0.conj().T @ r + xt1 @ xi0 @ r
-
-    # 1e-12, or the dense Cholesky solve's own forward-error scale where its
-    # condition number kappa makes that coarser (both sides err by ~kappa eps)
-    kappa = np.linalg.cond(s0.conj().T @ r @ s0 + l * np.eye(b * tau))
-    rel = max(1e-12, 32 * np.finfo(float).eps * kappa)
-    _assert_close(state.xi0, xi0, rel)
-    _assert_close(train.b_sums, np.conj(np.einsum("atak->tk", b0.reshape(b, tau, b, k))), rel)
-    _assert_close(pattern.c, _block_traces(c0, b, k), rel)
+    s0 = np.kron(v0.v, x0.x)
+    b_sums, c = _dense_step_terms(r, lmmse_filter(s0, r, 1.0, l), v0.v, x0.x, x1.x)
+    rel = _dense_rel(s0, r, l)
+    _assert_close(train.b_sums, b_sums, rel)
+    _assert_close(pattern.c, c, rel)
     assert a_max * p_max == pytest.approx(np.linalg.eigvalsh(r)[-1], rel=1e-12)
     if cfg.power[0] <= 100.0:
         # above 20 dB the dense Tr R - explained side loses digits itself
         dense = np.real(np.trace(r)) + lmmse_objective(build_S(v0, x1), r, 1.0, l)
         assert mse_lmmse(v0.v, x1.x, f, 1.0, l) == pytest.approx(dense, rel=1e-12)
+
+
+@pytest.mark.parametrize("extra", [dict(tau=3), dict(b=6), dict(tau=4, b=7)],
+                         ids=["tau3", "b6", "tau4-b7"])
+def test_zero_noise_factored_terms_match_pseudo_inverse(extra, model):
+    # At sigma^2 = 0 a singular factor (tau > K, or B > M + 1) leaves S0^H R S0
+    # singular; the factored anchor keeps the same directions as the dense
+    # pseudo-inverse Xi0 = (S0^H R S0)^+ S0^H R, through its B x tau mask.
+    cfg = SystemConfig(k=2, m=3, l=4, sigma2=0.0, **extra)
+    r = cascaded_correlation(CORR, cfg.m, cfg.k, cfg.l)
+    rng = np.random.default_rng(20240328)
+    f = kronecker_factors(r, cfg.k)
+    v0 = random_feasible_pattern(rng, cfg.m, cfg.b, model).v
+    x0, x1 = (random_training(rng, cfg.k, cfg.tau, cfg.power).x for _ in range(2))
+    state = build_surrogate(x0, v0, f, 0.0, cfg.l)
+    train = training_terms(state, numerics.largest_eigenvalue(f.p).value)
+    pattern = refresh_pattern_terms(state, x1, numerics.largest_eigenvalue(f.a).value)
+
+    s0 = np.kron(v0, x0)
+    gain = s0.conj().T @ r
+    xi0 = np.linalg.pinv(gain @ s0, rcond=1e-10, hermitian=True) @ gain
+    b_sums, c = _dense_step_terms(r, xi0, v0, x0, x1)
+    _assert_close(train.b_sums, b_sums, 1e-9)
+    _assert_close(pattern.c, c, 1e-9)
 
 
 def _feasible_points(rng, cfg, model, v0, x0, count):
@@ -543,15 +602,11 @@ def test_majorizations_dominate_and_touch(problem):
     v0 = random_feasible_pattern(rng, cfg.m, b, model).v
     x0, x1 = (random_training(rng, k, tau, cfg.power).x for _ in range(2))
     state = build_surrogate(x0, v0, f, 1.0, l)
-    s0 = np.kron(v0, x0)
-    # 1e-12, or the dense Cholesky solve's forward-error scale where the
-    # anchor's condition number kappa makes that coarser
-    kappa = np.linalg.cond(s0.conj().T @ r @ s0 + l * np.eye(b * tau))
-    rel = max(1e-12, 32 * np.finfo(float).eps * kappa)
+    rel = _dense_rel(np.kron(v0, x0), r, l)
     trace_r = float(np.real(np.trace(r)))
 
     def sur(v, x):
-        return lmmse_surrogate_value(state, np.kron(v, x), 1.0, l)
+        return lmmse_surrogate_value(x0, v0, r, np.kron(v, x), 1.0, l)
 
     def g(v, x):
         return lmmse_objective(np.kron(v, x), r, 1.0, l)

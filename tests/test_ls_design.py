@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import ideal_update_ls, ls_majorizer, phase_cost, random_feasible_pattern
 from risce.baselines import naive_pattern
-from risce.errors import InvalidDims, SingularGram
+from risce.errors import DimensionMismatch, InvalidDims, SingularGram
 from risce.ls_design import (
     design_ls,
     dft_training,
@@ -146,13 +146,13 @@ class TestDesignLs:
     def test_ideal_model_reaches_orthogonal_optimum(self):
         pattern, trace = design_ls(self.CFG, ideal_model(), accelerate=False)
         # global optimum over unit-modulus patterns is Tr = (M+1)/B
-        assert trace.final_objective == pytest.approx((4 + 1) / 5, rel=0.01)
+        assert trace.objectives[-1] == pytest.approx((4 + 1) / 5, rel=0.01)
 
     def test_acceleration_reaches_plain_objective_with_fewer_updates(self, model):
         plain_v, plain = design_ls(self.CFG, model, eps=1e-3, accelerate=False)
         acc_v, acc = design_ls(self.CFG, model, eps=1e-3, accelerate=True)
         assert acc.converged and plain.converged
-        assert acc.final_objective <= plain.final_objective * (1 + 1e-3)
+        assert acc.objectives[-1] <= plain.objectives[-1] * (1 + 1e-3)
         assert acc.total_updates < plain.total_updates
 
     def test_random_inits_converge(self, model, rng):
@@ -179,6 +179,11 @@ class TestDesignLs:
         _, trace = design_ls(self.CFG, model, eps=1e-12, max_iter=3, accelerate=False)
         assert not trace.converged
         assert trace.iterations == 3
+
+    def test_init_of_another_size_is_rejected(self, model):
+        # a 4-element pattern for an 8-element config, not a (5, 5) result
+        with pytest.raises(DimensionMismatch):
+            design_ls(SystemConfig(k=2, m=8, l=4), model, init=naive_pattern(4, 5, model))
 
 
 @st.composite
