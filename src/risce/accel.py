@@ -3,8 +3,9 @@
 :func:`mm_loop` repeats a step ``step(iterate, obj) -> (iterate, obj,
 mm_calls)`` until the relative objective change drops below eps, recording
 a :class:`DesignTrace`.  Every design runs on it with one of two kinds of
-step: plain MM (:func:`plain_step`, one MM update per iteration) or SQUAREM
-(:func:`squarem_step`, two MM updates per block step).  Iterates are bare
+step: plain MM (:func:`plain_step`, one MM update per iteration, anchored on
+the decomposition its objective was read off) or SQUAREM (:func:`squarem_step`,
+two MM updates per block step).  Iterates are bare
 arrays (the LS pattern, or the LMMSE (X, V) pair); the designs build their
 pattern and training types for the result only, never inside the loop.
 
@@ -70,14 +71,23 @@ def squarem_step(
     return v2, objective(v2), 2
 
 
-def plain_step(mm_update: Callable[[Any], Any], objective: Callable[[Any], float]) -> Step:
-    """Plain MM as a driver step: one update, then its objective."""
+def plain_step(mm_update: Callable[[Any, Any], Any],
+               score: Callable[[Any], tuple[float, Any]]) -> tuple[Step, Callable[[Any], float]]:
+    """Plain MM as a driver step and its objective, from score(iterate) -> (objective, spectrum).
+
+    mm_update(iterate, spectrum) reuses the spectrum that scored its iterate.
+    """
+    last: list = [None, None]
+
+    def objective(iterate) -> float:
+        last[:] = iterate, score(iterate)
+        return last[1][0]
 
     def step(iterate, _obj: float):
-        iterate = mm_update(iterate)
+        iterate = mm_update(iterate, last[1][1] if last[0] is iterate else score(iterate)[1])
         return iterate, objective(iterate), 1
 
-    return step
+    return step, objective
 
 
 def mm_loop(

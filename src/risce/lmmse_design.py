@@ -17,15 +17,16 @@ which is majorized once more per block to decouple the variables:
 An MM update reads only these majorizers' minimizers, so their values are
 never built; the rounds score J_LMMSE = Tr[R] + g(S) by :func:`~risce.system.mse_lmmse`.
 
-R = kron(A, P) (:func:`~risce.channel.kronecker_factors`) and S0 = V0 kron X0, so
-Xi0 = (U1 kron U2) diag(dinv) (F1 kron F2) with F1 = U1^H V0^H A, F2 = U2^H X0^H P,
-(d1, U1) = eigh(V0^H A V0), (d2, U2) = eigh(X0^H P X0) and the B x tau dinv =
-1 / (d1_i d2_j + sigma^2 L), 0 for a dropped rounding-level direction (sigma^2 = 0).
-The anchor stays in these factors: as U1^H V0^H A V0 U1 = diag(d1), each block sum
-a step reads is a product of B- and tau-sized arrays, none (M+1)K or tau B: the per-UE
-sums b_k of B0's diagonal blocks (:func:`training_terms`), and the K x K block traces
-of C0 at the X the pattern step sees (:func:`refresh_pattern_terms`; in a plain
-round, the updated X).
+R = kron(A, P) (:func:`~risce.channel.kronecker_factors`) and S0 = V0 kron X0, so Xi0 =
+(U1 kron U2) diag(dinv) (F1 kron F2) from the spectra (lam1, E1) of A^1/2 V0 V0^H A^1/2
+and (lam2, E2) of P^1/2 X0 X0^H P^1/2 that J is read off (:func:`~risce.system.lmmse_score`):
+F1 = diag(lam1)^1/2 E1^H A^1/2 = U1^H V0^H A for the right singular vectors
+U1 = V0^H A^1/2 E1 diag(lam1)^-1/2 of A^1/2 V0 (B x (M+1), 0 where lam1 = 0), likewise
+F2 and U2 (tau x K), and dinv = 1 / (lam1_i lam2_j + sigma^2 L) ((M+1) x K, 0 for a
+dropped rounding-level direction at sigma^2 = 0).  As U1^H V0^H A V0 U1 = diag(lam1), each
+block sum a step reads is a product of arrays sized M+1, K, B or tau, none (M+1)K or tau B:
+the per-UE sums b_k of B0's diagonal blocks (:func:`training_terms`), and the K x K block
+traces of C0 at the X the pattern step sees (:func:`refresh_pattern_terms`).
 
 The curvatures are exact, not the paper's looser lambda2 B and lambda3 K: any
 mu >= lambda_max of a quadratic's Hessian gives a majorizer mu ||x||^2 (Sun,
@@ -39,15 +40,16 @@ so its Hessian is T2^T kron P in vec(X) and Tw^T kron A in vec(V), whose
 lambda_max is the product of its PSD factors'.  Hence mu_X = lambda_max(T2)
 lambda_max(P) at V0 and mu_V = lambda_max(Tw) lambda_max(A) at the X the step
 sees, each times SAFETY_MARGIN; restricting V to its first M rows cannot raise
-lambda_max (Cauchy interlacing).  T2 = U2 H U2^H and Tw = U1 Kw U1^H for the tau x tau
-H and the B x B Kw the steps build; lambda_max(A), lambda_max(P) are computed once.
+lambda_max (Cauchy interlacing).  T2 = U2 H U2^H and Tw = U1 Kw U1^H for the K x K H
+and the (M+1) x (M+1) Kw the steps build; lambda_max(A), lambda_max(P) are computed once.
 
 The rounds run on :func:`risce.accel.mm_loop` over the pair of bare arrays
 (X, V); :func:`design_lmmse` validates its initial point and builds a
 TrainingMatrix and a ReflectionPattern for its result only.  Both kinds of
 round use the same two block maps: the training update at an anchor, and
 the pattern update at an anchor and the X it sees.  A plain round is one MM
-update (one anchor for both maps, a tau x tau and a B x B eigen-solve); a
+update at the anchor of the spectra that scored its iterate, then one (M+1)- and
+one K-sized eigen-solve of the new iterate for its J and the next anchor; a
 SQUAREM round takes one SQUAREM step per block, training then pattern, each
 update at its own anchor, so four MM updates.
 """
@@ -63,19 +65,14 @@ from .accel import mm_loop, plain_step, squarem_step
 from .baselines import naive_pattern
 from .channel import KroneckerFactors, kronecker_factors
 from .errors import DimensionMismatch
-from .ls_design import (
-    DEFAULT_EPS,
-    DEFAULT_MAX_ITER_ACCEL,
-    DEFAULT_MAX_ITER_PLAIN,
-    dft_training,
-    project_pattern,
-)
+from .ls_design import (DEFAULT_EPS, DEFAULT_MAX_ITER_ACCEL, DEFAULT_MAX_ITER_PLAIN,
+                        dft_training, project_pattern)
 from .phase_model import (
     ReflectionModel,
     minimize_pattern_entries,
     minimize_phase_objectives,  # noqa: F401  perfbench/selftest.py checks the tracer rebinds it here
 )
-from .system import ReflectionPattern, TrainingMatrix, mse_lmmse
+from .system import ReflectionPattern, TrainingMatrix, lmmse_score, mse_lmmse
 from .types import DesignTrace, SystemConfig
 
 # Multiplicative slack on the exact block curvatures: a curvature equal to the
@@ -87,12 +84,13 @@ SAFETY_MARGIN = 1.0001
 class LmmseSurrogateState(NamedTuple):
     """Anchor of the first majorization in factors, Xi0 = (U1 kron U2) diag(dinv) (F1 kron F2)."""
 
-    u1: np.ndarray         # eigenvectors of V0^H A V0, (B, B)
-    u2: np.ndarray         # eigenvectors of X0^H P X0, (tau, tau)
-    f1: np.ndarray         # U1^H (A V0)^H, (B, M+1)
-    f2: np.ndarray         # U2^H X0^H P, (tau, K)
-    dinv: np.ndarray       # 1 / (d1_i d2_j + sigma^2 L), 0 where dropped, (B, tau)
-    w1: np.ndarray         # d1 times F1's squared row norms, (B,)
+    u1: np.ndarray         # V0^H A^1/2 E1 diag(lam1)^-1/2, 0 where lam1 = 0, (B, M+1)
+    u2: np.ndarray         # X0^H P^1/2 E2 diag(lam2)^-1/2, 0 where lam2 = 0, (tau, K)
+    f1: np.ndarray         # diag(lam1)^1/2 E1^H A^1/2 = U1^H V0^H A, (M+1, M+1)
+    f2: np.ndarray         # diag(lam2)^1/2 E2^H P^1/2 = U2^H X0^H P, (K, K)
+    f2f2: np.ndarray       # F2 F2^H, (K, K)
+    dinv: np.ndarray       # 1 / (lam1_i lam2_j + sigma^2 L), 0 where dropped, (M+1, K)
+    w1: np.ndarray         # lam1 times F1's squared row norms, (M+1,)
     x0: np.ndarray         # (K, tau)
     v0: np.ndarray         # (M+1, B)
     factors: KroneckerFactors
@@ -113,18 +111,24 @@ class PatternTerms(NamedTuple):
     c: np.ndarray          # (M+1, B); c[m, n] is the trace of C0's block (n, m)
 
 
-def build_surrogate(x0: np.ndarray, v0: np.ndarray, factors: KroneckerFactors,
+def _anchor_factors(lam: np.ndarray, he: np.ndarray, t0: np.ndarray):
+    """U = T0^H H E diag(lam)^-1/2, 0 where lam = 0, and F = diag(lam)^1/2 (H E)^H."""
+    root = np.sqrt(lam)
+    u = (t0.conj().T @ he) * np.divide(1.0, root, out=np.zeros_like(root), where=root > 0.0)
+    return u, root[:, None] * he.conj().T
+
+
+def build_surrogate(x0: np.ndarray, v0: np.ndarray, spectra, factors: KroneckerFactors,
                     sigma2: float, l: int) -> LmmseSurrogateState:
-    """Compute the factors of the anchor Xi0 at (X0, V0)."""
-    d1, u1 = np.linalg.eigh(numerics.require_hermitian(v0.conj().T @ (factors.a @ v0)))
-    d2, u2 = np.linalg.eigh(numerics.require_hermitian(x0.conj().T @ factors.p @ x0))
-    f1, f2 = u1.conj().T @ (factors.a @ v0).conj().T, u2.conj().T @ (x0.conj().T @ factors.p)
+    """The factors of the anchor Xi0 at (X0, V0) from their spectra (see the module docstring)."""
+    (lam1, he1, _), (lam2, he2, _) = spectra
+    (u1, f1), (u2, f2) = _anchor_factors(lam1, he1, v0), _anchor_factors(lam2, he2, x0)
     # Pseudo-inverse anchor: drop rounding-level directions (sigma2 = 0 and a singular factor).
-    den = np.outer(d1, d2) + sigma2 * l
+    den = np.outer(lam1, lam2) + sigma2 * l
     kept = den > den.size * np.finfo(float).eps * np.max(den)
     dinv = np.divide(1.0, den, out=np.zeros(den.shape), where=kept)
-    w1 = d1 * np.sum(np.abs(f1) ** 2, axis=1)
-    return LmmseSurrogateState(u1, u2, f1, f2, dinv, w1, x0, v0, factors)
+    w1 = lam1 * np.sum(np.abs(f1) ** 2, axis=1)
+    return LmmseSurrogateState(u1, u2, f1, f2, f2 @ f2.conj().T, dinv, w1, x0, v0, factors)
 
 
 def training_terms(state: LmmseSurrogateState, p_max: float) -> TrainingTerms:
@@ -135,16 +139,14 @@ def training_terms(state: LmmseSurrogateState, p_max: float) -> TrainingTerms:
     T = diag(e1 dinv) F2, where e1 holds F1's squared row norms.
     """
     f2, dinv = state.f2, state.dinv
-    h = (f2 @ f2.conj().T) * (dinv.T @ (state.w1[:, None] * dinv))
+    h = state.f2f2 * (dinv.T @ (state.w1[:, None] * dinv))
     curvature = SAFETY_MARGIN * numerics.largest_eigenvalue(h).value * p_max
     t = (np.sum(np.abs(state.f1) ** 2, axis=1) @ dinv)[:, None] * f2
     b_sums = np.conj(curvature * state.x0.conj().T - state.u2 @ (h @ f2 - t @ state.factors.p))
     return TrainingTerms(curvature=curvature, b_sums=b_sums, x0=state.x0)
 
 
-def refresh_pattern_terms(
-    state: LmmseSurrogateState, x: np.ndarray, a_max: float
-) -> PatternTerms:
+def refresh_pattern_terms(state: LmmseSurrogateState, x: np.ndarray, a_max: float) -> PatternTerms:
     """mu_V and the C0 block traces of the pattern step at training x; a_max = lambda_max(A).
 
     The traces are mu_V conj(V0) - (Tw V0^H A)^T + (Z A)^T, with Tw = U1 Kw U1^H,
@@ -154,7 +156,7 @@ def refresh_pattern_terms(
     staying anchored at the round's Xi0 and V0, which preserves monotone descent.
     """
     f1, f2, dinv, pxu2 = state.f1, state.f2, state.dinv, state.factors.p @ x @ state.u2
-    kw = f1 @ f1.conj().T * (dinv @ (f2 @ f2.conj().T * ((x @ state.u2).T @ pxu2.conj())) @ dinv.T)
+    kw = f1 @ f1.conj().T * (dinv @ (state.f2f2 * ((x @ state.u2).T @ pxu2.conj())) @ dinv.T)
     curvature = SAFETY_MARGIN * numerics.largest_eigenvalue(kw).value * a_max
     z = (dinv @ np.sum(f2 * pxu2.T, axis=1))[:, None] * f1
     c = curvature * np.conj(state.v0) + (state.u1 @ (z @ state.factors.a - kw @ f1)).T
@@ -222,18 +224,17 @@ def design_lmmse(
     if max_iter is None:
         max_iter = DEFAULT_MAX_ITER_ACCEL if accelerate else DEFAULT_MAX_ITER_PLAIN
 
-    sigma2, l = config.sigma2, config.l
-    power = config.power
+    sigma2, l, power = config.sigma2, config.l, config.power
     factors = kronecker_factors(r_gamma, config.k)
     p_max = numerics.largest_eigenvalue(factors.p).value
     a_max = numerics.largest_eigenvalue(factors.a).value
 
-    def objective(pair) -> float:
+    def score(pair):
         x, v = pair
-        return mse_lmmse(v, x, factors, sigma2, l)
+        return lmmse_score(v, x, factors, sigma2, l)
 
     def anchor(x: np.ndarray, v: np.ndarray) -> LmmseSurrogateState:
-        return build_surrogate(x, v, factors, sigma2, l)
+        return build_surrogate(x, v, score((x, v))[1], factors, sigma2, l)
 
     # The block maps: a pattern update sees the x of its round, not the anchor's.
     def train(state: LmmseSurrogateState) -> np.ndarray:
@@ -242,8 +243,8 @@ def design_lmmse(
     def pattern(state: LmmseSurrogateState, x: np.ndarray) -> np.ndarray:
         return update_pattern(refresh_pattern_terms(state, x, a_max), model)
 
-    def mm_round(pair):
-        state = anchor(*pair)
+    def mm_round(pair, spectra):
+        state = build_surrogate(*pair, spectra, factors, sigma2, l)
         x = train(state)
         return x, pattern(state, x)
 
@@ -251,13 +252,15 @@ def design_lmmse(
         x, v = pair
         x, obj, n_x = squarem_step(
             x, lambda xa: train(anchor(xa, v)), lambda xa: project_training_rows(xa, power),
-            lambda xa: objective((xa, v)), obj)
+            lambda xa: mse_lmmse(v, xa, factors, sigma2, l), obj)
         v, obj, n_v = squarem_step(
             v, lambda va: pattern(anchor(x, va), x), lambda va: project_pattern(va, model),
-            lambda va: objective((x, va)), obj)
+            lambda va: mse_lmmse(va, x, factors, sigma2, l), obj)
         return (x, v), obj, n_x + n_v
 
-    step = squarem_round if accelerate else plain_step(mm_round, objective)
+    # Either loop scores its initial point by the plain step's objective.
+    plain, objective = plain_step(mm_round, score)
     x0 = dft_training(config.k, config.tau, power)
-    (x, v), trace = mm_loop((x0.x, init_v.v), step, objective, eps, max_iter)
+    (x, v), trace = mm_loop((x0.x, init_v.v), squarem_round if accelerate else plain,
+                            objective, eps, max_iter)
     return TrainingMatrix(x=x, power=power), ReflectionPattern(v=v), trace

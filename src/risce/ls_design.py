@@ -11,8 +11,8 @@ point V0 the quadratic surrogate is
 
 which separates over entries; each entry reduces to a scalar phase search
 with q = lambda1 and c = [A0]_{n,m}.  The step reads only the minimizer, so
-const(V0) is never built.  Every iteration takes one checked
-(lam, U) = eigh(V0 V0^H): Tr[(V0 V0^H)^{-1}] = sum 1/lam, W = (U / lam^2)(U^H V0).
+const(V0) is never built.  A plain round reads both Tr[(V0 V0^H)^{-1}] = sum 1/lam and
+W = (U / lam^2)(U^H V0) off one checked (lam, U) = eigh(V0 V0^H) (:func:`ls_score`).
 The MM descent argument needs the bound only on the sublevel set
 f(V) <= f(V0); f is unbounded near rank-deficient V, so no quadratic
 majorizes it on the whole feasible set.
@@ -53,18 +53,24 @@ def dft_training(k: int, tau: int, power) -> TrainingMatrix:
     return TrainingMatrix(x=x, power=power)
 
 
-def ls_surrogate(v0: np.ndarray) -> tuple[float, np.ndarray]:
-    """(lambda1, A0 of shape (B, M+1)) of the MM surrogate at the (M+1, B) pattern matrix v0."""
-    lam, u = numerics.conditioned_eigh(v0 @ v0.conj().T)
+def ls_score(v: np.ndarray) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+    """Tr[(V V^H)^{-1}] = sum 1/lam of the (M+1, B) v, and the checked (lam, U) = eigh(V V^H)."""
+    lam, u = numerics.conditioned_eigh(v @ v.conj().T)
+    return float(np.sum(1.0 / lam)), (lam, u)
+
+
+def ls_surrogate(v0: np.ndarray, spectrum) -> tuple[float, np.ndarray]:
+    """(lambda1, A0 of shape (B, M+1)) of the MM surrogate at v0, from its (lam, U) of ls_score."""
+    lam, u = spectrum
     lambda1 = 3.0 * float(np.sum(1.0 / lam)) ** 2
     # W = (V0 V0^H)^{-2} V0 = U diag(lam^-2) U^H V0, so A0 = -W^H - lambda1 V0^H.
     w = (u / lam**2) @ (u.conj().T @ v0)
     return lambda1, -w.conj().T - lambda1 * v0.conj().T
 
 
-def mm_update_ls(v: np.ndarray, model: ReflectionModel) -> np.ndarray:
-    """One MM iteration on the (M+1, B) matrix v: rebuild the surrogate, minimize it entrywise."""
-    lambda1, a0 = ls_surrogate(v)
+def mm_update_ls(v: np.ndarray, model: ReflectionModel, spectrum) -> np.ndarray:
+    """One MM iteration on the (M+1, B) matrix v of the given spectrum: minimize its surrogate."""
+    lambda1, a0 = ls_surrogate(v, spectrum)
     # Entry (m, n) minimizes lambda1 |v|^2 + 2 Re{[A0]_{n,m} v}.
     return minimize_pattern_entries(lambda1, a0[:, :-1].T, model)
 
@@ -105,14 +111,12 @@ def design_ls(
     if max_iter is None:
         max_iter = DEFAULT_MAX_ITER_ACCEL if accelerate else DEFAULT_MAX_ITER_PLAIN
 
-    def mm(v: np.ndarray) -> np.ndarray:
-        return mm_update_ls(v, model)
-
     if accelerate:
         def step(v, obj):
-            return squarem_step(v, mm, lambda u: project_pattern(u, model),
-                                ls_objective, obj)
+            return squarem_step(v, lambda u: mm_update_ls(u, model, ls_score(u)[1]),
+                                lambda u: project_pattern(u, model), ls_objective, obj)
+        objective = ls_objective
     else:
-        step = plain_step(mm, ls_objective)
-    v_star, trace = mm_loop(init.v, step, ls_objective, eps, max_iter)
+        step, objective = plain_step(lambda v, eig: mm_update_ls(v, model, eig), ls_score)
+    v_star, trace = mm_loop(init.v, step, objective, eps, max_iter)
     return ReflectionPattern(v=v_star), trace

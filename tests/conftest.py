@@ -63,8 +63,8 @@ def ls_majorizer(v0: np.ndarray):
     lambda1 ||V0||^2 + 2 Re{Tr[V0^H W]}, G0 = V0 V0^H, W = G0^-2 V0, from the
     step's own checked eigh(G0); 2 Re{Tr[V0^H W]} equals 2 Tr[G0^-1].
     """
-    lambda1, a0 = ls_surrogate(v0)
     lam, u = numerics.conditioned_eigh(v0 @ v0.conj().T)
+    lambda1, a0 = ls_surrogate(v0, (lam, u))
     w = (u / lam**2) @ (u.conj().T @ v0)
     const = (float(np.sum(1.0 / lam)) + lambda1 * float(np.sum(np.abs(v0) ** 2))
              + 2.0 * float(np.real(np.sum(np.conj(v0) * w))))

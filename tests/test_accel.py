@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_feasible_pattern
 from risce.accel import mm_loop, squarem_step
-from risce.ls_design import ls_objective, mm_update_ls, project_pattern
+from risce.ls_design import ls_objective, ls_score, mm_update_ls, project_pattern
 
 
 def _contraction(target, rate):
@@ -68,7 +68,7 @@ class TestSquaremStep:
             obj0 = ls_objective(init.v)
             _, obj, _ = squarem_step(
                 init.v,
-                lambda v: mm_update_ls(v, model),
+                lambda v: mm_update_ls(v, model, ls_score(v)[1]),
                 lambda v: project_pattern(v, model),
                 ls_objective,
                 obj0,

@@ -23,6 +23,7 @@ from risce.channel import (
     kronecker_factors,
 )
 from risce.errors import DimensionMismatch
+from risce.ls_design import design_ls
 from risce.lmmse_design import (
     SAFETY_MARGIN,
     TrainingTerms,
@@ -39,7 +40,7 @@ from risce.phase_model import (
     project_to_feasible,
     reflection_coefficient,
 )
-from risce.system import build_S, mse_lmmse, mse_ls
+from risce.system import build_S, lmmse_score, mse_lmmse, mse_ls
 from risce.types import SystemConfig
 
 TWO_PI = 2.0 * np.pi
@@ -52,7 +53,11 @@ R = cascaded_correlation(CORR, 2, 2, 4)
 def _state(rng, model, cfg=CFG, r=R):
     v0 = random_feasible_pattern(rng, cfg.m, cfg.b, model)
     x0 = random_training(rng, cfg.k, cfg.tau, cfg.power)
-    return build_surrogate(x0.x, v0.v, kronecker_factors(r, cfg.k), cfg.sigma2, cfg.l), x0, v0
+    return _anchor(x0.x, v0.v, kronecker_factors(r, cfg.k), cfg.sigma2, cfg.l), x0, v0
+
+
+def _anchor(x0, v0, f, sigma2, l):
+    return build_surrogate(x0, v0, lmmse_score(v0, x0, f, sigma2, l)[1], f, sigma2, l)
 
 
 def _dense_anchor(x0, v0, r=R, cfg=CFG):
@@ -366,7 +371,7 @@ class TestDesignLmmse:
             x0 = random_training(g, self.BIG.k, self.BIG.tau, self.BIG.power)
             f = kronecker_factors(self.R_BIG, 2)
             j0 = mse_lmmse(v0.v, x0.x, f, 1.0, 4)
-            state = build_surrogate(x0.x, v0.v, f, 1.0, 4)
+            state = _anchor(x0.x, v0.v, f, 1.0, 4)
             x1 = update_training(_training_terms(state), self.BIG.power)
             v1 = update_pattern(_pattern_terms(state, x1), model)
             j1 = mse_lmmse(v1, x1, f, 1.0, 4)
@@ -392,14 +397,48 @@ class TestEigenSolveCount:
 
     def test_plain_round_makes_two(self, model, eig_calls):
         # lambda_max(P) and lambda_max(A) once per design, then per round the
-        # tau x tau T2 for mu_X and the B x B Tw for mu_V; no (B tau)-sized
-        # matrix such as Xi0 Xi0^H reaches an eigen-solve
+        # K x K H of mu_X = lambda_max(T2) lambda_max(P) and the (M+1) x (M+1)
+        # Kw of mu_V; no (B tau)-sized matrix such as Xi0 Xi0^H reaches an
+        # eigen-solve
         big = self.BIG
         _, _, trace = design_lmmse(big, model, self.R_BIG, accelerate=False)
         assert trace.iterations > 1
         assert eig_calls[:2] == [(big.k,) * 2, (big.m + 1,) * 2]
-        assert eig_calls[2:] == [(big.tau,) * 2, (big.b,) * 2] * trace.iterations
+        assert eig_calls[2:] == [(big.k,) * 2, (big.m + 1,) * 2] * trace.iterations
         assert (big.b * big.tau,) * 2 not in eig_calls
+
+    # B > M + 1 and tau > K, so every eigen-solve's size names its space
+    WIDE = SystemConfig(k=2, m=3, l=4, b=6, tau=3)
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = {"eigh": [], "eigvalsh": []}
+        for name, original in ((name, getattr(np.linalg, name)) for name in calls):
+            def counted(a, *args, _calls=calls[name], _original=original):
+                _calls.append(a.shape)
+                return _original(a, *args)
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    def test_plain_round_decomposes_its_iterate_once(self, model, solves):
+        # After the square roots A^1/2 and P^1/2, one (M+1)- and one K-sized
+        # eigh per iterate, the initial point included, give both its J and
+        # the next round's anchor
+        wide = self.WIDE
+        r = cascaded_correlation(CORR, wide.m, wide.k, wide.l)
+        _, _, trace = design_lmmse(wide, model, r, accelerate=False)
+        assert trace.iterations > 1
+        sizes = [(wide.m + 1,) * 2, (wide.k,) * 2]
+        assert solves["eigh"] == sizes + sizes * (trace.iterations + 1)
+
+    def test_plain_ls_round_decomposes_its_iterate_once(self, model, solves):
+        # One checked eigh of V V^H per iterate gives Tr[(V V^H)^-1] and the
+        # next surrogate; no eigvalsh scores the objective
+        wide = self.WIDE
+        _, trace = design_ls(wide, model, accelerate=False)
+        assert trace.iterations > 1
+        assert solves["eigh"] == [(wide.m + 1,) * 2] * (trace.iterations + 1)
+        assert solves["eigvalsh"] == []
 
     def test_squarem_update_builds_its_own_block_only(self, model, eig_calls, monkeypatch):
         per_update = {"training": [], "pattern": []}
@@ -477,7 +516,7 @@ def test_block_curvatures_match_dense_hessians(problem):
     f = kronecker_factors(r, cfg.k)
     v0 = random_feasible_pattern(rng, cfg.m, cfg.b, model).v
     x0, x1 = (random_training(rng, cfg.k, cfg.tau, cfg.power).x for _ in range(2))
-    state = build_surrogate(x0, v0, f, 1.0, cfg.l)
+    state = _anchor(x0, v0, f, 1.0, cfg.l)
 
     s0 = np.kron(v0, x0)
     xi0, rel = lmmse_filter(s0, r, 1.0, cfg.l), _dense_rel(s0, r, cfg.l)
@@ -524,7 +563,7 @@ def test_factored_terms_match_dense(problem):
     x0, x1 = (random_training(rng, k, tau, cfg.power) for _ in range(2))
     f = kronecker_factors(r, k)
     p_max, a_max = (numerics.largest_eigenvalue(g).value for g in (f.p, f.a))
-    state = build_surrogate(x0.x, v0.v, f, 1.0, l)
+    state = _anchor(x0.x, v0.v, f, 1.0, l)
     train, pattern = training_terms(state, p_max), refresh_pattern_terms(state, x1.x, a_max)
 
     s0 = np.kron(v0.v, x0.x)
@@ -551,7 +590,7 @@ def test_zero_noise_factored_terms_match_pseudo_inverse(extra, model):
     f = kronecker_factors(r, cfg.k)
     v0 = random_feasible_pattern(rng, cfg.m, cfg.b, model).v
     x0, x1 = (random_training(rng, cfg.k, cfg.tau, cfg.power).x for _ in range(2))
-    state = build_surrogate(x0, v0, f, 0.0, cfg.l)
+    state = _anchor(x0, v0, f, 0.0, cfg.l)
     train = training_terms(state, numerics.largest_eigenvalue(f.p).value)
     pattern = refresh_pattern_terms(state, x1, numerics.largest_eigenvalue(f.a).value)
 
@@ -601,7 +640,7 @@ def test_majorizations_dominate_and_touch(problem):
     p_max, a_max = (numerics.largest_eigenvalue(g).value for g in (f.p, f.a))
     v0 = random_feasible_pattern(rng, cfg.m, b, model).v
     x0, x1 = (random_training(rng, k, tau, cfg.power).x for _ in range(2))
-    state = build_surrogate(x0, v0, f, 1.0, l)
+    state = _anchor(x0, v0, f, 1.0, l)
     rel = _dense_rel(np.kron(v0, x0), r, l)
     trace_r = float(np.real(np.trace(r)))
 

@@ -11,6 +11,7 @@ from risce.ls_design import (
     design_ls,
     dft_training,
     ls_objective,
+    ls_score,
     ls_surrogate,
     mm_update_ls,
 )
@@ -56,7 +57,7 @@ class TestLsSurrogate:
     def test_orthogonal_init_lambda(self):
         # Square DFT pattern: V V^H = (M+1) I so Tr inverse = 1, lambda1 = 3.
         v = naive_pattern(3, 4, ideal_model())
-        lambda1, _ = ls_surrogate(v.v)
+        lambda1, _ = ls_surrogate(v.v, ls_score(v.v)[1])
         assert lambda1 == pytest.approx(3.0, rel=1e-10)
 
     def test_tangency(self, model, rng):
@@ -78,7 +79,7 @@ class TestLsSurrogate:
         v = ReflectionPattern(v=np.array([[1.0, 1.0 + gap], [1.0, 1.0]]))
         assert gap == 0.0 or np.linalg.cond(v.v @ v.v.conj().T) > 1e12
         with pytest.raises(SingularGram):
-            ls_surrogate(v.v)
+            ls_surrogate(v.v, ls_score(v.v)[1])
 
     def test_gradient_matches_objective_at_anchor(self, model, rng):
         # finite-difference gradients of f and f(.; V0) agree at V0
@@ -103,21 +104,21 @@ class TestLsSurrogate:
 class TestMmUpdate:
     def test_ideal_model_reduces_to_phase_alignment(self, rng):
         v0 = random_feasible_pattern(rng, 3, 5, ideal_model())
-        _, a0 = ls_surrogate(v0.v)
-        updated = mm_update_ls(v0.v, ideal_model())
+        _, a0 = ls_surrogate(v0.v, ls_score(v0.v)[1])
+        updated = mm_update_ls(v0.v, ideal_model(), ls_score(v0.v)[1])
         closed = ideal_update_ls(a0)
         assert np.allclose(updated, closed.v, atol=1e-12)
 
     def test_entries_are_projection_fixed_points(self, model, rng):
         v0 = random_feasible_pattern(rng, 2, 3, model)
-        out = mm_update_ls(v0.v, model)
+        out = mm_update_ls(v0.v, model, ls_score(v0.v)[1])
         assert np.allclose(project_to_feasible(out[:-1], model), out[:-1], atol=1e-12)
         assert np.allclose(out[-1], 1.0)
 
     def test_matches_exhaustive_grid(self, model, rng):
         v0 = random_feasible_pattern(rng, 2, 3, model)
-        lambda1, a0 = ls_surrogate(v0.v)
-        out = mm_update_ls(v0.v, model)
+        lambda1, a0 = ls_surrogate(v0.v, ls_score(v0.v)[1])
+        out = mm_update_ls(v0.v, model, ls_score(v0.v)[1])
         grid = np.linspace(0.0, TWO_PI, 200_000, endpoint=False)
         for m in range(2):
             for n in range(3):
@@ -129,7 +130,7 @@ class TestMmUpdate:
     def test_objective_never_increases(self, model, rng):
         v = random_feasible_pattern(rng, 4, 5, model)
         before = ls_objective(v.v)
-        after = ls_objective(mm_update_ls(v.v, model))
+        after = ls_objective(mm_update_ls(v.v, model, ls_score(v.v)[1]))
         assert after <= before + 1e-12
 
 
@@ -220,7 +221,7 @@ def test_majorization_on_the_sublevel_set(problem):
         f0 = ls_objective(v0.v)
     except SingularGram:
         assume(False)
-    lambda1, _ = ls_surrogate(v0.v)
+    lambda1, _ = ls_surrogate(v0.v, ls_score(v0.v)[1])
     sur = ls_majorizer(v0.v)
     scale = lambda1 * float(np.sum(np.abs(v0.v) ** 2))
     assert abs(sur(v0.v) - f0) <= 1e-9 * f0 + 1e-12 * scale
@@ -258,7 +259,7 @@ def test_surrogate_matches_explicit_inverse(problem):
     m, b, model, seed = problem
     v = random_feasible_pattern(np.random.default_rng(seed), m, b, model)
     try:
-        got_lambda1, got_a0 = ls_surrogate(v.v)
+        got_lambda1, got_a0 = ls_surrogate(v.v, ls_score(v.v)[1])
     except SingularGram:
         assume(False)
     gram = v.v @ v.v.conj().T

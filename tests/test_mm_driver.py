@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from risce.channel import CorrelationSpec, cascaded_correlation
+from risce.channel import CorrelationSpec, cascaded_correlation, kronecker_factors
 from risce.lmmse_design import design_lmmse
 from risce.ls_design import design_ls
+from risce.numerics import trace_of_inverse
 from risce.phase_model import ReflectionModel
+from risce.system import mse_lmmse
 from risce.types import SystemConfig
 
 DESK = SystemConfig(k=2, m=8, l=4)
@@ -63,3 +65,35 @@ def test_traces_descend_and_reproduce(instance):
             assert first.objectives == second.objectives
             assert first.update_calls == second.update_calls
             assert first.converged == second.converged
+
+
+@st.composite
+def plain_problems(draw):
+    """An instance with tau >= K and B >= M + 1, an SNR up to 300 dB or sigma2 = 0, a budget."""
+    k, m, l = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    power = np.full(k, 10.0 ** (draw(st.floats(-10.0, 300.0)) / 10.0))
+    config = SystemConfig(k=k, m=m, l=l, b=m + 1 + draw(st.integers(0, 2)),
+                          tau=k + draw(st.integers(0, 2)), power=power,
+                          sigma2=draw(st.sampled_from([1.0, 0.0])))
+    model = ReflectionModel(
+        beta_min=draw(st.floats(0.0, 1.0)),
+        alpha=draw(st.floats(0.5, 3.0)),
+        delta=draw(st.floats(0.0, 2.0 * np.pi)),
+    )
+    psi = st.floats(0.0, 0.95, exclude_max=True)
+    r_gamma = cascaded_correlation(CorrelationSpec(*draw(st.tuples(psi, psi, psi))), m, k, l)
+    return config, model, r_gamma, draw(st.integers(1, 40))
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=plain_problems())
+def test_plain_trace_ends_on_the_returned_objective(problem):
+    # A plain round reads its objective off the decomposition it anchors the
+    # next update on; the last recorded value is still that of the result.
+    config, model, r_gamma, max_iter = problem
+    x, v, trace = design_lmmse(config, model, r_gamma, max_iter=max_iter)
+    factors = kronecker_factors(r_gamma, config.k)
+    assert trace.objectives[-1] == mse_lmmse(v.v, x.x, factors, config.sigma2, config.l)
+    pattern, trace = design_ls(config, model, max_iter=max_iter)
+    assert trace.objectives[-1] == pytest.approx(
+        trace_of_inverse(pattern.v @ pattern.v.conj().T), rel=1e-14)

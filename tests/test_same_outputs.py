@@ -12,15 +12,47 @@ _spec.loader.exec_module(same_outputs)
 def test_first_difference_names_the_first_differing_row():
     old = [["a", "b"], ["1", "2"], ["3", "4"], ["5", "6"]]
     assert same_outputs.first_difference(old, [row[:] for row in old]) is None
-    new = [["a", "b"], ["1", "2"], ["3", "4.0"], ["5", "7"]]
+    new = [["a", "b"], ["1", "2"], ["3", "4.5"], ["5", "7"]]
     assert same_outputs.first_difference(old, new) == (
-        "row 2:\n  parent: 3,4\n  change: 3,4.0")
+        "row 2:\n  parent: 3,4\n  change: 3,4.5")
 
 
 def test_first_difference_counts_a_missing_row():
     old = [["a"], ["1"]]
     assert same_outputs.first_difference(old, old[:1]) == (
         "row 1:\n  parent: 1\n  change: <missing>")
+
+
+def _printed(*values):
+    return [f"{v:.12g}" for v in values]
+
+
+def test_numbers_straddling_a_print_boundary_match():
+    # 2e-15 apart, but rounded to 12 digits on either side of ...1785
+    old, new = _printed(0.0709708852178500 * (1 - 1e-15), 0.0709708852178500 * (1 + 1e-15))
+    assert (old, new) == ("0.0709708852178", "0.0709708852179")
+    header = ["scheme", "analytic_nmse"]
+    assert same_outputs.first_difference([header, ["proposed", old]],
+                                         [header, ["proposed", new]]) is None
+    # a number's printed form does not matter, only its value
+    assert same_outputs.same_field("objective", "4", "4.0")
+
+
+def test_numbers_1e10_apart_differ():
+    header = ["objective"]
+    for value in (1.0, 0.0709708852178, 38.6556894589):
+        old, new = _printed(value, value * (1 + 1e-10))
+        assert same_outputs.first_difference([header, [old]], [header, [new]]) == (
+            f"row 1:\n  parent: {old}\n  change: {new}")
+
+
+def test_iterations_and_text_compare_exactly():
+    assert not same_outputs.same_field("iterations", "12", "12.0")
+    assert same_outputs.same_field("iterations", "12", "12")
+    assert not same_outputs.same_field("estimator", "ls", "lmmse")
+    assert not same_outputs.same_field("objective", "nan", "inf")
+    assert same_outputs.first_difference([["a"], ["1"]], [["b"], ["1"]]) == (
+        "row 0:\n  parent: a\n  change: b")
 
 
 def test_rows_drop_wall_ms():

@@ -5,14 +5,19 @@
 In each checkout it runs ``python -m risce.cli`` with ``PYTHONPATH=<root>/src``
 for the four paper-profile analytic sweeps (LS and LMMSE, SQUAREM and plain
 MM) and for the desk ``converge`` runs of both estimators.  The ``wall_ms``
-column is dropped; every other field must match as text.  For each run that
-differs it prints the run and its first differing row.  Exit status: 0 when
+column is dropped.  Text fields and the ``iterations`` column must match as
+text; a number matches when some pair of values that print as the two
+``%.12g`` fields lies within ``1e-12`` relative, so two runs of the same
+numbers to 12 significant digits match even where rounding to the printed
+digits carries them across a digit boundary.  For each run that differs it
+prints the run and its first differing row.  Exit status: 0 when
 every CSV matches, 1 when any differs, 2 when a run fails or the arguments
 are wrong.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -25,6 +30,9 @@ RUNS = tuple(
 ) + tuple(("converge", "--estimator", est) for est in ("ls", "lmmse"))
 
 DROPPED = "wall_ms"
+EXACT = ("iterations",)
+REL_TOL = 1e-12
+DIGITS = 12  # significant digits of a CSV number (risce.cli prints %.12g)
 
 
 def csv_rows(root: Path, args: tuple[str, ...]) -> list[list[str]]:
@@ -45,10 +53,30 @@ def _show(row: list[str] | None) -> str:
     return "<missing>" if row is None else ",".join(row)
 
 
+def _half_unit(x: float) -> float:
+    """Half a unit in the last printed digit of x."""
+    return 0.5 * 10.0 ** (math.floor(math.log10(abs(x))) + 1 - DIGITS) if x else 0.0
+
+
+def same_field(name: str, a: str, b: str) -> bool:
+    """Whether two fields of column name match (see the module docstring)."""
+    if a == b:
+        return True
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return False
+    if name in EXACT or not (math.isfinite(x) and math.isfinite(y)):
+        return False
+    return abs(x - y) <= REL_TOL * max(abs(x), abs(y)) + _half_unit(x) + _half_unit(y)
+
+
 def first_difference(old: list[list[str]], new: list[list[str]]) -> str | None:
     """The first row (the header is row 0) where the two CSVs differ, or None."""
+    header = old[0] if old else []
     for i, (a, b) in enumerate(zip_longest(old, new)):
-        if a != b:
+        if a != b and (i == 0 or a is None or b is None or not (
+                len(a) == len(b) == len(header) and all(map(same_field, header, a, b)))):
             return f"row {i}:\n  parent: {_show(a)}\n  change: {_show(b)}"
     return None
 
