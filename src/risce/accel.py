@@ -5,9 +5,9 @@ mm_calls)`` until the relative objective change drops below eps, recording
 a :class:`DesignTrace`.  Every design runs on it with one of two kinds of
 step: plain MM (:func:`plain_step`, one MM update per iteration, anchored on
 the decomposition its objective was read off) or SQUAREM (:func:`squarem_step`,
-two MM updates per block step).  Iterates are bare
-arrays (the LS pattern, or the LMMSE (X, V) pair); the designs build their
-pattern and training types for the result only, never inside the loop.
+two MM updates per block step).  Iterates are bare arrays (the LS pattern, or
+the LMMSE (X, V) pair); the designs build their pattern and training types for
+the result only, never inside the loop.
 
 One SQUAREM step takes two MM updates V1, V2 from the current point V0, forms
 the differences L1 = V1 - V0, L2 = V2 - V1 - L1, picks the Cauchy-Barzilai-

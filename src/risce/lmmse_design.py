@@ -15,7 +15,7 @@ which is majorized once more per block to decouple the variables:
     law by the phase search :func:`~risce.phase_model.minimize_pattern_entries`.
 
 An MM update reads only these majorizers' minimizers, so their values are
-never built; the rounds score J_LMMSE = Tr[R] + g(S) by :func:`~risce.system.mse_lmmse`.
+never built; the rounds score J_LMMSE = Tr[R] + g(S) by :func:`~risce.system.lmmse_score`.
 
 R = kron(A, P) (:func:`~risce.channel.kronecker_factors`) and S0 = V0 kron X0, so Xi0 =
 (U1 kron U2) diag(dinv) (F1 kron F2) from the spectra (lam1, E1) of A^1/2 V0 V0^H A^1/2

@@ -602,6 +602,22 @@ def test_zero_noise_factored_terms_match_pseudo_inverse(extra, model):
     _assert_close(pattern.c, c, 1e-9)
 
 
+@pytest.mark.parametrize("sigma2", [1.0, 0.0])
+def test_all_zero_pattern_anchors_zero_terms(sigma2):
+    # V0 = 0 has lam1 = 0 exactly, where U1's lam1^-1/2 would divide by zero;
+    # S0 = 0 makes Xi0 = 0, so the curvatures and the linear terms are 0.
+    cfg = SystemConfig(k=2, m=3, l=4, b=6, tau=3, sigma2=sigma2)
+    f = kronecker_factors(cascaded_correlation(CORR, cfg.m, cfg.k, cfg.l), cfg.k)
+    v0 = np.zeros((cfg.m + 1, cfg.b), dtype=complex)
+    x0 = random_training(np.random.default_rng(7), cfg.k, cfg.tau, cfg.power).x
+    state = _anchor(x0, v0, f, sigma2, cfg.l)
+    assert not np.any(state.u1) and not np.any(state.f1)
+    train = training_terms(state, numerics.largest_eigenvalue(f.p).value)
+    pattern = refresh_pattern_terms(state, x0, numerics.largest_eigenvalue(f.a).value)
+    assert train.curvature == 0.0 and pattern.curvature == 0.0
+    assert not np.any(train.b_sums) and not np.any(pattern.c)
+
+
 def _feasible_points(rng, cfg, model, v0, x0, count):
     """Random feasible (V, X), half of them drawn afresh, half near (V0, X0).
 
