@@ -75,16 +75,18 @@ def plain_step(mm_update: Callable[[Any, Any], Any],
                score: Callable[[Any], tuple[float, Any]]) -> tuple[Step, Callable[[Any], float]]:
     """Plain MM as a driver step and its objective, from score(iterate) -> (objective, spectrum).
 
-    mm_update(iterate, spectrum) reuses the spectrum that scored its iterate.
+    The objective keeps the spectrum of the iterate it last scored, and the step hands it to
+    mm_update(iterate, spectrum); so the objective must score each iterate before the step
+    gets it, as :func:`mm_loop` does.
     """
-    last: list = [None, None]
+    spectrum = [None]
 
     def objective(iterate) -> float:
-        last[:] = iterate, score(iterate)
-        return last[1][0]
+        obj, spectrum[0] = score(iterate)
+        return obj
 
     def step(iterate, _obj: float):
-        iterate = mm_update(iterate, last[1][1] if last[0] is iterate else score(iterate)[1])
+        iterate = mm_update(iterate, spectrum[0])
         return iterate, objective(iterate), 1
 
     return step, objective

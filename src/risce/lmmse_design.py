@@ -65,8 +65,13 @@ from .accel import mm_loop, plain_step, squarem_step
 from .baselines import naive_pattern
 from .channel import KroneckerFactors, kronecker_factors
 from .errors import DimensionMismatch
-from .ls_design import (DEFAULT_EPS, DEFAULT_MAX_ITER_ACCEL, DEFAULT_MAX_ITER_PLAIN,
-                        dft_training, project_pattern)
+from .ls_design import (
+    DEFAULT_EPS,
+    DEFAULT_MAX_ITER_ACCEL,
+    DEFAULT_MAX_ITER_PLAIN,
+    dft_training,
+    project_pattern,
+)
 from .phase_model import (
     ReflectionModel,
     minimize_pattern_entries,
@@ -146,7 +151,9 @@ def training_terms(state: LmmseSurrogateState, p_max: float) -> TrainingTerms:
     return TrainingTerms(curvature=curvature, b_sums=b_sums, x0=state.x0)
 
 
-def refresh_pattern_terms(state: LmmseSurrogateState, x: np.ndarray, a_max: float) -> PatternTerms:
+def refresh_pattern_terms(
+    state: LmmseSurrogateState, x: np.ndarray, a_max: float
+) -> PatternTerms:
     """mu_V and the C0 block traces of the pattern step at training x; a_max = lambda_max(A).
 
     The traces are mu_V conj(V0) - (Tw V0^H A)^T + (Z A)^T, with Tw = U1 Kw U1^H,
@@ -224,17 +231,14 @@ def design_lmmse(
     if max_iter is None:
         max_iter = DEFAULT_MAX_ITER_ACCEL if accelerate else DEFAULT_MAX_ITER_PLAIN
 
-    sigma2, l, power = config.sigma2, config.l, config.power
+    sigma2, l = config.sigma2, config.l
+    power = config.power
     factors = kronecker_factors(r_gamma, config.k)
     p_max = numerics.largest_eigenvalue(factors.p).value
     a_max = numerics.largest_eigenvalue(factors.a).value
 
-    def score(pair):
-        x, v = pair
-        return lmmse_score(v, x, factors, sigma2, l)
-
     def anchor(x: np.ndarray, v: np.ndarray) -> LmmseSurrogateState:
-        return build_surrogate(x, v, score((x, v))[1], factors, sigma2, l)
+        return build_surrogate(x, v, lmmse_score(v, x, factors, sigma2, l)[1], factors, sigma2, l)
 
     # The block maps: a pattern update sees the x of its round, not the anchor's.
     def train(state: LmmseSurrogateState) -> np.ndarray:
@@ -258,9 +262,10 @@ def design_lmmse(
             lambda va: mse_lmmse(va, x, factors, sigma2, l), obj)
         return (x, v), obj, n_x + n_v
 
-    # Either loop scores its initial point by the plain step's objective.
-    plain, objective = plain_step(mm_round, score)
+    if accelerate:
+        step, objective = squarem_round, lambda p: mse_lmmse(p[1], p[0], factors, sigma2, l)
+    else:
+        step, objective = plain_step(mm_round, lambda p: lmmse_score(p[1], p[0], factors, sigma2, l))
     x0 = dft_training(config.k, config.tau, power)
-    (x, v), trace = mm_loop((x0.x, init_v.v), squarem_round if accelerate else plain,
-                            objective, eps, max_iter)
+    (x, v), trace = mm_loop((x0.x, init_v.v), step, objective, eps, max_iter)
     return TrainingMatrix(x=x, power=power), ReflectionPattern(v=v), trace
