@@ -1,13 +1,14 @@
 """The MM driver shared by all designs, and the monotone SQUAREM step.
 
-:func:`mm_loop` repeats a step ``step(iterate, obj) -> (iterate, obj,
-mm_calls)`` until the relative objective change drops below eps, recording
-a :class:`DesignTrace`.  Every design runs on it with one of two kinds of
-step: plain MM (:func:`plain_step`, one MM update per iteration, anchored on
-the decomposition its objective was read off) or SQUAREM (:func:`squarem_step`,
-two MM updates per block step).  Iterates are bare arrays (the LS pattern, or
-the LMMSE (X, V) pair); the designs build their pattern and training types for
-the result only, never inside the loop.
+:func:`mm_loop` scores the initial point once, by ``score(iterate) ->
+(objective, spectrum)``, and repeats a step ``step(iterate, obj, spectrum) ->
+(iterate, obj, spectrum, mm_calls)`` until the relative objective change drops
+below eps, recording a :class:`DesignTrace`.  Every MM update
+``mm_update(iterate, spectrum)`` gets the spectrum of the iterate it receives.
+The step is plain MM (:func:`plain_step`, one update per iteration) or SQUAREM
+(:func:`squarem_step`, two per block step).  Iterates are bare arrays (the LS
+pattern, or the LMMSE (X, V) pair); the designs build their pattern and
+training types for the result only.
 
 One SQUAREM step takes two MM updates V1, V2 from the current point V0, forms
 the differences L1 = V1 - V0, L2 = V2 - V1 - L1, picks the Cauchy-Barzilai-
@@ -31,75 +32,63 @@ from .types import DesignTrace
 DEGENERATE_STEP_TOL = 1e-14
 MAX_BACKTRACKS = 50
 
-MmUpdate = Callable[[np.ndarray], np.ndarray]
-Project = Callable[[np.ndarray], np.ndarray]
-Objective = Callable[[np.ndarray], float]
-Step = Callable[[Any, float], tuple[Any, float, int]]
+MmUpdate = Callable[[Any, Any], Any]
+Score = Callable[[Any], tuple[float, Any]]
+Step = Callable[[Any, float, Any], tuple[Any, float, Any, int]]
 
 
 def squarem_step(
     v0: np.ndarray,
+    obj0: float,
+    spectrum0,
     mm_update: MmUpdate,
-    project: Project,
-    objective: Objective,
-    objective_v0: float,
-) -> tuple[np.ndarray, float, int]:
-    """One monotone SQUAREM step from v0, whose objective is objective_v0.
+    project: Callable[[np.ndarray], np.ndarray],
+    score: Score,
+) -> tuple[np.ndarray, float, Any, int]:
+    """One monotone SQUAREM step from v0, of objective obj0 and spectrum spectrum0.
 
-    Returns the accepted iterate, its objective and the MM-update count (2),
-    as :func:`plain_step` does.  mm_update must be monotone for the
-    objective and project idempotent.  Near an MM fixed point (||L2||_F
-    below DEGENERATE_STEP_TOL) the plain MM point V2 is returned directly;
-    after MAX_BACKTRACKS halvings the step also falls back to V2, whose
-    objective is safe by MM monotonicity.
+    Returns the accepted iterate, its objective and spectrum, and the
+    MM-update count (2).  mm_update must be monotone for the objective and
+    project idempotent.  Near an MM fixed point (||L2||_F below
+    DEGENERATE_STEP_TOL) the plain MM point V2 is returned directly; after
+    MAX_BACKTRACKS halvings the step also falls back to V2, whose objective
+    is safe by MM monotonicity.
     """
-    v1 = mm_update(v0)
-    v2 = mm_update(v1)
+    v1 = mm_update(v0, spectrum0)
+    v2 = mm_update(v1, score(v1)[1])
     l1 = v1 - v0
     l2 = v2 - v1 - l1
     norm_l2 = np.linalg.norm(l2)
     if norm_l2 < DEGENERATE_STEP_TOL:
-        return v2, objective(v2), 2
+        return v2, *score(v2), 2
 
     step = -np.linalg.norm(l1) / norm_l2
     for _ in range(MAX_BACKTRACKS + 1):
         cand = project(v0 - 2.0 * step * l1 + step**2 * l2)
-        obj = objective(cand)
-        if obj <= objective_v0:
-            return cand, obj, 2
+        obj, spectrum = score(cand)
+        if obj <= obj0:
+            return cand, obj, spectrum, 2
         step = (step - 1.0) / 2.0
-    return v2, objective(v2), 2
+    return v2, *score(v2), 2
 
 
-def plain_step(mm_update: Callable[[Any, Any], Any],
-               score: Callable[[Any], tuple[float, Any]]) -> tuple[Step, Callable[[Any], float]]:
-    """Plain MM as a driver step and its objective, from score(iterate) -> (objective, spectrum).
+def plain_step(mm_update: MmUpdate, score: Score) -> Step:
+    """Plain MM as a driver step: one MM update, then one score of the new iterate."""
+    def step(iterate, _obj: float, spectrum):
+        iterate = mm_update(iterate, spectrum)
+        return iterate, *score(iterate), 1
 
-    The objective keeps the spectrum of the iterate it last scored, and the step hands it to
-    mm_update(iterate, spectrum); so the objective must score each iterate before the step
-    gets it, as :func:`mm_loop` does.
-    """
-    spectrum = [None]
-
-    def objective(iterate) -> float:
-        obj, spectrum[0] = score(iterate)
-        return obj
-
-    def step(iterate, _obj: float):
-        iterate = mm_update(iterate, spectrum[0])
-        return iterate, objective(iterate), 1
-
-    return step, objective
+    return step
 
 
 def mm_loop(
     initial,
     step: Step,
-    objective: Callable[[Any], float],
+    score: Score,
     eps: float,
     max_iter: int,
 ) -> tuple[Any, DesignTrace]:
-    """Run step until the relative objective change drops below eps.
+    """Run step from the scored initial point until the relative objective change drops below eps.
 
     The trace holds the objective at the initial point and after every step,
     the cumulative MM-update count and the elapsed time; it is non-increasing
@@ -109,11 +98,11 @@ def mm_loop(
     trace = DesignTrace()
     start = time.perf_counter()
     iterate = initial
-    obj = objective(iterate)
+    obj, spectrum = score(iterate)
     calls = 0
     trace.record(obj, calls, time.perf_counter() - start)
     for _ in range(max_iter):
-        iterate, new_obj, used = step(iterate, obj)
+        iterate, new_obj, spectrum, used = step(iterate, obj, spectrum)
         calls += used
         trace.record(new_obj, calls, time.perf_counter() - start)
         if abs(new_obj - obj) < eps * abs(obj) or new_obj == obj == 0.0:

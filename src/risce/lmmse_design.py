@@ -19,7 +19,7 @@ never built; the rounds score J_LMMSE = Tr[R] + g(S) by :func:`~risce.system.lmm
 
 R = kron(A, P) (:func:`~risce.channel.kronecker_factors`) and S0 = V0 kron X0, so Xi0 =
 (U1 kron U2) diag(dinv) (F1 kron F2) from the spectra (lam1, E1) of A^1/2 V0 V0^H A^1/2
-and (lam2, E2) of P^1/2 X0 X0^H P^1/2 that J is read off (:func:`~risce.system.lmmse_score`):
+and (lam2, E2) of P^1/2 X0 X0^H P^1/2 that J is read off (:func:`~risce.system.lmmse_spectrum`):
 F1 = diag(lam1)^1/2 E1^H A^1/2 = U1^H V0^H A for the right singular vectors
 U1 = V0^H A^1/2 E1 diag(lam1)^-1/2 of A^1/2 V0 (B x (M+1), 0 where lam1 = 0), likewise
 F2 and U2 (tau x K), and dinv = 1 / (lam1_i lam2_j + sigma^2 L) ((M+1) x K, 0 for a
@@ -47,15 +47,16 @@ The rounds run on :func:`risce.accel.mm_loop` over the pair of bare arrays
 (X, V); :func:`design_lmmse` validates its initial point and builds a
 TrainingMatrix and a ReflectionPattern for its result only.  Both kinds of
 round use the same two block maps: the training update at an anchor, and
-the pattern update at an anchor and the X it sees.  A plain round is one MM
-update at the anchor of the spectra that scored its iterate, then one (M+1)- and
-one K-sized eigen-solve of the new iterate for its J and the next anchor; a
-SQUAREM round takes one SQUAREM step per block, training then pattern, each
-update at its own anchor, so four MM updates.
+the pattern update at an anchor and the X it sees, each anchored on the spectra
+that scored its iterate.  A plain round is one MM update, then one (M+1)- and one
+K-sized eigen-solve of the new iterate for its J and the next anchor; a SQUAREM
+round is one SQUAREM step per block, training then pattern (four MM updates),
+each of whose scores re-decomposes only the K- or (M+1)-sized side it moves.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -77,7 +78,7 @@ from .phase_model import (
     minimize_pattern_entries,
     minimize_phase_objectives,  # noqa: F401  perfbench/selftest.py checks the tracer rebinds it here
 )
-from .system import ReflectionPattern, TrainingMatrix, lmmse_score, mse_lmmse
+from .system import ReflectionPattern, TrainingMatrix, lmmse_score, lmmse_spectrum
 from .types import DesignTrace, SystemConfig
 
 # Multiplicative slack on the exact block curvatures: a curvature equal to the
@@ -237,8 +238,9 @@ def design_lmmse(
     p_max = numerics.largest_eigenvalue(factors.p).value
     a_max = numerics.largest_eigenvalue(factors.a).value
 
-    def anchor(x: np.ndarray, v: np.ndarray) -> LmmseSurrogateState:
-        return build_surrogate(x, v, lmmse_score(v, x, factors, sigma2, l)[1], factors, sigma2, l)
+    anchor = partial(build_surrogate, factors=factors, sigma2=sigma2, l=l)
+    v_spectrum = partial(lmmse_spectrum, factors.a_half)
+    x_spectrum = partial(lmmse_spectrum, factors.p_half)
 
     # The block maps: a pattern update sees the x of its round, not the anchor's.
     def train(state: LmmseSurrogateState) -> np.ndarray:
@@ -247,25 +249,31 @@ def design_lmmse(
     def pattern(state: LmmseSurrogateState, x: np.ndarray) -> np.ndarray:
         return update_pattern(refresh_pattern_terms(state, x, a_max), model)
 
+    # An iterate's spectrum is the pair (V's, X's) that J is read off.
+    def score(*spectra):
+        return lmmse_score(spectra, sigma2, l), spectra
+
+    def score_pair(pair):
+        return score(v_spectrum(pair[1]), x_spectrum(pair[0]))
+
     def mm_round(pair, spectra):
-        state = build_surrogate(*pair, spectra, factors, sigma2, l)
+        state = anchor(*pair, spectra)
         x = train(state)
         return x, pattern(state, x)
 
-    def squarem_round(pair, obj):
-        x, v = pair
-        x, obj, n_x = squarem_step(
-            x, lambda xa: train(anchor(xa, v)), lambda xa: project_training_rows(xa, power),
-            lambda xa: mse_lmmse(v, xa, factors, sigma2, l), obj)
-        v, obj, n_v = squarem_step(
-            v, lambda va: pattern(anchor(x, va), x), lambda va: project_pattern(va, model),
-            lambda va: mse_lmmse(va, x, factors, sigma2, l), obj)
-        return (x, v), obj, n_x + n_v
+    # Each SQUAREM block re-decomposes only the side it moves.
+    def squarem_round(pair, obj, spectra):
+        (x, v), (v_side, _) = pair, spectra
+        x, obj, spectra, n_x = squarem_step(
+            x, obj, spectra, lambda xa, sp: train(anchor(xa, v, sp)),
+            lambda xa: project_training_rows(xa, power), lambda xa: score(v_side, x_spectrum(xa)))
+        x_side = spectra[1]
+        v, obj, spectra, n_v = squarem_step(
+            v, obj, spectra, lambda va, sp: pattern(anchor(x, va, sp), x),
+            lambda va: project_pattern(va, model), lambda va: score(v_spectrum(va), x_side))
+        return (x, v), obj, spectra, n_x + n_v
 
-    if accelerate:
-        step, objective = squarem_round, lambda p: mse_lmmse(p[1], p[0], factors, sigma2, l)
-    else:
-        step, objective = plain_step(mm_round, lambda p: lmmse_score(p[1], p[0], factors, sigma2, l))
+    step = squarem_round if accelerate else plain_step(mm_round, score_pair)
     x0 = dft_training(config.k, config.tau, power)
-    (x, v), trace = mm_loop((x0.x, init_v.v), step, objective, eps, max_iter)
+    (x, v), trace = mm_loop((x0.x, init_v.v), step, score_pair, eps, max_iter)
     return TrainingMatrix(x=x, power=power), ReflectionPattern(v=v), trace

@@ -11,11 +11,12 @@ point V0 the quadratic surrogate is
 
 which separates over entries; each entry reduces to a scalar phase search
 with q = lambda1 and c = [A0]_{n,m}.  The step reads only the minimizer, so
-const(V0) is never built.  A plain round reads both Tr[(V0 V0^H)^{-1}] = sum 1/lam and
-W = (U / lam^2)(U^H V0) off one checked (lam, U) = eigh(V0 V0^H) (:func:`ls_score`).
-The MM descent argument needs the bound only on the sublevel set
-f(V) <= f(V0); f is unbounded near rank-deficient V, so no quadratic
-majorizes it on the whole feasible set.
+const(V0) is never built.  Plain MM and SQUAREM both score every iterate V0
+by :func:`ls_score`, one checked (lam, U) = eigh(V0 V0^H) that gives
+Tr[(V0 V0^H)^{-1}] = sum 1/lam and anchors the update at V0 on
+W = (U / lam^2)(U^H V0).  The MM descent argument needs the bound only on
+the sublevel set f(V) <= f(V0); f is unbounded near rank-deficient V, so no
+quadratic majorizes it on the whole feasible set.
 """
 
 from __future__ import annotations
@@ -75,11 +76,6 @@ def mm_update_ls(v: np.ndarray, model: ReflectionModel, spectrum) -> np.ndarray:
     return minimize_pattern_entries(lambda1, a0[:, :-1].T, model)
 
 
-def ls_objective(v: np.ndarray) -> float:
-    """Pattern-design objective Tr[(V V^H)^{-1}] of the (M+1, B) matrix v."""
-    return numerics.trace_of_inverse(v @ v.conj().T)
-
-
 def project_pattern(v: np.ndarray, model: ReflectionModel) -> np.ndarray:
     """Entrywise reflection-law projection; the direct-link row stays 1."""
     out = np.asarray(project_to_feasible(v, model), dtype=complex)
@@ -112,11 +108,10 @@ def design_ls(
         max_iter = DEFAULT_MAX_ITER_ACCEL if accelerate else DEFAULT_MAX_ITER_PLAIN
 
     if accelerate:
-        def step(v, obj):
-            return squarem_step(v, lambda u: mm_update_ls(u, model, ls_score(u)[1]),
-                                lambda u: project_pattern(u, model), ls_objective, obj)
-        objective = ls_objective
+        def step(v, obj, spectrum):
+            return squarem_step(v, obj, spectrum, lambda u, eig: mm_update_ls(u, model, eig),
+                                lambda u: project_pattern(u, model), ls_score)
     else:
-        step, objective = plain_step(lambda v, eig: mm_update_ls(v, model, eig), ls_score)
-    v_star, trace = mm_loop(init.v, step, objective, eps, max_iter)
+        step = plain_step(lambda v, eig: mm_update_ls(v, model, eig), ls_score)
+    v_star, trace = mm_loop(init.v, step, ls_score, eps, max_iter)
     return ReflectionPattern(v=v_star), trace

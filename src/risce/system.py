@@ -108,28 +108,34 @@ def mse_ls(s: np.ndarray, sigma2: float, l: int) -> float:
     return sigma2 * l * numerics.trace_of_inverse(s @ s.conj().T)
 
 
-def lmmse_score(v: np.ndarray, x: np.ndarray, factors: KroneckerFactors, sigma2: float, l: int):
-    """:func:`mse_lmmse` and its spectra [(lam1, A^1/2 E1, a1), (lam2, P^1/2 E2, a2)].
+def lmmse_spectrum(half: np.ndarray, t: np.ndarray):
+    """One side (lam, half E, a) of J: (lam, E) = eigh(half T T^H half), a = diag(E^H half^2 E).
+
+    half is A^1/2 with T = V, or P^1/2 with T = X.
+    """
+    g = half @ t
+    lam, e = np.linalg.eigh(numerics.require_hermitian(g @ g.conj().T))
+    he = half @ e
+    return np.clip(lam, 0.0, None), he, np.sum(np.abs(he) ** 2, axis=0)
+
+
+def lmmse_score(spectra, sigma2: float, l: int) -> float:
+    """J_LMMSE from its spectra [V's, X's] of :func:`lmmse_spectrum`.
 
     At sigma^2 = 0 a term with lam1_i lam2_j = 0 keeps its prior a1_i a2_j.
     """
-    spectra = []
-    for half, t in ((factors.a_half, v), (factors.p_half, x)):
-        g = half @ t
-        lam, e = np.linalg.eigh(numerics.require_hermitian(g @ g.conj().T))
-        he = half @ e
-        spectra.append((np.clip(lam, 0.0, None), he, np.sum(np.abs(he) ** 2, axis=0)))
     (lam1, _, a1), (lam2, _, a2) = spectra
     noise = sigma2 * l
     shared = noise + np.outer(lam1, lam2)
     kept = np.divide(noise, shared, out=np.ones_like(shared), where=shared > 0.0)
-    return float(np.sum(np.outer(a1, a2) * kept)), spectra
+    return float(np.sum(np.outer(a1, a2) * kept))
 
 
 def mse_lmmse(v: np.ndarray, x: np.ndarray, factors: KroneckerFactors,
               sigma2: float, l: int) -> float:
     """Analytic LMMSE MSE of S = kron(V, X) under R = kron(A, P), in factored form."""
-    return lmmse_score(v, x, factors, sigma2, l)[0]
+    spectra = [lmmse_spectrum(factors.a_half, v), lmmse_spectrum(factors.p_half, x)]
+    return lmmse_score(spectra, sigma2, l)
 
 
 def nmse(j: float, l: int, k: int, m: int) -> float:

@@ -16,6 +16,11 @@ def random_feasible_pattern(rng, m, b, model) -> ReflectionPattern:
     return ReflectionPattern(v=v)
 
 
+def ls_objective(v: np.ndarray) -> float:
+    """Pattern-design objective Tr[(V V^H)^{-1}] of the (M+1, B) matrix v, by eigvalsh (test oracle)."""
+    return numerics.trace_of_inverse(v @ v.conj().T)
+
+
 def phase_cost(q, c, theta, model: ReflectionModel):
     """q |r|^2 + 2 Re{c r} with r = reflection_coefficient(theta, model) (test oracle).
 

@@ -10,6 +10,7 @@ from conftest import (
     lmmse_objective,
     lmmse_surrogate_value,
     ls_majorizer,
+    ls_objective,
     phase_cost,
     random_feasible_pattern,
     random_hpd,
@@ -29,11 +30,7 @@ from risce.lmmse_design import (
     design_lmmse,
     update_training,
 )
-from risce.ls_design import (
-    design_ls,
-    dft_training,
-    ls_objective,
-)
+from risce.ls_design import design_ls, dft_training
 from risce.phase_model import ReflectionModel, minimize_phase_objectives
 from risce.system import (
     ReflectionPattern,

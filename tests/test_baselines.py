@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ideal_update_lmmse, ideal_update_ls, random_feasible_pattern
+from conftest import ideal_update_lmmse, ideal_update_ls, ls_objective, random_feasible_pattern
 from risce.baselines import (
     SchemeId,
     group_reduce,
@@ -15,7 +15,7 @@ from risce.baselines import (
 )
 from risce.channel import CorrelationSpec, cascaded_correlation, grouped_cascaded_correlation
 from risce.errors import InvalidDims, InvalidGrouping
-from risce.ls_design import design_ls, dft_training, ls_objective
+from risce.ls_design import design_ls, dft_training
 from risce.phase_model import (
     amplitude_of_phase,
     ideal_model,

@@ -40,7 +40,7 @@ from risce.phase_model import (
     project_to_feasible,
     reflection_coefficient,
 )
-from risce.system import build_S, lmmse_score, mse_lmmse, mse_ls
+from risce.system import build_S, lmmse_spectrum, mse_lmmse, mse_ls
 from risce.types import SystemConfig
 
 TWO_PI = 2.0 * np.pi
@@ -57,7 +57,8 @@ def _state(rng, model, cfg=CFG, r=R):
 
 
 def _anchor(x0, v0, f, sigma2, l):
-    return build_surrogate(x0, v0, lmmse_score(v0, x0, f, sigma2, l)[1], f, sigma2, l)
+    spectra = [lmmse_spectrum(f.a_half, v0), lmmse_spectrum(f.p_half, x0)]
+    return build_surrogate(x0, v0, spectra, f, sigma2, l)
 
 
 def _dense_anchor(x0, v0, r=R, cfg=CFG):
@@ -459,6 +460,37 @@ class TestEigenSolveCount:
         assert per_update["training"] == [1] * (2 * trace.iterations)
         assert per_update["pattern"] == [1] * (2 * trace.iterations)
         assert len(eig_calls) == 2 + 4 * trace.iterations
+
+    def test_squarem_blocks_decompose_only_the_side_they_move(self, model, monkeypatch):
+        # The training block moves X only, so it scores and anchors on V's
+        # spectrum as it came in; the pattern block likewise keeps X's
+        wide = self.WIDE
+        events = []
+
+        def marking(name, fn):
+            def wrapped(*args):
+                events.append(name)
+                return fn(*args)
+            return wrapped
+
+        def side(half, t):
+            events.append("A" if half.shape == (wide.m + 1,) * 2 else "P")
+            return spectrum(half, t)
+
+        spectrum = lmmse_design.lmmse_spectrum
+        monkeypatch.setattr(lmmse_design, "lmmse_spectrum", side)
+        for name in ("update_training", "update_pattern"):
+            monkeypatch.setattr(lmmse_design, name, marking(name, getattr(lmmse_design, name)))
+        r = cascaded_correlation(CORR, wide.m, wide.k, wide.l)
+        _, _, trace = design_lmmse(wide, model, r, accelerate=True, max_iter=1)
+        assert trace.iterations == 1
+        first_train, first_pattern = events.index("update_training"), events.index("update_pattern")
+        assert events[:first_train] == ["A", "P"]
+        training = [e for e in events[first_train:first_pattern] if e in ("A", "P")]
+        pattern = [e for e in events[first_pattern:] if e in ("A", "P")]
+        assert training and set(training) == {"P"}
+        assert pattern and set(pattern) == {"A"}
+        assert events.count("update_training") == events.count("update_pattern") == 2
 
 
 _psi = st.floats(0.0, 0.95, exclude_max=True)

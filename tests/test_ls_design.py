@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import ideal_update_ls, ls_majorizer, phase_cost, random_feasible_pattern
+from conftest import (
+    ideal_update_ls,
+    ls_majorizer,
+    ls_objective,
+    phase_cost,
+    random_feasible_pattern,
+)
 from risce.baselines import naive_pattern
 from risce.errors import DimensionMismatch, InvalidDims, SingularGram
 from risce.ls_design import (
     design_ls,
     dft_training,
-    ls_objective,
     ls_score,
     ls_surrogate,
     mm_update_ls,

@@ -88,12 +88,15 @@ def plain_problems(draw):
 @settings(max_examples=60, deadline=None)
 @given(problem=plain_problems())
 def test_plain_trace_ends_on_the_returned_objective(problem):
-    # A plain round reads its objective off the decomposition it anchors the
-    # next update on; the last recorded value is still that of the result.
+    # Plain MM and SQUAREM read an iterate's objective off the decomposition
+    # its next update is anchored on; the last recorded value is still that of
+    # the result.  SQUAREM LS scores by eigh, the oracle by eigvalsh.
     config, model, r_gamma, max_iter = problem
-    x, v, trace = design_lmmse(config, model, r_gamma, max_iter=max_iter)
     factors = kronecker_factors(r_gamma, config.k)
-    assert trace.objectives[-1] == mse_lmmse(v.v, x.x, factors, config.sigma2, config.l)
-    pattern, trace = design_ls(config, model, max_iter=max_iter)
-    assert trace.objectives[-1] == pytest.approx(
-        trace_of_inverse(pattern.v @ pattern.v.conj().T), rel=1e-14)
+    for accelerate in (False, True):
+        x, v, trace = design_lmmse(config, model, r_gamma, max_iter=max_iter,
+                                   accelerate=accelerate)
+        assert trace.objectives[-1] == mse_lmmse(v.v, x.x, factors, config.sigma2, config.l)
+        pattern, trace = design_ls(config, model, max_iter=max_iter, accelerate=accelerate)
+        assert trace.objectives[-1] == pytest.approx(
+            trace_of_inverse(pattern.v @ pattern.v.conj().T), rel=1e-14)

@@ -63,3 +63,9 @@ def test_rows_drop_wall_ms():
 
 def test_wrong_arguments_exit_2():
     assert same_outputs.main(["only-one"]) == 2
+
+
+def test_runs_include_a_backtracking_squarem_converge():
+    # Seven distinct runs; at 60 dB a desk LMMSE SQUAREM step back-tracks.
+    assert len(set(same_outputs.RUNS)) == len(same_outputs.RUNS) == 7
+    assert ("converge", "--estimator", "lmmse", "--snr-db", "60") in same_outputs.RUNS

@@ -4,15 +4,16 @@
 
 In each checkout it runs ``python -m risce.cli`` with ``PYTHONPATH=<root>/src``
 for the four paper-profile analytic sweeps (LS and LMMSE, SQUAREM and plain
-MM) and for the desk ``converge`` runs of both estimators.  The ``wall_ms``
-column is dropped.  Text fields and the ``iterations`` column must match as
-text; a number matches when some pair of values that print as the two
-``%.12g`` fields lies within ``1e-12`` relative, so two runs of the same
-numbers to 12 significant digits match even where rounding to the printed
-digits carries them across a digit boundary.  For each run that differs it
-prints the run and its first differing row.  Exit status: 0 when
-every CSV matches, 1 when any differs, 2 when a run fails or the arguments
-are wrong.
+MM), for the desk ``converge`` runs of both estimators, and for a desk LMMSE
+``converge`` run at 60 dB, where a SQUAREM step back-tracks and so anchors its
+next update on an accepted candidate's spectrum.  The ``wall_ms`` column is
+dropped.  Text fields and the ``iterations`` column must match as text; a
+number matches when some pair of values that print as the two ``%.12g``
+fields lies within ``1e-12`` relative, so two runs of the same numbers to 12
+significant digits match even where rounding to the printed digits carries
+them across a digit boundary.  For each run that differs it prints the run and
+its first differing row.  Exit status: 0 when every CSV matches, 1 when any
+differs, 2 when a run fails or the arguments are wrong.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ from pathlib import Path
 RUNS = tuple(
     ("sweep", "--profile", "paper", "--analytic-only", "--estimator", est, accel)
     for est in ("ls", "lmmse") for accel in ("--accel", "--no-accel")
-) + tuple(("converge", "--estimator", est) for est in ("ls", "lmmse"))
+) + tuple(("converge", "--estimator", est) for est in ("ls", "lmmse")) + (
+    ("converge", "--estimator", "lmmse", "--snr-db", "60"),
+)
 
 DROPPED = "wall_ms"
 EXACT = ("iterations",)
