@@ -17,7 +17,7 @@ def random_feasible_pattern(rng, m, b, model) -> ReflectionPattern:
 
 
 def ls_objective(v: np.ndarray) -> float:
-    """Pattern-design objective Tr[(V V^H)^{-1}] of the (M+1, B) matrix v, by eigvalsh (test oracle)."""
+    """LS pattern objective Tr[(V V^H)^{-1}] of the (M+1, B) v, by eigvalsh (test oracle)."""
     return numerics.trace_of_inverse(v @ v.conj().T)
 
 
