@@ -66,6 +66,20 @@ def test_wrong_arguments_exit_2():
 
 
 def test_runs_include_a_backtracking_squarem_converge():
-    # Seven distinct runs; at 60 dB a desk LMMSE SQUAREM step back-tracks.
-    assert len(set(same_outputs.RUNS)) == len(same_outputs.RUNS) == 7
+    # Eleven distinct runs; at 60 dB a desk LMMSE SQUAREM step back-tracks.
+    assert len(set(same_outputs.RUNS)) == len(same_outputs.RUNS) == 11
     assert ("converge", "--estimator", "lmmse", "--snr-db", "60") in same_outputs.RUNS
+
+
+def test_runs_include_simulated_sweeps_of_every_scheme():
+    # Both estimators simulate every scheme at the desk profile, grouping
+    # included, and the design-free schemes at the paper profile.
+    simulated = [run for run in same_outputs.RUNS
+                 if run[0] == "sweep" and "--analytic-only" not in run]
+    assert len(simulated) == 4
+    for profile, schemes in (("desk", {"proposed", "proposed-grouped", "ideal",
+                                       "ideal-projection", "naive", "onoff"}),
+                             ("paper", {"naive", "onoff"})):
+        for est in ("ls", "lmmse"):
+            [run] = [r for r in simulated if r[2] == profile and r[4] == est]
+            assert set(run[run.index("--scheme") + 1].split(",")) == schemes

@@ -4,10 +4,13 @@
 
 In each checkout it runs ``python -m risce.cli`` with ``PYTHONPATH=<root>/src``
 for the four paper-profile analytic sweeps (LS and LMMSE, SQUAREM and plain
-MM), for the desk ``converge`` runs of both estimators, and for a desk LMMSE
-``converge`` run at 60 dB, where a SQUAREM step back-tracks and so anchors its
-next update on an accepted candidate's spectrum.  The ``wall_ms`` column is
-dropped.  Text fields and the ``iterations`` column must match as text; a
+MM), for four simulated sweeps, for the desk ``converge`` runs of both
+estimators, and for a desk LMMSE ``converge`` run at 60 dB, where a SQUAREM
+step back-tracks and so anchors its next update on an accepted candidate's
+spectrum.  The simulated sweeps compare the ``empirical_nmse`` column: at the
+desk profile with all six schemes and ``--rho 2`` (grouping included), and at
+the paper profile with the design-free ``naive`` and ``onoff`` schemes, each
+for LS and LMMSE.  The ``wall_ms`` column is dropped.  Text fields and the ``iterations`` column must match as text; a
 number matches when some pair of values that print as the two ``%.12g``
 fields lies within ``1e-12`` relative, so two runs of the same numbers to 12
 significant digits match even where rounding to the printed digits carries
@@ -28,6 +31,12 @@ from pathlib import Path
 RUNS = tuple(
     ("sweep", "--profile", "paper", "--analytic-only", "--estimator", est, accel)
     for est in ("ls", "lmmse") for accel in ("--accel", "--no-accel")
+) + tuple(
+    ("sweep", "--profile", profile, "--estimator", est, "--scheme", schemes, *rho)
+    for profile, schemes, rho in (
+        ("desk", "proposed,proposed-grouped,ideal,ideal-projection,naive,onoff", ("--rho", "2")),
+        ("paper", "naive,onoff", ()),
+    ) for est in ("ls", "lmmse")
 ) + tuple(("converge", "--estimator", est) for est in ("ls", "lmmse")) + (
     ("converge", "--estimator", "lmmse", "--snr-db", "60"),
 )
