@@ -77,12 +77,15 @@ class ElementGrouping:
         return out
 
     def combine_gamma(self, gamma: np.ndarray, k: int) -> np.ndarray:
-        """Sum the cascaded-channel blocks of each group (direct block kept)."""
-        l = gamma.shape[0]
-        blocks = gamma[:, : self.m * k].reshape(l, self.m_grouped, self.rho, k)
-        out = np.empty((l, (self.m_grouped + 1) * k), dtype=complex)
-        out[:, : self.m_grouped * k] = blocks.sum(axis=2).reshape(l, -1)
-        out[:, self.m_grouped * k :] = gamma[:, self.m * k :]
+        """Sum the cascaded-channel blocks of each group (direct block kept).
+
+        Leading (trial) axes of gamma broadcast.
+        """
+        *lead, l, _ = gamma.shape
+        blocks = gamma[..., : self.m * k].reshape(*lead, l, self.m_grouped, self.rho, k)
+        out = np.empty((*lead, l, (self.m_grouped + 1) * k), dtype=complex)
+        out[..., : self.m_grouped * k] = blocks.sum(axis=-2).reshape(*lead, l, -1)
+        out[..., self.m_grouped * k :] = gamma[..., self.m * k :]
         return out
 
 

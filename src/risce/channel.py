@@ -11,6 +11,7 @@ produced by :func:`cascaded_correlation`.  It is kron(A, L Psi_UE), and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -78,9 +79,43 @@ def coloring_factor(n: int, psi: float) -> np.ndarray:
     return factor
 
 
-def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    """i.i.d. CN(0, 1) samples: two real normals scaled by 1/sqrt(2)."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+def complex_gaussians(rngs, shapes) -> list[np.ndarray]:
+    """i.i.d. CN(0, 1) samples: a (len(rngs), *shape) block for each shape.
+
+    Each generator makes one standard_normal draw.  For each shape in turn
+    the draw holds the real parts, then the imaginary parts, so row t of
+    every block, and rngs[t]'s state after, are what a draw of two real
+    normal arrays per shape would give.  Each block is divided by sqrt(2) in
+    place.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    blocks = [np.empty((len(rngs), n), dtype=complex) for n in sizes]
+    for trial, rng in enumerate(rngs):
+        draw = rng.standard_normal(2 * sum(sizes))
+        start = 0
+        for block, n in zip(blocks, sizes):
+            block[trial].real = draw[start : start + n]
+            block[trial].imag = draw[start + n : start + 2 * n]
+            start += 2 * n
+    for block in blocks:
+        block /= np.sqrt(2.0)
+    return [block.reshape(-1, *shape) for block, shape in zip(blocks, shapes)]
+
+
+def complex_gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """i.i.d. CN(0, 1) samples of one shape: :func:`complex_gaussians` of one generator."""
+    return complex_gaussians([rng], [shape])[0][0]
+
+
+def seed_block(rng_seed) -> tuple[list, bool]:
+    """(seeds, stacked): a list of SeedSequences seeds one trial each of a block.
+
+    Anything else is one seed for np.random.default_rng, a block of one trial
+    whose results the caller returns without the leading trial axis.
+    """
+    stacked = isinstance(rng_seed, list) and all(
+        isinstance(seed, np.random.SeedSequence) for seed in rng_seed)
+    return (rng_seed, True) if stacked else ([rng_seed], False)
 
 
 def sample_channels(
@@ -93,16 +128,23 @@ def sample_channels(
     Coloring uses the symmetric square roots: H_r = R^(1/2) Hbar U^(T/2),
     G = B^(1/2) Gbar R^(T/2), H_d = B^(1/2) Dbar U^(T/2) with i.i.d. CN(0,1)
     bar-matrices drawn in that fixed order.  The square roots come from
-    :func:`coloring_factor`'s cache.
+    :func:`coloring_factor`'s cache.  A list of T SeedSequences
+    (:func:`seed_block`) draws T trials, each from its own stream, and colors
+    them together: every matrix then has a leading trial axis.
     """
-    rng = np.random.default_rng(rng_seed)
+    seeds, stacked = seed_block(rng_seed)
     s_ue = coloring_factor(config.k, corr.psi_ue)
     s_ris = coloring_factor(config.m, corr.psi_ris)
     s_bs = coloring_factor(config.l, corr.psi_bs)
 
-    h_r = s_ris @ complex_gaussian(rng, (config.m, config.k)) @ s_ue.T
-    g = s_bs @ complex_gaussian(rng, (config.l, config.m)) @ s_ris.T
-    h_d = s_bs @ complex_gaussian(rng, (config.l, config.k)) @ s_ue.T
+    h_bar, g_bar, d_bar = complex_gaussians(
+        [np.random.default_rng(seed) for seed in seeds],
+        ((config.m, config.k), (config.l, config.m), (config.l, config.k)))
+    h_r = s_ris @ h_bar @ s_ue.T
+    g = s_bs @ g_bar @ s_ris.T
+    h_d = s_bs @ d_bar @ s_ue.T
+    if not stacked:
+        g, h_r, h_d = g[0], h_r[0], h_d[0]
     return ChannelRealization(g=g, h_r=h_r, h_d=h_d)
 
 
@@ -110,19 +152,20 @@ def cascaded_channel(ch: ChannelRealization) -> np.ndarray:
     """Stack the per-element rank-1 reflected channels and the direct link.
 
     Returns Gamma of shape (L, (M+1)*K) with block m equal to
-    g_m @ H_r[m, :] for m <= M and the last block equal to H_d.
+    g_m @ H_r[m, :] for m <= M and the last block equal to H_d.  Leading
+    (trial) axes of the realization broadcast: each gets its own Gamma.
     """
-    l, m = ch.g.shape
-    m_r, k = ch.h_r.shape
-    if m_r != m or ch.h_d.shape != (l, k):
+    *lead, l, m = ch.g.shape
+    k = ch.h_r.shape[-1]
+    if ch.h_r.shape != (*lead, m, k) or ch.h_d.shape != (*lead, l, k):
         raise DimensionMismatch(
             f"inconsistent shapes: g {ch.g.shape}, h_r {ch.h_r.shape}, h_d {ch.h_d.shape}"
         )
-    # (M, L, K) stack of outer products, then flatten to block columns.
-    blocks = ch.g.T[:, :, None] * ch.h_r[:, None, :]
-    gamma = np.empty((l, (m + 1) * k), dtype=complex)
-    gamma[:, : m * k] = np.transpose(blocks, (1, 0, 2)).reshape(l, m * k)
-    gamma[:, m * k :] = ch.h_d
+    # (..., M, L, K) stack of outer products, then flatten to block columns.
+    blocks = np.swapaxes(ch.g, -1, -2)[..., None] * ch.h_r[..., :, None, :]
+    gamma = np.empty((*lead, l, (m + 1) * k), dtype=complex)
+    gamma[..., : m * k] = np.swapaxes(blocks, -3, -2).reshape(*lead, l, m * k)
+    gamma[..., m * k :] = ch.h_d
     return gamma
 
 

@@ -164,6 +164,16 @@ class TestGrouping:
         assert np.allclose(combined[:, :k], gamma[:, :k] + gamma[:, k : 2 * k])
         assert np.allclose(combined[:, 2 * k :], gamma[:, 4 * k :])
 
+    def test_combine_gamma_broadcasts_over_trials(self, rng):
+        g = group_reduce(6, 3)
+        k, l = 2, 3
+        shape = (4, l, 7 * k)
+        gamma = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        combined = g.combine_gamma(gamma, k)
+        assert combined.shape == (4, l, 3 * k)
+        for t in range(4):
+            assert np.array_equal(combined[t], g.combine_gamma(gamma[t], k))
+
     def test_invalid_grouping(self):
         with pytest.raises(InvalidGrouping):
             group_reduce(8, 3)

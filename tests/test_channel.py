@@ -10,6 +10,7 @@ from risce.channel import (
     cascaded_correlation,
     coloring_factor,
     complex_gaussian,
+    complex_gaussians,
     exp_correlation,
     grouped_cascaded_correlation,
     sample_channels,
@@ -38,6 +39,36 @@ class TestExpCorrelation:
             CorrelationSpec(psi_ue=1.0)
 
 
+def _two_draws(rng, shape):
+    """CN(0, 1) samples as two real normal draws, the form the sweep's streams fix."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+
+class TestComplexGaussian:
+    @pytest.mark.parametrize("shape", [(1,), (3,), (2, 5), (16, 84), (4, 3, 2)])
+    def test_one_draw_matches_two_draws_bit_for_bit(self, shape):
+        for seed in (0, 7, np.random.SeedSequence([3, 1, 4, 1])):
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = complex_gaussian(rng, shape)
+            assert got.shape == shape and got.dtype == complex
+            assert np.array_equal(got, _two_draws(twin, shape))
+            # Both generators end in the same state, so later draws agree.
+            assert rng.bit_generator.state == twin.bit_generator.state
+            assert np.array_equal(rng.standard_normal(5), twin.standard_normal(5))
+
+    def test_block_rows_match_a_draw_per_shape(self):
+        shapes = ((4, 3), (2, 4), (2, 3))
+        seeds = [np.random.SeedSequence([5, t]) for t in range(3)]
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        blocks = complex_gaussians(rngs, shapes)
+        for t, (seed, rng) in enumerate(zip(seeds, rngs)):
+            twin = np.random.default_rng(seed)
+            for block, shape in zip(blocks, shapes):
+                assert block.shape == (len(seeds), *shape)
+                assert np.array_equal(block[t], _two_draws(twin, shape))
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+
 class TestSampleChannels:
     CFG = SystemConfig(k=3, m=4, l=2, b=5, tau=3)
 
@@ -63,6 +94,18 @@ class TestSampleChannels:
             assert np.array_equal(ch.h_r, s_ris @ bar[0] @ s_ue.T)
             assert np.array_equal(ch.g, s_bs @ bar[1] @ s_ris.T)
             assert np.array_equal(ch.h_d, s_bs @ bar[2] @ s_ue.T)
+
+    def test_seed_list_stacks_the_per_seed_draws(self):
+        cfg = SystemConfig(k=2, m=5, l=3)
+        corr = CorrelationSpec()
+        seeds = [np.random.SeedSequence([8, t, 0]) for t in range(5)]
+        block = sample_channels(seeds, cfg, corr)
+        assert block.g.shape == (5, 3, 5) and block.h_r.shape == (5, 5, 2)
+        for t, seed in enumerate(seeds):
+            one = sample_channels(seed, cfg, corr)
+            assert np.array_equal(block.g[t], one.g)
+            assert np.array_equal(block.h_r[t], one.h_r)
+            assert np.array_equal(block.h_d[t], one.h_d)
 
     def test_cached_factor_is_read_only(self):
         factor = coloring_factor(4, 0.4)
@@ -140,6 +183,20 @@ class TestCascadedChannel:
         )
         with pytest.raises(DimensionMismatch):
             cascaded_channel(bad)
+        stacks = ChannelRealization(
+            g=np.zeros((3, 2, 3)), h_r=np.zeros((2, 3, 2)), h_d=np.zeros((3, 2, 2))
+        )
+        with pytest.raises(DimensionMismatch):
+            cascaded_channel(stacks)
+
+    def test_trial_axis_broadcasts(self):
+        cfg = SystemConfig(k=3, m=4, l=2)
+        seeds = [np.random.SeedSequence([6, t]) for t in range(4)]
+        block = cascaded_channel(sample_channels(seeds, cfg, CorrelationSpec()))
+        assert block.shape == (4, 2, 5 * 3)
+        for t, seed in enumerate(seeds):
+            one = cascaded_channel(sample_channels(seed, cfg, CorrelationSpec()))
+            assert np.array_equal(block[t], one)
 
 
 class TestCascadedCorrelation:

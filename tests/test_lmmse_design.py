@@ -23,7 +23,7 @@ from risce.channel import (
     kronecker_factors,
 )
 from risce.errors import DimensionMismatch
-from risce.ls_design import design_ls
+from risce.ls_design import design_ls, dft_training
 from risce.lmmse_design import (
     SAFETY_MARGIN,
     TrainingTerms,
@@ -377,6 +377,22 @@ class TestDesignLmmse:
             v1 = update_pattern(_pattern_terms(state, x1), model)
             j1 = mse_lmmse(v1, x1, f, 1.0, 4)
             assert j1 <= j0 + 1e-10
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="known limit: from about 30 dB the plain-MM LMMSE design stops "
+                              "after one round near its naive start (CHANGES.md FOUND)")
+    def test_high_snr_design_is_not_worse_than_the_ls_pattern(self):
+        # Desk profile at 30 dB.  The joint design must do at least as well as
+        # the LS design's pattern with DFT training, scored by the same J.  It
+        # stops after one round at J = 0.036908, against 0.027074.
+        cfg = SystemConfig(k=2, m=8, l=4, power=np.full(2, 10.0 ** 3.0))
+        r = cascaded_correlation(CORR, cfg.m, cfg.k, cfg.l)
+        f = kronecker_factors(r, cfg.k)
+        model = ReflectionModel()
+        x, v, _ = design_lmmse(cfg, model, r, accelerate=False)
+        v_ls, _ = design_ls(cfg, model, accelerate=False)
+        x_dft = dft_training(cfg.k, cfg.tau, cfg.power)
+        assert mse_lmmse(v.v, x.x, f, 1.0, cfg.l) <= mse_lmmse(v_ls.v, x_dft.x, f, 1.0, cfg.l)
 
 
 class TestEigenSolveCount:

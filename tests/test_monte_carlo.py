@@ -81,7 +81,10 @@ def sweeps(draw):
         schemes.append(SchemeId.PROPOSED_GROUPED)
     return ExperimentConfig(
         k=k, m=m, l=draw(st.integers(1, 3)), b=b, tau=k + draw(st.integers(0, 1)),
-        trials=2, snr_db=(0.0, 10.0), seed=draw(st.integers(0, 2**32 - 1)),
+        # Trial counts below, at and across the block size, so a partial
+        # last block is covered.
+        trials=draw(st.integers(1, 2 * experiments.TRIAL_BLOCK + 1)),
+        snr_db=(0.0, 10.0), seed=draw(st.integers(0, 2**32 - 1)),
         estimator=draw(st.sampled_from(["ls", "lmmse"])), schemes=tuple(schemes),
         rho=rho, max_iter=3,
     )
@@ -99,3 +102,29 @@ def test_sweep_matches_per_trial_oracle_and_reproduces(cfg):
         want = _per_trial_nmse(cfg, cells[(row.scheme, si)], si, row.trial)
         assert row.empirical_nmse == pytest.approx(want, rel=1e-12, abs=0.0)
     assert _outputs(run_sweep(cfg)) == _outputs(rows)
+
+
+@pytest.mark.parametrize("trials", [1, experiments.TRIAL_BLOCK, 2 * experiments.TRIAL_BLOCK + 3])
+def test_trials_run_in_blocks(monkeypatch, trials):
+    # Each cell draws and receives its trials in ceil(trials / TRIAL_BLOCK)
+    # stacks of at most TRIAL_BLOCK, a few trials, so memory does not grow
+    # with --trials.
+    assert 2 <= experiments.TRIAL_BLOCK <= 16
+    stacks = []
+    real_sample, real_receive = experiments.sample_channels, system.simulate_reception
+
+    def sample(seeds, *args):
+        stacks.append(("channel", len(seeds)))
+        return real_sample(seeds, *args)
+
+    def receive(gamma, s, sigma2, seeds):
+        stacks.append(("noise", len(seeds)))
+        return real_receive(gamma, s, sigma2, seeds)
+    monkeypatch.setattr(experiments, "sample_channels", sample)
+    monkeypatch.setattr(system, "simulate_reception", receive)
+    cfg = ExperimentConfig(**dict(DESK, trials=trials), schemes=(SchemeId.NAIVE,))
+    run_sweep(cfg)
+    full, last = divmod(trials, experiments.TRIAL_BLOCK)
+    sizes = [experiments.TRIAL_BLOCK] * full + ([last] if last else [])
+    per_cell = [(kind, n) for n in sizes for kind in ("channel", "noise")]
+    assert stacks == per_cell * len(cfg.snr_db)

@@ -160,6 +160,28 @@ class TestSimulateReception:
             simulate_reception(gamma, s, 1.0, 11), simulate_reception(gamma, s, 1.0, 11)
         )
 
+    def test_seed_list_receives_each_trial_with_its_own_noise(self, rng):
+        shape = (5, 3, 8)
+        gamma = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        s = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
+        seeds = [np.random.SeedSequence([4, t, 1]) for t in range(5)]
+        y = simulate_reception(gamma, s, 0.7, seeds)
+        assert y.shape == (5, 3, 6)
+        for t, seed in enumerate(seeds):
+            # One (5 * 3) x 8 product against five 3 x 8 ones: equal up to
+            # the BLAS kernel's rounding.
+            one = simulate_reception(gamma[t], s, 0.7, seed)
+            assert np.max(np.abs(y[t] - one)) <= 1e-14 * np.max(np.abs(one))
+
+    def test_seed_count_must_match_the_trials(self, rng):
+        gamma = np.zeros((3, 2, 4), dtype=complex)
+        s = np.eye(4)
+        seeds = [np.random.SeedSequence([t]) for t in range(2)]
+        with pytest.raises(DimensionMismatch):
+            simulate_reception(gamma, s, 1.0, seeds)
+        with pytest.raises(DimensionMismatch):   # a stack needs a list of seeds
+            simulate_reception(gamma, s, 1.0, 0)
+
     @pytest.mark.parametrize("sigma2", [np.nan, np.inf, -1.0])
     def test_bad_noise_variance_rejected(self, rng, sigma2):
         gamma = rng.standard_normal((2, 4)).astype(complex)
