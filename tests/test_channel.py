@@ -106,6 +106,9 @@ class TestSampleChannels:
             assert np.array_equal(block.g[t], one.g)
             assert np.array_equal(block.h_r[t], one.h_r)
             assert np.array_equal(block.h_d[t], one.h_d)
+        # A list of ints is still the entropy of one seed.
+        one = sample_channels([8, 0], cfg, corr)
+        assert np.array_equal(one.g, sample_channels(np.random.SeedSequence([8, 0]), cfg, corr).g)
 
     def test_cached_factor_is_read_only(self):
         factor = coloring_factor(4, 0.4)
