@@ -39,11 +39,11 @@ class CorrelationSpec:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One draw of the RIS-BS, UE-RIS and UE-BS channels."""
+    """T draws of the RIS-BS, UE-RIS and UE-BS channels."""
 
-    g: np.ndarray      # (L, M)
-    h_r: np.ndarray    # (M, K)
-    h_d: np.ndarray    # (L, K)
+    g: np.ndarray      # (T, L, M)
+    h_r: np.ndarray    # (T, M, K)
+    h_d: np.ndarray    # (T, L, K)
 
 
 class KroneckerFactors(NamedTuple):
@@ -102,50 +102,24 @@ def complex_gaussians(rngs, shapes) -> list[np.ndarray]:
     return [block.reshape(-1, *shape) for block, shape in zip(blocks, shapes)]
 
 
-def complex_gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """i.i.d. CN(0, 1) samples of one shape: :func:`complex_gaussians` of one generator."""
-    return complex_gaussians([rng], [shape])[0][0]
+def sample_channels(seeds, config: SystemConfig, corr: CorrelationSpec) -> ChannelRealization:
+    """Draw one correlated Rayleigh realization per seed, each deterministic per its seed.
 
-
-def seed_block(rng_seed) -> tuple[list, bool]:
-    """(seeds, stacked): a list of SeedSequences seeds one trial each of a block.
-
-    Anything else is one seed for np.random.default_rng, a block of one trial
-    whose results the caller returns without the leading trial axis.
+    seeds is a sequence of anything np.random.default_rng accepts; trial t
+    draws from its own generator of seeds[t], so every matrix has a leading
+    trial axis.  Coloring uses the symmetric square roots: H_r = R^(1/2)
+    Hbar U^(T/2), G = B^(1/2) Gbar R^(T/2), H_d = B^(1/2) Dbar U^(T/2) with
+    i.i.d. CN(0,1) bar-matrices drawn in that fixed order.  The square roots
+    come from :func:`coloring_factor`'s cache.
     """
-    stacked = isinstance(rng_seed, list) and all(
-        isinstance(seed, np.random.SeedSequence) for seed in rng_seed)
-    return (rng_seed, True) if stacked else ([rng_seed], False)
-
-
-def sample_channels(
-    rng_seed,
-    config: SystemConfig,
-    corr: CorrelationSpec,
-) -> ChannelRealization:
-    """Draw one correlated Rayleigh realization, deterministic per seed.
-
-    Coloring uses the symmetric square roots: H_r = R^(1/2) Hbar U^(T/2),
-    G = B^(1/2) Gbar R^(T/2), H_d = B^(1/2) Dbar U^(T/2) with i.i.d. CN(0,1)
-    bar-matrices drawn in that fixed order.  The square roots come from
-    :func:`coloring_factor`'s cache.  A list of T SeedSequences
-    (:func:`seed_block`) draws T trials, each from its own stream, and colors
-    them together: every matrix then has a leading trial axis.
-    """
-    seeds, stacked = seed_block(rng_seed)
     s_ue = coloring_factor(config.k, corr.psi_ue)
     s_ris = coloring_factor(config.m, corr.psi_ris)
     s_bs = coloring_factor(config.l, corr.psi_bs)
-
     h_bar, g_bar, d_bar = complex_gaussians(
         [np.random.default_rng(seed) for seed in seeds],
         ((config.m, config.k), (config.l, config.m), (config.l, config.k)))
-    h_r = s_ris @ h_bar @ s_ue.T
-    g = s_bs @ g_bar @ s_ris.T
-    h_d = s_bs @ d_bar @ s_ue.T
-    if not stacked:
-        g, h_r, h_d = g[0], h_r[0], h_d[0]
-    return ChannelRealization(g=g, h_r=h_r, h_d=h_d)
+    return ChannelRealization(g=s_bs @ g_bar @ s_ris.T, h_r=s_ris @ h_bar @ s_ue.T,
+                              h_d=s_bs @ d_bar @ s_ue.T)
 
 
 def cascaded_channel(ch: ChannelRealization) -> np.ndarray:

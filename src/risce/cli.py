@@ -118,6 +118,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def write_csv(path: str, header, rows) -> None:
     lines = [",".join(header)]
     for row in rows:
@@ -126,7 +133,7 @@ def write_csv(path: str, header, rows) -> None:
     if path == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        _write_text(path, text)
 
 
 def write_plot_data(path: str, rows) -> None:
@@ -148,7 +155,7 @@ def write_plot_data(path: str, rows) -> None:
             out.append(f"{_fmt(snr)} {_fmt(analytic[snr])} {_fmt(mean)}")
         out.append("")
         out.append("")
-    Path(path).write_text("\n".join(out))
+    _write_text(path, "\n".join(out))
 
 
 def _add_common_args(parser: argparse.ArgumentParser) -> None:

@@ -9,8 +9,8 @@ block, so each (scheme, SNR) cell builds its estimator W once, through the
 public system.estimate_ls / estimate_lmmse.  The cell's trials then run in
 blocks of TRIAL_BLOCK: each trial still draws from its own channel and noise
 streams, and the block colors, cascades, receives (one (block L) x n product
-Gamma S) and applies W (one product Y W) together, through the same
-sample_channels, cascaded_channel and simulate_reception a single trial uses.
+Gamma S) and applies W (one product Y W) together, through sample_channels,
+cascaded_channel and simulate_reception, which take a block of trials.
 Output rows are emitted in deterministic (scheme, SNR, trial) order.
 """
 
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -167,7 +168,7 @@ class CellDesign:
     r_gamma: np.ndarray
     grouping: ElementGrouping | None = None
 
-    @property
+    @cached_property
     def s(self) -> np.ndarray:
         return build_S(self.pattern, self.training)
 

@@ -85,19 +85,12 @@ def ideal_model() -> ReflectionModel:
 def amplitude_of_phase(theta, model: ReflectionModel):
     """Reflection amplitude beta(theta); accepts scalars or arrays."""
     s = (np.sin(np.asarray(theta, dtype=float) - model.delta) + 1.0) / 2.0
-    out = (1.0 - model.beta_min) * s**model.alpha + model.beta_min
-    if np.isscalar(theta):
-        return float(out)
-    return out
+    return (1.0 - model.beta_min) * s**model.alpha + model.beta_min
 
 
 def reflection_coefficient(theta, model: ReflectionModel):
     """Complex reflection coefficient beta(theta) * exp(j*theta)."""
-    amp = amplitude_of_phase(theta, model)
-    out = amp * np.exp(1j * np.asarray(theta, dtype=float))
-    if np.isscalar(theta):
-        return complex(out)
-    return out
+    return amplitude_of_phase(theta, model) * np.exp(1j * np.asarray(theta, dtype=float))
 
 
 def project_to_feasible(z, model: ReflectionModel):
@@ -106,11 +99,7 @@ def project_to_feasible(z, model: ReflectionModel):
     z = 0 maps to phase 0 by convention (np.angle(0) == 0).  Accepts scalars
     or arrays; the projection is idempotent.
     """
-    theta = np.angle(np.asarray(z, dtype=complex))
-    out = reflection_coefficient(theta, model)
-    if np.isscalar(z) or np.asarray(z).ndim == 0:
-        return complex(out)
-    return out
+    return reflection_coefficient(np.angle(np.asarray(z, dtype=complex)), model)
 
 
 def _phase_cost(q, c, theta, model: ReflectionModel):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .channel import KroneckerFactors, complex_gaussians, seed_block
+from .channel import KroneckerFactors, complex_gaussians
 from .errors import DimensionMismatch
 
 POWER_TOL = 1e-9  # relative: a row on its budget meets P_k only to rounding
@@ -74,28 +74,26 @@ def build_S(pattern: ReflectionPattern, training: TrainingMatrix) -> np.ndarray:
     return np.kron(pattern.v, training.x)
 
 
-def simulate_reception(gamma: np.ndarray, s: np.ndarray, sigma2: float, rng_seed) -> np.ndarray:
-    """Received training block Y = Gamma S + Z with i.i.d. CN(0, sigma2) noise.
+def simulate_reception(gamma: np.ndarray, s: np.ndarray, sigma2: float, seeds) -> np.ndarray:
+    """Received training blocks Y = Gamma S + Z with i.i.d. CN(0, sigma2) noise.
 
-    With a list of T SeedSequences (:func:`~risce.channel.seed_block`),
-    gamma is a (T, L, n) stack of trials: Gamma S is one (T L) x n product,
-    and trial t's noise comes from its own seed.
+    gamma is a (T, L, n) stack of trials and seeds a sequence of T seeds for
+    np.random.default_rng: Gamma S is one (T L) x n product, and trial t's
+    noise comes from seeds[t].
     """
-    seeds, stacked = seed_block(rng_seed)
-    block = gamma if stacked else gamma[None]
-    if block.ndim != 3 or block.shape[0] != len(seeds) or block.shape[2] != s.shape[0]:
+    if gamma.ndim != 3 or gamma.shape[0] != len(seeds) or gamma.shape[2] != s.shape[0]:
         raise DimensionMismatch(
             f"Gamma {gamma.shape} does not match S {s.shape} and {len(seeds)} seed(s)")
     if not (np.isfinite(sigma2) and sigma2 >= 0.0):
         raise ValueError(f"noise variance must be finite and >= 0, got {sigma2}")
-    y = (block.reshape(-1, s.shape[0]) @ s).reshape(*block.shape[:2], s.shape[1])
+    y = (gamma.reshape(-1, s.shape[0]) @ s).reshape(*gamma.shape[:2], s.shape[1])
     if sigma2 > 0.0:
         [noise] = complex_gaussians([np.random.default_rng(seed) for seed in seeds],
                                     [y.shape[1:]])
         noise *= np.sqrt(sigma2)
         y = y.astype(complex, copy=False)
         y += noise
-    return y if stacked else y[0]
+    return y
 
 
 def estimate_ls(y: np.ndarray, s: np.ndarray) -> np.ndarray:

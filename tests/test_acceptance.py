@@ -335,11 +335,11 @@ def test_c9_estimator_consistency():
     n_trials = 10_000
 
     analytic_ls = mse_ls(s, 1.0, 4)
-    gamma = cascaded_channel(sample_channels(0, DESK, CORR))
+    gamma = cascaded_channel(sample_channels([0], DESK, CORR))
     acc = 0.0
     for t in range(n_trials):
-        y = simulate_reception(gamma, s, 1.0, np.random.SeedSequence([91, t]))
-        acc += float(np.sum(np.abs(estimate_ls(y, s) - gamma) ** 2))
+        [y] = simulate_reception(gamma, s, 1.0, [np.random.SeedSequence([91, t])])
+        acc += float(np.sum(np.abs(estimate_ls(y, s) - gamma[0]) ** 2))
     ratio_ls = acc / n_trials / analytic_ls
     assert abs(ratio_ls - 1.0) < 0.03
 
@@ -347,10 +347,10 @@ def test_c9_estimator_consistency():
     acc = 0.0
     for t in range(n_trials):
         gamma = cascaded_channel(
-            sample_channels(np.random.SeedSequence([92, t]), DESK, CORR)
+            sample_channels([np.random.SeedSequence([92, t])], DESK, CORR)
         )
-        y = simulate_reception(gamma, s, 1.0, np.random.SeedSequence([93, t]))
-        acc += float(np.sum(np.abs(estimate_lmmse(y, s, R_DESK, 1.0, 4) - gamma) ** 2))
+        [y] = simulate_reception(gamma, s, 1.0, [np.random.SeedSequence([93, t])])
+        acc += float(np.sum(np.abs(estimate_lmmse(y, s, R_DESK, 1.0, 4) - gamma[0]) ** 2))
     ratio_lm = acc / n_trials / analytic_lm
     assert abs(ratio_lm - 1.0) < 0.03
     _report("criterion-9 estimator-consistency",

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from risce.channel import (
     ChannelRealization,
@@ -9,7 +10,6 @@ from risce.channel import (
     cascaded_channel,
     cascaded_correlation,
     coloring_factor,
-    complex_gaussian,
     complex_gaussians,
     exp_correlation,
     grouped_cascaded_correlation,
@@ -49,7 +49,7 @@ class TestComplexGaussian:
     def test_one_draw_matches_two_draws_bit_for_bit(self, shape):
         for seed in (0, 7, np.random.SeedSequence([3, 1, 4, 1])):
             rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = complex_gaussian(rng, shape)
+            [got] = complex_gaussians([rng], [shape])[0]
             assert got.shape == shape and got.dtype == complex
             assert np.array_equal(got, _two_draws(twin, shape))
             # Both generators end in the same state, so later draws agree.
@@ -74,8 +74,8 @@ class TestSampleChannels:
 
     def test_deterministic(self):
         corr = CorrelationSpec()
-        a = sample_channels(42, self.CFG, corr)
-        b = sample_channels(42, self.CFG, corr)
+        a = sample_channels([42], self.CFG, corr)
+        b = sample_channels([42], self.CFG, corr)
         assert np.array_equal(a.g, b.g)
         assert np.array_equal(a.h_r, b.h_r)
         assert np.array_equal(a.h_d, b.h_d)
@@ -88,27 +88,47 @@ class TestSampleChannels:
         corr = CorrelationSpec(*psi)
         s_ue, s_ris, s_bs = (sqrt_psd(exp_correlation(n, p)) for n, p in zip((k, m, l), psi))
         for seed in (0, 7, np.random.SeedSequence([3, 1, 4, 0])):
-            ch = sample_channels(seed, cfg, corr)
+            ch = sample_channels([seed], cfg, corr)
             rng = np.random.default_rng(seed)
-            bar = [complex_gaussian(rng, shape) for shape in ((m, k), (l, m), (l, k))]
-            assert np.array_equal(ch.h_r, s_ris @ bar[0] @ s_ue.T)
-            assert np.array_equal(ch.g, s_bs @ bar[1] @ s_ris.T)
-            assert np.array_equal(ch.h_d, s_bs @ bar[2] @ s_ue.T)
+            bar = [_two_draws(rng, shape) for shape in ((m, k), (l, m), (l, k))]
+            assert np.array_equal(ch.h_r[0], s_ris @ bar[0] @ s_ue.T)
+            assert np.array_equal(ch.g[0], s_bs @ bar[1] @ s_ris.T)
+            assert np.array_equal(ch.h_d[0], s_bs @ bar[2] @ s_ue.T)
 
-    def test_seed_list_stacks_the_per_seed_draws(self):
-        cfg = SystemConfig(k=2, m=5, l=3)
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(1, 4), m=st.integers(1, 6), l=st.integers(1, 5),
+           trials=st.integers(1, 12), data=st.data(), entropy=st.integers(0, 2**32 - 1))
+    def test_seed_list_stacks_the_per_seed_draws(self, k, m, l, trials, data, entropy):
+        # A block's rows are those of the same seeds split into two blocks,
+        # bit for bit, and those of one-trial blocks: the sweep's rows do not
+        # depend on how its trials are blocked.
+        cfg = SystemConfig(k=k, m=m, l=l)
         corr = CorrelationSpec()
-        seeds = [np.random.SeedSequence([8, t, 0]) for t in range(5)]
+        seeds = [np.random.SeedSequence([entropy, t, 0]) for t in range(trials)]
+        split = data.draw(st.integers(0, trials), label="split")
         block = sample_channels(seeds, cfg, corr)
-        assert block.g.shape == (5, 3, 5) and block.h_r.shape == (5, 5, 2)
-        for t, seed in enumerate(seeds):
-            one = sample_channels(seed, cfg, corr)
-            assert np.array_equal(block.g[t], one.g)
-            assert np.array_equal(block.h_r[t], one.h_r)
-            assert np.array_equal(block.h_d[t], one.h_d)
-        # A list of ints is still the entropy of one seed.
-        one = sample_channels([8, 0], cfg, corr)
-        assert np.array_equal(one.g, sample_channels(np.random.SeedSequence([8, 0]), cfg, corr).g)
+        assert block.g.shape == (trials, l, m) and block.h_r.shape == (trials, m, k)
+        assert block.h_d.shape == (trials, l, k)
+        head = sample_channels(seeds[:split], cfg, corr)
+        tail = sample_channels(seeds[split:], cfg, corr)
+        for name in ("g", "h_r", "h_d"):
+            rows = getattr(block, name)
+            assert np.array_equal(rows, np.concatenate([getattr(head, name), getattr(tail, name)]))
+            for t, seed in enumerate(seeds):
+                assert np.array_equal(rows[t], getattr(sample_channels([seed], cfg, corr), name)[0])
+
+    @pytest.mark.parametrize("seed", [0, 8, np.int64(3), np.random.SeedSequence([8, 0])])
+    def test_bare_seed_is_rejected(self, seed):
+        # One seed is not a block of trials; nothing reads it as one.
+        with pytest.raises(TypeError):
+            sample_channels(seed, self.CFG, CorrelationSpec())
+
+    def test_int_seeds_are_one_trial_each(self):
+        block = sample_channels([8, 0], self.CFG, CorrelationSpec())
+        assert block.g.shape[0] == 2
+        for t, seed in enumerate((8, 0)):
+            one = sample_channels([np.random.SeedSequence(seed)], self.CFG, CorrelationSpec())
+            assert np.array_equal(block.g[t], one.g[0])
 
     def test_cached_factor_is_read_only(self):
         factor = coloring_factor(4, 0.4)
@@ -120,8 +140,7 @@ class TestSampleChannels:
 
     def test_white_case_unit_variance(self):
         corr = CorrelationSpec(psi_ue=0.0, psi_ris=0.0, psi_bs=0.0)
-        samples = [sample_channels(s, self.CFG, corr) for s in range(1500)]
-        h = np.stack([s.h_r for s in samples])  # ~1.8e4 scalar samples
+        h = sample_channels(range(1500), self.CFG, corr).h_r  # ~1.8e4 scalar samples
         assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, abs=0.05)
         # distinct entries uncorrelated
         prod = np.mean(h[:, 0, 0] * np.conj(h[:, 1, 1]))
@@ -129,21 +148,16 @@ class TestSampleChannels:
 
     def test_adjacent_ris_rows_correlation(self):
         corr = CorrelationSpec(psi_ue=0.0, psi_ris=0.4, psi_bs=0.0)
-        acc = 0.0
         n = 30_000  # x K entries each, ~1e5 scalar samples
-        for s in range(n):
-            h = sample_channels(s, self.CFG, corr).h_r
-            acc += np.mean(h[0] * np.conj(h[1])).real
-        assert acc / n == pytest.approx(0.4, abs=0.05)
+        h = sample_channels(range(n), self.CFG, corr).h_r
+        assert np.mean(h[:, 0] * np.conj(h[:, 1])).real == pytest.approx(0.4, abs=0.05)
 
     def test_coloring_covariance_spot_check(self, rng):
         corr = CorrelationSpec(psi_ue=0.3, psi_ris=0.5, psi_bs=0.0)
         target = np.kron(exp_correlation(self.CFG.k, 0.3), exp_correlation(self.CFG.m, 0.5))
         n = 8000
-        vecs = np.stack([
-            sample_channels(s, self.CFG, corr).h_r.reshape(-1, order="F")
-            for s in range(n)
-        ])
+        h_r = sample_channels(range(n), self.CFG, corr).h_r
+        vecs = np.swapaxes(h_r, 1, 2).reshape(n, -1)   # each trial's H_r, column-major
         dim = vecs.shape[1]
         for _ in range(10):
             i, j = rng.integers(0, dim, 2)
@@ -162,22 +176,21 @@ class TestCascadedChannel:
 
     def test_blocks_are_rank_one(self, rng):
         cfg = SystemConfig(k=3, m=4, l=5, b=5, tau=3)
-        ch = sample_channels(0, cfg, CorrelationSpec())
-        gamma = cascaded_channel(ch)
+        gamma = cascaded_channel(sample_channels([0], cfg, CorrelationSpec()))[0]
         for m in range(4):
             block = gamma[:, m * 3 : (m + 1) * 3]
             assert np.linalg.matrix_rank(block, tol=1e-10) <= 1
 
     def test_matches_loop_oracle(self):
         cfg = SystemConfig(k=2, m=2, l=2, b=3, tau=2)
-        ch = sample_channels(3, cfg, CorrelationSpec())
+        ch = sample_channels([3], cfg, CorrelationSpec())
         gamma = cascaded_channel(ch)
-        oracle = np.zeros((2, 6), dtype=complex)
+        oracle = np.zeros((1, 2, 6), dtype=complex)
         for m in range(2):
             for l in range(2):
                 for k in range(2):
-                    oracle[l, m * 2 + k] = ch.g[l, m] * ch.h_r[m, k]
-        oracle[:, 4:] = ch.h_d
+                    oracle[0, l, m * 2 + k] = ch.g[0, l, m] * ch.h_r[0, m, k]
+        oracle[0, :, 4:] = ch.h_d[0]
         assert np.allclose(gamma, oracle)
 
     def test_dimension_mismatch(self):
@@ -198,8 +211,8 @@ class TestCascadedChannel:
         block = cascaded_channel(sample_channels(seeds, cfg, CorrelationSpec()))
         assert block.shape == (4, 2, 5 * 3)
         for t, seed in enumerate(seeds):
-            one = cascaded_channel(sample_channels(seed, cfg, CorrelationSpec()))
-            assert np.array_equal(block[t], one)
+            one = cascaded_channel(sample_channels([seed], cfg, CorrelationSpec()))
+            assert np.array_equal(block[t], one[0])
 
 
 class TestCascadedCorrelation:
@@ -228,12 +241,9 @@ class TestCascadedCorrelation:
         corr = CorrelationSpec(psi_ue=0.2, psi_ris=0.4, psi_bs=0.6)
         cfg = SystemConfig(k=2, m=3, l=4, b=4, tau=2)
         analytic = cascaded_correlation(corr, m=3, k=2, l=4)
-        acc = np.zeros_like(analytic, dtype=complex)
         n = 30_000
-        for s in range(n):
-            gamma = cascaded_channel(sample_channels(s, cfg, corr))
-            acc += gamma.conj().T @ gamma
-        est = acc / n
+        gamma = cascaded_channel(sample_channels(range(n), cfg, corr))
+        est = np.einsum("tli,tlj->ij", gamma.conj(), gamma) / n
         # entrywise within +-5% of L
         assert np.max(np.abs(est - analytic)) < 0.05 * 4
 

@@ -241,6 +241,16 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 2  # trials overridden to 1, two SNRs
 
+    @pytest.mark.parametrize("flag", ["--output", "--plot-data"])
+    def test_unwritable_output_is_a_config_error(self, tmp_path, capsys, flag):
+        path = tmp_path / "missing" / "out.dat"
+        # With --output twice, the last one is the CSV's path.
+        rc = main(["sweep", "--analytic-only", "--scheme", "naive", "--output", "-",
+                   flag, str(path)])
+        assert rc == 2
+        assert f"config error: cannot write {path}" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_bad_config_file_reports_line(self, tmp_path):
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text("m = 3\nwhat\n")
@@ -411,12 +421,18 @@ def test_public_names_resolve():
 
 
 def test_readme_quick_start_runs(capsys):
-    # The README's library example runs as written and prints two finite,
-    # positive NMSEs.
+    # Every Python example in the README runs as written, each on its own.
+    # The design example prints two finite, positive NMSEs; the Monte Carlo
+    # one an empirical LS NMSE within 5% of the analytic one.
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
-    exec(compile(block, "README.md", "exec"), {})
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 2
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
     out = capsys.readouterr().out
     values = [float(v) for v in re.findall(r"^(?:LS|LMMSE) NMSE: (\S+)$", out, flags=re.M)]
     assert len(values) == 2
     assert all(np.isfinite(v) and v > 0.0 for v in values)
+    [(empirical, analytic)] = re.findall(
+        r"^Monte Carlo LS NMSE: (\S+) analytic: (\S+)$", out, flags=re.M)
+    assert float(empirical) == pytest.approx(float(analytic), rel=0.05)

@@ -48,18 +48,18 @@ def _per_trial_nmse(cfg, cell, si, trial):
     """One trial estimated on its own received block, as an oracle."""
     ch_seed = np.random.SeedSequence([cfg.seed, si, trial, 0])
     noise_seed = np.random.SeedSequence([cfg.seed, si, trial, 1])
-    gamma = cascaded_channel(sample_channels(ch_seed, cfg.system(cfg.snr_db[si]), cfg.corr))
+    gamma = cascaded_channel(sample_channels([ch_seed], cfg.system(cfg.snr_db[si]), cfg.corr))
     m_eff = cfg.m
     if cell.grouping is not None:
         gamma = cell.grouping.combine_gamma(gamma, cfg.k)
         m_eff = cell.grouping.m_grouped
     s = cell.s
-    y = system.simulate_reception(gamma, s, cfg.sigma2, noise_seed)
+    [y] = system.simulate_reception(gamma, s, cfg.sigma2, [noise_seed])
     if cfg.estimator == "ls":
         gamma_hat = system.estimate_ls(y, s)
     else:
         gamma_hat = system.estimate_lmmse(y, s, cell.r_gamma, cfg.sigma2, cfg.l)
-    err = float(np.sum(np.abs(gamma_hat - gamma) ** 2))
+    err = float(np.sum(np.abs(gamma_hat - gamma[0]) ** 2))
     return system.nmse(err, cfg.l, cfg.k, m_eff)
 
 

@@ -136,6 +136,22 @@ class TestProjection:
         assert out.shape == z.shape
         assert out[0, 1] == pytest.approx(project_to_feasible(0j, model))
 
+    def test_scalar_input_gives_a_numpy_scalar(self, model):
+        # The array code path: a 0-d input gives a numpy scalar (a float or
+        # complex subclass) with the array's entry as its value.
+        z = np.array([1.0 + 1j, 0.0, -2.0])
+        for entry, want in zip(z, project_to_feasible(z, model)):
+            for scalar in (complex(entry), entry, np.asarray(entry)):
+                got = project_to_feasible(scalar, model)
+                assert type(got) is np.complex128 and got == pytest.approx(want, rel=1e-15)
+        thetas = np.angle(z)
+        for theta, beta, phi in zip(thetas, amplitude_of_phase(thetas, model),
+                                    reflection_coefficient(thetas, model)):
+            got_beta = amplitude_of_phase(float(theta), model)
+            got_phi = reflection_coefficient(float(theta), model)
+            assert type(got_beta) is np.float64 and got_beta == pytest.approx(beta, rel=1e-15)
+            assert type(got_phi) is np.complex128 and got_phi == pytest.approx(phi, rel=1e-15)
+
 
 class TestPhaseSearch:
     def test_pure_linear_ideal(self):

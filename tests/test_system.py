@@ -143,35 +143,44 @@ class TestBuildS:
 
 class TestSimulateReception:
     def test_noiseless(self, rng):
-        gamma = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+        gamma = rng.standard_normal((1, 3, 8)) + 1j * rng.standard_normal((1, 3, 8))
         s = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
-        assert np.array_equal(simulate_reception(gamma, s, 0.0, 0), gamma @ s)
+        assert np.array_equal(simulate_reception(gamma, s, 0.0, [0]), gamma @ s)
 
     def test_noise_variance(self):
-        gamma = np.zeros((10, 4))
+        gamma = np.zeros((1, 10, 4))
         s = np.zeros((4, 10_000))
-        y = simulate_reception(gamma, s, 0.7, 3)
+        y = simulate_reception(gamma, s, 0.7, [3])
         assert np.mean(np.abs(y) ** 2) == pytest.approx(0.7, rel=0.03)
 
     def test_deterministic(self, rng):
-        gamma = rng.standard_normal((2, 4)).astype(complex)
+        gamma = rng.standard_normal((1, 2, 4)).astype(complex)
         s = rng.standard_normal((4, 4)).astype(complex)
         assert np.array_equal(
-            simulate_reception(gamma, s, 1.0, 11), simulate_reception(gamma, s, 1.0, 11)
+            simulate_reception(gamma, s, 1.0, [11]), simulate_reception(gamma, s, 1.0, [11])
         )
 
-    def test_seed_list_receives_each_trial_with_its_own_noise(self, rng):
-        shape = (5, 3, 8)
-        gamma = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        s = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
-        seeds = [np.random.SeedSequence([4, t, 1]) for t in range(5)]
+    @settings(max_examples=40, deadline=None)
+    @given(l=st.integers(1, 5), n=st.integers(1, 9), cols=st.integers(1, 9),
+           trials=st.integers(1, 12), data=st.data(), entropy=st.integers(0, 2**32 - 1))
+    def test_seed_list_receives_each_trial_with_its_own_noise(self, l, n, cols, trials,
+                                                              data, entropy):
+        # A block's rows are those of the same seeds split into two blocks,
+        # and those of one-trial blocks, bit for bit.  Gamma and S hold small
+        # Gaussian integers, so Gamma S is exact however BLAS blocks the
+        # (T L) x n product, and the rows compare each trial's noise.
+        rng = np.random.default_rng(entropy)
+        gamma = rng.integers(-4, 5, (trials, l, n)) + 1j * rng.integers(-4, 5, (trials, l, n))
+        s = rng.integers(-4, 5, (n, cols)) + 1j * rng.integers(-4, 5, (n, cols))
+        seeds = [np.random.SeedSequence([entropy, t, 1]) for t in range(trials)]
+        split = data.draw(st.integers(0, trials), label="split")
         y = simulate_reception(gamma, s, 0.7, seeds)
-        assert y.shape == (5, 3, 6)
+        assert y.shape == (trials, l, cols)
+        head = simulate_reception(gamma[:split], s, 0.7, seeds[:split])
+        tail = simulate_reception(gamma[split:], s, 0.7, seeds[split:])
+        assert np.array_equal(y, np.concatenate([head, tail]))
         for t, seed in enumerate(seeds):
-            # One (5 * 3) x 8 product against five 3 x 8 ones: equal up to
-            # the BLAS kernel's rounding.
-            one = simulate_reception(gamma[t], s, 0.7, seed)
-            assert np.max(np.abs(y[t] - one)) <= 1e-14 * np.max(np.abs(one))
+            assert np.array_equal(y[t], simulate_reception(gamma[t:t + 1], s, 0.7, [seed])[0])
 
     def test_seed_count_must_match_the_trials(self, rng):
         gamma = np.zeros((3, 2, 4), dtype=complex)
@@ -179,15 +188,21 @@ class TestSimulateReception:
         seeds = [np.random.SeedSequence([t]) for t in range(2)]
         with pytest.raises(DimensionMismatch):
             simulate_reception(gamma, s, 1.0, seeds)
-        with pytest.raises(DimensionMismatch):   # a stack needs a list of seeds
-            simulate_reception(gamma, s, 1.0, 0)
+        with pytest.raises(DimensionMismatch):   # one trial without the trial axis
+            simulate_reception(gamma[0], s, 1.0, seeds[:1])
+
+    @pytest.mark.parametrize("seed", [0, np.int64(3), np.random.SeedSequence([4, 1])])
+    def test_bare_seed_is_rejected(self, seed):
+        # One seed is not a block of trials; nothing reads it as one.
+        with pytest.raises(TypeError):
+            simulate_reception(np.zeros((1, 2, 4), dtype=complex), np.eye(4), 1.0, seed)
 
     @pytest.mark.parametrize("sigma2", [np.nan, np.inf, -1.0])
     def test_bad_noise_variance_rejected(self, rng, sigma2):
-        gamma = rng.standard_normal((2, 4)).astype(complex)
+        gamma = rng.standard_normal((1, 2, 4)).astype(complex)
         s = rng.standard_normal((4, 4)).astype(complex)
         with pytest.raises(ValueError, match="noise variance"):
-            simulate_reception(gamma, s, sigma2, 0)
+            simulate_reception(gamma, s, sigma2, [0])
 
 
 class TestEstimators:
@@ -199,7 +214,7 @@ class TestEstimators:
         v = naive_pattern(3, 4, ReflectionModel())
         x = dft_training(2, 2, model_cfg.power)
         s = build_S(v, x)
-        gamma = cascaded_channel(sample_channels(seed, model_cfg, corr))
+        gamma = cascaded_channel(sample_channels([seed], model_cfg, corr))[0]
         r = cascaded_correlation(corr, 3, 2, 4)
         return model_cfg, s, gamma, r
 
@@ -220,7 +235,7 @@ class TestEstimators:
 
     def test_lmmse_zero_prior(self, rng):
         cfg, s, gamma, r = self._setup(rng)
-        y = simulate_reception(gamma, s, 1.0, 5)
+        y = simulate_reception(gamma[None], s, 1.0, [5])[0]
         est = estimate_lmmse(y, s, np.zeros_like(r), 1.0, 4)
         assert np.allclose(est, 0.0)
 
@@ -234,7 +249,8 @@ class TestEstimators:
         cfg, s, gamma, _ = self._setup(rng)
         analytic = mse_ls(s, 1.0, 4)
         errs = [
-            np.sum(np.abs(estimate_ls(simulate_reception(gamma, s, 1.0, t), s) - gamma) ** 2)
+            np.sum(np.abs(estimate_ls(simulate_reception(gamma[None], s, 1.0, [t])[0], s)
+                          - gamma) ** 2)
             for t in range(2000)
         ]
         assert np.mean(errs) == pytest.approx(analytic, rel=0.05)
@@ -248,9 +264,9 @@ class TestEstimators:
         analytic = mse_lmmse(v.v, x.x, kronecker_factors(r, 2), 1.0, 4)
         errs = []
         for t in range(2000):
-            gamma = cascaded_channel(sample_channels(np.random.SeedSequence([9, t]), cfg, corr))
-            y = simulate_reception(gamma, s, 1.0, np.random.SeedSequence([10, t]))
-            errs.append(np.sum(np.abs(estimate_lmmse(y, s, r, 1.0, 4) - gamma) ** 2))
+            gamma = cascaded_channel(sample_channels([np.random.SeedSequence([9, t])], cfg, corr))
+            [y] = simulate_reception(gamma, s, 1.0, [np.random.SeedSequence([10, t])])
+            errs.append(np.sum(np.abs(estimate_lmmse(y, s, r, 1.0, 4) - gamma[0]) ** 2))
         assert np.mean(errs) == pytest.approx(analytic, rel=0.05)
 
 
