@@ -82,24 +82,24 @@ def coloring_factor(n: int, psi: float) -> np.ndarray:
 def complex_gaussians(rngs, shapes) -> list[np.ndarray]:
     """i.i.d. CN(0, 1) samples: a (len(rngs), *shape) block for each shape.
 
-    Each generator makes one standard_normal draw.  For each shape in turn
-    the draw holds the real parts, then the imaginary parts, so row t of
-    every block, and rngs[t]'s state after, are what a draw of two real
-    normal arrays per shape would give.  Each block is divided by sqrt(2) in
-    place.
+    Each generator makes one standard_normal draw into its buffer row: per
+    shape the real parts, then the imaginary parts, so row t of every block,
+    and rngs[t]'s state after, are what two real draws per shape would give.
+    The buffer is scaled by 1 / sqrt(2) (the product complex division by
+    sqrt(2) computes) and copied into each block for all trials at once.
     """
     sizes = [math.prod(shape) for shape in shapes]
-    blocks = [np.empty((len(rngs), n), dtype=complex) for n in sizes]
-    for trial, rng in enumerate(rngs):
-        draw = rng.standard_normal(2 * sum(sizes))
-        start = 0
-        for block, n in zip(blocks, sizes):
-            block[trial].real = draw[start : start + n]
-            block[trial].imag = draw[start + n : start + 2 * n]
-            start += 2 * n
-    for block in blocks:
-        block /= np.sqrt(2.0)
-    return [block.reshape(-1, *shape) for block, shape in zip(blocks, shapes)]
+    draws = np.empty((len(rngs), 2 * sum(sizes)))
+    for rng, row in zip(rngs, draws):
+        rng.standard_normal(out=row)
+    draws *= 1.0 / np.sqrt(2.0)
+    blocks, start = [], 0
+    for n, shape in zip(sizes, shapes):
+        block = np.empty((len(rngs), n), dtype=complex)
+        block.real, block.imag = draws[:, start : start + n], draws[:, start + n : start + 2 * n]
+        blocks.append(block.reshape(-1, *shape))
+        start += 2 * n
+    return blocks
 
 
 def sample_channels(seeds, config: SystemConfig, corr: CorrelationSpec) -> ChannelRealization:

@@ -6,11 +6,13 @@ caches it whole, (X, V, DesignTrace), for every cell that reads it.
 Channel and noise draws use per-(SNR, trial) seed streams shared by all
 schemes (common random numbers).  Both estimators are linear in the received
 block, so each (scheme, SNR) cell builds its estimator W once, through the
-public system.estimate_ls / estimate_lmmse.  The cell's trials then run in
-blocks of TRIAL_BLOCK: each trial still draws from its own channel and noise
-streams, and the block colors, cascades, receives (one (block L) x n product
-Gamma S) and applies W (one product Y W) together, through sample_channels,
-cascaded_channel and simulate_reception, which take a block of trials.
+public system.estimate_ls / estimate_lmmse, from (V, X) and the Kronecker
+factors of R, built once per sweep and grouping: no cell forms or decomposes
+the (M+1)K-sized S S^H.  The cell's trials then run in blocks of TRIAL_BLOCK:
+each trial still draws from its own channel and noise streams, and the block
+colors, cascades, receives (one (block L) x n product Gamma S) and applies W
+(one product Y W) together, through sample_channels, cascaded_channel and
+simulate_reception, which take a block of trials.
 Output rows are emitted in deterministic (scheme, SNR, trial) order.
 """
 
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -33,6 +34,7 @@ from .baselines import (
 )
 from .channel import (
     CorrelationSpec,
+    KroneckerFactors,
     cascaded_channel,
     cascaded_correlation,
     grouped_cascaded_correlation,
@@ -165,12 +167,8 @@ class CellDesign:
     pattern: ReflectionPattern
     iterations: int
     wall_ms: float
-    r_gamma: np.ndarray
+    factors: KroneckerFactors   # of the cell's R = kron(A, P), grouped or not
     grouping: ElementGrouping | None = None
-
-    @cached_property
-    def s(self) -> np.ndarray:
-        return build_S(self.pattern, self.training)
 
 
 def _design(cfg, sys_cfg, model, r_gamma, accelerate):
@@ -199,6 +197,7 @@ def _design_cell(
     ideal-projection reuses the ideal design, and an LS pattern, whose
     objective Tr[(V V^H)^{-1}] does not depend on the power budgets, is
     designed once per sweep and paired with the DFT training of each SNR.
+    It also holds the Kronecker factors of R, grouped or not, built once.
     """
     sys_cfg = cfg.system(snr_db)
     model = cfg.model
@@ -229,15 +228,19 @@ def _design_cell(
         if scheme is SchemeId.IDEAL_RIS_PROJECTION:
             v = ReflectionPattern(v=project_pattern(v.v, model))
 
-    return CellDesign(x, v, iters, (time.perf_counter() - start) * 1e3, r_gamma, grouping)
+    wall_ms = (time.perf_counter() - start) * 1e3
+    factors_key = ("factors", grouping is not None)
+    if factors_key not in designs:
+        designs[factors_key] = kronecker_factors(r_gamma, cfg.k)
+    return CellDesign(x, v, iters, wall_ms, designs[factors_key], grouping)
 
 
 def _analytic_nmse(cell: CellDesign, cfg: ExperimentConfig) -> float:
+    v, x = cell.pattern.v, cell.training.x
     if cfg.estimator == "ls":
-        j = system.mse_ls(cell.s, cfg.sigma2, cfg.l)
+        j = system.mse_ls(v, x, cfg.sigma2, cfg.l)
     else:
-        j = system.mse_lmmse(cell.pattern.v, cell.training.x,
-                             kronecker_factors(cell.r_gamma, cfg.k), cfg.sigma2, cfg.l)
+        j = system.mse_lmmse(v, x, cell.factors, cfg.sigma2, cfg.l)
     return system.nmse(j, cfg.l, cfg.k, cell.pattern.m)
 
 
@@ -248,15 +251,15 @@ def _empirical_nmses(cell: CellDesign, cfg: ExperimentConfig, snr_index: int) ->
     t, 0 | 1]), the same streams for every scheme.  Trials run in blocks of
     TRIAL_BLOCK, so a block's arithmetic is one batched pass.
     """
-    s = cell.s
+    s, v, x = build_S(cell.pattern, cell.training), cell.pattern.v, cell.training.x
     # Both estimators are linear in Y, so W is the estimate of the identity
     # block.  They are looked up on system at call time, so a replaced
     # estimator is the one every trial applies.
     eye = np.eye(s.shape[1])
     if cfg.estimator == "ls":
-        w = system.estimate_ls(eye, s)
+        w = system.estimate_ls(eye, v, x)
     else:
-        w = system.estimate_lmmse(eye, s, cell.r_gamma, cfg.sigma2, cfg.l)
+        w = system.estimate_lmmse(eye, v, x, cell.factors, cfg.sigma2, cfg.l)
     sys_cfg = cfg.system(cfg.snr_db[snr_index])
     corr = cfg.corr
     out = []
@@ -402,7 +405,7 @@ def run_validation(cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
 
     add(
         "lmmse-not-worse-than-ls",
-        lemma <= system.mse_ls(s, cfg.sigma2, cfg.l) + 1e-9,
+        lemma <= system.mse_ls(v.v, x.x, cfg.sigma2, cfg.l) + 1e-9,
         "",
     )
 

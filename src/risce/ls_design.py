@@ -56,7 +56,7 @@ def dft_training(k: int, tau: int, power) -> TrainingMatrix:
 
 def ls_score(v: np.ndarray) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Tr[(V V^H)^{-1}] = sum 1/lam of the (M+1, B) v, and the checked (lam, U) = eigh(V V^H)."""
-    lam, u = numerics.conditioned_eigh(v @ v.conj().T)
+    [(lam, u)] = numerics.conditioned_eigh(v @ v.conj().T)
     return float(np.sum(1.0 / lam)), (lam, u)
 
 

@@ -1,9 +1,9 @@
 """Dense Hermitian kernels: largest eigenvalue, trace of inverse, HPD solves.
 
-One LAPACK call each, exact to rounding: ``eigvalsh`` for ``largest_eigenvalue``,
-``conditioned_spectrum`` and ``trace_of_inverse``; ``eigh`` for ``conditioned_eigh``
-(the LS surrogate); Cholesky for ``solve_hpd``.  Sizes stay small ((M+1)K below ~100
-at paper scale), so all is dense; explicit inverses are reserved for test oracles.
+One LAPACK call each, exact to rounding: ``eigvalsh`` for ``largest_eigenvalue`` and
+``trace_of_inverse``, ``eigh`` for ``conditioned_eigh``, Cholesky for ``solve_hpd``.  The
+middle two take the Kronecker factors of A, one call per factor, so S S^H = kron(V V^H,
+X X^H) is never formed.  Explicit inverses are reserved for test oracles.
 """
 
 from __future__ import annotations
@@ -53,42 +53,42 @@ def largest_eigenvalue(a: np.ndarray) -> PowerIterationResult:
     return PowerIterationResult(float(np.linalg.eigvalsh(a)[-1]), True, 0)
 
 
-def _conditioned(decompose, a: np.ndarray):
-    """decompose(A), ``eigvalsh`` or ``eigh``, of Hermitian PD A.
+def _conditioned(decompose, *factors) -> list:
+    """decompose(F), ``eigvalsh`` or ``eigh``, of each Hermitian factor F of A = kron(*factors).
 
-    Raises SingularGram when A is not PD, its condition number exceeds
-    CONDITION_LIMIT, or LAPACK fails to converge.
+    A's eigenvalues are the products of the factors', so A is never formed.
+    Raises SingularGram when A is not PD, its condition number (the product
+    of the factors') exceeds CONDITION_LIMIT, or LAPACK fails to converge.
     """
-    a = require_hermitian(a)
     try:
-        out = decompose(a)
+        outs = [decompose(require_hermitian(f)) for f in factors]
     except np.linalg.LinAlgError as exc:
         raise SingularGram("eigenvalue decomposition failed") from exc
-    lam = out if decompose is np.linalg.eigvalsh else out[0]
-    if not (lam[0] > 0.0 and lam[-1] <= CONDITION_LIMIT * lam[0]):
+    lo = hi = 1.0   # A's extreme eigenvalues, each a product of the factors' extremes
+    for out in outs:
+        lam = out if decompose is np.linalg.eigvalsh else out[0]
+        ends = (lo * float(lam[0]), lo * float(lam[-1]), hi * float(lam[0]), hi * float(lam[-1]))
+        lo, hi = min(ends), max(ends)
+    if not (lo > 0.0 and hi <= CONDITION_LIMIT * lo):
         raise SingularGram(
-            f"eigenvalues in [{lam[0]:.3e}, {lam[-1]:.3e}]: not PD within "
+            f"eigenvalues in [{lo:.3e}, {hi:.3e}]: not PD within "
             f"condition number {CONDITION_LIMIT:.0e}"
         )
-    return out
+    return outs
 
 
-def conditioned_spectrum(a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of Hermitian PD A (eigvalsh), checked by :func:`_conditioned`."""
-    return _conditioned(np.linalg.eigvalsh, a)
+def conditioned_eigh(*factors) -> list[tuple[np.ndarray, np.ndarray]]:
+    """eigh of each factor of Hermitian PD A = kron(*factors), checked by :func:`_conditioned`."""
+    return _conditioned(np.linalg.eigh, *factors)
 
 
-def conditioned_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending (eigenvalues, eigenvectors) of Hermitian PD A (eigh), checked likewise."""
-    return _conditioned(np.linalg.eigh, a)
+def trace_of_inverse(*factors) -> float:
+    """Tr[A^{-1}] of Hermitian PD A = kron(*factors): the product of the factors' sum(1 / lambda).
 
-
-def trace_of_inverse(a: np.ndarray) -> float:
-    """Tr[A^{-1}] = sum(1 / lambda) for Hermitian PD A.
-
-    Raises SingularGram as :func:`conditioned_spectrum` does.
+    Raises SingularGram as :func:`_conditioned` does.
     """
-    return float(np.sum(1.0 / conditioned_spectrum(a)))
+    spectra = _conditioned(np.linalg.eigvalsh, *factors)
+    return float(np.prod([np.sum(1.0 / lam) for lam in spectra]))
 
 
 def solve_hpd(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ The stacked received signal over B subframes is Y = Gamma S + Z with the
 effective training S = (V kron I_K)(I_B kron X) = V kron X, so the Gram
 factorizes as S S^H = (V V^H) kron (X X^H).  Analytic MSEs:
 
-    J_LS    = sigma^2 L Tr[(S S^H)^{-1}]
+    J_LS    = sigma^2 L Tr[(S S^H)^{-1}] = sigma^2 L Tr[(V V^H)^{-1}] Tr[(X X^H)^{-1}]
     J_LMMSE = Tr[(R^{-1} + S S^H / (sigma^2 L))^{-1}]
             = sum_ij a1_i a2_j / (1 + lam1_i lam2_j / (sigma^2 L))
 
@@ -12,6 +12,11 @@ for R = kron(A, P) (:func:`~risce.channel.kronecker_factors`), with
 (lam1, E1) = eigh(A^1/2 V V^H A^1/2), (lam2, E2) = eigh(P^1/2 X X^H P^1/2),
 a1 = diag(E1^H A E1) and a2 = diag(E2^H P E2).  Every term is non-negative,
 so nothing cancels, and no R^{-1} is needed.
+
+J_LS and both estimators take (V, X) (and R's factors), never S S^H.  The
+estimators are Y W for Y with any leading trial axes; the LS filter is W =
+kron(V^H (V V^H)^{-1}, X^H (X X^H)^{-1}), and, like J_LS, it raises
+SingularGram unless cond(V V^H) cond(X X^H) = cond(S S^H) <= CONDITION_LIMIT.
 """
 
 from __future__ import annotations
@@ -96,25 +101,25 @@ def simulate_reception(gamma: np.ndarray, s: np.ndarray, sigma2: float, seeds) -
     return y
 
 
-def estimate_ls(y: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """LS estimate Y S^H (S S^H)^{-1}; raises SingularGram on bad Grams."""
-    gram = s @ s.conj().T
-    numerics.conditioned_spectrum(gram)
-    return numerics.solve_hpd(gram, s @ y.conj().T).conj().T
+def estimate_ls(y: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """LS estimate Y W of S = kron(V, X); each factor T^H (T T^H)^{-1} of W from eigh(T T^H)."""
+    eighs = numerics.conditioned_eigh(v @ v.conj().T, x @ x.conj().T)
+    wv, wx = (((t.conj().T @ u) / lam) @ u.conj().T for t, (lam, u) in zip((v, x), eighs))
+    return y @ np.kron(wv, wx)
 
 
-def estimate_lmmse(
-    y: np.ndarray, s: np.ndarray, r_gamma: np.ndarray, sigma2: float, l: int
-) -> np.ndarray:
-    """LMMSE estimate Y W with the filter W = (S^H R S + sigma^2 L I)^{-1} S^H R."""
-    f = s.conj().T @ r_gamma  # (tau*B, n)
-    a = f @ s + sigma2 * l * np.eye(s.shape[1])
-    return y @ numerics.solve_hpd(a, f)
+def estimate_lmmse(y: np.ndarray, v: np.ndarray, x: np.ndarray, factors: KroneckerFactors,
+                   sigma2: float, l: int) -> np.ndarray:
+    """LMMSE estimate Y W, W = (S^H R S + sigma^2 L I)^{-1} S^H R, S^H R = kron(V^H A, X^H P)."""
+    va, xp = v.conj().T @ factors.a, x.conj().T @ factors.p
+    a = np.kron(va @ v, xp @ x)
+    a.flat[:: a.shape[0] + 1] += sigma2 * l
+    return y @ numerics.solve_hpd(a, np.kron(va, xp))
 
 
-def mse_ls(s: np.ndarray, sigma2: float, l: int) -> float:
-    """Analytic LS MSE sigma^2 L Tr[(S S^H)^{-1}]."""
-    return sigma2 * l * numerics.trace_of_inverse(s @ s.conj().T)
+def mse_ls(v: np.ndarray, x: np.ndarray, sigma2: float, l: int) -> float:
+    """Analytic LS MSE of S = kron(V, X): sigma^2 L Tr[(V V^H)^{-1}] Tr[(X X^H)^{-1}]."""
+    return sigma2 * l * numerics.trace_of_inverse(v @ v.conj().T, x @ x.conj().T)
 
 
 def lmmse_spectrum(half: np.ndarray, t: np.ndarray):

@@ -68,7 +68,7 @@ def ls_majorizer(v0: np.ndarray):
     lambda1 ||V0||^2 + 2 Re{Tr[V0^H W]}, G0 = V0 V0^H, W = G0^-2 V0, from the
     step's own checked eigh(G0); 2 Re{Tr[V0^H W]} equals 2 Tr[G0^-1].
     """
-    lam, u = numerics.conditioned_eigh(v0 @ v0.conj().T)
+    [(lam, u)] = numerics.conditioned_eigh(v0 @ v0.conj().T)
     lambda1, a0 = ls_surrogate(v0, (lam, u))
     w = (u / lam**2) @ (u.conj().T @ v0)
     const = (float(np.sum(1.0 / lam)) + lambda1 * float(np.sum(np.abs(v0) ** 2))
@@ -80,6 +80,18 @@ def ls_majorizer(v0: np.ndarray):
         return quad + lin + const
 
     return value
+
+
+def ls_filter(s) -> np.ndarray:
+    """Dense LS filter W = S^H (S S^H)^{-1}, by Cholesky of the checked S S^H (test oracle)."""
+    gram = s @ s.conj().T
+    numerics.trace_of_inverse(gram)
+    return numerics.solve_hpd(gram, s).conj().T
+
+
+def ls_mse(s, sigma2, l) -> float:
+    """Dense LS MSE sigma^2 L Tr[(S S^H)^{-1}], by eigvalsh of S S^H (test oracle)."""
+    return sigma2 * l * numerics.trace_of_inverse(s @ s.conj().T)
 
 
 def lmmse_filter(s, r_gamma, sigma2, l) -> np.ndarray:

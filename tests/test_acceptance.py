@@ -275,11 +275,11 @@ def test_c6_beta_min_sensitivity():
     for bm in beta_mins:
         model = ReflectionModel(beta_min=bm)
         v_prop, _ = design_ls(DESK, model, accelerate=True)
-        j_prop = mse_ls(build_S(v_prop, x), 1.0, 4) / dim
+        j_prop = mse_ls(v_prop.v, x.x, 1.0, 4) / dim
         from risce.ls_design import project_pattern
 
         v_proj = ReflectionPattern(project_pattern(ideal_v.v, model))
-        j_proj = mse_ls(build_S(v_proj, x), 1.0, 4) / dim
+        j_proj = mse_ls(v_proj.v, x.x, 1.0, 4) / dim
         nmse_prop.append(j_prop)
         gaps.append(j_proj - j_prop)
     for a, b in zip(nmse_prop, nmse_prop[1:]):
@@ -334,23 +334,24 @@ def test_c9_estimator_consistency():
     s = build_S(v, x)
     n_trials = 10_000
 
-    analytic_ls = mse_ls(s, 1.0, 4)
+    analytic_ls = mse_ls(v.v, x.x, 1.0, 4)
     gamma = cascaded_channel(sample_channels([0], DESK, CORR))
     acc = 0.0
     for t in range(n_trials):
         [y] = simulate_reception(gamma, s, 1.0, [np.random.SeedSequence([91, t])])
-        acc += float(np.sum(np.abs(estimate_ls(y, s) - gamma[0]) ** 2))
+        acc += float(np.sum(np.abs(estimate_ls(y, v.v, x.x) - gamma[0]) ** 2))
     ratio_ls = acc / n_trials / analytic_ls
     assert abs(ratio_ls - 1.0) < 0.03
 
-    analytic_lm = mse_lmmse(v.v, x.x, kronecker_factors(R_DESK, 2), 1.0, 4)
+    factors = kronecker_factors(R_DESK, 2)
+    analytic_lm = mse_lmmse(v.v, x.x, factors, 1.0, 4)
     acc = 0.0
     for t in range(n_trials):
         gamma = cascaded_channel(
             sample_channels([np.random.SeedSequence([92, t])], DESK, CORR)
         )
         [y] = simulate_reception(gamma, s, 1.0, [np.random.SeedSequence([93, t])])
-        acc += float(np.sum(np.abs(estimate_lmmse(y, s, R_DESK, 1.0, 4) - gamma[0]) ** 2))
+        acc += float(np.sum(np.abs(estimate_lmmse(y, v.v, x.x, factors, 1.0, 4) - gamma[0]) ** 2))
     ratio_lm = acc / n_trials / analytic_lm
     assert abs(ratio_lm - 1.0) < 0.03
     _report("criterion-9 estimator-consistency",

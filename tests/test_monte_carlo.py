@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from risce import experiments, system
@@ -53,12 +54,13 @@ def _per_trial_nmse(cfg, cell, si, trial):
     if cell.grouping is not None:
         gamma = cell.grouping.combine_gamma(gamma, cfg.k)
         m_eff = cell.grouping.m_grouped
-    s = cell.s
+    s = system.build_S(cell.pattern, cell.training)
     [y] = system.simulate_reception(gamma, s, cfg.sigma2, [noise_seed])
+    v, x = cell.pattern.v, cell.training.x
     if cfg.estimator == "ls":
-        gamma_hat = system.estimate_ls(y, s)
+        gamma_hat = system.estimate_ls(y, v, x)
     else:
-        gamma_hat = system.estimate_lmmse(y, s, cell.r_gamma, cfg.sigma2, cfg.l)
+        gamma_hat = system.estimate_lmmse(y, v, x, cell.factors, cfg.sigma2, cfg.l)
     err = float(np.sum(np.abs(gamma_hat - gamma[0]) ** 2))
     return system.nmse(err, cfg.l, cfg.k, m_eff)
 
@@ -128,3 +130,21 @@ def test_trials_run_in_blocks(monkeypatch, trials):
     sizes = [experiments.TRIAL_BLOCK] * full + ([last] if last else [])
     per_cell = [(kind, n) for n in sizes for kind in ("channel", "noise")]
     assert stacks == per_cell * len(cfg.snr_db)
+
+
+def test_ls_cells_decompose_only_the_factors_of_s_s_h(monkeypatch):
+    # S S^H = kron(V V^H, X X^H) is (M+1)K square.  An LS cell's MSE and
+    # filter decompose and solve with its (M+1)- and K-sized factors only.
+    sizes = []
+
+    def recording(real):
+        def decompose(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return real(a, *args, **kwargs)
+        return decompose
+    for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"),
+                         (scipy.linalg, "cholesky")):
+        monkeypatch.setattr(module, name, recording(getattr(module, name)))
+    cfg = ExperimentConfig(**DESK, schemes=(SchemeId.NAIVE, SchemeId.ON_OFF))
+    run_sweep(cfg)
+    assert (cfg.m + 1) * cfg.k not in sizes and {cfg.m + 1, cfg.k} <= set(sizes)

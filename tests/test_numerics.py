@@ -146,16 +146,17 @@ def test_spectra_exact_or_rejected(case):
     lam = largest_eigenvalue(a).value
     assert np.isfinite(lam) and lam >= d.max() * (1.0 - 1e-12)
 
-    s = q * np.sqrt(d)                       # S S^H = A
+    s = q * np.sqrt(d)                       # S S^H = A, S = kron(s, 1)
+    one = np.ones((1, 1))
     gamma = np.random.default_rng(0).standard_normal((2, len(d))) + 0j
     if cond >= 1e13:
         with pytest.raises(SingularGram):
             trace_of_inverse(a)
         with pytest.raises(SingularGram):
-            estimate_ls(gamma @ s, s)
+            estimate_ls(gamma @ s, s, one)
         return
     try:
-        trace, estimate = trace_of_inverse(a), estimate_ls(gamma @ s, s)
+        trace, estimate = trace_of_inverse(a), estimate_ls(gamma @ s, s, one)
     except SingularGram:
         assert cond > 1e8
         return
@@ -182,13 +183,17 @@ def test_kron_trace_identity(k, m, extra_b, extra_tau, beta_min, alpha, delta, s
     x = random_training(rng, k, k + extra_tau, rng.uniform(0.5, 2.0, k))
     s = build_S(v, x)
     gram = s @ s.conj().T
+    factors = (v.v @ v.v.conj().T, x.x @ x.x.conj().T)
     try:
-        expected = trace_of_inverse(v.v @ v.v.conj().T) * trace_of_inverse(x.x @ x.x.conj().T)
+        expected = trace_of_inverse(factors[0]) * trace_of_inverse(factors[1])
     except SingularGram:
         # With beta_min = 0 a row of V can nearly vanish.  cond(S S^H) is the
         # product of the factors' condition numbers, so S S^H is rejected too.
         with pytest.raises(SingularGram):
             trace_of_inverse(gram)
+        with pytest.raises(SingularGram):
+            trace_of_inverse(*factors)
         return
     rel = 64.0 * np.finfo(float).eps * np.linalg.cond(gram)
     assert trace_of_inverse(gram) == pytest.approx(expected, rel=rel)
+    assert trace_of_inverse(*factors) == expected

@@ -66,8 +66,8 @@ def test_wrong_arguments_exit_2():
 
 
 def test_runs_include_a_backtracking_squarem_converge():
-    # Eleven distinct runs; at 60 dB a desk LMMSE SQUAREM step back-tracks.
-    assert len(set(same_outputs.RUNS)) == len(same_outputs.RUNS) == 11
+    # Thirteen distinct runs; at 60 dB a desk LMMSE SQUAREM step back-tracks.
+    assert len(set(same_outputs.RUNS)) == len(same_outputs.RUNS) == 13
     assert ("converge", "--estimator", "lmmse", "--snr-db", "60") in same_outputs.RUNS
 
 
@@ -75,7 +75,7 @@ def test_runs_include_simulated_sweeps_of_every_scheme():
     # Both estimators simulate every scheme at the desk profile, grouping
     # included, and the design-free schemes at the paper profile.
     simulated = [run for run in same_outputs.RUNS
-                 if run[0] == "sweep" and "--analytic-only" not in run]
+                 if run[0] == "sweep" and "--analytic-only" not in run and "--b" not in run]
     assert len(simulated) == 4
     for profile, schemes in (("desk", {"proposed", "proposed-grouped", "ideal",
                                        "ideal-projection", "naive", "onoff"}),
@@ -83,3 +83,14 @@ def test_runs_include_simulated_sweeps_of_every_scheme():
         for est in ("ls", "lmmse"):
             [run] = [r for r in simulated if r[2] == profile and r[4] == est]
             assert set(run[run.index("--scheme") + 1].split(",")) == schemes
+
+
+def test_runs_include_non_square_simulated_sweeps():
+    # B = 10 > M + 1 = 9 and tau = 3 > K = 2 at the desk profile: V and X are
+    # not square, so W_LS is a pseudo-inverse, for both estimators.
+    non_square = [run for run in same_outputs.RUNS if "--b" in run]
+    assert sorted(run[run.index("--estimator") + 1] for run in non_square) == ["lmmse", "ls"]
+    for run in non_square:
+        assert "--analytic-only" not in run and run[run.index("--profile") + 1] == "desk"
+        assert run[run.index("--b") + 1] == "10" and run[run.index("--tau") + 1] == "3"
+        assert set(run[run.index("--scheme") + 1].split(",")) == {"proposed", "naive"}

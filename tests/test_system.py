@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    lmmse_filter,
     lmmse_objective,
+    ls_filter,
+    ls_mse,
     random_factors,
     random_feasible_pattern,
     random_hpd,
@@ -20,6 +23,7 @@ from risce.channel import (
     sample_channels,
 )
 from risce.errors import DimensionMismatch, InvalidDims, SingularGram
+from risce.numerics import CONDITION_LIMIT, trace_of_inverse
 from risce.baselines import group_reduce
 from risce.ls_design import dft_training
 from risce.baselines import naive_pattern
@@ -213,61 +217,99 @@ class TestEstimators:
 
         v = naive_pattern(3, 4, ReflectionModel())
         x = dft_training(2, 2, model_cfg.power)
-        s = build_S(v, x)
         gamma = cascaded_channel(sample_channels([seed], model_cfg, corr))[0]
-        r = cascaded_correlation(corr, 3, 2, 4)
-        return model_cfg, s, gamma, r
+        f = kronecker_factors(cascaded_correlation(corr, 3, 2, 4), 2)
+        return model_cfg, v.v, x.x, gamma, f
 
     def test_ls_noiseless_recovery(self, rng):
-        cfg, s, gamma, _ = self._setup(rng)
-        y = gamma @ s
-        err = np.linalg.norm(estimate_ls(y, s) - gamma) / np.linalg.norm(gamma)
+        cfg, v, x, gamma, _ = self._setup(rng)
+        y = gamma @ np.kron(v, x)
+        err = np.linalg.norm(estimate_ls(y, v, x) - gamma) / np.linalg.norm(gamma)
         assert err < 1e-10
 
     def test_ls_identity_training(self, rng):
         y = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-        assert np.allclose(estimate_ls(y, np.eye(5)), y)
+        assert np.allclose(estimate_ls(y, np.eye(5), np.eye(1)), y)
 
     def test_ls_singular_gram(self):
-        s = np.ones((3, 4), dtype=complex)  # rank one
+        v = np.ones((3, 4), dtype=complex)  # rank one
         with pytest.raises(SingularGram):
-            estimate_ls(np.ones((2, 4)), s)
+            estimate_ls(np.ones((2, 4)), v, np.eye(1))
 
     def test_lmmse_zero_prior(self, rng):
-        cfg, s, gamma, r = self._setup(rng)
-        y = simulate_reception(gamma[None], s, 1.0, [5])[0]
-        est = estimate_lmmse(y, s, np.zeros_like(r), 1.0, 4)
+        cfg, v, x, gamma, f = self._setup(rng)
+        y = simulate_reception(gamma[None], np.kron(v, x), 1.0, [5])[0]
+        zero = f._replace(a=np.zeros_like(f.a), a_half=np.zeros_like(f.a_half))
+        est = estimate_lmmse(y, v, x, zero, 1.0, 4)
         assert np.allclose(est, 0.0)
 
     def test_lmmse_low_noise_limit(self, rng):
-        cfg, s, gamma, r = self._setup(rng)
-        y = gamma @ s
-        est = estimate_lmmse(y, s, r, 1e-10, 4)
+        cfg, v, x, gamma, f = self._setup(rng)
+        y = gamma @ np.kron(v, x)
+        est = estimate_lmmse(y, v, x, f, 1e-10, 4)
         assert np.linalg.norm(est - gamma) / np.linalg.norm(gamma) < 1e-4
 
     def test_ls_monte_carlo_mse(self, rng):
-        cfg, s, gamma, _ = self._setup(rng)
-        analytic = mse_ls(s, 1.0, 4)
+        cfg, v, x, gamma, _ = self._setup(rng)
+        s = np.kron(v, x)
+        analytic = mse_ls(v, x, 1.0, 4)
         errs = [
-            np.sum(np.abs(estimate_ls(simulate_reception(gamma[None], s, 1.0, [t])[0], s)
+            np.sum(np.abs(estimate_ls(simulate_reception(gamma[None], s, 1.0, [t])[0], v, x)
                           - gamma) ** 2)
             for t in range(2000)
         ]
         assert np.mean(errs) == pytest.approx(analytic, rel=0.05)
 
     def test_lmmse_monte_carlo_mse(self, rng):
-        cfg, s, _, r = self._setup(rng)
+        cfg, v, x, _, f = self._setup(rng)
         corr = CorrelationSpec()
-        from risce.phase_model import ReflectionModel
-
-        v, x = naive_pattern(3, 4, ReflectionModel()), dft_training(2, 2, cfg.power)
-        analytic = mse_lmmse(v.v, x.x, kronecker_factors(r, 2), 1.0, 4)
+        s = np.kron(v, x)
+        analytic = mse_lmmse(v, x, f, 1.0, 4)
         errs = []
         for t in range(2000):
             gamma = cascaded_channel(sample_channels([np.random.SeedSequence([9, t])], cfg, corr))
             [y] = simulate_reception(gamma, s, 1.0, [np.random.SeedSequence([10, t])])
-            errs.append(np.sum(np.abs(estimate_lmmse(y, s, r, 1.0, 4) - gamma[0]) ** 2))
+            errs.append(np.sum(np.abs(estimate_lmmse(y, v, x, f, 1.0, 4) - gamma[0]) ** 2))
         assert np.mean(errs) == pytest.approx(analytic, rel=0.05)
+
+    @pytest.mark.parametrize("l", [4, 6])   # 6 = tau B: a stack the old 2-D form mixed up
+    def test_estimates_broadcast_over_a_trial_stack(self, rng, l):
+        v, x = rng.standard_normal((3, 3)) + 1j, rng.standard_normal((2, 2)) + 0.5j
+        f = random_factors(rng, 3, 2)
+        y = rng.standard_normal((3, l, 6)) + 1j * rng.standard_normal((3, l, 6))
+        for estimate in (lambda y: estimate_ls(y, v, x),
+                         lambda y: estimate_lmmse(y, v, x, f, 0.7, l)):
+            stacked = estimate(y)
+            per_trial = np.stack([estimate(trial) for trial in y])
+            assert stacked.shape == per_trial.shape == (3, l, 6)
+            assert np.linalg.norm(stacked - per_trial) <= 1e-13 * np.linalg.norm(per_trial)
+
+
+def _conditioned_factors(rng, rows, cols):
+    """rows x cols with singular values in [0.5, 2]: a Gram with condition number at most 16."""
+    q1, _ = np.linalg.qr(rng.standard_normal((rows, rows)) + 1j * rng.standard_normal((rows, rows)))
+    q2, _ = np.linalg.qr(rng.standard_normal((cols, cols)) + 1j * rng.standard_normal((cols, cols)))
+    return (q1 * rng.uniform(0.5, 2.0, rows)) @ q2[:rows]
+
+
+@settings(max_examples=50, deadline=None)
+@given(k=st.integers(1, 3), m=st.integers(1, 4), extra_b=st.integers(0, 2),
+       extra_tau=st.integers(0, 2), rows=st.integers(1, 6), sigma2=st.floats(1e-3, 10.0),
+       l=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_factored_forms_match_the_dense_oracles(k, m, extra_b, extra_tau, rows, sigma2, l, seed):
+    # mse_ls, estimate_ls and estimate_lmmse read (V, X) and R's factors; the
+    # oracles form S = kron(V, X), S S^H and R, and solve at (M+1)K size.
+    rng = np.random.default_rng(seed)
+    v = _conditioned_factors(rng, m + 1, m + 1 + extra_b)
+    x = _conditioned_factors(rng, k, k + extra_tau)
+    f = random_factors(rng, m + 1, k)
+    s = np.kron(v, x)
+    y = rng.standard_normal((rows, s.shape[1])) + 1j * rng.standard_normal((rows, s.shape[1]))
+    assert mse_ls(v, x, sigma2, l) == pytest.approx(ls_mse(s, sigma2, l), rel=1e-10)
+    for got, w in ((estimate_ls(y, v, x), ls_filter(s)),
+                   (estimate_lmmse(y, v, x, f, sigma2, l),
+                    lmmse_filter(s, np.kron(f.a, f.p), sigma2, l))):
+        assert np.linalg.norm(got - y @ w) <= 1e-10 * np.linalg.norm(y @ w)
 
 
 @settings(max_examples=50, deadline=None)
@@ -279,13 +321,16 @@ def test_estimate_lmmse_matches_dense_solve(k, m, b, tau, rows, sigma2, l, seed)
     # Cholesky); both filters err by about kappa eps of the solved matrix.
     rng = np.random.default_rng(seed)
     n, cols = (m + 1) * k, b * tau
-    s = rng.standard_normal((n, cols)) + 1j * rng.standard_normal((n, cols))
-    r = random_hpd(rng, n)
+    v = rng.standard_normal((m + 1, b)) + 1j * rng.standard_normal((m + 1, b))
+    x = rng.standard_normal((k, tau)) + 1j * rng.standard_normal((k, tau))
+    s = np.kron(v, x)
+    f = random_factors(rng, m + 1, k)
+    r = np.kron(f.a, f.p)
     y = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
     a = s.conj().T @ r @ s + sigma2 * l * np.eye(cols)
     w = np.linalg.solve(a, s.conj().T @ r)
     tol = max(1e-12, 32 * np.finfo(float).eps * np.linalg.cond(a))
-    got = estimate_lmmse(y, s, r, sigma2, l)
+    got = estimate_lmmse(y, v, x, f, sigma2, l)
     assert np.linalg.norm(got - y @ w) <= tol * np.linalg.norm(y) * np.linalg.norm(w)
 
 
@@ -297,18 +342,40 @@ class TestAnalyticMse:
         m, b, k, p = 3, 4, 2, 2.0
         v = naive_pattern(m, b, ideal_model())
         x = dft_training(k, k, np.full(k, p))
-        s = build_S(v, x)
         # Tr[(VVH)^-1] = (M+1)/B and Tr[(XXH)^-1] = K/P
-        assert mse_ls(s, 1.0, 4) == pytest.approx(4 * ((m + 1) / b) * (k / p), rel=1e-10)
+        assert mse_ls(v.v, x.x, 1.0, 4) == pytest.approx(4 * ((m + 1) / b) * (k / p), rel=1e-10)
 
     def test_ls_scaling_homogeneity(self, rng):
-        s = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
-        assert mse_ls(2.0 * s, 1.0, 3) == pytest.approx(mse_ls(s, 1.0, 3) / 4.0, rel=1e-12)
+        v = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        assert mse_ls(2.0 * v, x, 1.0, 3) == pytest.approx(mse_ls(v, x, 1.0, 3) / 4.0, rel=1e-12)
 
     def test_ls_matches_explicit_inverse(self, rng):
-        s = rng.standard_normal((5, 9)) + 1j * rng.standard_normal((5, 9))
+        v = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+        x = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        s = np.kron(v, x)
         oracle = 2.0 * 4 * np.real(np.trace(np.linalg.inv(s @ s.conj().T)))
-        assert mse_ls(s, 2.0, 4) == pytest.approx(oracle, rel=1e-10)
+        assert mse_ls(v, x, 2.0, 4) == pytest.approx(oracle, rel=1e-10)
+
+    def test_condition_limit_applies_to_the_product(self):
+        # cond(S S^H) = cond(V V^H) cond(X X^H): each factor's 1e7 is within
+        # CONDITION_LIMIT, their product 1e14 is not, and S S^H is rejected
+        # as the dense oracle rejects it.
+        v = np.diag([1.0, 10.0 ** -3.5]).astype(complex)
+        x = np.diag([1.0, 10.0 ** -3.5]).astype(complex)
+        for t in (v, x):
+            assert np.linalg.cond(t @ t.conj().T) < CONDITION_LIMIT
+            trace_of_inverse(t @ t.conj().T)
+        with pytest.raises(SingularGram):
+            ls_mse(np.kron(v, x), 1.0, 4)
+        with pytest.raises(SingularGram):
+            mse_ls(v, x, 1.0, 4)
+        with pytest.raises(SingularGram):
+            estimate_ls(np.ones((2, 4)), v, x)
+        # At 1e5 each the product 1e10 passes.
+        v_ok = np.diag([1.0, 10.0 ** -2.5]).astype(complex)
+        assert mse_ls(v_ok, v_ok, 1.0, 4) == pytest.approx(
+            ls_mse(np.kron(v_ok, v_ok), 1.0, 4), rel=1e-10)
 
     def test_lmmse_no_information(self, rng):
         f = random_factors(rng, 3, 2)
@@ -333,7 +400,7 @@ class TestAnalyticMse:
             v = random_feasible_pattern(rng, 3, 4, model)
             x = random_training(rng, 2, 2, [1.0, 1.0])
             f = kronecker_factors(cascaded_correlation(CorrelationSpec(), 3, 2, 4), 2)
-            assert mse_lmmse(v.v, x.x, f, 1.0, 4) <= mse_ls(build_S(v, x), 1.0, 4) + 1e-9
+            assert mse_lmmse(v.v, x.x, f, 1.0, 4) <= mse_ls(v.v, x.x, 1.0, 4) + 1e-9
 
     def test_inversion_lemma_equivalence(self, rng):
         # Eq-15-style direct form vs the implemented factored form.

@@ -4,13 +4,17 @@
 
 In each checkout it runs ``python -m risce.cli`` with ``PYTHONPATH=<root>/src``
 for the four paper-profile analytic sweeps (LS and LMMSE, SQUAREM and plain
-MM), for four simulated sweeps, for the desk ``converge`` runs of both
+MM), for six simulated sweeps, for the desk ``converge`` runs of both
 estimators, and for a desk LMMSE ``converge`` run at 60 dB, where a SQUAREM
 step back-tracks and so anchors its next update on an accepted candidate's
-spectrum.  The simulated sweeps compare the ``empirical_nmse`` column: at the
-desk profile with all six schemes and ``--rho 2`` (grouping included), and at
-the paper profile with the design-free ``naive`` and ``onoff`` schemes, each
-for LS and LMMSE.  The ``wall_ms`` column is dropped.  Text fields and the ``iterations`` column must match as text; a
+spectrum.  The simulated sweeps compare the ``empirical_nmse`` column, each
+for LS and LMMSE: at the desk profile with all six schemes and ``--rho 2``
+(grouping included); at the paper profile with the design-free ``naive`` and
+``onoff`` schemes; and at the desk profile with ``--b 10 --tau 3`` and the
+``proposed`` and ``naive`` schemes.  In the other sweeps ``B = M+1`` and
+``tau = K``, so the LS filter is just ``S^-1``; with ``--b 10 --tau 3``, V is
+9 x 10 and X is 2 x 3, so it is a pseudo-inverse.  The ``wall_ms`` column is
+dropped.  Text fields and the ``iterations`` column must match as text; a
 number matches when some pair of values that print as the two ``%.12g``
 fields lies within ``1e-12`` relative, so two runs of the same numbers to 12
 significant digits match even where rounding to the printed digits carries
@@ -37,6 +41,9 @@ RUNS = tuple(
         ("desk", "proposed,proposed-grouped,ideal,ideal-projection,naive,onoff", ("--rho", "2")),
         ("paper", "naive,onoff", ()),
     ) for est in ("ls", "lmmse")
+) + tuple(
+    ("sweep", "--profile", "desk", "--estimator", est, "--b", "10", "--tau", "3",
+     "--scheme", "proposed,naive") for est in ("ls", "lmmse")
 ) + tuple(("converge", "--estimator", est) for est in ("ls", "lmmse")) + (
     ("converge", "--estimator", "lmmse", "--snr-db", "60"),
 )
