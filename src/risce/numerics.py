@@ -1,9 +1,10 @@
 """Dense Hermitian kernels: largest eigenvalue, trace of inverse, HPD solves.
 
 One LAPACK call each, exact to rounding: ``eigvalsh`` for ``largest_eigenvalue`` and
-``trace_of_inverse``, ``eigh`` for ``conditioned_eigh``, Cholesky for ``solve_hpd``.  The
-middle two take the Kronecker factors of A, one call per factor, so S S^H = kron(V V^H,
-X X^H) is never formed.  Explicit inverses are reserved for test oracles.
+``trace_of_inverse``, ``eigh`` for ``conditioned_eigh``, Cholesky for ``solve_hpd``.
+``trace_of_inverse`` and ``conditioned_eigh`` take the Kronecker factors of A, one call
+per factor, so S S^H = kron(V V^H, X X^H) is never formed.  Explicit inverses are
+reserved for test oracles.
 """
 
 from __future__ import annotations

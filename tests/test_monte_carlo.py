@@ -148,3 +148,20 @@ def test_ls_cells_decompose_only_the_factors_of_s_s_h(monkeypatch):
     cfg = ExperimentConfig(**DESK, schemes=(SchemeId.NAIVE, SchemeId.ON_OFF))
     run_sweep(cfg)
     assert (cfg.m + 1) * cfg.k not in sizes and {cfg.m + 1, cfg.k} <= set(sizes)
+
+
+def test_lmmse_sweep_builds_the_factors_once_per_grouping(monkeypatch):
+    # kron(A, P) is read back once for R and once for the grouped R, and
+    # every cell of that grouping reads the same factors.
+    built = []
+    real = experiments.kronecker_factors
+
+    def factors(r_gamma, k):
+        built.append(r_gamma.shape[0])
+        return real(r_gamma, k)
+    monkeypatch.setattr(experiments, "kronecker_factors", factors)
+    cfg = ExperimentConfig(**DESK, estimator="lmmse", rho=3,
+                           schemes=(SchemeId.NAIVE, SchemeId.PROPOSED_GROUPED))
+    rows = run_sweep(cfg)
+    assert sorted(built) == [(cfg.m // cfg.rho + 1) * cfg.k, (cfg.m + 1) * cfg.k]
+    assert len(rows) == len(cfg.schemes) * len(cfg.snr_db) * cfg.trials
