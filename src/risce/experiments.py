@@ -6,13 +6,13 @@ caches it whole, (X, V, DesignTrace), for every cell that reads it.
 Channel and noise draws use per-(SNR, trial) seed streams shared by all
 schemes (common random numbers).  Both estimators are linear in the received
 block, so each (scheme, SNR) cell builds its estimator W once, through the
-public system.estimate_ls / estimate_lmmse, from (V, X) and the Kronecker
-factors of R, built once per sweep and grouping: no cell forms or decomposes
-the (M+1)K-sized S S^H.  The cell's trials then run in blocks of TRIAL_BLOCK:
-each trial still draws from its own channel and noise streams, and the block
-colors, cascades, receives (one (block L) x n product Gamma S) and applies W
-(one product Y W) together, through sample_channels, cascaded_channel and
-simulate_reception, which take a block of trials.
+public system.estimate_ls / estimate_lmmse, from (V, X) and, for LMMSE, the
+Kronecker factors of R, built once per sweep and grouping: no cell forms or
+decomposes the (M+1)K-sized S S^H.  The cell's trials then run in blocks of
+TRIAL_BLOCK: each trial still draws from its own channel and noise streams,
+and the block colors, cascades, receives (one (block L) x n product Gamma S)
+and applies W (one product Y W) together, through sample_channels,
+cascaded_channel and simulate_reception, which take a block of trials.
 Output rows are emitted in deterministic (scheme, SNR, trial) order.
 """
 
@@ -167,8 +167,8 @@ class CellDesign:
     pattern: ReflectionPattern
     iterations: int
     wall_ms: float
-    factors: KroneckerFactors   # of the cell's R = kron(A, P), grouped or not
     grouping: ElementGrouping | None = None
+    factors: KroneckerFactors | None = None   # of the cell's R = kron(A, P); LMMSE only
 
 
 def _design(cfg, sys_cfg, model, r_gamma, accelerate):
@@ -189,6 +189,7 @@ def _design_cell(
     snr_db: float,
     r_gamma: np.ndarray,
     designs: dict,
+    factors: dict,
 ) -> CellDesign:
     """Design (X, V) for one scheme at one SNR.
 
@@ -197,7 +198,8 @@ def _design_cell(
     ideal-projection reuses the ideal design, and an LS pattern, whose
     objective Tr[(V V^H)^{-1}] does not depend on the power budgets, is
     designed once per sweep and paired with the DFT training of each SNR.
-    It also holds the Kronecker factors of R, grouped or not, built once.
+    factors memoizes the Kronecker factors of R, grouped or not, which only
+    LMMSE cells read.
     """
     sys_cfg = cfg.system(snr_db)
     model = cfg.model
@@ -229,10 +231,12 @@ def _design_cell(
             v = ReflectionPattern(v=project_pattern(v.v, model))
 
     wall_ms = (time.perf_counter() - start) * 1e3
-    factors_key = ("factors", grouping is not None)
-    if factors_key not in designs:
-        designs[factors_key] = kronecker_factors(r_gamma, cfg.k)
-    return CellDesign(x, v, iters, wall_ms, designs[factors_key], grouping)
+    if cfg.estimator == "ls":
+        return CellDesign(x, v, iters, wall_ms, grouping)
+    grouped = grouping is not None
+    if grouped not in factors:
+        factors[grouped] = kronecker_factors(r_gamma, cfg.k)
+    return CellDesign(x, v, iters, wall_ms, grouping, factors[grouped])
 
 
 def _analytic_nmse(cell: CellDesign, cfg: ExperimentConfig) -> float:
@@ -251,15 +255,16 @@ def _empirical_nmses(cell: CellDesign, cfg: ExperimentConfig, snr_index: int) ->
     t, 0 | 1]), the same streams for every scheme.  Trials run in blocks of
     TRIAL_BLOCK, so a block's arithmetic is one batched pass.
     """
-    s, v, x = build_S(cell.pattern, cell.training), cell.pattern.v, cell.training.x
+    s = build_S(cell.pattern, cell.training)
+    vx = cell.pattern.v, cell.training.x
     # Both estimators are linear in Y, so W is the estimate of the identity
     # block.  They are looked up on system at call time, so a replaced
     # estimator is the one every trial applies.
     eye = np.eye(s.shape[1])
     if cfg.estimator == "ls":
-        w = system.estimate_ls(eye, v, x)
+        w = system.estimate_ls(eye, vx)
     else:
-        w = system.estimate_lmmse(eye, v, x, cell.factors, cfg.sigma2, cfg.l)
+        w = system.estimate_lmmse(eye, vx, cell.factors, cfg.sigma2, cfg.l)
     sys_cfg = cfg.system(cfg.snr_db[snr_index])
     corr = cfg.corr
     out = []
@@ -288,10 +293,11 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     r_gamma = cascaded_correlation(cfg.corr, cfg.m, cfg.k, cfg.l)
     rows: list[ResultRow] = []
     designs: dict = {}
+    factors: dict = {}
     for scheme in cfg.schemes:
         analytic_by_snr: list[tuple[float, float]] = []
         for si, snr_db in enumerate(cfg.snr_db):
-            cell = _design_cell(scheme, cfg, snr_db, r_gamma, designs)
+            cell = _design_cell(scheme, cfg, snr_db, r_gamma, designs, factors)
             analytic = _analytic_nmse(cell, cfg)
             analytic_by_snr.append((snr_db, analytic))
             empirical = _empirical_nmses(cell, cfg, si) if cfg.simulate else [None]
@@ -352,7 +358,7 @@ DESIGN_COLUMNS = tuple(f.name for f in fields(DesignDumpRow))
 def run_design_dump(cfg: ExperimentConfig) -> list[DesignDumpRow]:
     """Designed (X, V) of the first scheme at the first SNR, in long format."""
     r_gamma = cascaded_correlation(cfg.corr, cfg.m, cfg.k, cfg.l)
-    cell = _design_cell(cfg.schemes[0], cfg, cfg.snr_db[0], r_gamma, {})
+    cell = _design_cell(cfg.schemes[0], cfg, cfg.snr_db[0], r_gamma, {}, {})
     rows: list[DesignDumpRow] = []
     for name, mat in (("V", cell.pattern.v), ("X", cell.training.x)):
         for (i, j), val in np.ndenumerate(mat):

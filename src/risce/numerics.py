@@ -9,6 +9,7 @@ reserved for test oracles.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -58,19 +59,18 @@ def _conditioned(decompose, *factors) -> list:
     """decompose(F), ``eigvalsh`` or ``eigh``, of each Hermitian factor F of A = kron(*factors).
 
     A's eigenvalues are the products of the factors', so A is never formed.
-    Raises SingularGram when A is not PD, its condition number (the product
-    of the factors') exceeds CONDITION_LIMIT, or LAPACK fails to converge.
+    Raises SingularGram when a factor is not PD, A's condition number (the
+    product of the factors') exceeds CONDITION_LIMIT, or LAPACK fails to
+    converge.
     """
     try:
         outs = [decompose(require_hermitian(f)) for f in factors]
     except np.linalg.LinAlgError as exc:
         raise SingularGram("eigenvalue decomposition failed") from exc
-    lo = hi = 1.0   # A's extreme eigenvalues, each a product of the factors' extremes
-    for out in outs:
-        lam = out if decompose is np.linalg.eigvalsh else out[0]
-        ends = (lo * float(lam[0]), lo * float(lam[-1]), hi * float(lam[0]), hi * float(lam[-1]))
-        lo, hi = min(ends), max(ends)
-    if not (lo > 0.0 and hi <= CONDITION_LIMIT * lo):
+    spectra = [out if decompose is np.linalg.eigvalsh else out[0] for out in outs]
+    lo = math.prod(float(lam[0]) for lam in spectra)    # A's extreme eigenvalues
+    hi = math.prod(float(lam[-1]) for lam in spectra)
+    if not (all(lam[0] > 0.0 for lam in spectra) and hi <= CONDITION_LIMIT * lo):
         raise SingularGram(
             f"eigenvalues in [{lo:.3e}, {hi:.3e}]: not PD within "
             f"condition number {CONDITION_LIMIT:.0e}"

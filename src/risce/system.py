@@ -13,10 +13,12 @@ for R = kron(A, P) (:func:`~risce.channel.kronecker_factors`), with
 a1 = diag(E1^H A E1) and a2 = diag(E2^H P E2).  Every term is non-negative,
 so nothing cancels, and no R^{-1} is needed.
 
-J_LS and both estimators take (V, X) (and R's factors), never S S^H.  The
-estimators are Y W for Y with any leading trial axes; the LS filter is W =
-kron(V^H (V V^H)^{-1}, X^H (X X^H)^{-1}), and, like J_LS, it raises
-SingularGram unless cond(V V^H) cond(X X^H) = cond(S S^H) <= CONDITION_LIMIT.
+J_LS and both estimators take (V, X) (and R's factors), never S S^H: the
+MSEs as two arguments v, x, the estimators as one, s = (V, X), S by its
+factors.  The estimators are Y W for Y with any leading trial axes; the LS
+filter is W = kron(V^H (V V^H)^{-1}, X^H (X X^H)^{-1}), and, like J_LS, it
+raises SingularGram unless cond(V V^H) cond(X X^H) = cond(S S^H) <=
+CONDITION_LIMIT.
 """
 
 from __future__ import annotations
@@ -101,16 +103,17 @@ def simulate_reception(gamma: np.ndarray, s: np.ndarray, sigma2: float, seeds) -
     return y
 
 
-def estimate_ls(y: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """LS estimate Y W of S = kron(V, X); each factor T^H (T T^H)^{-1} of W from eigh(T T^H)."""
-    eighs = numerics.conditioned_eigh(v @ v.conj().T, x @ x.conj().T)
-    wv, wx = (((t.conj().T @ u) / lam) @ u.conj().T for t, (lam, u) in zip((v, x), eighs))
+def estimate_ls(y: np.ndarray, s: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """LS estimate Y W of S = kron(V, X), s = (V, X); W's factors T^H (T T^H)^{-1} by eigh."""
+    eighs = numerics.conditioned_eigh(*(t @ t.conj().T for t in s))
+    wv, wx = (((t.conj().T @ u) / lam) @ u.conj().T for t, (lam, u) in zip(s, eighs))
     return y @ np.kron(wv, wx)
 
 
-def estimate_lmmse(y: np.ndarray, v: np.ndarray, x: np.ndarray, factors: KroneckerFactors,
+def estimate_lmmse(y: np.ndarray, s: tuple[np.ndarray, np.ndarray], factors: KroneckerFactors,
                    sigma2: float, l: int) -> np.ndarray:
     """LMMSE estimate Y W, W = (S^H R S + sigma^2 L I)^{-1} S^H R, S^H R = kron(V^H A, X^H P)."""
+    v, x = s
     va, xp = v.conj().T @ factors.a, x.conj().T @ factors.p
     a = np.kron(va @ v, xp @ x)
     a.flat[:: a.shape[0] + 1] += sigma2 * l

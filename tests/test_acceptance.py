@@ -339,7 +339,7 @@ def test_c9_estimator_consistency():
     acc = 0.0
     for t in range(n_trials):
         [y] = simulate_reception(gamma, s, 1.0, [np.random.SeedSequence([91, t])])
-        acc += float(np.sum(np.abs(estimate_ls(y, v.v, x.x) - gamma[0]) ** 2))
+        acc += float(np.sum(np.abs(estimate_ls(y, (v.v, x.x)) - gamma[0]) ** 2))
     ratio_ls = acc / n_trials / analytic_ls
     assert abs(ratio_ls - 1.0) < 0.03
 
@@ -351,7 +351,7 @@ def test_c9_estimator_consistency():
             sample_channels([np.random.SeedSequence([92, t])], DESK, CORR)
         )
         [y] = simulate_reception(gamma, s, 1.0, [np.random.SeedSequence([93, t])])
-        acc += float(np.sum(np.abs(estimate_lmmse(y, v.v, x.x, factors, 1.0, 4) - gamma[0]) ** 2))
+        acc += float(np.sum(np.abs(estimate_lmmse(y, (v.v, x.x), factors, 1.0, 4) - gamma[0]) ** 2))
     ratio_lm = acc / n_trials / analytic_lm
     assert abs(ratio_lm - 1.0) < 0.03
     _report("criterion-9 estimator-consistency",

@@ -135,7 +135,7 @@ class TestRunSweep:
         cfg = ExperimentConfig(**FAST)
         r_gamma = cascaded_correlation(cfg.corr, cfg.m, cfg.k, cfg.l)
         designs: dict = {}
-        cells = [experiments._design_cell(SchemeId.PROPOSED, cfg, snr, r_gamma, designs)
+        cells = [experiments._design_cell(SchemeId.PROPOSED, cfg, snr, r_gamma, designs, {})
                  for snr in cfg.snr_db]
         assert cells[0].pattern is cells[1].pattern
         for cell, snr in zip(cells, cfg.snr_db):

@@ -58,9 +58,9 @@ def _per_trial_nmse(cfg, cell, si, trial):
     [y] = system.simulate_reception(gamma, s, cfg.sigma2, [noise_seed])
     v, x = cell.pattern.v, cell.training.x
     if cfg.estimator == "ls":
-        gamma_hat = system.estimate_ls(y, v, x)
+        gamma_hat = system.estimate_ls(y, (v, x))
     else:
-        gamma_hat = system.estimate_lmmse(y, v, x, cell.factors, cfg.sigma2, cfg.l)
+        gamma_hat = system.estimate_lmmse(y, (v, x), cell.factors, cfg.sigma2, cfg.l)
     err = float(np.sum(np.abs(gamma_hat - gamma[0]) ** 2))
     return system.nmse(err, cfg.l, cfg.k, m_eff)
 
@@ -97,7 +97,7 @@ def sweeps(draw):
 def test_sweep_matches_per_trial_oracle_and_reproduces(cfg):
     rows = run_sweep(cfg)
     r_gamma = cascaded_correlation(cfg.corr, cfg.m, cfg.k, cfg.l)
-    cells = {(s.value, si): experiments._design_cell(s, cfg, snr, r_gamma, {})
+    cells = {(s.value, si): experiments._design_cell(s, cfg, snr, r_gamma, {}, {})
              for s in cfg.schemes for si, snr in enumerate(cfg.snr_db)}
     for row in rows:
         si = cfg.snr_db.index(row.snr_db)
@@ -165,3 +165,12 @@ def test_lmmse_sweep_builds_the_factors_once_per_grouping(monkeypatch):
     rows = run_sweep(cfg)
     assert sorted(built) == [(cfg.m // cfg.rho + 1) * cfg.k, (cfg.m + 1) * cfg.k]
     assert len(rows) == len(cfg.schemes) * len(cfg.snr_db) * cfg.trials
+
+
+def test_ls_sweep_builds_no_factors_of_r(monkeypatch):
+    # Neither J_LS nor the LS filter reads R, so an LS cell carries no factors.
+    def factors(r_gamma, k):
+        raise AssertionError("an LS sweep read the factors of R")
+    monkeypatch.setattr(experiments, "kronecker_factors", factors)
+    cfg = ExperimentConfig(**DESK, rho=3, schemes=(SchemeId.NAIVE, SchemeId.PROPOSED_GROUPED))
+    assert len(run_sweep(cfg)) == len(cfg.schemes) * len(cfg.snr_db) * cfg.trials

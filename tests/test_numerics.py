@@ -153,10 +153,10 @@ def test_spectra_exact_or_rejected(case):
         with pytest.raises(SingularGram):
             trace_of_inverse(a)
         with pytest.raises(SingularGram):
-            estimate_ls(gamma @ s, s, one)
+            estimate_ls(gamma @ s, (s, one))
         return
     try:
-        trace, estimate = trace_of_inverse(a), estimate_ls(gamma @ s, s, one)
+        trace, estimate = trace_of_inverse(a), estimate_ls(gamma @ s, (s, one))
     except SingularGram:
         assert cond > 1e8
         return

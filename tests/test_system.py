@@ -224,29 +224,29 @@ class TestEstimators:
     def test_ls_noiseless_recovery(self, rng):
         cfg, v, x, gamma, _ = self._setup(rng)
         y = gamma @ np.kron(v, x)
-        err = np.linalg.norm(estimate_ls(y, v, x) - gamma) / np.linalg.norm(gamma)
+        err = np.linalg.norm(estimate_ls(y, (v, x)) - gamma) / np.linalg.norm(gamma)
         assert err < 1e-10
 
     def test_ls_identity_training(self, rng):
         y = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-        assert np.allclose(estimate_ls(y, np.eye(5), np.eye(1)), y)
+        assert np.allclose(estimate_ls(y, (np.eye(5), np.eye(1))), y)
 
     def test_ls_singular_gram(self):
         v = np.ones((3, 4), dtype=complex)  # rank one
         with pytest.raises(SingularGram):
-            estimate_ls(np.ones((2, 4)), v, np.eye(1))
+            estimate_ls(np.ones((2, 4)), (v, np.eye(1)))
 
     def test_lmmse_zero_prior(self, rng):
         cfg, v, x, gamma, f = self._setup(rng)
         y = simulate_reception(gamma[None], np.kron(v, x), 1.0, [5])[0]
         zero = f._replace(a=np.zeros_like(f.a), a_half=np.zeros_like(f.a_half))
-        est = estimate_lmmse(y, v, x, zero, 1.0, 4)
+        est = estimate_lmmse(y, (v, x), zero, 1.0, 4)
         assert np.allclose(est, 0.0)
 
     def test_lmmse_low_noise_limit(self, rng):
         cfg, v, x, gamma, f = self._setup(rng)
         y = gamma @ np.kron(v, x)
-        est = estimate_lmmse(y, v, x, f, 1e-10, 4)
+        est = estimate_lmmse(y, (v, x), f, 1e-10, 4)
         assert np.linalg.norm(est - gamma) / np.linalg.norm(gamma) < 1e-4
 
     def test_ls_monte_carlo_mse(self, rng):
@@ -254,7 +254,7 @@ class TestEstimators:
         s = np.kron(v, x)
         analytic = mse_ls(v, x, 1.0, 4)
         errs = [
-            np.sum(np.abs(estimate_ls(simulate_reception(gamma[None], s, 1.0, [t])[0], v, x)
+            np.sum(np.abs(estimate_ls(simulate_reception(gamma[None], s, 1.0, [t])[0], (v, x))
                           - gamma) ** 2)
             for t in range(2000)
         ]
@@ -269,7 +269,7 @@ class TestEstimators:
         for t in range(2000):
             gamma = cascaded_channel(sample_channels([np.random.SeedSequence([9, t])], cfg, corr))
             [y] = simulate_reception(gamma, s, 1.0, [np.random.SeedSequence([10, t])])
-            errs.append(np.sum(np.abs(estimate_lmmse(y, v, x, f, 1.0, 4) - gamma[0]) ** 2))
+            errs.append(np.sum(np.abs(estimate_lmmse(y, (v, x), f, 1.0, 4) - gamma[0]) ** 2))
         assert np.mean(errs) == pytest.approx(analytic, rel=0.05)
 
     @pytest.mark.parametrize("l", [4, 6])   # 6 = tau B: a stack the old 2-D form mixed up
@@ -277,8 +277,8 @@ class TestEstimators:
         v, x = rng.standard_normal((3, 3)) + 1j, rng.standard_normal((2, 2)) + 0.5j
         f = random_factors(rng, 3, 2)
         y = rng.standard_normal((3, l, 6)) + 1j * rng.standard_normal((3, l, 6))
-        for estimate in (lambda y: estimate_ls(y, v, x),
-                         lambda y: estimate_lmmse(y, v, x, f, 0.7, l)):
+        for estimate in (lambda y: estimate_ls(y, (v, x)),
+                         lambda y: estimate_lmmse(y, (v, x), f, 0.7, l)):
             stacked = estimate(y)
             per_trial = np.stack([estimate(trial) for trial in y])
             assert stacked.shape == per_trial.shape == (3, l, 6)
@@ -306,8 +306,8 @@ def test_factored_forms_match_the_dense_oracles(k, m, extra_b, extra_tau, rows, 
     s = np.kron(v, x)
     y = rng.standard_normal((rows, s.shape[1])) + 1j * rng.standard_normal((rows, s.shape[1]))
     assert mse_ls(v, x, sigma2, l) == pytest.approx(ls_mse(s, sigma2, l), rel=1e-10)
-    for got, w in ((estimate_ls(y, v, x), ls_filter(s)),
-                   (estimate_lmmse(y, v, x, f, sigma2, l),
+    for got, w in ((estimate_ls(y, (v, x)), ls_filter(s)),
+                   (estimate_lmmse(y, (v, x), f, sigma2, l),
                     lmmse_filter(s, np.kron(f.a, f.p), sigma2, l))):
         assert np.linalg.norm(got - y @ w) <= 1e-10 * np.linalg.norm(y @ w)
 
@@ -330,7 +330,7 @@ def test_estimate_lmmse_matches_dense_solve(k, m, b, tau, rows, sigma2, l, seed)
     a = s.conj().T @ r @ s + sigma2 * l * np.eye(cols)
     w = np.linalg.solve(a, s.conj().T @ r)
     tol = max(1e-12, 32 * np.finfo(float).eps * np.linalg.cond(a))
-    got = estimate_lmmse(y, v, x, f, sigma2, l)
+    got = estimate_lmmse(y, (v, x), f, sigma2, l)
     assert np.linalg.norm(got - y @ w) <= tol * np.linalg.norm(y) * np.linalg.norm(w)
 
 
@@ -371,7 +371,7 @@ class TestAnalyticMse:
         with pytest.raises(SingularGram):
             mse_ls(v, x, 1.0, 4)
         with pytest.raises(SingularGram):
-            estimate_ls(np.ones((2, 4)), v, x)
+            estimate_ls(np.ones((2, 4)), (v, x))
         # At 1e5 each the product 1e10 passes.
         v_ok = np.diag([1.0, 10.0 ** -2.5]).astype(complex)
         assert mse_ls(v_ok, v_ok, 1.0, 4) == pytest.approx(
