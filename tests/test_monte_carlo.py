@@ -150,9 +150,11 @@ def test_ls_cells_decompose_only_the_factors_of_s_s_h(monkeypatch):
     assert (cfg.m + 1) * cfg.k not in sizes and {cfg.m + 1, cfg.k} <= set(sizes)
 
 
-def test_lmmse_sweep_builds_the_factors_once_per_grouping(monkeypatch):
+@pytest.mark.parametrize("estimator", ["ls", "lmmse"])
+def test_sweep_builds_the_factors_once_per_lmmse_grouping(monkeypatch, estimator):
     # kron(A, P) is read back once for R and once for the grouped R, and
-    # every cell of that grouping reads the same factors.
+    # every LMMSE cell of that grouping reads the same factors.  Neither
+    # J_LS nor the LS filter reads R, so an LS sweep builds none.
     built = []
     real = experiments.kronecker_factors
 
@@ -160,17 +162,9 @@ def test_lmmse_sweep_builds_the_factors_once_per_grouping(monkeypatch):
         built.append(r_gamma.shape[0])
         return real(r_gamma, k)
     monkeypatch.setattr(experiments, "kronecker_factors", factors)
-    cfg = ExperimentConfig(**DESK, estimator="lmmse", rho=3,
+    cfg = ExperimentConfig(**DESK, estimator=estimator, rho=3,
                            schemes=(SchemeId.NAIVE, SchemeId.PROPOSED_GROUPED))
     rows = run_sweep(cfg)
-    assert sorted(built) == [(cfg.m // cfg.rho + 1) * cfg.k, (cfg.m + 1) * cfg.k]
+    sizes = [(cfg.m // cfg.rho + 1) * cfg.k, (cfg.m + 1) * cfg.k]
+    assert sorted(built) == (sizes if estimator == "lmmse" else [])
     assert len(rows) == len(cfg.schemes) * len(cfg.snr_db) * cfg.trials
-
-
-def test_ls_sweep_builds_no_factors_of_r(monkeypatch):
-    # Neither J_LS nor the LS filter reads R, so an LS cell carries no factors.
-    def factors(r_gamma, k):
-        raise AssertionError("an LS sweep read the factors of R")
-    monkeypatch.setattr(experiments, "kronecker_factors", factors)
-    cfg = ExperimentConfig(**DESK, rho=3, schemes=(SchemeId.NAIVE, SchemeId.PROPOSED_GROUPED))
-    assert len(run_sweep(cfg)) == len(cfg.schemes) * len(cfg.snr_db) * cfg.trials
