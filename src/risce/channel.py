@@ -6,7 +6,8 @@ for both links seen at each node.  The quantity estimated at the BS is the
 cascaded channel Gamma = [g_1 h_{r,1}^H, ..., g_M h_{r,M}^H, H_d], whose
 correlation matrix E{Gamma^H Gamma} has the closed block-diagonal form
 produced by :func:`cascaded_correlation`.  It is kron(A, L Psi_UE), and
-:func:`kronecker_factors` reads both factors back from its blocks.
+:func:`kronecker_factors`, the one reader of a caller's dense R, checks it
+(finite, Hermitian, a Kronecker product) and reads both factors back.
 """
 
 from __future__ import annotations
@@ -176,10 +177,17 @@ def grouped_cascaded_correlation(
 
 
 def kronecker_factors(r_gamma: np.ndarray, k: int) -> KroneckerFactors:
-    """P = R[-K:, -K:], A[i, j] = R[iK, jK] / P[0, 0]; DimensionMismatch unless R = kron(A, P)."""
+    """P = R[-K:, -K:], A[i, j] = R[iK, jK] / P[0, 0]; the one check of a caller's R.
+
+    DimensionMismatch unless R is finite, Hermitian to 1e-10 of its largest entry, and
+    kron(A, P) to 4 eps of it (the product rounds twice).
+    """
+    scale = np.max(np.abs(r_gamma))
+    if not (np.isfinite(scale) and r_gamma.shape == r_gamma.shape[::-1]
+            and np.max(np.abs(r_gamma - r_gamma.conj().T)) <= 1e-10 * scale):
+        raise DimensionMismatch(f"R {r_gamma.shape} is not a finite Hermitian matrix")
     p = r_gamma[-k:, -k:]
     a = r_gamma[::k, ::k] / p[0, 0] if r_gamma.shape[0] % k == 0 and p[0, 0].real > 0 else None
-    tol = 4 * np.finfo(float).eps * np.max(np.abs(r_gamma))   # kron(A, P) rounds twice
-    if a is None or not np.max(np.abs(np.kron(a, p) - r_gamma)) <= tol:
+    if a is None or not np.max(np.abs(np.kron(a, p) - r_gamma)) <= 4 * np.finfo(float).eps * scale:
         raise DimensionMismatch(f"R {r_gamma.shape} is not kron(A, P) with a {k} x {k} P")
     return KroneckerFactors(a, p, sqrt_psd(a), sqrt_psd(p))

@@ -116,12 +116,14 @@ class ExperimentConfig:
             raise ConfigError(f"eps must be > 0, got {self.eps}")
         if self.max_iter is not None and self.max_iter < 0:
             raise ConfigError(f"max_iter must be >= 0, got {self.max_iter}")
-        # The objects that own the other values check them; build each once
-        # and report their errors as ConfigError.
+        # The objects that own the other values check them; build each once,
+        # a system per SNR, and report their errors as ConfigError.
         try:
-            self.model, self.corr, self.system(self.snr_db[0])
+            self.model, self.corr, [self.system(snr) for snr in self.snr_db]
             if SchemeId.PROPOSED_GROUPED in self.schemes:
                 group_reduce(self.m, self.rho)
+        except OverflowError as exc:   # 10 ** (SNR / 10) is above the largest float
+            raise ConfigError(f"snr_db {max(self.snr_db)} overflows the power budget") from exc
         except (ValueError, RisceError) as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -380,18 +382,14 @@ def run_validation(cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
     def add(name: str, passed: bool, detail: str = "") -> None:
         checks.append((name, bool(passed), detail))
 
-    # Gram factorization of the effective training.
+    # The factored LS MSE the sweep uses against the dense Tr[(S S^H)^-1].
     worst = 0.0
     for _ in range(20):
         v = _random_feasible_pattern(rng, cfg.m, cfg.b, model)
         x = _random_training(rng, cfg.k, cfg.tau, sys_cfg.power)
         s = build_S(v, x)
-        lhs = np.trace(np.linalg.inv(s @ s.conj().T)).real
-        rhs = (
-            np.trace(np.linalg.inv(v.v @ v.v.conj().T)).real
-            * np.trace(np.linalg.inv(x.x @ x.x.conj().T)).real
-        )
-        worst = max(worst, abs(lhs - rhs) / abs(rhs))
+        dense = np.trace(np.linalg.inv(s @ s.conj().T)).real
+        worst = max(worst, abs(system.mse_ls(v.v, x.x, 1.0, 1) - dense) / dense)
     add("kronecker-trace-identity", worst < 1e-8, f"max rel err {worst:.2e}")
 
     # LMMSE MSE: factored form vs direct form.

@@ -18,7 +18,8 @@ MSEs as two arguments v, x, the estimators as one, s = (V, X), S by its
 factors.  The estimators are Y W for Y with any leading trial axes; the LS
 filter is W = kron(V^H (V V^H)^{-1}, X^H (X X^H)^{-1}), and, like J_LS, it
 raises SingularGram unless cond(V V^H) cond(X X^H) = cond(S S^H) <=
-CONDITION_LIMIT.
+CONDITION_LIMIT.  V and X are checked by their types, R by kronecker_factors,
+and the products built here go to :mod:`~risce.numerics` unchecked.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ def lmmse_spectrum(half: np.ndarray, t: np.ndarray):
     half is A^1/2 with T = V, or P^1/2 with T = X.
     """
     g = half @ t
-    lam, e = np.linalg.eigh(numerics.require_hermitian(g @ g.conj().T))
+    lam, e = numerics.checked_eigh(g @ g.conj().T)
     he = half @ e
     return np.clip(lam, 0.0, None), he, np.sum(np.abs(he) ** 2, axis=0)
 

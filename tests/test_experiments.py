@@ -143,6 +143,16 @@ class TestRunSweep:
             np.testing.assert_array_equal(cell.training.x, want.x)
             np.testing.assert_array_equal(cell.training.power, want.power)
 
+    def test_ls_nmse_falls_as_one_over_power_at_1600_db(self):
+        # X X^H holds entries near 1e160 at 1600 dB; no kernel squares them,
+        # so the analytic LS NMSE is 1e-10 times the 1500 dB one.
+        cfg = ExperimentConfig(schemes=(SchemeId.NAIVE, SchemeId.PROPOSED),
+                               snr_db=(1500.0, 1600.0), simulate=False)
+        nmse = {(r.scheme, r.snr_db): r.analytic_nmse for r in run_sweep(cfg)}
+        for scheme in ("naive", "proposed"):
+            assert nmse[(scheme, 1600.0)] == pytest.approx(
+                1e-10 * nmse[(scheme, 1500.0)], rel=1e-12)
+
     def test_lmmse_estimator_path(self):
         cfg = ExperimentConfig(**FAST, estimator="lmmse",
                                schemes=(SchemeId.PROPOSED, SchemeId.NAIVE))
@@ -250,6 +260,16 @@ class TestCli:
         assert rc == 2
         assert f"config error: cannot write {path}" in capsys.readouterr().err
         assert not path.exists()
+
+    @pytest.mark.parametrize("snr_db", ["4000", "-4000"])
+    def test_every_snr_checked_before_the_sweep(self, capsys, snr_db):
+        # Listed second, the bad SNR is still a config error before any
+        # design: 10 ** 400 overflows, and 10 ** -400 is a zero budget.
+        rc = main(["sweep", "--analytic-only", "--scheme", "naive",
+                   "--snr-db", "0", snr_db, "--output", "-"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("config error:")
 
     def test_bad_config_file_reports_line(self, tmp_path):
         cfgfile = tmp_path / "bad.cfg"

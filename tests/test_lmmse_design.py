@@ -751,3 +751,24 @@ def test_kronecker_factors_reject_dense_hpd(k, n_a, seed):
     r = random_hpd(np.random.default_rng(seed), n_a * k)
     with pytest.raises(DimensionMismatch):
         kronecker_factors(r, k)
+
+
+def test_kronecker_factors_reject_non_hermitian():
+    # R = kron(A, P) exactly, but P is not Hermitian: the Kronecker check
+    # passes, and R's entry is the only place its symmetry is checked.
+    rng = np.random.default_rng(5)
+    p = random_hpd(rng, CFG.k)
+    p[0, 1] += 1e-3
+    r = np.kron(random_hpd(rng, CFG.m + 1), p)
+    with pytest.raises(DimensionMismatch, match="Hermitian"):
+        kronecker_factors(r, CFG.k)
+    with pytest.raises(DimensionMismatch, match="Hermitian"):
+        design_lmmse(CFG, ReflectionModel(), r)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kronecker_factors_reject_non_finite(bad):
+    r = R.copy()
+    r[0, 1] = r[1, 0] = bad
+    with pytest.raises(DimensionMismatch, match="finite"):
+        kronecker_factors(r, CFG.k)

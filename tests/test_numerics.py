@@ -53,10 +53,6 @@ class TestLargestEigenvalue:
             quotient = np.real(x.conj() @ a @ x) / np.real(x.conj() @ x)
             assert lam >= quotient - 1e-8 * abs(lam)
 
-    def test_rejects_non_hermitian(self, rng):
-        with pytest.raises(ValueError):
-            largest_eigenvalue(rng.standard_normal((4, 4)) + np.triu(np.ones((4, 4))))
-
 
 class TestTraceOfInverse:
     def test_scaled_identity(self):
@@ -116,8 +112,8 @@ class TestSolveHpd:
     largest_eigenvalue, trace_of_inverse, lambda a: solve_hpd(a, np.eye(3)),
 ], ids=["largest_eigenvalue", "trace_of_inverse", "solve_hpd"])
 def test_non_finite_matrix_rejected(kernel, bad):
-    # A symmetric pair of non-finite entries passes the symmetry check, so
-    # finiteness is checked on its own, before any LAPACK call.
+    # eigvalsh returns [nan, nan, 1] for the NaN pair without raising, so
+    # the whole spectrum is checked, not only its top.
     a = np.eye(3)
     a[0, 1] = a[1, 0] = bad
     with pytest.raises(SingularGram):

@@ -334,6 +334,29 @@ def test_estimate_lmmse_matches_dense_solve(k, m, b, tau, rows, sigma2, l, seed)
     assert np.linalg.norm(got - y @ w) <= tol * np.linalg.norm(y) * np.linalg.norm(w)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@settings(max_examples=50, deadline=None)
+@given(k=st.integers(1, 3), m=st.integers(1, 4), extra_b=st.integers(0, 2),
+       extra_tau=st.integers(0, 2), side=st.integers(0, 1),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf, complex(0, np.inf), complex(0, np.nan)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_non_finite_pattern_or_training_is_singular(k, m, extra_b, extra_tau, side, bad, seed):
+    # No Gram product is scanned before LAPACK; a NaN or infinite entry of V
+    # or X reaches each kernel's eigen-solve or Cholesky, which raises
+    # SingularGram.  (Products of an inf entry can warn of a NaN first.)
+    rng = np.random.default_rng(seed)
+    vx = [_conditioned_factors(rng, m + 1, m + 1 + extra_b),
+          _conditioned_factors(rng, k, k + extra_tau)]
+    vx[side][tuple(rng.integers(n) for n in vx[side].shape)] = bad
+    v, x = vx
+    f = random_factors(rng, m + 1, k)
+    y = np.ones((2, v.shape[1] * x.shape[1]), dtype=complex)
+    for kernel in (lambda: mse_ls(v, x, 1.0, 2), lambda: mse_lmmse(v, x, f, 1.0, 2),
+                   lambda: estimate_ls(y, (v, x)), lambda: estimate_lmmse(y, (v, x), f, 1.0, 2)):
+        with pytest.raises(SingularGram):
+            kernel()
+
+
 class TestAnalyticMse:
     def test_ls_orthogonal_case(self):
         # V V^H = (M+1) I and X X^H = P I give sigma^2 L K / P.
