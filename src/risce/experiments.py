@@ -7,11 +7,12 @@ Channel and noise draws use per-(SNR, trial) seed streams shared by all
 schemes (common random numbers).  Both estimators are linear in the received
 block, so each (scheme, SNR) cell builds its estimator W once, through the
 public system.estimate_ls / estimate_lmmse, from (V, X) and, for LMMSE, the
-Kronecker factors of R, built once per sweep and grouping: no cell forms or
-decomposes the (M+1)K-sized S S^H.  The cell's trials then run in blocks of
-TRIAL_BLOCK: each trial still draws from its own channel and noise streams,
-and the block colors, cascades, receives (one (block L) x n product Gamma S)
-and applies W (one product Y W) together, through sample_channels,
+Kronecker factors of R: no cell forms or decomposes the (M+1)K-sized S S^H.
+Only LMMSE sweeps build R, once per grouping, with its factors, in one memo
+per sweep that its designs and cells share.  Each cell's trials run in
+blocks of TRIAL_BLOCK: each trial still draws from its own channel and noise
+streams, and the block colors, cascades, receives (one (block L) x n product
+Gamma S) and applies W (one product Y W) together, through sample_channels,
 cascaded_channel and simulate_reception, which take a block of trials.
 Output rows are emitted in deterministic (scheme, SNR, trial) order.
 """
@@ -106,6 +107,8 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if not self.snr_db:
             raise ConfigError("snr_db must not be empty")
+        if not self.schemes:
+            raise ConfigError("schemes must not be empty")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         if SchemeId.ON_OFF in self.schemes and self.b != self.m + 1:
@@ -173,35 +176,41 @@ class CellDesign:
     factors: KroneckerFactors | None = None   # of the cell's R = kron(A, P); LMMSE only
 
 
-def _design(cfg, sys_cfg, model, r_gamma, accelerate):
-    """(X, V, DesignTrace) of the config's MM design at sys_cfg and law model.
+def _correlation(cfg, grouping, correlations):
+    """(R, its Kronecker factors) under grouping (None: ungrouped), memoized in correlations.
 
-    An LS design returns its V with the DFT training of sys_cfg.
+    One memo serves a sweep; only LMMSE designs and cells read R.
     """
+    if grouping not in correlations:
+        r_gamma = (cascaded_correlation(cfg.corr, cfg.m, cfg.k, cfg.l) if grouping is None else
+                   grouped_cascaded_correlation(cfg.corr, grouping.indicator(), cfg.k, cfg.l))
+        correlations[grouping] = r_gamma, kronecker_factors(r_gamma, cfg.k)
+    return correlations[grouping]
+
+
+def _design(cfg, sys_cfg, model, accelerate, correlations, grouping=None):
+    """(X, V, DesignTrace) of the config's MM design at sys_cfg and law model (LS: X = None)."""
     opts = dict(eps=cfg.eps, max_iter=cfg.max_iter, accelerate=accelerate)
     if cfg.estimator == "ls":
-        v, trace = design_ls(sys_cfg, model, **opts)
-        return dft_training(sys_cfg.k, sys_cfg.tau, sys_cfg.power), v, trace
-    return design_lmmse(sys_cfg, model, r_gamma, **opts)
+        return None, *design_ls(sys_cfg, model, **opts)
+    return design_lmmse(sys_cfg, model, _correlation(cfg, grouping, correlations)[0], **opts)
 
 
 def _design_cell(
     scheme: SchemeId,
     cfg: ExperimentConfig,
     snr_db: float,
-    r_gamma: np.ndarray,
     designs: dict,
-    factors: dict,
+    correlations: dict,
 ) -> CellDesign:
     """Design (X, V) for one scheme at one SNR.
 
     designs memoizes whole (X, V, trace) designs across cells, keyed by the
-    reflection law, grouped or not, and for LMMSE the SNR.  So
+    reflection law, the grouping (None: ungrouped) and for LMMSE the SNR.  So
     ideal-projection reuses the ideal design, and an LS pattern, whose
     objective Tr[(V V^H)^{-1}] does not depend on the power budgets, is
     designed once per sweep and paired with the DFT training of each SNR.
-    factors memoizes the Kronecker factors of R, grouped or not, which only
-    LMMSE cells read.
+    correlations is the sweep's :func:`_correlation` memo.
     """
     sys_cfg = cfg.system(snr_db)
     model = cfg.model
@@ -215,30 +224,24 @@ def _design_cell(
     elif scheme is SchemeId.ON_OFF:
         v = onoff_pattern(cfg.m, cfg.b)
     else:
-        grouped = scheme is SchemeId.PROPOSED_GROUPED
-        if grouped:
+        if scheme is SchemeId.PROPOSED_GROUPED:
             grouping = group_reduce(cfg.m, cfg.rho)
             sys_cfg = replace(sys_cfg, m=grouping.m_grouped, b=grouping.m_grouped + 1)
-            r_gamma = grouped_cascaded_correlation(cfg.corr, grouping.indicator(), cfg.k, cfg.l)
         ideal = scheme in (SchemeId.IDEAL_RIS, SchemeId.IDEAL_RIS_PROJECTION)
         design_model = ideal_model() if ideal else model
-        key = (design_model, grouped, snr_db)[:2 if cfg.estimator == "ls" else 3]
+        key = (design_model, grouping, snr_db)[:2 if cfg.estimator == "ls" else 3]
         if key not in designs:
-            designs[key] = _design(cfg, sys_cfg, design_model, r_gamma, cfg.accelerate)
+            designs[key] = _design(cfg, sys_cfg, design_model, cfg.accelerate,
+                                   correlations, grouping)
         x_designed, v, trace = designs[key]
-        if cfg.estimator == "lmmse":
-            x = x_designed
+        x = x if x_designed is None else x_designed
         iters = trace.iterations
         if scheme is SchemeId.IDEAL_RIS_PROJECTION:
             v = ReflectionPattern(v=project_pattern(v.v, model))
 
     wall_ms = (time.perf_counter() - start) * 1e3
-    if cfg.estimator == "ls":
-        return CellDesign(x, v, iters, wall_ms, grouping)
-    grouped = grouping is not None
-    if grouped not in factors:
-        factors[grouped] = kronecker_factors(r_gamma, cfg.k)
-    return CellDesign(x, v, iters, wall_ms, grouping, factors[grouped])
+    factors = None if cfg.estimator == "ls" else _correlation(cfg, grouping, correlations)[1]
+    return CellDesign(x, v, iters, wall_ms, grouping, factors)
 
 
 def _analytic_nmse(cell: CellDesign, cfg: ExperimentConfig) -> float:
@@ -292,14 +295,13 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     Returns rows sorted by (scheme order, SNR order, trial).  The analytic
     NMSE of every scheme is checked to be monotone non-increasing in SNR.
     """
-    r_gamma = cascaded_correlation(cfg.corr, cfg.m, cfg.k, cfg.l)
     rows: list[ResultRow] = []
     designs: dict = {}
-    factors: dict = {}
+    correlations: dict = {}
     for scheme in cfg.schemes:
         analytic_by_snr: list[tuple[float, float]] = []
         for si, snr_db in enumerate(cfg.snr_db):
-            cell = _design_cell(scheme, cfg, snr_db, r_gamma, designs, factors)
+            cell = _design_cell(scheme, cfg, snr_db, designs, correlations)
             analytic = _analytic_nmse(cell, cfg)
             analytic_by_snr.append((snr_db, analytic))
             empirical = _empirical_nmses(cell, cfg, si) if cfg.simulate else [None]
@@ -335,10 +337,10 @@ CONVERGENCE_COLUMNS = tuple(f.name for f in fields(ConvergenceRow))
 def run_convergence(cfg: ExperimentConfig) -> list[ConvergenceRow]:
     """Plain-MM and accelerated traces of the proposed design at the first SNR."""
     sys_cfg = cfg.system(cfg.snr_db[0])
-    r_gamma = cascaded_correlation(cfg.corr, cfg.m, cfg.k, cfg.l)
     rows: list[ConvergenceRow] = []
+    correlations: dict = {}
     for variant, accelerate in (("mm", False), ("accelerated", True)):
-        _, _, trace = _design(cfg, sys_cfg, cfg.model, r_gamma, accelerate)
+        _, _, trace = _design(cfg, sys_cfg, cfg.model, accelerate, correlations)
         steps = zip(trace.objectives, trace.update_calls, trace.elapsed_s)
         for i, (obj, calls, elapsed) in enumerate(steps):
             rows.append(ConvergenceRow(variant, i, obj, calls, elapsed * 1e3))
@@ -359,8 +361,7 @@ DESIGN_COLUMNS = tuple(f.name for f in fields(DesignDumpRow))
 
 def run_design_dump(cfg: ExperimentConfig) -> list[DesignDumpRow]:
     """Designed (X, V) of the first scheme at the first SNR, in long format."""
-    r_gamma = cascaded_correlation(cfg.corr, cfg.m, cfg.k, cfg.l)
-    cell = _design_cell(cfg.schemes[0], cfg, cfg.snr_db[0], r_gamma, {}, {})
+    cell = _design_cell(cfg.schemes[0], cfg, cfg.snr_db[0], {}, {})
     rows: list[DesignDumpRow] = []
     for name, mat in (("V", cell.pattern.v), ("X", cell.training.x)):
         for (i, j), val in np.ndenumerate(mat):
@@ -377,7 +378,7 @@ def run_validation(cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
     rng = np.random.default_rng(cfg.seed)
     model = cfg.model
     sys_cfg = cfg.system(cfg.snr_db[0])
-    r_gamma = cascaded_correlation(cfg.corr, cfg.m, cfg.k, cfg.l)
+    r_gamma, factors = _correlation(cfg, None, {})
 
     def add(name: str, passed: bool, detail: str = "") -> None:
         checks.append((name, bool(passed), detail))
@@ -396,7 +397,7 @@ def run_validation(cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
     v = naive_pattern(cfg.m, cfg.b, model)
     x = dft_training(cfg.k, cfg.tau, sys_cfg.power)
     s = build_S(v, x)
-    lemma = system.mse_lmmse(v.v, x.x, kronecker_factors(r_gamma, cfg.k), cfg.sigma2, cfg.l)
+    lemma = system.mse_lmmse(v.v, x.x, factors, cfg.sigma2, cfg.l)
     try:
         direct = np.trace(np.linalg.inv(
             np.linalg.inv(r_gamma) + (s @ s.conj().T) / (cfg.sigma2 * cfg.l)

@@ -14,7 +14,7 @@ The phase search is exact under the ideal law.  Otherwise it scores a fixed
 grid of GRID_POINTS phases and theta_d = delta - pi/2, then refines the best
 grid point (for alpha < 1, the best point on each side of the cusp at
 theta_d) by a safeguarded iteration on f'.  Each derivative of the cost is
-linear in (q, Re c, Im c), so a cached table of the basis's first three
+linear in (q, Re c, Im c), so a table of the basis's first three
 derivatives at the grid points gives f', f'' and f''' at the start from
 one gather and one contraction.  The steps are Halley's with that f'''
 (after the first, Newton's below alpha = 1), and an entry stops once the
@@ -28,6 +28,11 @@ search wants the law point nearest z.  The point at phase theta lies on the
 ray at angle theta, so its cost is at least -(|c| cos(theta - arg z))^2 / q.
 When the best of the 2 _BAND + 1 grid points nearest arg z is below that
 bound at _BAND steps, no other grid point can win, and only they are scored.
+
+Everything the search reads per law (grid, basis, band windows, derivative
+table and theta_d) is one read-only record, :func:`_tables`, cached for the
+last law only: a design keeps one law, and the ideal law never reads it.
+A caller that alternates laws rebuilds the record, about 0.3 ms, per switch.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -113,25 +119,6 @@ def _phase_cost(q, c, theta, model: ReflectionModel):
                                        - np.imag(c) * np.sin(theta))
 
 
-@lru_cache(maxsize=16)
-def _search_grid(model: ReflectionModel) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only grid and (3, GRID_POINTS) basis [beta^2; 2 beta cos; -2 beta sin].
-
-    For alpha < 1 the grid starts half a step past the cusp at theta_d.
-    """
-    start = _amplitude_minimum(model) + math.pi / GRID_POINTS if model.alpha < 1.0 else 0.0
-    grid = np.linspace(start, start + TWO_PI, GRID_POINTS, endpoint=False)
-    beta = amplitude_of_phase(grid, model)
-    basis = np.stack([beta**2, 2.0 * beta * np.cos(grid), -2.0 * beta * np.sin(grid)], axis=1).T
-    grid.flags.writeable = basis.flags.writeable = False
-    return grid, basis
-
-
-def _amplitude_minimum(model: ReflectionModel) -> float:
-    """theta_d = delta - pi/2 in [0, 2*pi), where beta = beta_min."""
-    return (model.delta - 0.5 * math.pi) % TWO_PI
-
-
 def _phase_cost_slopes(q, c_re, c_im, theta, model: ReflectionModel):
     """First and second theta-derivatives of :func:`_phase_cost` at c = c_re + j c_im.
 
@@ -152,17 +139,35 @@ def _phase_cost_slopes(q, c_re, c_im, theta, model: ReflectionModel):
     return d1, d2
 
 
-@lru_cache(maxsize=1)   # a design keeps one law, and a table takes 72 kB
-def _slope_table(model: ReflectionModel) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only derivative table of the basis at the grid, and the basis at theta_d.
+class _Tables(NamedTuple):
+    """Read-only per-law state of the phase search, from :func:`_tables`."""
 
-    Entry [i, k - 1] of the (GRID_POINTS, 3, 3) table is the k-th theta-
-    derivative of [beta^2, 2 beta cos, -2 beta sin] at grid point i; its dot
-    product with (q, Re c, Im c) is the cost's k-th derivative there.
-    beta''' divides by s, so it is not finite at a grid point on the cusp,
-    and the first step from there bisects.
+    grid: np.ndarray         # (GRID_POINTS,) phases
+    basis: np.ndarray        # (3, GRID_POINTS): [beta^2; 2 beta cos; -2 beta sin]
+    windows: np.ndarray      # (GRID_POINTS - 2 _BAND, 3, 2 _BAND + 1) view of basis (by column)
+    slopes: np.ndarray       # (GRID_POINTS, 3, 3) theta-derivatives of the basis
+    theta_d: float           # delta - pi/2 in [0, 2*pi), where beta = beta_min
+    at_theta_d: np.ndarray   # (3,) basis at theta_d
+
+
+@lru_cache(maxsize=1)   # the last law only (module docstring)
+def _tables(model: ReflectionModel) -> _Tables:
+    """The phase search's grid, basis, band windows and derivative table for model.
+
+    For alpha < 1 the grid starts half a step past the cusp at theta_d.  The
+    basis and its value at theta_d are :func:`_phase_cost` at the unit
+    coefficients.  Entry [i, k - 1] of the slopes table is the k-th theta-
+    derivative of the basis at grid point i; its dot product with
+    (q, Re c, Im c) is the cost's k-th derivative there.  beta''' divides by
+    s, so it is not finite at a grid point on the cusp, and the first step
+    from there bisects.
     """
-    grid, a, k = _search_grid(model)[0], model.alpha, 1.0 - model.beta_min
+    theta_d, a, k = (model.delta - 0.5 * math.pi) % TWO_PI, model.alpha, 1.0 - model.beta_min
+    start = theta_d + math.pi / GRID_POINTS if a < 1.0 else 0.0
+    grid = np.linspace(start, start + TWO_PI, GRID_POINTS, endpoint=False)
+    unit_q, unit_c = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 1.0j])
+    basis = _phase_cost(unit_q, unit_c, grid[:, None], model).T   # stored by column
+    at_theta_d = _phase_cost(unit_q, unit_c, theta_d, model)
     sin_u, cos_u = np.sin(grid - model.delta), np.cos(grid - model.delta)
     s, w = 0.5 * (sin_u + 1.0), a - 1.0 - a * sin_u
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -173,20 +178,18 @@ def _slope_table(model: ReflectionModel) -> tuple[np.ndarray, np.ndarray]:
         h = 2.0 * np.exp(1j * grid) * np.stack([b1 + 1j * b, b2 - b + 2j * b1,
                                                 b3 - 3.0 * b1 + 1j * (3.0 * b2 - b)])
         quad = 2.0 * np.stack([b * b1, b1**2 + b * b2, 3.0 * b1 * b2 + b * b3])
-    table = np.empty((GRID_POINTS, 3, 3))
-    table[:, :, 0], table[:, :, 1], table[:, :, 2] = quad.T, h.real.T, -h.imag.T
-    theta_d = _amplitude_minimum(model)
-    beta_d = amplitude_of_phase(theta_d, model)
-    at_theta_d = np.array([beta_d**2, 2.0 * beta_d * math.cos(theta_d),
-                           -2.0 * beta_d * math.sin(theta_d)])
-    table.flags.writeable = at_theta_d.flags.writeable = False
-    return table, at_theta_d
+    slopes = np.empty((GRID_POINTS, 3, 3))
+    slopes[:, :, 0], slopes[:, :, 1], slopes[:, :, 2] = quad.T, h.real.T, -h.imag.T
+    grid.flags.writeable = basis.flags.writeable = False
+    slopes.flags.writeable = at_theta_d.flags.writeable = False
+    windows = sliding_window_view(basis.T, 2 * _BAND + 1, axis=0)
+    return _Tables(grid, basis, windows, slopes, theta_d, at_theta_d)
 
 
 def _newton_refine(q, c, x, lo, hi, slopes, model: ReflectionModel) -> np.ndarray:
     """Safeguarded Halley iteration on f' from x inside [lo, hi], over 1-D arrays.
 
-    slopes holds f', f'' and f''' at x by column (from :func:`_slope_table`).
+    slopes holds f', f'' and f''' at x by column (from :func:`_tables`).
     The first step is Halley's from them; later ones take f' and f'' from
     :func:`_phase_cost_slopes`.  A step that is not finite, has f'' <= 0 or
     leaves the bracket bisects it instead.  An entry stops once it moves at
@@ -226,12 +229,6 @@ def _newton_refine(q, c, x, lo, hi, slopes, model: ReflectionModel) -> np.ndarra
     return out
 
 
-@lru_cache(maxsize=16)
-def _band_windows(model: ReflectionModel) -> np.ndarray:
-    """Read-only (GRID_POINTS - 2 _BAND, 3, 2 _BAND + 1) view of the basis (stored by column)."""
-    return sliding_window_view(_search_grid(model)[1].T, 2 * _BAND + 1, axis=0)
-
-
 def _best_grid_points(q, c, coeffs, model: ReflectionModel) -> tuple[np.ndarray, np.ndarray]:
     """Index and value of each entry's first best grid point (per cusp side if alpha < 1).
 
@@ -241,7 +238,8 @@ def _best_grid_points(q, c, coeffs, model: ReflectionModel) -> tuple[np.ndarray,
     q > 0, finite terms and a band that neither wraps past 0 nor fails the
     bound scores only the band.
     """
-    basis = _search_grid(model)[1]
+    tables = _tables(model)
+    basis = tables.basis
     if model.alpha < 1.0 or q.size < _BAND_BATCH:   # for alpha < 1, a slice per cusp side
         table, sides = coeffs @ basis, 2 if model.alpha < 1.0 else 1
         width = GRID_POINTS // sides
@@ -251,7 +249,7 @@ def _best_grid_points(q, c, coeffs, model: ReflectionModel) -> tuple[np.ndarray,
     rows = np.flatnonzero((q > 0.0) & np.isfinite(q) & np.isfinite(c)
                           & (centre >= _BAND) & (centre < GRID_POINTS - _BAND))
     start = centre[rows].astype(np.intp) - _BAND
-    band = np.vecdot(coeffs[rows, :, None], _band_windows(model)[start], axis=1)
+    band = np.vecdot(coeffs[rows, :, None], tables.windows[start], axis=1)
     k, value, qr, cr = np.argmin(band, axis=1), np.min(band, axis=1), q[rows], np.abs(c[rows])
     slack = 1e-12 * (qr + 3.0 * cr)   # far above the rounding of a grid value
     fits = qr * (value + slack) <= -(math.cos(_BAND * TWO_PI / GRID_POINTS) * cr) ** 2
@@ -274,8 +272,8 @@ def minimize_phase_objectives(
     the step is exact: pi - arg(c), or 0 when c = 0.  Otherwise the best grid
     point (for alpha < 1, of each side of the cusp theta_d) is refined within
     one grid step, by safeguarded Halley steps that read f''' (and, for the
-    first, f' and f'') from the cached derivative table, and kept only if
-    strictly better; theta_d, scored from cached scalars, is the last
+    first, f' and f'') from the per-law derivative table, and kept only if
+    strictly better; theta_d, scored from the basis there, is the last
     candidate.  Where beta_min = 0 and alpha >= 1, theta_d is a stationary
     zero of the cost, flat to order 2 alpha, toward which the steps creep:
     an entry whose grid best it matches is not refined and returns theta_d.
@@ -290,14 +288,13 @@ def minimize_phase_objectives(
     if model.is_ideal:   # q + 2|c| cos(theta + arg c) is least at pi - arg c
         return np.where(c == 0.0, 0.0, (math.pi - np.angle(c)) % TWO_PI), q - 2.0 * np.abs(c)
 
-    theta_d, span = _amplitude_minimum(model), TWO_PI / GRID_POINTS
-    lo, hi = (theta_d, theta_d + TWO_PI) if model.alpha < 1.0 else (-np.inf, np.inf)
+    tables, span = _tables(model), TWO_PI / GRID_POINTS
+    lo, hi = (tables.theta_d, tables.theta_d + TWO_PI) if model.alpha < 1.0 else (-np.inf, np.inf)
     coeffs = np.stack([q, c.real, c.imag], axis=1)
     best, low = _best_grid_points(q, c, coeffs, model)
-    table, at_theta_d = _slope_table(model)
     sides = best.shape[1]
-    value_d = coeffs @ at_theta_d
-    theta0, best = _search_grid(model)[0][best.ravel()], best.ravel()
+    value_d = coeffs @ tables.at_theta_d
+    theta0, best = tables.grid[best.ravel()], best.ravel()
     qs, cs, coeffs = np.repeat(q, sides), np.repeat(c, sides), np.repeat(coeffs, sides, axis=0)
     lo, hi = np.maximum(theta0 - span, lo), np.minimum(theta0 + span, hi)
     if model.beta_min == 0.0 and model.alpha >= 1.0:   # then sides == 1
@@ -305,14 +302,14 @@ def minimize_phase_objectives(
         # before the first slope evaluation.
         flat = value_d <= low[:, 0]
         lo[flat] = hi[flat] = theta0[flat]
-    refined = _newton_refine(qs, cs, theta0, lo, hi, np.vecdot(table[best], coeffs[:, None, :]),
-                             model) % TWO_PI
+    slopes = np.vecdot(tables.slopes[best], coeffs[:, None, :])
+    refined = _newton_refine(qs, cs, theta0, lo, hi, slopes, model) % TWO_PI
     # Grid points, then refined points, then theta_d: a later candidate wins
     # only if strictly better, so ties break early and a NaN never wins.
     cands = [(theta0 % TWO_PI, low.ravel()), (refined, _phase_cost(qs, cs, refined, model))]
     cands = [(t[j::sides], v[j::sides]) for t, v in cands for j in range(sides)]
     theta, value = cands[0]
-    for t, v in cands[1:] + [(theta_d, value_d)]:
+    for t, v in cands[1:] + [(tables.theta_d, value_d)]:
         better = v < value
         theta, value = np.where(better, t, theta), np.where(better, v, value)
     return theta, value

@@ -133,9 +133,8 @@ class TestRunSweep:
         # One LS pattern serves every SNR; each cell pairs it with the DFT
         # training of its own power budget, not the one it was designed at.
         cfg = ExperimentConfig(**FAST)
-        r_gamma = cascaded_correlation(cfg.corr, cfg.m, cfg.k, cfg.l)
         designs: dict = {}
-        cells = [experiments._design_cell(SchemeId.PROPOSED, cfg, snr, r_gamma, designs, {})
+        cells = [experiments._design_cell(SchemeId.PROPOSED, cfg, snr, designs, {})
                  for snr in cfg.snr_db]
         assert cells[0].pattern is cells[1].pattern
         for cell, snr in zip(cells, cfg.snr_db):
@@ -270,6 +269,21 @@ class TestCli:
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
         assert captured.err.startswith("config error:")
+
+    @pytest.mark.parametrize("command", ["sweep", "design"])
+    def test_empty_scheme_list_is_a_config_error(self, capsys, command):
+        # "," names no scheme: design would index an empty tuple, and a sweep
+        # would write a header-only CSV.
+        rc = main([command, "--scheme", ",", "--output", "-"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("config error:") and "schemes" in captured.err
+
+    def test_empty_schemes_line_in_config_file_is_a_config_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text("m = 3\nschemes =\n")
+        assert main(["sweep", "--config", str(cfgfile), "--output", "-"]) == 2
+        assert "schemes must not be empty" in capsys.readouterr().err
 
     def test_bad_config_file_reports_line(self, tmp_path):
         cfgfile = tmp_path / "bad.cfg"

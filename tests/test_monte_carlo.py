@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from risce import experiments, system
 from risce.baselines import SchemeId
-from risce.channel import cascaded_channel, cascaded_correlation, sample_channels
+from risce.channel import cascaded_channel, sample_channels
 from risce.experiments import ExperimentConfig, run_sweep
 
 DESK = dict(k=2, m=3, l=2, trials=4, snr_db=(0.0, 10.0), max_iter=5)
@@ -96,8 +96,7 @@ def sweeps(draw):
 @given(cfg=sweeps())
 def test_sweep_matches_per_trial_oracle_and_reproduces(cfg):
     rows = run_sweep(cfg)
-    r_gamma = cascaded_correlation(cfg.corr, cfg.m, cfg.k, cfg.l)
-    cells = {(s.value, si): experiments._design_cell(s, cfg, snr, r_gamma, {}, {})
+    cells = {(s.value, si): experiments._design_cell(s, cfg, snr, {}, {})
              for s in cfg.schemes for si, snr in enumerate(cfg.snr_db)}
     for row in rows:
         si = cfg.snr_db.index(row.snr_db)
@@ -152,19 +151,27 @@ def test_ls_cells_decompose_only_the_factors_of_s_s_h(monkeypatch):
 
 @pytest.mark.parametrize("estimator", ["ls", "lmmse"])
 def test_sweep_builds_the_factors_once_per_lmmse_grouping(monkeypatch, estimator):
-    # kron(A, P) is read back once for R and once for the grouped R, and
-    # every LMMSE cell of that grouping reads the same factors.  Neither
-    # J_LS nor the LS filter reads R, so an LS sweep builds none.
+    # R and the grouped R are each built once, across both SNRs, and
+    # kron(A, P) is read back once from each; every LMMSE cell of that
+    # grouping reads the same factors.  Neither J_LS nor the LS filter reads
+    # R, so an LS sweep builds none.
     built = []
-    real = experiments.kronecker_factors
 
-    def factors(r_gamma, k):
-        built.append(r_gamma.shape[0])
-        return real(r_gamma, k)
-    monkeypatch.setattr(experiments, "kronecker_factors", factors)
+    def recording(name, size):
+        real = getattr(experiments, name)
+
+        def build(*args):
+            built.append((name, size(*args)))
+            return real(*args)
+        monkeypatch.setattr(experiments, name, build)
+    recording("cascaded_correlation", lambda corr, m, k, l: (m + 1) * k)
+    recording("grouped_cascaded_correlation", lambda corr, ind, k, l: (ind.shape[1] + 1) * k)
+    recording("kronecker_factors", lambda r_gamma, k: r_gamma.shape[0])
     cfg = ExperimentConfig(**DESK, estimator=estimator, rho=3,
-                           schemes=(SchemeId.NAIVE, SchemeId.PROPOSED_GROUPED))
+                           schemes=(SchemeId.NAIVE, SchemeId.PROPOSED_GROUPED, SchemeId.PROPOSED))
     rows = run_sweep(cfg)
-    sizes = [(cfg.m // cfg.rho + 1) * cfg.k, (cfg.m + 1) * cfg.k]
-    assert sorted(built) == (sizes if estimator == "lmmse" else [])
+    grouped, full = (cfg.m // cfg.rho + 1) * cfg.k, (cfg.m + 1) * cfg.k
+    want = [("cascaded_correlation", full), ("grouped_cascaded_correlation", grouped),
+            ("kronecker_factors", full), ("kronecker_factors", grouped)]
+    assert sorted(built) == (sorted(want) if estimator == "lmmse" else [])
     assert len(rows) == len(cfg.schemes) * len(cfg.snr_db) * cfg.trials

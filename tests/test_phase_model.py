@@ -19,13 +19,11 @@ from risce.phase_model import (
     minimize_phase_objectives,
     project_to_feasible,
     reflection_coefficient,
-    _band_windows,
     _best_grid_points,
     _newton_refine,
     _phase_cost,
     _phase_cost_slopes,
-    _search_grid,
-    _slope_table,
+    _tables,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -257,16 +255,32 @@ class TestPhaseSearch:
         assert np.all((thetas >= 0.0) & (thetas < TWO_PI))
 
     def test_cached_basis_is_read_only(self, model):
-        grid, basis = _search_grid(model)
-        assert _search_grid(model)[1] is basis
-        assert basis.shape == (3, GRID_POINTS)
-        table, at_theta_d = _slope_table(model)
-        assert _slope_table(model)[0] is table and table.shape == (GRID_POINTS, 3, 3)
-        for array in (grid, basis, table, at_theta_d):
+        tables = _tables(model)
+        assert _tables(model) is tables
+        assert tables.basis.shape == (3, GRID_POINTS)
+        assert tables.slopes.shape == (GRID_POINTS, 3, 3)
+        for array in (tables.grid, tables.basis, tables.windows, tables.slopes,
+                      tables.at_theta_d):
             with pytest.raises(ValueError):
                 array[0] = 2.0
             with pytest.raises(ValueError):
                 array.T[0] = 2.0
+
+    @pytest.mark.parametrize("law", [(0.2, 2.0, 0.43 * np.pi), (0.0, 1.0, 1.0),
+                                     (0.3, 0.6, 4.7), (0.0, 0.05, 0.2)])
+    def test_basis_is_the_cost_at_the_unit_coefficients(self, law):
+        # (q, c) = (1, 0), (0, 1), (0, j) pick the rows [beta^2; 2 beta cos;
+        # -2 beta sin] out of the one cost formula, bit for bit, on the grid
+        # and at theta_d, for alpha above and below 1 and beta_min = 0.
+        m = ReflectionModel(*law)
+        tables = _tables(m)
+        assert tables.theta_d == (m.delta - np.pi / 2) % TWO_PI
+        for row, (q, c) in enumerate([(1.0, 0.0), (0.0, 1.0), (0.0, 1.0j)]):
+            assert np.array_equal(tables.basis[row], _phase_cost(q, c, tables.grid, m))
+            assert np.array_equal(tables.at_theta_d[row], _phase_cost(q, c, tables.theta_d, m))
+        beta = amplitude_of_phase(tables.grid, m)
+        assert np.array_equal(tables.basis, np.stack([beta**2, 2.0 * beta * np.cos(tables.grid),
+                                                      -2.0 * beta * np.sin(tables.grid)]))
 
 
 @settings(max_examples=50, deadline=None)
@@ -405,7 +419,7 @@ def test_pattern_step_beats_its_candidates_below_half(problem):
     # loses to its own grid, to theta_d, or to SEARCH_GRID outside one step
     # of theta_d.  Inside that step it can (the strict xfail below).
     model = problem[2]
-    grid = np.concatenate([_search_grid(model)[0], _off_cusp(SEARCH_GRID, model)])
+    grid = np.concatenate([_tables(model).grid, _off_cusp(SEARCH_GRID, model)])
     _check_pattern_step(*problem, grid, rtol=1e-12, cusp_rounding=True)
 
 
@@ -424,7 +438,7 @@ def _grid_best(q, c, model):
 
 def _full_grid_minima(q, c, model):
     """Index and value of the first best point of the whole grid (test oracle)."""
-    table = np.stack([q, c.real, c.imag], axis=1) @ _search_grid(model)[1]
+    table = np.stack([q, c.real, c.imag], axis=1) @ _tables(model).basis
     best = np.argmin(table, axis=1)
     return best, table[np.arange(q.size), best]
 
@@ -466,7 +480,7 @@ def test_band_picks_the_full_grid_argmin(problem):
 
 def _on_curve_batch(model, n):
     """q = 2 and z on the law at n grid points whose bands do not wrap."""
-    grid = _search_grid(model)[0]
+    grid = _tables(model).grid
     z = reflection_coefficient(grid[np.linspace(_BAND, GRID_POINTS - _BAND - 1, n).astype(int)], model)
     q = np.full(n, 2.0)
     return q, -np.conj(q * z)
@@ -474,10 +488,8 @@ def _on_curve_batch(model, n):
 
 def _banded(q, c, model, monkeypatch):
     """Which entries the band scores: the whole grid is swapped for NaN."""
-    windows, grid = _band_windows(model), _search_grid(model)[0]
-    monkeypatch.setattr(phase_model, "_band_windows", lambda m: windows)
-    monkeypatch.setattr(phase_model, "_search_grid",
-                        lambda m: (grid, np.full((3, GRID_POINTS), np.nan)))
+    tables = _tables(model)._replace(basis=np.full((3, GRID_POINTS), np.nan))
+    monkeypatch.setattr(phase_model, "_tables", lambda m: tables)
     low = _grid_best(q, c, model)[1][:, 0]
     monkeypatch.undo()
     return np.isfinite(low)
@@ -490,7 +502,7 @@ class TestBand:
         # q = 0; q = c = 0; z at the origin; z nearer the origin than the
         # law (d_ref >= |z|); z far outside; arg z next to theta = 0, where
         # the band would wrap.  Each must score the whole grid.
-        grid = _search_grid(self.MODEL)[0]
+        grid = _tables(self.MODEL).grid
         q = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 2.0])
         z = np.array([1.0 + 1.0j, 0.0, 0.0, 0.05 * np.exp(1j), 50.0 * np.exp(1j),
                       reflection_coefficient(grid[2], self.MODEL)])
@@ -563,7 +575,7 @@ def test_slope_table_matches_the_cost_slopes(beta_min, alpha, delta, q, c_re, c_
     # to rounding; at one at least 0.5 rad from theta_d, f''' matches central
     # differences of f''.
     m = ReflectionModel(beta_min=beta_min, alpha=alpha, delta=delta)
-    grid, (table, _) = _search_grid(m)[0], _slope_table(m)
+    grid, table = _tables(m).grid, _tables(m).slopes
     d = table @ np.array([q, c_re, c_im])
     d1, d2 = _phase_cost_slopes(q, c_re, c_im, grid, m)
     scale = (q + 2.0 * abs(complex(c_re, c_im)) + 1.0) * (1.0 + alpha) ** 2
@@ -580,7 +592,7 @@ def test_theta_d_is_scored_from_cached_scalars(model, rng):
     q = rng.uniform(0.0, 5.0, 50)
     c = rng.standard_normal(50) + 1j * rng.standard_normal(50)
     theta_d = (model.delta - np.pi / 2) % TWO_PI
-    value = np.stack([q, c.real, c.imag], axis=1) @ _slope_table(model)[1]
+    value = np.stack([q, c.real, c.imag], axis=1) @ _tables(model).at_theta_d
     assert np.allclose(value, _phase_cost(q, c, theta_d, model),
                        rtol=0.0, atol=1e-15 * (q + 2 * np.abs(c)))
 
@@ -627,9 +639,9 @@ def test_desk_batch_needs_at_most_two_slope_evaluations(monkeypatch):
 def test_refined_thetas_match_plain_newton():
     q, c = _desk_batch()
     best = _grid_best(q, c, DESK_MODEL)[0][:, 0]
-    x = _search_grid(DESK_MODEL)[0][best]
+    x = _tables(DESK_MODEL).grid[best]
     lo, hi = x - TWO_PI / GRID_POINTS, x + TWO_PI / GRID_POINTS
-    slopes = _slope_table(DESK_MODEL)[0][best] @ np.array([q, c.real, c.imag]).T[:, :, None]
+    slopes = _tables(DESK_MODEL).slopes[best] @ np.array([q, c.real, c.imag]).T[:, :, None]
     refined = _newton_refine(q, c, x, lo, hi, slopes[:, :, 0], DESK_MODEL)
     assert np.max(np.abs(refined - _plain_newton(q, c, x, lo, hi, DESK_MODEL))) <= 2 * _STEP_TOL
 
@@ -643,7 +655,7 @@ def test_refinement_below_one_is_as_good_as_plain_newton():
     z = (reflection_coefficient(theta_d + rng.normal(0.0, 3e-3, 72), m)
          * (1.0 + rng.normal(0.0, 0.3, 72)))
     c = -np.conj(q * z)   # minima next to the cusp
-    x = _search_grid(m)[0][_grid_best(q, c, m)[0]]
+    x = _tables(m).grid[_grid_best(q, c, m)[0]]
     lo = np.maximum(x - TWO_PI / GRID_POINTS, theta_d)
     hi = np.minimum(x + TWO_PI / GRID_POINTS, theta_d + TWO_PI)
     plain = np.min([phase_cost(q, c, _plain_newton(q, c, x[:, j], lo[:, j], hi[:, j], m), m)
