@@ -38,6 +38,7 @@ from .channel import (
     KroneckerFactors,
     cascaded_channel,
     cascaded_correlation,
+    exp_correlation,
     grouped_cascaded_correlation,
     kronecker_factors,
     sample_channels,
@@ -129,6 +130,15 @@ class ExperimentConfig:
             raise ConfigError(f"snr_db {max(self.snr_db)} overflows the power budget") from exc
         except (ValueError, RisceError) as exc:
             raise ConfigError(str(exc)) from exc
+        if self.estimator == "lmmse":
+            # The pattern step multiplies entrywise K x K matrices whose largest entries
+            # reach power p and power p^2, p = lambda_max(P) = L lambda_max(Psi_UE): past
+            # top, the product overflows (1e-12 allows for the rounding of the power).
+            p = self.l * np.linalg.eigvalsh(exp_correlation(self.k, self.psi_ue))[-1]
+            top = 5.0 * np.log10(np.finfo(float).max / (1.0 + 1e-12) / (self.sigma2 * p**1.5) ** 2)
+            if max(self.snr_db) > top:
+                raise ConfigError(f"snr_db {max(self.snr_db)} overflows the LMMSE design "
+                                  f"above {top:.15g}")
 
     @property
     def model(self) -> ReflectionModel:

@@ -73,7 +73,7 @@ def mm_update_ls(v: np.ndarray, model: ReflectionModel, spectrum) -> np.ndarray:
     """One MM iteration on the (M+1, B) matrix v of the given spectrum: minimize its surrogate."""
     lambda1, a0 = ls_surrogate(v, spectrum)
     # Entry (m, n) minimizes lambda1 |v|^2 + 2 Re{[A0]_{n,m} v}.
-    return minimize_pattern_entries(lambda1, a0[:, :-1].T, model)
+    return minimize_pattern_entries(lambda1, a0[:, :-1].T, model, v[:-1])
 
 
 def project_pattern(v: np.ndarray, model: ReflectionModel) -> np.ndarray:

@@ -77,9 +77,15 @@ class TrainingMatrix:
             raise DimensionMismatch("per-UE power budget exceeded")
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices as one broadcast product: the same bits, faster when small."""
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+
+
 def build_S(pattern: ReflectionPattern, training: TrainingMatrix) -> np.ndarray:
     """Effective training S = (V kron I_K)(I_B kron X), i.e. kron(V, X)."""
-    return np.kron(pattern.v, training.x)
+    return _kron(pattern.v, training.x)
 
 
 def simulate_reception(gamma: np.ndarray, s: np.ndarray, sigma2: float, seeds) -> np.ndarray:
@@ -108,7 +114,7 @@ def estimate_ls(y: np.ndarray, s: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """LS estimate Y W of S = kron(V, X), s = (V, X); W's factors T^H (T T^H)^{-1} by eigh."""
     eighs = numerics.conditioned_eigh(*(t @ t.conj().T for t in s))
     wv, wx = (((t.conj().T @ u) / lam) @ u.conj().T for t, (lam, u) in zip(s, eighs))
-    return y @ np.kron(wv, wx)
+    return y @ _kron(wv, wx)
 
 
 def estimate_lmmse(y: np.ndarray, s: tuple[np.ndarray, np.ndarray], factors: KroneckerFactors,
@@ -116,9 +122,9 @@ def estimate_lmmse(y: np.ndarray, s: tuple[np.ndarray, np.ndarray], factors: Kro
     """LMMSE estimate Y W, W = (S^H R S + sigma^2 L I)^{-1} S^H R, S^H R = kron(V^H A, X^H P)."""
     v, x = s
     va, xp = v.conj().T @ factors.a, x.conj().T @ factors.p
-    a = np.kron(va @ v, xp @ x)
+    a = _kron(va @ v, xp @ x)
     a.flat[:: a.shape[0] + 1] += sigma2 * l
-    return y @ numerics.solve_hpd(a, np.kron(va, xp))
+    return y @ numerics.solve_hpd(a, _kron(va, xp))
 
 
 def mse_ls(v: np.ndarray, x: np.ndarray, sigma2: float, l: int) -> float:

@@ -421,6 +421,32 @@ class TestCli:
         for scheme in {row[0] for row in rows}:
             assert nmse[(scheme, float(snr_db))] <= nmse[(scheme, 80.0)]
 
+    @pytest.mark.parametrize("profile", ["desk", "paper"])
+    def test_lmmse_snr_cut_is_where_the_pattern_step_overflows(self, capsys, profile):
+        # Bisected over floats, the largest SNR the config accepts designs
+        # both MM variants without a floating-point warning (an error under
+        # pytest); the next float up is a config error.
+        dims = {"desk": {}, "paper": dict(k=4, m=20, l=16)}[profile]
+
+        def accepted(snr):
+            try:
+                ExperimentConfig(estimator="lmmse", snr_db=(snr,), **dims)
+            except ConfigError:
+                return False
+            return True
+
+        lo, hi = 1000.0, 2000.0
+        while np.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+        args = ["sweep", "--profile", profile, "--analytic-only", "--estimator", "lmmse",
+                "--scheme", "proposed,ideal", "--output", "-", "--snr-db"]
+        for accel in ("--accel", "--no-accel"):
+            assert main(args + [repr(lo), accel]) == 0
+        assert main(args + [repr(hi)]) == 2
+        assert "overflows the LMMSE design" in capsys.readouterr().err
+        assert 1500.0 < lo < 1541.0
+
     @pytest.mark.parametrize("estimator", ["ls", "lmmse"])
     def test_near_singular_correlation_sweep(self, tmp_path, estimator):
         # psi = 1 - 1e-10 everywhere: the sweep either succeeds with every

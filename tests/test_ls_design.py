@@ -277,3 +277,21 @@ def test_surrogate_matches_explicit_inverse(problem):
     assert got_lambda1 == pytest.approx(lambda1, rel=tol)
     assert np.linalg.norm(got_a0 - a0) <= tol * np.linalg.norm(a0)
     assert ls_majorizer(v.v)(np.zeros_like(v.v)) == pytest.approx(const, rel=tol)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    beta_min=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    alpha=st.one_of(st.floats(0.3, 1.0), st.floats(1.0, 3.0)),
+    delta=st.floats(0.0, TWO_PI),
+    accelerate=st.booleans(),
+)
+def test_anchored_desk_designs_never_rise(beta_min, alpha, delta, accelerate):
+    # Each pattern step starts at its iterate's phases (the anchored search),
+    # so the desk-size trace is non-increasing for every law, including
+    # alpha < 1, where the step is the global search, and beta_min = 0.
+    model = ReflectionModel(beta_min=beta_min, alpha=alpha, delta=delta)
+    _, trace = design_ls(SystemConfig(k=2, m=8, l=4), model, max_iter=60, accelerate=accelerate)
+    objs = np.asarray(trace.objectives)
+    assert np.all(np.isfinite(objs))
+    assert np.all(np.diff(objs) <= 1e-12 * objs[:-1])

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import ideal_update_lmmse, ideal_update_ls, phase_cost
 from risce import phase_model
+from risce.ls_design import design_ls
 from risce.phase_model import (
     _BAND,
     _BAND_BATCH,
@@ -25,6 +26,7 @@ from risce.phase_model import (
     _phase_cost_slopes,
     _tables,
 )
+from risce.types import SystemConfig
 
 TWO_PI = 2.0 * np.pi
 
@@ -682,3 +684,87 @@ def test_flat_minimum_on_theta_d_leaves_the_batch(monkeypatch):
     assert thetas[0] == theta_d and abs(values[0]) <= 1e-15
     assert np.all(values[1:] < 0.0)
 
+
+@st.composite
+def anchored_batches(draw):
+    """(q, c, model, start): a batch over a random alpha >= 1 law and start phases.
+
+    z = -conj(c) / q lies on or near the law curve for some entries (where
+    the ray bound can certify the anchored step) and anywhere for the rest.
+    A start is the unanchored answer, that answer moved by up to 1e-6, 1e-2
+    or 1 rad, or a uniform phase.  Half the laws have beta_min = 0.
+    """
+    q, c, model = draw(band_batches())
+    if draw(st.booleans()):
+        model = ReflectionModel(beta_min=0.0, alpha=model.alpha, delta=model.delta)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    answer = minimize_phase_objectives(q, c, model)[0]
+    spread = rng.choice([0.0, 1e-6, 1e-2, 1.0, np.inf], q.size)
+    start = np.where(np.isinf(spread), rng.uniform(-np.pi, np.pi, q.size),
+                     answer + np.where(np.isinf(spread), 0.0, spread) * rng.standard_normal(q.size))
+    return q, c, model, start
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=anchored_batches())
+def test_anchored_search_is_never_above_the_global_one(problem):
+    # The anchored value is at most the unanchored one plus the band's slack;
+    # an entry the bound does not certify returns the unanchored result bit
+    # for bit, and no entry ends above its start's cost.
+    q, c, model, start = problem
+    thetas, values = minimize_phase_objectives(q, c, model)
+    got_thetas, got_values = minimize_phase_objectives(q, c, model, start)
+    slack = 1e-12 * (q + 3.0 * np.abs(c))
+    assert np.all(got_values <= values + slack)
+    assert np.all(got_values <= _phase_cost(q, c, start, model) + slack)
+    assert np.allclose(got_values, _phase_cost(q, c, got_thetas, model), rtol=0.0, atol=slack)
+    sure = phase_model._anchored_step(q, c, start, model)[2]
+    assert np.array_equal(got_thetas[~sure], thetas[~sure])
+    assert np.array_equal(got_values[~sure], values[~sure])
+
+
+def test_anchored_search_ignores_the_start_below_alpha_one_and_under_the_ideal_law(rng):
+    q = rng.uniform(0.1, 5.0, 200)
+    c = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+    start = rng.uniform(-np.pi, np.pi, 200)
+    for m in (ReflectionModel(beta_min=0.3, alpha=0.7, delta=2.0), ideal_model()):
+        got, want = minimize_phase_objectives(q, c, m, start), minimize_phase_objectives(q, c, m)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    with pytest.raises(ValueError):
+        minimize_phase_objectives(q, c, ReflectionModel(), start[:-1])
+
+
+def test_zero_anchor_starts_at_theta_d(monkeypatch):
+    # beta_min = 0: an entry at theta_d is 0, whose np.angle is 0, not theta_d.
+    m = ReflectionModel(beta_min=0.0, alpha=2.0, delta=1.0)
+    theta_d = (m.delta - np.pi / 2) % TWO_PI
+    q, c = 3.0, np.array([[np.exp(-1j * theta_d), -1.0 + 0.5j]])
+    starts = []
+    anchored = phase_model._anchored_step
+    monkeypatch.setattr(phase_model, "_anchored_step",
+                        lambda q, c, theta, m: starts.append(theta) or anchored(q, c, theta, m))
+    v = minimize_pattern_entries(q, c, m, np.array([[0.0, reflection_coefficient(2.0, m)]]))
+    monkeypatch.undo()
+    assert np.array_equal(starts[0], [theta_d, 2.0])
+    assert np.array_equal(v, minimize_pattern_entries(q, c, m))
+
+
+def test_paper_ls_design_calls_certify_every_entry_at_their_answer(monkeypatch):
+    # Paper default law and profile: started at its own unanchored answer,
+    # every entry of every pattern step of an LS design is certified, so no
+    # call scores a grid.
+    model, seen = ReflectionModel(), []
+    search = phase_model.minimize_phase_objectives
+    monkeypatch.setattr(phase_model, "minimize_phase_objectives",
+                        lambda q, c, m, start=None: seen.append((q, c)) or search(q, c, m, start))
+    for accelerate in (False, True):
+        design_ls(SystemConfig(k=4, m=20, l=16), model, max_iter=20, accelerate=accelerate)
+    monkeypatch.undo()
+    answers = [search(q, c, model)[0] for q, c in seen]
+    grid_calls = []
+    best = phase_model._best_grid_points
+    monkeypatch.setattr(phase_model, "_best_grid_points",
+                        lambda *args: grid_calls.append(1) or best(*args))
+    for (q, c), start in zip(seen, answers):
+        search(q, c, model, start)
+    assert len(seen) > 30 and not grid_calls

@@ -37,6 +37,7 @@ from risce.system import (
     mse_ls,
     nmse,
     simulate_reception,
+    _kron,
 )
 from risce.types import SystemConfig
 
@@ -143,6 +144,20 @@ class TestBuildS:
         x = random_training(rng, k=2, tau=2, power=[1.0, 1.0])
         direct = np.kron(v.v, np.eye(2)) @ np.kron(np.eye(4), x.x)
         assert np.allclose(build_S(v, x), direct)
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((9, 9), (2, 2)),     # desk S = kron(V, X)
+    ((21, 21), (4, 4)),   # paper S
+    ((10, 9), (3, 2)),    # desk kron(V^H A, X^H P) at B = 10, tau = 3
+])
+def test_kron_has_the_bits_of_np_kron(a_shape, b_shape, rng):
+    a = rng.standard_normal(a_shape) + 1j * rng.standard_normal(a_shape)
+    b = rng.standard_normal(b_shape) + 1j * rng.standard_normal(b_shape)
+    for left, right in ((a, b), (a.real, b), (a, b.real)):
+        got = _kron(left, right)
+        assert got.dtype == np.kron(left, right).dtype
+        assert np.array_equal(got, np.kron(left, right))
 
 
 class TestSimulateReception:
