@@ -287,9 +287,9 @@ def test_surrogate_matches_explicit_inverse(problem):
     accelerate=st.booleans(),
 )
 def test_anchored_desk_designs_never_rise(beta_min, alpha, delta, accelerate):
-    # Each pattern step starts at its iterate's phases (the anchored search),
-    # so the desk-size trace is non-increasing for every law, including
-    # alpha < 1, where the step is the global search, and beta_min = 0.
+    # Each pattern step starts at its iterate's phases (the anchored search);
+    # the desk-size trace stays non-increasing for every law, including
+    # alpha < 1 (where the step is the global search alone) and beta_min = 0.
     model = ReflectionModel(beta_min=beta_min, alpha=alpha, delta=delta)
     _, trace = design_ls(SystemConfig(k=2, m=8, l=4), model, max_iter=60, accelerate=accelerate)
     objs = np.asarray(trace.objectives)
