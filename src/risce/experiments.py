@@ -38,13 +38,13 @@ from .channel import (
     KroneckerFactors,
     cascaded_channel,
     cascaded_correlation,
-    exp_correlation,
+    direct_correlation,
     grouped_cascaded_correlation,
     kronecker_factors,
     sample_channels,
 )
 from .errors import ConfigError, RisceError
-from .lmmse_design import design_lmmse
+from .lmmse_design import design_lmmse, largest_power
 from .ls_design import DEFAULT_EPS, design_ls, dft_training, project_pattern
 from .phase_model import ReflectionModel, ideal_model
 from .system import ReflectionPattern, TrainingMatrix, build_S
@@ -130,15 +130,10 @@ class ExperimentConfig:
             raise ConfigError(f"snr_db {max(self.snr_db)} overflows the power budget") from exc
         except (ValueError, RisceError) as exc:
             raise ConfigError(str(exc)) from exc
-        if self.estimator == "lmmse":
-            # The pattern step multiplies entrywise K x K matrices whose largest entries
-            # reach power p and power p^2, p = lambda_max(P) = L lambda_max(Psi_UE): past
-            # top, the product overflows (1e-12 allows for the rounding of the power).
-            p = self.l * np.linalg.eigvalsh(exp_correlation(self.k, self.psi_ue))[-1]
-            top = 5.0 * np.log10(np.finfo(float).max / (1.0 + 1e-12) / (self.sigma2 * p**1.5) ** 2)
-            if max(self.snr_db) > top:
-                raise ConfigError(f"snr_db {max(self.snr_db)} overflows the LMMSE design "
-                                  f"above {top:.15g}")
+        if self.estimator == "lmmse" and set(self.schemes) - {SchemeId.NAIVE, SchemeId.ON_OFF}:
+            p = direct_correlation(self.corr, self.k, self.l)
+            if self.power(max(self.snr_db))[0] > largest_power(p):   # only designs overflow
+                raise ConfigError(f"snr_db {max(self.snr_db)} overflows the LMMSE design")
 
     @property
     def model(self) -> ReflectionModel:

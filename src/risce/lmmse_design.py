@@ -171,6 +171,15 @@ def refresh_pattern_terms(
     return PatternTerms(curvature=curvature, c=c)
 
 
+def largest_power(p: np.ndarray) -> float:
+    """The largest per-UE power whose :func:`refresh_pattern_terms` stays finite, for factor P.
+
+    Its entrywise K x K product reaches power^2 lambda_max(P)^3 at the DFT start;
+    1e-12 covers the rounding of a power read off an SNR.
+    """
+    return float(np.sqrt(np.finfo(float).max / (1.0 + 1e-12) / np.linalg.eigvalsh(p)[-1] ** 3))
+
+
 def update_training(terms: TrainingTerms, power) -> np.ndarray:
     """Closed-form per-UE (K, tau) training update of the decoupled quadratic problem.
 

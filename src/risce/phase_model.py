@@ -29,13 +29,12 @@ ray at angle theta, so its cost is at least -(|c| cos(theta - arg z))^2 / q.
 When the best of the 2 _BAND + 1 grid points nearest arg z is below that
 bound at _BAND steps, no other grid point can win, and only they are scored.
 
-Given start phases and alpha >= 1, an entry first takes Newton steps from
-its start and keeps their end unless it costs more (MM stays monotone).  If
-they converged and that bound holds at the result, no phase _BAND or more
-grid steps from arg z is lower: it scores theta_d and no grid, and only the
-other entries run the global search.  LS updates start at their iterate (99%
-or more certified on the benchmark laws); LMMSE updates, with 39-59% of their
-desk entries certified, use the global search alone.
+Given an anchor and alpha >= 1, an entry first takes Newton steps from the
+anchor's phase and keeps their end unless it costs more (MM stays monotone).
+Where they converged and that bound holds at the end, no phase _BAND or more
+grid steps from arg z is lower: the entry scores theta_d and no grid, and
+only the others run the global search.  LS steps pass their iterate (99% or
+more certified on the benchmark laws); LMMSE steps pass none (39-59% would be).
 
 Everything the search reads per law (grid, basis, band windows, derivative
 table and theta_d) is one read-only record, :func:`_tables`, cached for the
@@ -55,13 +54,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 TWO_PI = 2.0 * math.pi
 
-# Grid size, band half-width and Newton limits of the one-dimensional phase search.
+# Grid size, band half-width and Newton limits of the one-dimensional phase search,
+# and the anchored step's step count, longest step and last-step bound.
 GRID_POINTS = 1024
 _BAND = 8
 _BAND_BATCH = 128   # smaller batches score the whole grid faster than the bands
 _NEWTON_CAP = 60
 _STEP_TOL = 4 * float(np.spacing(TWO_PI))   # 4 ulps of 2 pi
-# Newton steps, longest step and last-step bound of the anchored step.
 _ANCHOR_STEPS, _ANCHOR_REACH, _ANCHOR_TOL = 4, 0.2, 1e-6
 
 
@@ -129,8 +128,8 @@ def _phase_cost(q, c, theta, model: ReflectionModel):
                                        - np.imag(c) * np.sin(theta))
 
 
-def _phase_cost_slopes(q, c_re, c_im, theta, model: ReflectionModel, cost: bool = False):
-    """First and second theta-derivatives of :func:`_phase_cost` at c = c_re + j c_im (and f).
+def _phase_cost_slopes(q, c_re, c_im, theta, model: ReflectionModel):
+    """First and second theta-derivatives of :func:`_phase_cost` at c = c_re + j c_im, and f.
 
     beta'' uses cos^2 u = 2 s (1 - sin u), so both are finite for alpha >= 1;
     below that the caller sets the floating-point error state.
@@ -146,7 +145,7 @@ def _phase_cost_slopes(q, c_re, c_im, theta, model: ReflectionModel, cost: bool 
     d1 = 2.0 * (d_beta * (q * beta + g) + beta * dg)
     d2 = 2.0 * (q * (d_beta**2 + beta * dd_beta) + dd_beta * g
                 + 2.0 * d_beta * dg - beta * g)
-    return (d1, d2, beta * (q * beta + 2.0 * g)) if cost else (d1, d2)
+    return d1, d2, beta * (q * beta + 2.0 * g)
 
 
 class _Tables(NamedTuple):
@@ -218,7 +217,7 @@ def _newton_refine(q, c, x, lo, hi, slopes, model: ReflectionModel) -> np.ndarra
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(_NEWTON_CAP):
             if i:
-                d1, d2 = _phase_cost_slopes(q, c_re, c_im, x, model)
+                d1, d2, _ = _phase_cost_slopes(q, c_re, c_im, x, model)
                 if model.alpha >= 1.0:   # the longest step whose Newton error is <= _STEP_TOL
                     reach = np.maximum(np.sqrt(2.0 * _STEP_TOL * d2 / np.abs(d3)), _STEP_TOL)
                 else:
@@ -240,13 +239,9 @@ def _newton_refine(q, c, x, lo, hi, slopes, model: ReflectionModel) -> np.ndarra
 
 
 def _beats_the_band_bound(q, abs_c, value):
-    """True where no phase _BAND or more grid steps from arg z costs less than value.
-
-    The bound is the module docstring's; the slack, 1e-12 (q + 3|c|), is far
-    above the rounding of a cost value.
-    """
-    bound = -(math.cos(_BAND * TWO_PI / GRID_POINTS) * abs_c) ** 2
-    return q * (value + 1e-12 * (q + 3.0 * abs_c)) <= bound
+    """True where no phase _BAND or more grid steps from arg z costs less than value."""
+    slack = 1e-12 * (q + 3.0 * abs_c)   # far above the rounding of a cost value
+    return q * (value + slack) <= -(math.cos(_BAND * TWO_PI / GRID_POINTS) * abs_c) ** 2
 
 
 def _best_grid_points(q, c, coeffs, model: ReflectionModel) -> tuple[np.ndarray, np.ndarray]:
@@ -280,16 +275,17 @@ def _best_grid_points(q, c, coeffs, model: ReflectionModel) -> tuple[np.ndarray,
     return best[:, None], low[:, None]
 
 
-def _anchored_step(q, c, theta, model: ReflectionModel) -> tuple[np.ndarray, ...]:
-    """Newton steps on f' from the phases theta: the thetas, their values and which are certified.
+def _anchored_step(q, c, anchor, model: ReflectionModel) -> tuple[np.ndarray, ...]:
+    """Newton steps on f' from the anchor's phases (theta_d at 0): thetas, values, certified.
 
-    Steps are at most _ANCHOR_REACH and stop once none exceeds _ANCHOR_TOL;
+    Steps reach at most _ANCHOR_REACH and end once none exceeds _ANCHOR_TOL;
     the end's value is carried over the last step to third order.
     """
-    c_re, c_im, x, tables = c.real, c.imag, theta, _tables(model)
+    c_re, c_im, tables = c.real, c.imag, _tables(model)
+    x = theta = np.where(anchor == 0.0, tables.theta_d, np.angle(anchor))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(_ANCHOR_STEPS):
-            d1, d2, f = _phase_cost_slopes(q, c_re, c_im, x, model, cost=True)
+            d1, d2, f = _phase_cost_slopes(q, c_re, c_im, x, model)
             if not i:
                 theta, value = theta % TWO_PI, f
             step = d1 / np.maximum(d2, np.abs(d1) / _ANCHOR_REACH)
@@ -307,7 +303,7 @@ def minimize_phase_objectives(
     quad_coeffs: np.ndarray,
     lin_coeffs: np.ndarray,
     model: ReflectionModel,
-    start: np.ndarray | None = None,
+    anchor: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minimize q * beta(theta)^2 + 2*Re{c * beta(theta) * e^{j theta}} per entry.
 
@@ -321,11 +317,9 @@ def minimize_phase_objectives(
     zero of the cost, flat to order 2 alpha, toward which the steps creep:
     an entry whose grid best it matches is not refined and returns theta_d.
     Ties break toward the grid point.  Most entries score only the grid near
-    arg z (module docstring).  Given start phases and alpha >= 1, an entry
-    the ray bound certifies returns its :func:`_anchored_step` instead, and
-    only the others run that search, :func:`_search`.  Returns the thetas
-    and their values; both pattern updates call it via
-    :func:`minimize_pattern_entries`.
+    arg z, and given anchor, the complex entries to start from, most skip it
+    (module docstring).  Returns the thetas and their values; both pattern
+    updates call it via :func:`minimize_pattern_entries`.
     """
     q = np.asarray(quad_coeffs, dtype=float).ravel()
     c = np.asarray(lin_coeffs, dtype=complex).ravel()
@@ -333,9 +327,9 @@ def minimize_phase_objectives(
         raise ValueError("quad_coeffs and lin_coeffs must have the same length")
     if model.is_ideal:   # q + 2|c| cos(theta + arg c) is least at pi - arg c
         return np.where(c == 0.0, 0.0, (math.pi - np.angle(c)) % TWO_PI), q - 2.0 * np.abs(c)
-    if start is None or model.alpha < 1.0:
+    if anchor is None or model.alpha < 1.0:
         return _search(q, c, model)
-    theta, value, sure = _anchored_step(q, c, np.asarray(start, dtype=float).ravel(), model)
+    theta, value, sure = _anchored_step(q, c, np.asarray(anchor, dtype=complex).ravel(), model)
     if not sure.all():
         theta[~sure], value[~sure] = _search(q[~sure], c[~sure], model)
     return theta, value
@@ -381,13 +375,10 @@ def minimize_pattern_entries(
     Entry (m, n) minimizes q |v|^2 + 2 Re{c[m, n] v} over the reflection law
     (the phase search with quad coeff q and lin coeff c[m, n]); the all-ones
     direct-link row is appended.  c is the (M, B) matrix of linear
-    coefficients.  Given the (M, B) anchor, the search starts at its phases
-    (at theta_d where it is 0).
+    coefficients; the (M, B) anchor, if given, is the search's.
     """
     m, b = c.shape
-    start = None if anchor is None or model.is_ideal else np.where(
-        anchor == 0.0, _tables(model).theta_d, np.angle(anchor))
-    thetas, _ = minimize_phase_objectives(np.full(m * b, q), c, model, start)
+    thetas, _ = minimize_phase_objectives(np.full(m * b, q), c, model, anchor)
     v = np.ones((m + 1, b), dtype=complex)
     v[:m] = reflection_coefficient(thetas, model).reshape(m, b)
     return v

@@ -21,14 +21,14 @@ def test_each_tree_loads_as_its_own_package():
             del sys.modules[name]
 
 
-def test_tiny_run_reports_every_operation(capsys):
+def test_tiny_run_reports_every_operation():
     try:
-        assert ab_time.main([str(ROOT), str(ROOT), "--pairs", "2", "--repeats", "1",
-                             "--profile", "desk", "--instances", "1"]) == 0
+        sides = [ab_time.operations(ab_time.load(ROOT, name), "desk", 1)
+                 for name in ("risce_ab_a", "risce_ab_b")]
+        lines = ab_time.report(ab_time.run_pairs(sides, 2, 1))
     finally:
-        for name in [n for n in sys.modules if n.startswith(("risce_parent", "risce_change"))]:
+        for name in [n for n in sys.modules if n.startswith("risce_ab_")]:
             del sys.modules[name]
-    lines = capsys.readouterr().out.splitlines()
     names = [line.split()[0] for line in lines[1:]]
     assert names == [f"{kind}-{est}-{variant}" for kind in ("sweep", "desk")
                      for est in ("ls", "lmmse") for variant in ("mm", "squarem")] + ["total"]

@@ -447,6 +447,14 @@ class TestCli:
         assert "overflows the LMMSE design" in capsys.readouterr().err
         assert 1500.0 < lo < 1541.0
 
+    def test_lmmse_snr_cut_spares_the_schemes_that_do_not_design(self):
+        # naive and on-off cells never run the pattern step, and their
+        # analytic LMMSE NMSE keeps its digits at any SNR.
+        args = ["sweep", "--analytic-only", "--estimator", "lmmse", "--output", "-",
+                "--snr-db", "1600", "--scheme"]
+        assert main(args + ["naive,onoff"]) == 0
+        assert main(args + ["naive,proposed"]) == 2
+
     @pytest.mark.parametrize("estimator", ["ls", "lmmse"])
     def test_near_singular_correlation_sweep(self, tmp_path, estimator):
         # psi = 1 - 1e-10 everywhere: the sweep either succeeds with every

@@ -303,11 +303,12 @@ def test_phase_cost_slopes_match_central_differences(
     c = complex(c_re, c_im)
     theta = (m.delta - np.pi / 2 + offset) % TWO_PI
     h = 1e-6
-    d1, d2 = _phase_cost_slopes(q, c_re, c_im, theta, m)
+    d1, d2, f = _phase_cost_slopes(q, c_re, c_im, theta, m)
     fd1 = (_phase_cost(q, c, theta + h, m) - _phase_cost(q, c, theta - h, m)) / (2 * h)
     fd2 = (_phase_cost_slopes(q, c_re, c_im, theta + h, m)[0]
            - _phase_cost_slopes(q, c_re, c_im, theta - h, m)[0]) / (2 * h)
     scale = q + 2.0 * abs(c) + 1.0
+    assert f == pytest.approx(_phase_cost(q, c, theta, m), abs=1e-14 * scale)
     assert d1 == pytest.approx(fd1, abs=1e-6 * scale)
     assert d2 == pytest.approx(fd2, abs=1e-6 * scale)
 
@@ -579,7 +580,7 @@ def test_slope_table_matches_the_cost_slopes(beta_min, alpha, delta, q, c_re, c_
     m = ReflectionModel(beta_min=beta_min, alpha=alpha, delta=delta)
     grid, table = _tables(m).grid, _tables(m).slopes
     d = table @ np.array([q, c_re, c_im])
-    d1, d2 = _phase_cost_slopes(q, c_re, c_im, grid, m)
+    d1, d2, _ = _phase_cost_slopes(q, c_re, c_im, grid, m)
     scale = (q + 2.0 * abs(complex(c_re, c_im)) + 1.0) * (1.0 + alpha) ** 2
     assert np.max(np.abs(d[:, 0] - d1)) <= 1e-12 * scale
     assert np.max(np.abs(d[:, 1] - d2)) <= 1e-12 * scale
@@ -615,7 +616,7 @@ def _plain_newton(q, c, x, lo, hi, model):
     x, lo, hi = x.copy(), lo.copy(), hi.copy()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_NEWTON_CAP):
-            d1, d2 = _phase_cost_slopes(q, c.real, c.imag, x, model)
+            d1, d2, _ = _phase_cost_slopes(q, c.real, c.imag, x, model)
             lo, hi = np.where(d1 <= 0.0, x, lo), np.where(d1 > 0.0, x, hi)
             step = x - d1 / d2
             x_new = np.where((d2 > 0.0) & (step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
@@ -689,6 +690,8 @@ def test_flat_minimum_on_theta_d_leaves_the_batch(monkeypatch):
 def anchored_batches(draw):
     """(q, c, model, start): a batch over a random alpha >= 1 law and start phases.
 
+    The anchor a test passes is the law's point at each start phase.
+
     z = -conj(c) / q lies on or near the law curve for some entries (where
     the ray bound can certify the anchored step) and anywhere for the rest.
     A start is the unanchored answer, that answer moved by up to 1e-6, 1e-2
@@ -712,26 +715,27 @@ def test_anchored_search_is_never_above_the_global_one(problem):
     # an entry the bound does not certify returns the unanchored result bit
     # for bit, and no entry ends above its start's cost.
     q, c, model, start = problem
+    anchor = reflection_coefficient(start, model)
     thetas, values = minimize_phase_objectives(q, c, model)
-    got_thetas, got_values = minimize_phase_objectives(q, c, model, start)
+    got_thetas, got_values = minimize_phase_objectives(q, c, model, anchor)
     slack = 1e-12 * (q + 3.0 * np.abs(c))
     assert np.all(got_values <= values + slack)
     assert np.all(got_values <= _phase_cost(q, c, start, model) + slack)
     assert np.allclose(got_values, _phase_cost(q, c, got_thetas, model), rtol=0.0, atol=slack)
-    sure = phase_model._anchored_step(q, c, start, model)[2]
+    sure = phase_model._anchored_step(q, c, anchor, model)[2]
     assert np.array_equal(got_thetas[~sure], thetas[~sure])
     assert np.array_equal(got_values[~sure], values[~sure])
 
 
-def test_anchored_search_ignores_the_start_below_alpha_one_and_under_the_ideal_law(rng):
+def test_anchored_search_ignores_the_anchor_below_alpha_one_and_under_the_ideal_law(rng):
     q = rng.uniform(0.1, 5.0, 200)
     c = rng.standard_normal(200) + 1j * rng.standard_normal(200)
-    start = rng.uniform(-np.pi, np.pi, 200)
+    anchor = np.exp(1j * rng.uniform(-np.pi, np.pi, 200))
     for m in (ReflectionModel(beta_min=0.3, alpha=0.7, delta=2.0), ideal_model()):
-        got, want = minimize_phase_objectives(q, c, m, start), minimize_phase_objectives(q, c, m)
+        got, want = minimize_phase_objectives(q, c, m, anchor), minimize_phase_objectives(q, c, m)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
     with pytest.raises(ValueError):
-        minimize_phase_objectives(q, c, ReflectionModel(), start[:-1])
+        minimize_phase_objectives(q, c, ReflectionModel(), anchor[:-1])
 
 
 def test_zero_anchor_starts_at_theta_d(monkeypatch):
@@ -740,9 +744,9 @@ def test_zero_anchor_starts_at_theta_d(monkeypatch):
     theta_d = (m.delta - np.pi / 2) % TWO_PI
     q, c = 3.0, np.array([[np.exp(-1j * theta_d), -1.0 + 0.5j]])
     starts = []
-    anchored = phase_model._anchored_step
-    monkeypatch.setattr(phase_model, "_anchored_step",
-                        lambda q, c, theta, m: starts.append(theta) or anchored(q, c, theta, m))
+    slopes = phase_model._phase_cost_slopes
+    monkeypatch.setattr(phase_model, "_phase_cost_slopes",
+                        lambda *args: starts.append(args[3]) or slopes(*args))
     v = minimize_pattern_entries(q, c, m, np.array([[0.0, reflection_coefficient(2.0, m)]]))
     monkeypatch.undo()
     assert np.array_equal(starts[0], [theta_d, 2.0])
@@ -756,7 +760,7 @@ def test_paper_ls_design_calls_certify_every_entry_at_their_answer(monkeypatch):
     model, seen = ReflectionModel(), []
     search = phase_model.minimize_phase_objectives
     monkeypatch.setattr(phase_model, "minimize_phase_objectives",
-                        lambda q, c, m, start=None: seen.append((q, c)) or search(q, c, m, start))
+                        lambda q, c, m, anchor=None: seen.append((q, c)) or search(q, c, m, anchor))
     for accelerate in (False, True):
         design_ls(SystemConfig(k=4, m=20, l=16), model, max_iter=20, accelerate=accelerate)
     monkeypatch.undo()
@@ -765,6 +769,6 @@ def test_paper_ls_design_calls_certify_every_entry_at_their_answer(monkeypatch):
     best = phase_model._best_grid_points
     monkeypatch.setattr(phase_model, "_best_grid_points",
                         lambda *args: grid_calls.append(1) or best(*args))
-    for (q, c), start in zip(seen, answers):
-        search(q, c, model, start)
+    for (q, c), answer in zip(seen, answers):
+        search(q, c, model, reflection_coefficient(answer, model))
     assert len(seen) > 30 and not grid_calls

@@ -1,7 +1,6 @@
 """Paired timing of two checkouts of risce in one process.
 
     python3 tools/ab_time.py PARENT_ROOT CHANGE_ROOT [--pairs N] [--repeats N]
-                             [--profile paper|desk] [--instances N]
 
 Both trees' ``src/risce`` load side by side as two packages (``risce_parent``
 and ``risce_change``): ``risce`` imports its own modules relatively, so each
@@ -12,10 +11,11 @@ of --repeats back-to-back runs (3 by default), which damps short bursts of
 load from elsewhere.  The operations are the public-API work of the
 benchmark's design workloads:
 
-* the four ``--analytic-only`` sweeps of all five schemes at the profile
-  (LS and LMMSE, plain MM and SQUAREM), as ``risce sweep`` runs them;
-* the fixed desk designs (``K=2, M=8, L=4`` over random reflection laws),
-  one operation per estimator and variant, each designing every instance.
+* the four ``--analytic-only`` sweeps of all five schemes at the paper
+  profile (LS and LMMSE, plain MM and SQUAREM), as ``risce sweep`` runs them;
+* the design-desk designs (``K=2, M=8, L=4`` over the instances that
+  ``perfbench/workloads.py`` fixes), one operation per estimator and variant,
+  each designing every instance.
 
 Every operation runs once per tree before the timed pairs, to warm the
 caches.  The report gives, per operation and for their sum, the median
@@ -36,9 +36,9 @@ from pathlib import Path
 
 import numpy as np
 
-# The benchmark's design-desk instances: seed, count and SNRs.
-DESK_INSTANCE_SEED = 20240328
-DESK_SNR_DB = (-5.0, 0.0, 5.0, 10.0)
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+from workloads import DESK_INSTANCE_SEED, DESK_INSTANCES, DESK_SNR_DB  # noqa: E402
 
 
 def load(root: Path, name: str):
@@ -55,7 +55,7 @@ def load(root: Path, name: str):
 
 
 def operations(pkg, profile: str, instances: int) -> dict:
-    """name -> zero-argument callable, for one loaded package."""
+    """name -> zero-argument callable, for one loaded package: sweeps at profile, desk instances."""
     ops = {}
     for est in ("ls", "lmmse"):
         for variant, flag in (("mm", "--no-accel"), ("squarem", "--accel")):
@@ -131,13 +131,10 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--repeats", type=int, default=3, help="runs per side and pair")
-    parser.add_argument("--profile", choices=["paper", "desk"], default="paper",
-                        help="profile of the four analytic sweeps")
-    parser.add_argument("--instances", type=int, default=12, help="desk design instances")
     args = parser.parse_args(argv)
-    if min(args.pairs, args.repeats) < 1 or args.instances < 0:
-        parser.error("--pairs and --repeats must be >= 1 and --instances >= 0")
-    sides = [operations(load(root, f"risce_{side}"), args.profile, args.instances)
+    if min(args.pairs, args.repeats) < 1:
+        parser.error("--pairs and --repeats must be >= 1")
+    sides = [operations(load(root, f"risce_{side}"), "paper", DESK_INSTANCES)
              for root, side in ((args.parent, "parent"), (args.change, "change"))]
     print("\n".join(report(run_pairs(sides, args.pairs, args.repeats))))
     return 0
