@@ -26,20 +26,19 @@ and then neither the grid nor the refinement finds a minimum that sits on it.
 For q > 0 the cost is q |v - z|^2 - |c|^2 / q with z = -conj(c) / q: the
 search wants the law point nearest z.  The point at phase theta lies on the
 ray at angle theta, so its cost is at least -(|c| cos(theta - arg z))^2 / q.
-When the best of the 2 _BAND + 1 grid points nearest arg z is below that
-bound at _BAND steps, no other grid point can win, and only they are scored.
+For alpha >= 1 an entry first takes Newton steps from a start phase and keeps
+their end unless it costs more (MM stays monotone).  Where they converged and
+that bound holds at the end, no phase _BAND or more grid steps from arg z is
+lower: the entry scores theta_d and no grid, and only the others run the
+global search.  The start is the anchor's phase when one is given (LS steps:
+99% or more certified on the benchmark laws), else arg z in a batch of at
+least _BAND_BATCH (paper LMMSE steps: 85% plain, 71% SQUAREM); smaller
+unanchored batches (desk LMMSE steps) run the global search alone.
 
-Given an anchor and alpha >= 1, an entry first takes Newton steps from the
-anchor's phase and keeps their end unless it costs more (MM stays monotone).
-Where they converged and that bound holds at the end, no phase _BAND or more
-grid steps from arg z is lower: the entry scores theta_d and no grid, and
-only the others run the global search.  LS steps pass their iterate (99% or
-more certified on the benchmark laws); LMMSE steps pass none (39-59% would be).
-
-Everything the search reads per law (grid, basis, band windows, derivative
-table and theta_d) is one read-only record, :func:`_tables`, cached for the
-last law only: a design keeps one law, and the ideal law never reads it.
-A caller that alternates laws rebuilds the record, about 0.3 ms, per switch.
+Everything the search reads per law (grid, basis, derivative table and
+theta_d) is one read-only record, :func:`_tables`, cached for the last law
+only: a design keeps one law, and the ideal law never reads it.  A caller
+that alternates laws rebuilds the record, about 0.3 ms, per switch.
 """
 
 from __future__ import annotations
@@ -50,15 +49,16 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 TWO_PI = 2.0 * math.pi
 
-# Grid size, band half-width and Newton limits of the one-dimensional phase search,
-# and the anchored step's step count, longest step and last-step bound.
+# Grid size, the ray bound's reach in grid steps and Newton limits of the phase
+# search, and the anchored step's step count, longest step and last-step bound.
 GRID_POINTS = 1024
 _BAND = 8
-_BAND_BATCH = 128   # smaller batches score the whole grid faster than the bands
+# The least unanchored batch that starts at arg z.  Below it (desk LMMSE
+# steps) 39-59% of entries certify, and the step costs more than it saves.
+_BAND_BATCH = 128
 _NEWTON_CAP = 60
 _STEP_TOL = 4 * float(np.spacing(TWO_PI))   # 4 ulps of 2 pi
 _ANCHOR_STEPS, _ANCHOR_REACH, _ANCHOR_TOL = 4, 0.2, 1e-6
@@ -153,7 +153,6 @@ class _Tables(NamedTuple):
 
     grid: np.ndarray         # (GRID_POINTS,) phases
     basis: np.ndarray        # (3, GRID_POINTS): [beta^2; 2 beta cos; -2 beta sin]
-    windows: np.ndarray      # (GRID_POINTS - 2 _BAND, 3, 2 _BAND + 1) view of basis (by column)
     slopes: np.ndarray       # (GRID_POINTS, 3, 3) theta-derivatives of the basis
     theta_d: float           # delta - pi/2 in [0, 2*pi), where beta = beta_min
     at_theta_d: np.ndarray   # (3,) basis at theta_d
@@ -161,7 +160,7 @@ class _Tables(NamedTuple):
 
 @lru_cache(maxsize=1)   # the last law only (module docstring)
 def _tables(model: ReflectionModel) -> _Tables:
-    """The phase search's grid, basis, band windows and derivative table for model.
+    """The phase search's grid, basis and derivative table for model.
 
     For alpha < 1 the grid starts half a step past the cusp at theta_d.  The
     basis and its value at theta_d are :func:`_phase_cost` at the unit
@@ -191,8 +190,7 @@ def _tables(model: ReflectionModel) -> _Tables:
     slopes[:, :, 0], slopes[:, :, 1], slopes[:, :, 2] = quad.T, h.real.T, -h.imag.T
     grid.flags.writeable = basis.flags.writeable = False
     slopes.flags.writeable = at_theta_d.flags.writeable = False
-    windows = sliding_window_view(basis.T, 2 * _BAND + 1, axis=0)
-    return _Tables(grid, basis, windows, slopes, theta_d, at_theta_d)
+    return _Tables(grid, basis, slopes, theta_d, at_theta_d)
 
 
 def _newton_refine(q, c, x, lo, hi, slopes, model: ReflectionModel) -> np.ndarray:
@@ -244,50 +242,18 @@ def _beats_the_band_bound(q, abs_c, value):
     return q * (value + slack) <= -(math.cos(_BAND * TWO_PI / GRID_POINTS) * abs_c) ** 2
 
 
-def _best_grid_points(q, c, coeffs, model: ReflectionModel) -> tuple[np.ndarray, np.ndarray]:
-    """Index and value of each entry's first best grid point (per cusp side if alpha < 1).
-
-    coeffs is the (n, 3) stack of (q, Re c, Im c).  Values round as coeffs @
-    basis rounds them; BLAS dot products round as a product of two or more
-    rows does.  In a batch of at least _BAND_BATCH, an entry with alpha >= 1,
-    q > 0, finite terms and a band that neither wraps past 0 nor fails the
-    bound scores only the band.
-    """
-    tables = _tables(model)
-    basis = tables.basis
-    if model.alpha < 1.0 or q.size < _BAND_BATCH:   # for alpha < 1, a slice per cusp side
-        table, sides = coeffs @ basis, 2 if model.alpha < 1.0 else 1
-        width = GRID_POINTS // sides
-        best = np.argmin(table.reshape(q.size, sides, width), axis=2) + np.arange(sides) * width
-        return best, table[np.arange(q.size)[:, None], best]
-    centre = np.rint(np.arctan2(c.imag, -c.real) % TWO_PI * (GRID_POINTS / TWO_PI))
-    rows = np.flatnonzero((q > 0.0) & np.isfinite(q) & np.isfinite(c)
-                          & (centre >= _BAND) & (centre < GRID_POINTS - _BAND))
-    start = centre[rows].astype(np.intp) - _BAND
-    band = np.vecdot(coeffs[rows, :, None], tables.windows[start], axis=1)
-    k, value, qr, cr = np.argmin(band, axis=1), np.min(band, axis=1), q[rows], np.abs(c[rows])
-    fits = _beats_the_band_bound(qr, cr, value)
-    best, low, wide = np.empty(q.size, np.intp), np.empty(q.size), np.ones(q.size, bool)
-    best[rows[fits]], low[rows[fits]], wide[rows[fits]] = start[fits] + k[fits], value[fits], False
-    rows = np.flatnonzero(wide)   # a one-row product would be matrix-vector, rounded otherwise
-    table = coeffs[rows] @ basis if rows.size != 1 else np.vecdot(coeffs[rows, None], basis.T)
-    best[rows], low[rows] = np.argmin(table, axis=1), np.min(table, axis=1)
-    return best[:, None], low[:, None]
-
-
-def _anchored_step(q, c, anchor, model: ReflectionModel) -> tuple[np.ndarray, ...]:
-    """Newton steps on f' from the anchor's phases (theta_d at 0): thetas, values, certified.
+def _anchored_step(q, c, start, model: ReflectionModel) -> tuple[np.ndarray, ...]:
+    """Newton steps on f' from the start phases: thetas, values, certified.
 
     Steps reach at most _ANCHOR_REACH and end once none exceeds _ANCHOR_TOL;
     the end's value is carried over the last step to third order.
     """
-    c_re, c_im, tables = c.real, c.imag, _tables(model)
-    x = theta = np.where(anchor == 0.0, tables.theta_d, np.angle(anchor))
+    c_re, c_im, tables, x = c.real, c.imag, _tables(model), start
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(_ANCHOR_STEPS):
             d1, d2, f = _phase_cost_slopes(q, c_re, c_im, x, model)
             if not i:
-                theta, value = theta % TWO_PI, f
+                theta, value = start % TWO_PI, f
             step = d1 / np.maximum(d2, np.abs(d1) / _ANCHOR_REACH)
             x = x - step
             if (short := np.abs(step) <= _ANCHOR_TOL).all():
@@ -316,10 +282,10 @@ def minimize_phase_objectives(
     candidate.  Where beta_min = 0 and alpha >= 1, theta_d is a stationary
     zero of the cost, flat to order 2 alpha, toward which the steps creep:
     an entry whose grid best it matches is not refined and returns theta_d.
-    Ties break toward the grid point.  Most entries score only the grid near
-    arg z, and given anchor, the complex entries to start from, most skip it
-    (module docstring).  Returns the thetas and their values; both pattern
-    updates call it via :func:`minimize_pattern_entries`.
+    Ties break toward the grid point.  Given anchor, the complex entries to
+    start from, or in a batch of at least _BAND_BATCH, most entries skip the
+    grid (module docstring).  Returns the thetas and their values; both
+    pattern updates call it via :func:`minimize_pattern_entries`.
     """
     q = np.asarray(quad_coeffs, dtype=float).ravel()
     c = np.asarray(lin_coeffs, dtype=complex).ravel()
@@ -327,9 +293,14 @@ def minimize_phase_objectives(
         raise ValueError("quad_coeffs and lin_coeffs must have the same length")
     if model.is_ideal:   # q + 2|c| cos(theta + arg c) is least at pi - arg c
         return np.where(c == 0.0, 0.0, (math.pi - np.angle(c)) % TWO_PI), q - 2.0 * np.abs(c)
-    if anchor is None or model.alpha < 1.0:
+    if model.alpha < 1.0 or (anchor is None and q.size < _BAND_BATCH):
         return _search(q, c, model)
-    theta, value, sure = _anchored_step(q, c, np.asarray(anchor, dtype=complex).ravel(), model)
+    if anchor is None:   # arg z, z = -conj(c) / q
+        start = np.arctan2(c.imag, -c.real)
+    else:   # a zero entry (beta_min = 0) has no phase: theta_d
+        anchor = np.asarray(anchor, dtype=complex).ravel()
+        start = np.where(anchor == 0.0, _tables(model).theta_d, np.angle(anchor))
+    theta, value, sure = _anchored_step(q, c, start, model)
     if not sure.all():
         theta[~sure], value[~sure] = _search(q[~sure], c[~sure], model)
     return theta, value
@@ -340,8 +311,10 @@ def _search(q: np.ndarray, c: np.ndarray, model: ReflectionModel) -> tuple[np.nd
     tables, span = _tables(model), TWO_PI / GRID_POINTS
     lo, hi = (tables.theta_d, tables.theta_d + TWO_PI) if model.alpha < 1.0 else (-np.inf, np.inf)
     coeffs = np.stack([q, c.real, c.imag], axis=1)
-    best, low = _best_grid_points(q, c, coeffs, model)
-    sides = best.shape[1]
+    table, sides = coeffs @ tables.basis, 2 if model.alpha < 1.0 else 1   # alpha < 1: per cusp side
+    width = GRID_POINTS // sides
+    best = np.argmin(table.reshape(q.size, sides, width), axis=2) + np.arange(sides) * width
+    low = table[np.arange(q.size)[:, None], best]
     value_d = coeffs @ tables.at_theta_d
     theta0, best = tables.grid[best.ravel()], best.ravel()
     qs, cs, coeffs = np.repeat(q, sides), np.repeat(c, sides), np.repeat(coeffs, sides, axis=0)

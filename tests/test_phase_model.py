@@ -20,7 +20,6 @@ from risce.phase_model import (
     minimize_phase_objectives,
     project_to_feasible,
     reflection_coefficient,
-    _best_grid_points,
     _newton_refine,
     _phase_cost,
     _phase_cost_slopes,
@@ -261,8 +260,7 @@ class TestPhaseSearch:
         assert _tables(model) is tables
         assert tables.basis.shape == (3, GRID_POINTS)
         assert tables.slopes.shape == (GRID_POINTS, 3, 3)
-        for array in (tables.grid, tables.basis, tables.windows, tables.slopes,
-                      tables.at_theta_d):
+        for array in (tables.grid, tables.basis, tables.slopes, tables.at_theta_d):
             with pytest.raises(ValueError):
                 array[0] = 2.0
             with pytest.raises(ValueError):
@@ -435,38 +433,24 @@ def test_pattern_step_beats_search_grid_in_a_narrow_cusp_dip():
 
 
 def _grid_best(q, c, model):
-    """_best_grid_points with the (q, Re c, Im c) stack the phase search passes it."""
-    return _best_grid_points(q, c, np.stack([q, c.real, c.imag], axis=1), model)
-
-
-def _full_grid_minima(q, c, model):
-    """Index and value of the first best point of the whole grid (test oracle)."""
+    """Index and value of each entry's first best grid point, per cusp side if alpha < 1 (test oracle)."""
     table = np.stack([q, c.real, c.imag], axis=1) @ _tables(model).basis
-    best = np.argmin(table, axis=1)
-    return best, table[np.arange(q.size), best]
-
-
-def _assert_full_grid_minima(q, c, model):
-    # The same first best index; the same value up to the rounding of a
-    # three-term dot product (bitwise equal where BLAS dot and matrix
-    # products sum alike).
-    best, low = _grid_best(q, c, model)
-    oracle_best, oracle_low = _full_grid_minima(q, c, model)
-    assert np.array_equal(best[:, 0], oracle_best)
-    assert (np.array_equal(low[:, 0], oracle_low, equal_nan=True)
-            or np.all(np.abs(low[:, 0] - oracle_low) <= 1e-14 * (q + 3.0 * np.abs(c))))
+    sides = 2 if model.alpha < 1.0 else 1
+    best = (np.argmin(table.reshape(q.size, sides, -1), axis=2)
+            + np.arange(sides) * (GRID_POINTS // sides))
+    return best, table[np.arange(q.size)[:, None], best]
 
 
 @st.composite
-def band_batches(draw):
-    """(q, c, model): _BAND_BATCH entries with z = -conj(c) / q near the law curve or far from it."""
+def band_batches(draw, sizes=st.just(_BAND_BATCH)):
+    """(q, c, model): a batch with z = -conj(c) / q on or near the law curve or far from it."""
     model = ReflectionModel(
         beta_min=draw(st.floats(0.0, 0.99)),
         alpha=draw(st.floats(1.0, 3.0)),
         delta=draw(st.floats(0.0, TWO_PI)),
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = _BAND_BATCH
+    n = draw(sizes)
     near = rng.random(n) < draw(st.floats(0.0, 1.0))
     radius = np.where(near, 1.0 + draw(st.floats(0.0, 1e-2)) * rng.standard_normal(n),
                       np.exp(rng.uniform(-5.0, 5.0, n)))
@@ -475,75 +459,128 @@ def band_batches(draw):
     return q, -np.conj(q * z), model
 
 
+def _assert_search_results(q, c, model, thetas, values, sure):
+    # No value is above the global search's plus the ray bound's slack, each
+    # is its theta's cost, and an uncertified entry is the search's own.
+    want_thetas, want_values = phase_model._search(q, c, model)
+    slack = 1e-12 * (q + 3.0 * np.abs(c))
+    assert np.all(values <= want_values + slack)
+    assert np.allclose(values, _phase_cost(q, c, thetas, model), rtol=0.0, atol=slack)
+    assert np.array_equal(thetas[~sure], want_thetas[~sure])
+    assert np.array_equal(values[~sure], want_values[~sure])
+
+
+def _arg_z_step(q, c, model):
+    """Which entries the arg z start certifies."""
+    return phase_model._anchored_step(q, c, np.arctan2(c.imag, -c.real), model)[2]
+
+
 @settings(max_examples=40, deadline=None)
-@given(problem=band_batches())
-def test_band_picks_the_full_grid_argmin(problem):
-    _assert_full_grid_minima(*problem)
+@given(problem=band_batches(st.integers(_BAND_BATCH, 3 * _BAND_BATCH)), flat=st.booleans())
+def test_arg_z_start_is_never_above_the_global_search(problem, flat):
+    # One-sided: next to theta_d, with beta_min = 0 and |z| near 1e-5, the
+    # local step can end a few 1e-11 below the search's grid miss (ROADMAP
+    # item 6), never more than the slack above it.
+    q, c, model = problem
+    if flat:
+        model = ReflectionModel(beta_min=0.0, alpha=model.alpha, delta=model.delta)
+    _assert_search_results(q, c, model, *minimize_phase_objectives(q, c, model),
+                           _arg_z_step(q, c, model))
 
 
 def _on_curve_batch(model, n):
-    """q = 2 and z on the law at n grid points whose bands do not wrap."""
+    """q = 2 and z on the law at n grid points at least _BAND steps from phase 0."""
     grid = _tables(model).grid
     z = reflection_coefficient(grid[np.linspace(_BAND, GRID_POINTS - _BAND - 1, n).astype(int)], model)
     q = np.full(n, 2.0)
     return q, -np.conj(q * z)
 
 
-def _banded(q, c, model, monkeypatch):
-    """Which entries the band scores: the whole grid is swapped for NaN."""
-    tables = _tables(model)._replace(basis=np.full((3, GRID_POINTS), np.nan))
-    monkeypatch.setattr(phase_model, "_tables", lambda m: tables)
-    low = _grid_best(q, c, model)[1][:, 0]
+def _searched(q, c, model, monkeypatch):
+    """minimize_phase_objectives(q, c, model) and the batch sizes it passed to _search."""
+    batches = []
+    search = phase_model._search
+    monkeypatch.setattr(phase_model, "_search",
+                        lambda q, c, m: batches.append(q.size) or search(q, c, m))
+    got = minimize_phase_objectives(q, c, model)
     monkeypatch.undo()
-    return np.isfinite(low)
+    return got, batches
 
 
 class TestBand:
+    """The ray bound over the grid steps _BAND or more from arg z, from the arg z start."""
+
     MODEL = ReflectionModel(beta_min=0.2, alpha=2.0, delta=1.0)
 
     def pinned(self):
         # q = 0; q = c = 0; z at the origin; z nearer the origin than the
-        # law (d_ref >= |z|); z far outside; arg z next to theta = 0, where
-        # the band would wrap.  Each must score the whole grid.
-        grid = _tables(self.MODEL).grid
-        q = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 2.0])
-        z = np.array([1.0 + 1.0j, 0.0, 0.0, 0.05 * np.exp(1j), 50.0 * np.exp(1j),
-                      reflection_coefficient(grid[2], self.MODEL)])
+        # law; z far outside; a NaN q.  None certifies.
+        q = np.array([0.0, 0.0, 1.0, 1.0, 1.0, np.nan])
+        z = np.array([1.0 + 1.0j, 0.0, 0.0, 0.05 * np.exp(1j), 50.0 * np.exp(1j), np.exp(1j)])
         return q, np.where(q > 0.0, -np.conj(q * z), z)
 
-    def test_entries_on_the_curve_score_the_band(self, monkeypatch):
+    def assert_uncertified_search(self, q, c, hard, monkeypatch):
+        # The hard entries, and only they, go to _search, whose result they keep bit for bit.
+        (thetas, values), batches = _searched(q, c, self.MODEL, monkeypatch)
+        sure = _arg_z_step(q, c, self.MODEL)
+        assert np.array_equal(~sure, hard) and batches == [np.count_nonzero(hard)]
+        want_thetas, want_values = phase_model._search(q[hard], c[hard], self.MODEL)
+        assert np.array_equal(thetas[hard], want_thetas)
+        assert np.array_equal(values[hard], want_values, equal_nan=True)
+
+    def test_entries_on_the_curve_skip_the_grid(self, monkeypatch):
         q, c = _on_curve_batch(self.MODEL, _BAND_BATCH)
-        assert _banded(q, c, self.MODEL, monkeypatch).all()
-        _assert_full_grid_minima(q, c, self.MODEL)
+        (thetas, values), batches = _searched(q, c, self.MODEL, monkeypatch)
+        assert _arg_z_step(q, c, self.MODEL).all() and not batches
+        _assert_search_results(q, c, self.MODEL, thetas, values, np.ones(q.size, bool))
+
+    def test_arg_z_next_to_phase_zero_certifies(self, monkeypatch):
+        # Within one grid step of theta = 0, where a band of grid points
+        # around arg z would wrap past the end of the grid.
+        grid = _tables(self.MODEL).grid
+        q, c = _on_curve_batch(self.MODEL, _BAND_BATCH)
+        z = reflection_coefficient(np.array([grid[0], grid[1], grid[-1], 0.5 * grid[1]]), self.MODEL)
+        q, c = np.append(q, [2.0] * 4), np.append(c, -np.conj(2.0 * z))
+        (thetas, values), batches = _searched(q, c, self.MODEL, monkeypatch)
+        assert _arg_z_step(q, c, self.MODEL).all() and not batches
+        _assert_search_results(q, c, self.MODEL, thetas, values, np.ones(q.size, bool))
 
     def test_pinned_entries_score_the_whole_grid(self, monkeypatch):
         pq, pc = self.pinned()
         q, c = _on_curve_batch(self.MODEL, _BAND_BATCH)
         q, c = np.concatenate([pq, q]), np.concatenate([pc, c])
-        banded = _banded(q, c, self.MODEL, monkeypatch)
-        assert not banded[:pq.size].any() and banded[pq.size:].all()
-        _assert_full_grid_minima(q, c, self.MODEL)
+        with np.errstate(invalid="ignore"):   # NaN in the grid products
+            self.assert_uncertified_search(q, c, np.arange(q.size) < pq.size, monkeypatch)
 
     @pytest.mark.parametrize("entry", range(6))
     def test_lone_wide_entry_matches_the_full_grid(self, entry, monkeypatch):
         pq, pc = self.pinned()
         q, c = _on_curve_batch(self.MODEL, _BAND_BATCH)
         q, c = np.append(q, pq[entry]), np.append(c, pc[entry])
-        assert np.count_nonzero(~_banded(q, c, self.MODEL, monkeypatch)) == 1
-        _assert_full_grid_minima(q, c, self.MODEL)
+        with np.errstate(invalid="ignore"):
+            self.assert_uncertified_search(q, c, np.arange(q.size) == q.size - 1, monkeypatch)
 
     def test_alpha_below_one_and_small_batches_score_the_whole_grid(self, monkeypatch):
-        q, c = _on_curve_batch(self.MODEL, _BAND_BATCH - 1)
-        assert not _banded(q, c, self.MODEL, monkeypatch).any()
+        # The gate: such a batch (every desk LMMSE step) is _search's, bit for
+        # bit, and evaluates no slopes before the grid scan.
         cusp = ReflectionModel(beta_min=0.2, alpha=0.75, delta=1.0)
-        q, c = _on_curve_batch(cusp, 2 * _BAND_BATCH)
-        assert not _banded(q, c, cusp, monkeypatch).any()
+        for model, n in ((self.MODEL, _BAND_BATCH - 1), (cusp, 2 * _BAND_BATCH)):
+            q, c = _on_curve_batch(model, n)
+            events, search, slopes = [], phase_model._search, phase_model._phase_cost_slopes
+            monkeypatch.setattr(phase_model, "_search",
+                                lambda *args: events.append("grid") or search(*args))
+            monkeypatch.setattr(phase_model, "_phase_cost_slopes",
+                                lambda *args: events.append("slopes") or slopes(*args))
+            got = minimize_phase_objectives(q, c, model)
+            monkeypatch.undo()
+            assert events[0] == "grid" and events.count("grid") == 1
+            assert all(np.array_equal(g, w) for g, w in zip(got, phase_model._search(q, c, model)))
 
-    def test_non_finite_entries_score_the_whole_grid(self):
+    def test_non_finite_entries_score_the_whole_grid(self, monkeypatch):
         q, c = _on_curve_batch(self.MODEL, _BAND_BATCH)
         q[:2], c[2:5] = [np.nan, np.inf], [np.nan, np.inf, complex(0.0, -np.inf)]
         with np.errstate(invalid="ignore"):   # inf - inf in the grid products
-            _assert_full_grid_minima(q, c, self.MODEL)
+            self.assert_uncertified_search(q, c, np.arange(q.size) < 5, monkeypatch)
 
 
 def test_non_finite_refined_value_never_wins(model, rng, monkeypatch):
@@ -558,7 +595,7 @@ def test_non_finite_refined_value_never_wins(model, rng, monkeypatch):
         return np.full_like(x, np.nan)
 
     monkeypatch.setattr(phase_model, "_newton_refine", nan_refine)
-    thetas, values = minimize_phase_objectives(q, c, model)
+    thetas, values = phase_model._search(q, c, model)
     assert batches == [200]   # every entry's refined point came from the patch
     assert np.all(np.isfinite(thetas)) and np.all(values <= low)
 
@@ -701,7 +738,7 @@ def anchored_batches(draw):
     if draw(st.booleans()):
         model = ReflectionModel(beta_min=0.0, alpha=model.alpha, delta=model.delta)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    answer = minimize_phase_objectives(q, c, model)[0]
+    answer = phase_model._search(q, c, model)[0]
     spread = rng.choice([0.0, 1e-6, 1e-2, 1.0, np.inf], q.size)
     start = np.where(np.isinf(spread), rng.uniform(-np.pi, np.pi, q.size),
                      answer + np.where(np.isinf(spread), 0.0, spread) * rng.standard_normal(q.size))
@@ -711,20 +748,16 @@ def anchored_batches(draw):
 @settings(max_examples=60, deadline=None)
 @given(problem=anchored_batches())
 def test_anchored_search_is_never_above_the_global_one(problem):
-    # The anchored value is at most the unanchored one plus the band's slack;
-    # an entry the bound does not certify returns the unanchored result bit
-    # for bit, and no entry ends above its start's cost.
+    # The anchored value is at most the global search's plus the band's
+    # slack; an entry the bound does not certify returns the search's result
+    # bit for bit, and no entry ends above its start's cost.
     q, c, model, start = problem
     anchor = reflection_coefficient(start, model)
-    thetas, values = minimize_phase_objectives(q, c, model)
-    got_thetas, got_values = minimize_phase_objectives(q, c, model, anchor)
-    slack = 1e-12 * (q + 3.0 * np.abs(c))
-    assert np.all(got_values <= values + slack)
-    assert np.all(got_values <= _phase_cost(q, c, start, model) + slack)
-    assert np.allclose(got_values, _phase_cost(q, c, got_thetas, model), rtol=0.0, atol=slack)
-    sure = phase_model._anchored_step(q, c, anchor, model)[2]
-    assert np.array_equal(got_thetas[~sure], thetas[~sure])
-    assert np.array_equal(got_values[~sure], values[~sure])
+    thetas, values = minimize_phase_objectives(q, c, model, anchor)
+    starts = np.where(anchor == 0.0, _tables(model).theta_d, np.angle(anchor))
+    sure = phase_model._anchored_step(q, c, starts, model)[2]
+    _assert_search_results(q, c, model, thetas, values, sure)
+    assert np.all(values <= _phase_cost(q, c, start, model) + 1e-12 * (q + 3.0 * np.abs(c)))
 
 
 def test_anchored_search_ignores_the_anchor_below_alpha_one_and_under_the_ideal_law(rng):
@@ -754,9 +787,9 @@ def test_zero_anchor_starts_at_theta_d(monkeypatch):
 
 
 def test_paper_ls_design_calls_certify_every_entry_at_their_answer(monkeypatch):
-    # Paper default law and profile: started at its own unanchored answer,
-    # every entry of every pattern step of an LS design is certified, so no
-    # call scores a grid.
+    # Paper default law and profile: started at its own global answer, every
+    # entry of every pattern step of an LS design is certified, so no call
+    # scores a grid.
     model, seen = ReflectionModel(), []
     search = phase_model.minimize_phase_objectives
     monkeypatch.setattr(phase_model, "minimize_phase_objectives",
@@ -764,11 +797,10 @@ def test_paper_ls_design_calls_certify_every_entry_at_their_answer(monkeypatch):
     for accelerate in (False, True):
         design_ls(SystemConfig(k=4, m=20, l=16), model, max_iter=20, accelerate=accelerate)
     monkeypatch.undo()
-    answers = [search(q, c, model)[0] for q, c in seen]
+    answers = [phase_model._search(q, c.ravel(), model)[0] for q, c in seen]
     grid_calls = []
-    best = phase_model._best_grid_points
-    monkeypatch.setattr(phase_model, "_best_grid_points",
-                        lambda *args: grid_calls.append(1) or best(*args))
+    grid = phase_model._search
+    monkeypatch.setattr(phase_model, "_search", lambda *args: grid_calls.append(1) or grid(*args))
     for (q, c), answer in zip(seen, answers):
         search(q, c, model, reflection_coefficient(answer, model))
     assert len(seen) > 30 and not grid_calls
