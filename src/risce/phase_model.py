@@ -26,19 +26,20 @@ and then neither the grid nor the refinement finds a minimum that sits on it.
 For q > 0 the cost is q |v - z|^2 - |c|^2 / q with z = -conj(c) / q: the
 search wants the law point nearest z.  The point at phase theta lies on the
 ray at angle theta, so its cost is at least -(|c| cos(theta - arg z))^2 / q.
-For alpha >= 1 an entry first takes Newton steps from a start phase and keeps
-their end unless it costs more (MM stays monotone).  Where they converged and
-that bound holds at the end, no phase _BAND or more grid steps from arg z is
-lower: the entry scores theta_d and no grid, and only the others run the
-global search.  The start is the anchor's phase when one is given (LS steps:
-99% or more certified on the benchmark laws), else arg z in a batch of at
-least _BAND_BATCH (paper LMMSE steps: 85% plain, 71% SQUAREM); smaller
-unanchored batches (desk LMMSE steps) run the global search alone.
+For alpha >= 1 an entry first takes Newton steps from a start phase, the
+local step.  Where they converged and that bound holds at their end, no phase
+_BAND or more grid steps from arg z is lower: the end is certified as the
+global minimum within the bound's slack (all that MM monotonicity needs), and
+only the other entries run the global search.  The start is the anchor's
+phase when one is given (LS steps: 99% or more certified on the benchmark
+laws), else arg z in a batch of at least _BAND_BATCH (paper LMMSE steps: 85%
+plain, 71% SQUAREM); smaller unanchored batches (desk LMMSE steps) run the
+global search alone.
 
-Everything the search reads per law (grid, basis, derivative table and
+Everything the global search reads per law (grid, basis, derivative table and
 theta_d) is one read-only record, :func:`_tables`, cached for the last law
-only: a design keeps one law, and the ideal law never reads it.  A caller
-that alternates laws rebuilds the record, about 0.3 ms, per switch.
+only: a design keeps one law; the ideal law and the local step never read it.
+A caller that alternates laws rebuilds the record, about 0.3 ms, per switch.
 """
 
 from __future__ import annotations
@@ -243,26 +244,21 @@ def _beats_the_band_bound(q, abs_c, value):
 
 
 def _anchored_step(q, c, start, model: ReflectionModel) -> tuple[np.ndarray, ...]:
-    """Newton steps on f' from the start phases: thetas, values, certified.
+    """The local step (module docstring) from the start phases: thetas, values, certified.
 
-    Steps reach at most _ANCHOR_REACH and end once none exceeds _ANCHOR_TOL;
-    the end's value is carried over the last step to third order.
+    Newton steps on f' reach at most _ANCHOR_REACH and end once none exceeds
+    _ANCHOR_TOL; the end's value is carried over the last step to third order.
     """
-    c_re, c_im, tables, x = c.real, c.imag, _tables(model), start
+    c_re, c_im, x = c.real, c.imag, start
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(_ANCHOR_STEPS):
+        for _ in range(_ANCHOR_STEPS):
             d1, d2, f = _phase_cost_slopes(q, c_re, c_im, x, model)
-            if not i:
-                theta, value = start % TWO_PI, f
             step = d1 / np.maximum(d2, np.abs(d1) / _ANCHOR_REACH)
             x = x - step
             if (short := np.abs(step) <= _ANCHOR_TOL).all():
                 break
-        end, (at_q, at_re, at_im) = f - step * (d1 - 0.5 * d2 * step), tables.at_theta_d
-        theta, value = np.where(end <= value, x % TWO_PI, theta), np.minimum(end, value)
-        value_d = at_q * q + at_re * c_re + at_im * c_im
-        theta, value = np.where(value_d < value, tables.theta_d, theta), np.minimum(value_d, value)
-    return theta, value, short & (q > 0.0) & _beats_the_band_bound(q, np.abs(c), value)
+        value = f - step * (d1 - 0.5 * d2 * step)
+    return x % TWO_PI, value, short & (q > 0.0) & _beats_the_band_bound(q, np.abs(c), value)
 
 
 def minimize_phase_objectives(
@@ -282,10 +278,11 @@ def minimize_phase_objectives(
     candidate.  Where beta_min = 0 and alpha >= 1, theta_d is a stationary
     zero of the cost, flat to order 2 alpha, toward which the steps creep:
     an entry whose grid best it matches is not refined and returns theta_d.
-    Ties break toward the grid point.  Given anchor, the complex entries to
-    start from, or in a batch of at least _BAND_BATCH, most entries skip the
-    grid (module docstring).  Returns the thetas and their values; both
-    pattern updates call it via :func:`minimize_pattern_entries`.
+    Ties break toward the grid point.  Given anchor, the complex entries
+    whose phases start the local step, or in a batch of at least _BAND_BATCH,
+    certified entries skip the grid (module docstring).  Returns the thetas
+    and their values; both pattern updates call it via
+    :func:`minimize_pattern_entries`.
     """
     q = np.asarray(quad_coeffs, dtype=float).ravel()
     c = np.asarray(lin_coeffs, dtype=complex).ravel()
@@ -295,11 +292,8 @@ def minimize_phase_objectives(
         return np.where(c == 0.0, 0.0, (math.pi - np.angle(c)) % TWO_PI), q - 2.0 * np.abs(c)
     if model.alpha < 1.0 or (anchor is None and q.size < _BAND_BATCH):
         return _search(q, c, model)
-    if anchor is None:   # arg z, z = -conj(c) / q
-        start = np.arctan2(c.imag, -c.real)
-    else:   # a zero entry (beta_min = 0) has no phase: theta_d
-        anchor = np.asarray(anchor, dtype=complex).ravel()
-        start = np.where(anchor == 0.0, _tables(model).theta_d, np.angle(anchor))
+    start = (np.arctan2(c.imag, -c.real) if anchor is None   # arg z, z = -conj(c) / q
+             else np.angle(np.asarray(anchor, dtype=complex).ravel()))
     theta, value, sure = _anchored_step(q, c, start, model)
     if not sure.all():
         theta[~sure], value[~sure] = _search(q[~sure], c[~sure], model)

@@ -6,6 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import ideal_update_lmmse, ideal_update_ls, phase_cost
 from risce import phase_model
+from risce.channel import cascaded_correlation
+from risce.experiments import PAPER_PROFILE, ExperimentConfig
+from risce.lmmse_design import design_lmmse
 from risce.ls_design import design_ls
 from risce.phase_model import (
     _BAND,
@@ -754,8 +757,7 @@ def test_anchored_search_is_never_above_the_global_one(problem):
     q, c, model, start = problem
     anchor = reflection_coefficient(start, model)
     thetas, values = minimize_phase_objectives(q, c, model, anchor)
-    starts = np.where(anchor == 0.0, _tables(model).theta_d, np.angle(anchor))
-    sure = phase_model._anchored_step(q, c, starts, model)[2]
+    sure = phase_model._anchored_step(q, c, np.angle(anchor), model)[2]
     _assert_search_results(q, c, model, thetas, values, sure)
     assert np.all(values <= _phase_cost(q, c, start, model) + 1e-12 * (q + 3.0 * np.abs(c)))
 
@@ -771,18 +773,13 @@ def test_anchored_search_ignores_the_anchor_below_alpha_one_and_under_the_ideal_
         minimize_phase_objectives(q, c, ReflectionModel(), anchor[:-1])
 
 
-def test_zero_anchor_starts_at_theta_d(monkeypatch):
-    # beta_min = 0: an entry at theta_d is 0, whose np.angle is 0, not theta_d.
+def test_zero_anchor_returns_the_unanchored_pattern():
+    # beta_min = 0: an entry at theta_d is 0, whose np.angle, and so its
+    # local step's start, is 0, not theta_d.
     m = ReflectionModel(beta_min=0.0, alpha=2.0, delta=1.0)
     theta_d = (m.delta - np.pi / 2) % TWO_PI
     q, c = 3.0, np.array([[np.exp(-1j * theta_d), -1.0 + 0.5j]])
-    starts = []
-    slopes = phase_model._phase_cost_slopes
-    monkeypatch.setattr(phase_model, "_phase_cost_slopes",
-                        lambda *args: starts.append(args[3]) or slopes(*args))
     v = minimize_pattern_entries(q, c, m, np.array([[0.0, reflection_coefficient(2.0, m)]]))
-    monkeypatch.undo()
-    assert np.array_equal(starts[0], [theta_d, 2.0])
     assert np.array_equal(v, minimize_pattern_entries(q, c, m))
 
 
@@ -804,3 +801,23 @@ def test_paper_ls_design_calls_certify_every_entry_at_their_answer(monkeypatch):
     for (q, c), answer in zip(seen, answers):
         search(q, c, model, reflection_coefficient(answer, model))
     assert len(seen) > 30 and not grid_calls
+
+
+def test_paper_lmmse_design_calls_certify_at_the_global_answer(monkeypatch):
+    # Paper default law and profile, SQUAREM at 10 dB: every pattern step is
+    # unanchored and starts at arg z, and every entry it certifies is within
+    # 1e-10 rad of the global search's phase.
+    cfg, seen = ExperimentConfig(**PAPER_PROFILE), []
+    r_gamma = cascaded_correlation(cfg.corr, cfg.m, cfg.k, cfg.l)
+    search = phase_model.minimize_phase_objectives
+    monkeypatch.setattr(phase_model, "minimize_phase_objectives",
+                        lambda q, c, m, anchor=None: seen.append((q, c)) or search(q, c, m, anchor))
+    design_lmmse(cfg.system(10.0), cfg.model, r_gamma, accelerate=True)
+    monkeypatch.undo()
+    assert len(seen) > 10
+    for q, c in seen:
+        c = c.ravel()
+        thetas, _ = minimize_phase_objectives(q, c, cfg.model)
+        sure = _arg_z_step(q, c, cfg.model)
+        gap = (thetas - phase_model._search(q, c, cfg.model)[0] + np.pi) % TWO_PI - np.pi
+        assert sure.any() and np.all(np.abs(gap[sure]) <= 1e-10)

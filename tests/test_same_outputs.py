@@ -17,6 +17,22 @@ def test_first_difference_names_the_first_differing_row():
         "row 2:\n  parent: 3,4\n  change: 3,4.5")
 
 
+def test_report_counts_every_differing_row_and_finds_each_columns_largest():
+    # The second differing row holds the larger difference; text and the
+    # exact iterations column are reported too, and a matching column is not.
+    old = [["scheme", "iterations", "nmse", "objective"], ["a", "3", "0.5", "1"],
+           ["b", "4", "0.25", "2"], ["c", "5", "0.125", "3"], ["d", "6", "1", "4"]]
+    new = [["scheme", "iterations", "nmse", "objective"], ["a", "3", "0.5", "1"],
+           ["b", "4", "0.2500001", "2"], ["x", "5", "0.126", "3"], ["d", "7", "1", "4"]]
+    assert same_outputs.difference_report(old, [row[:] for row in old]) is None
+    assert same_outputs.difference_report(old, new) == "\n".join([
+        "row 2:\n  parent: b,4,0.25,2\n  change: b,4,0.2500001,2",
+        "differing rows: 3",
+        "  scheme: largest relative difference inf at row 3: c -> x",
+        "  iterations: largest relative difference 0.14 at row 4: 6 -> 7",
+        "  nmse: largest relative difference 0.0079 at row 3: 0.125 -> 0.126"])
+
+
 def test_first_difference_counts_a_missing_row():
     old = [["a"], ["1"]]
     assert same_outputs.first_difference(old, old[:1]) == (
@@ -66,8 +82,8 @@ def test_wrong_arguments_exit_2():
 
 
 def test_runs_include_a_backtracking_squarem_converge():
-    # Thirteen distinct runs; at 60 dB a desk LMMSE SQUAREM step back-tracks.
-    assert len(set(same_outputs.RUNS)) == len(same_outputs.RUNS) == 13
+    # Seventeen distinct runs; at 60 dB a desk LMMSE SQUAREM step back-tracks.
+    assert len(set(same_outputs.RUNS)) == len(same_outputs.RUNS) == 17
     assert ("converge", "--estimator", "lmmse", "--snr-db", "60") in same_outputs.RUNS
 
 
@@ -94,3 +110,15 @@ def test_runs_include_non_square_simulated_sweeps():
         assert "--analytic-only" not in run and run[run.index("--profile") + 1] == "desk"
         assert run[run.index("--b") + 1] == "10" and run[run.index("--tau") + 1] == "3"
         assert set(run[run.index("--scheme") + 1].split(",")) == {"proposed", "naive"}
+
+
+def test_runs_include_the_paper_sweeps_at_beta_min_zero():
+    # The proposed scheme's paper analytic sweeps at beta_min = 0, where
+    # pattern entries at theta_d are 0: both estimators, plain and SQUAREM.
+    zero = [run for run in same_outputs.RUNS if "--beta-min" in run]
+    assert sorted((run[run.index("--estimator") + 1], *(a for a in run if a.endswith("accel")))
+                  for run in zero) == [
+        ("lmmse", "--accel"), ("lmmse", "--no-accel"), ("ls", "--accel"), ("ls", "--no-accel")]
+    for run in zero:
+        assert run[:4] == ("sweep", "--profile", "paper", "--analytic-only")
+        assert run[run.index("--beta-min") + 1] == "0" and run[run.index("--scheme") + 1] == "proposed"

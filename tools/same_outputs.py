@@ -4,23 +4,27 @@
 
 In each checkout it runs ``python -m risce.cli`` with ``PYTHONPATH=<root>/src``
 for the four paper-profile analytic sweeps (LS and LMMSE, SQUAREM and plain
-MM), for six simulated sweeps, for the desk ``converge`` runs of both
-estimators, and for a desk LMMSE ``converge`` run at 60 dB, where a SQUAREM
-step back-tracks and so anchors its next update on an accepted candidate's
-spectrum.  The simulated sweeps compare the ``empirical_nmse`` column, each
-for LS and LMMSE: at the desk profile with all six schemes and ``--rho 2``
-(grouping included); at the paper profile with the design-free ``naive`` and
-``onoff`` schemes; and at the desk profile with ``--b 10 --tau 3`` and the
-``proposed`` and ``naive`` schemes.  In the other sweeps ``B = M+1`` and
-``tau = K``, so the LS filter is just ``S^-1``; with ``--b 10 --tau 3``, V is
-9 x 10 and X is 2 x 3, so it is a pseudo-inverse.  The ``wall_ms`` column is
-dropped.  Text fields and the ``iterations`` column must match as text; a
-number matches when some pair of values that print as the two ``%.12g``
-fields lies within ``1e-12`` relative, so two runs of the same numbers to 12
-significant digits match even where rounding to the printed digits carries
-them across a digit boundary.  For each run that differs it prints the run and
-its first differing row.  Exit status: 0 when every CSV matches, 1 when any
-differs, 2 when a run fails or the arguments are wrong.
+MM), for the same four of the ``proposed`` scheme at ``--beta-min 0`` (a law
+whose pattern entries at theta_d are 0), for six simulated sweeps, for the
+desk ``converge`` runs of both estimators, and for a desk LMMSE ``converge``
+run at 60 dB, where a SQUAREM step back-tracks and so anchors its next update
+on an accepted candidate's spectrum.  The simulated sweeps compare the
+``empirical_nmse`` column, each for LS and LMMSE: at the desk profile with all
+six schemes and ``--rho 2`` (grouping included); at the paper profile with the
+design-free ``naive`` and ``onoff`` schemes; and at the desk profile with
+``--b 10 --tau 3`` and the ``proposed`` and ``naive`` schemes.  In the other
+sweeps ``B = M+1`` and ``tau = K``, so the LS filter is just ``S^-1``; with
+``--b 10 --tau 3``, V is 9 x 10 and X is 2 x 3, so it is a pseudo-inverse.
+The ``wall_ms`` column is dropped.  Text fields and the ``iterations`` column
+must match as text; a number matches when some pair of values that print as
+the two ``%.12g`` fields lies within ``1e-12`` relative, so two runs of the
+same numbers to 12 significant digits match even where rounding to the
+printed digits carries them across a digit boundary.  For each run that
+differs it prints the run, its first differing row and the number of
+differing rows, and for each column with a differing field the largest
+relative difference, its row and its two fields.  Exit status: 0 when every
+CSV matches, 1 when any differs, 2 when a run fails or the arguments are
+wrong.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ from itertools import zip_longest
 from pathlib import Path
 
 RUNS = tuple(
-    ("sweep", "--profile", "paper", "--analytic-only", "--estimator", est, accel)
+    ("sweep", "--profile", "paper", "--analytic-only", "--estimator", est, accel, *law)
+    for law in ((), ("--scheme", "proposed", "--beta-min", "0"))
     for est in ("ls", "lmmse") for accel in ("--accel", "--no-accel")
 ) + tuple(
     ("sweep", "--profile", profile, "--estimator", est, "--scheme", schemes, *rho)
@@ -90,14 +95,52 @@ def same_field(name: str, a: str, b: str) -> bool:
     return abs(x - y) <= REL_TOL * max(abs(x), abs(y)) + _half_unit(x) + _half_unit(y)
 
 
-def first_difference(old: list[list[str]], new: list[list[str]]) -> str | None:
-    """The first row (the header is row 0) where the two CSVs differ, or None."""
+def _differing_rows(old: list[list[str]], new: list[list[str]]):
+    """(i, parent row, change row) of each row i where the two CSVs differ; the header is row 0."""
     header = old[0] if old else []
     for i, (a, b) in enumerate(zip_longest(old, new)):
         if a != b and (i == 0 or a is None or b is None or not (
                 len(a) == len(b) == len(header) and all(map(same_field, header, a, b)))):
-            return f"row {i}:\n  parent: {_show(a)}\n  change: {_show(b)}"
+            yield i, a, b
+
+
+def first_difference(old: list[list[str]], new: list[list[str]]) -> str | None:
+    """The first row where the two CSVs differ, or None."""
+    for i, a, b in _differing_rows(old, new):
+        return f"row {i}:\n  parent: {_show(a)}\n  change: {_show(b)}"
     return None
+
+
+def _relative(a: str, b: str) -> float:
+    """|x - y| / max(|x|, |y|) of two fields; inf where either is text or not finite."""
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return math.inf
+    rel = 0.0 if x == y else abs(x - y) / max(abs(x), abs(y))
+    return rel if math.isfinite(rel) else math.inf
+
+
+def difference_report(old: list[list[str]], new: list[list[str]]) -> str | None:
+    """The first differing row, the number of differing rows and, for each
+    column with a differing field, the largest relative difference and its
+    row; None when the CSVs match."""
+    rows = list(_differing_rows(old, new))
+    if not rows:
+        return None
+    header, largest = old[0] if old else [], {}
+    for i, a, b in rows:
+        if i and a is not None and b is not None and len(a) == len(b) == len(header):
+            for name, x, y in zip(header, a, b):
+                rel = _relative(x, y)
+                if not same_field(name, x, y) and rel > largest.get(name, (-1.0,))[0]:
+                    largest[name] = rel, i, x, y
+    lines = [first_difference(old, new), f"differing rows: {len(rows)}"]
+    for name in header:
+        if name in largest:
+            rel, i, x, y = largest[name]
+            lines.append(f"  {name}: largest relative difference {rel:.2g} at row {i}: {x} -> {y}")
+    return "\n".join(lines)
 
 
 def main(argv: list[str]) -> int:
@@ -107,7 +150,7 @@ def main(argv: list[str]) -> int:
     parent, change = (Path(arg).resolve() for arg in argv)
     differ = 0
     for args in RUNS:
-        diff = first_difference(csv_rows(parent, args), csv_rows(change, args))
+        diff = difference_report(csv_rows(parent, args), csv_rows(change, args))
         print(f"{'differs' if diff else 'same   '} risce {' '.join(args)}")
         if diff:
             differ += 1
