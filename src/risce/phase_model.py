@@ -24,17 +24,24 @@ For alpha < 1/2 a dip at the cusp can be narrower than the grid spacing,
 and then neither the grid nor the refinement finds a minimum that sits on it.
 
 For q > 0 the cost is q |v - z|^2 - |c|^2 / q with z = -conj(c) / q: the
-search wants the law point nearest z.  The point at phase theta lies on the
-ray at angle theta, so its cost is at least -(|c| cos(theta - arg z))^2 / q.
-For alpha >= 1 an entry first takes Newton steps from a start phase, the
-local step.  Where they converged and that bound holds at their end, no phase
-_BAND or more grid steps from arg z is lower: the end is certified as the
-global minimum within the bound's slack (all that MM monotonicity needs), and
-only the other entries run the global search.  The start is the anchor's
-phase when one is given (LS steps: 99% or more certified on the benchmark
-laws), else arg z in a batch of at least _BAND_BATCH (paper LMMSE steps: 85%
-plain, 71% SQUAREM); smaller unanchored batches (desk LMMSE steps) run the
-global search alone.
+search wants the law point nearest z.  For alpha >= 1 an entry first takes
+Newton steps from a start phase, the local step.  Where they converged and, by
+either of two lower bounds, no phase outside a window around their end costs
+less than the end's value minus the slack 1e-12 (q + 3|c|), the end is
+certified as the global minimum within the slack (all that MM monotonicity
+needs; a second basin inside the window is not excluded), and only the other
+entries run the global search.  The ray bound: the point at phase theta is on
+the ray at angle theta, so it costs at least -(|c| cos(theta - arg z))^2 / q;
+the window is _BAND grid steps either side of arg z.  The sector bound: cut
+the circle into _SECTORS sectors, and theta_d's in two there.  beta is
+unimodal, so on each piece it lies between its edge values (up to 1 on the
+peak's piece), and the cost is at least q t (t - 2 p), with p = |z| cos(the
+angle from arg z to the piece, 0 on it) and t = p clipped to those values;
+the window is the end's sector and the two next to it, less any piece past
+theta_d (at beta_min = 0, a cusp whose sides can each hold a minimum).  The
+start is the anchor's phase if given (LS steps: 99% or more certified on the
+benchmark laws), else arg z in a batch of at least _BAND_BATCH (paper LMMSE
+steps: 98.9% plain, 97.4% SQUAREM); desk LMMSE steps run the global search.
 
 Everything the global search reads per law (grid, basis, derivative table and
 theta_d) is one read-only record, :func:`_tables`, cached for the last law
@@ -63,6 +70,7 @@ _BAND_BATCH = 128
 _NEWTON_CAP = 60
 _STEP_TOL = 4 * float(np.spacing(TWO_PI))   # 4 ulps of 2 pi
 _ANCHOR_STEPS, _ANCHOR_REACH, _ANCHOR_TOL = 4, 0.2, 1e-6
+_SECTORS = 64   # phase sectors of the sector bound (module docstring)
 
 
 @dataclass(frozen=True)
@@ -237,10 +245,28 @@ def _newton_refine(q, c, x, lo, hi, slopes, model: ReflectionModel) -> np.ndarra
     return out
 
 
-def _beats_the_band_bound(q, abs_c, value):
-    """True where no phase _BAND or more grid steps from arg z costs less than value."""
-    slack = 1e-12 * (q + 3.0 * abs_c)   # far above the rounding of a cost value
-    return q * (value + slack) <= -(math.cos(_BAND * TWO_PI / GRID_POINTS) * abs_c) ** 2
+def _beats_the_band_bound(q, abs_c, floor):
+    """True where no phase _BAND or more grid steps from arg z costs less than floor."""
+    return q * floor <= -(math.cos(_BAND * TWO_PI / GRID_POINTS) * abs_c) ** 2
+
+
+def _beats_the_sector_bounds(q, c, theta, floor, model: ReflectionModel):
+    """True where no phase outside theta's window costs below floor; q > 0 (module docstring)."""
+    width, theta_d = TWO_PI / _SECTORS, (model.delta - 0.5 * math.pi) % TWO_PI
+    edges = np.sort(np.append(np.linspace(0.0, TWO_PI, _SECTORS + 1), theta_d))
+    amp, mid = amplitude_of_phase(edges, model), 0.5 * (edges[:-1] + edges[1:])
+    lo, hi = np.minimum(amp[:-1], amp[1:]), np.maximum(amp[:-1], amp[1:])
+    hi[np.searchsorted(edges, (theta_d + math.pi) % TWO_PI) - 1] = 1.0   # the peak's piece
+    z = -np.conj(c) / q
+    proj = np.stack([z.real, z.imag], axis=1) @ np.stack([np.cos(edges), np.sin(edges)])
+    p = np.maximum(proj[:, :-1], proj[:, 1:])   # |z| cos g, and |z| on arg z's own piece
+    p[np.arange(q.size), np.searchsorted(edges[1:-1], np.angle(z) % TWO_PI, "right")] = abs(z)
+    t = np.minimum(np.maximum(p, lo), hi)
+    centre = (theta // width + 0.5) * width   # the window: pieces within 1.5 sectors of it
+    near = np.stack([np.cos(centre), np.sin(centre)], axis=1) @ np.stack([np.cos(mid), np.sin(mid)])
+    side = np.where(np.cos(mid - theta_d) > 0.0, np.sin(mid - theta_d), 0.0)
+    far = (near < math.cos(1.5 * width)) | (np.sin(theta - theta_d)[:, None] * side < 0.0)
+    return np.where(far, t * (t - 2.0 * p), np.inf).min(axis=1) >= floor / q
 
 
 def _anchored_step(q, c, start, model: ReflectionModel) -> tuple[np.ndarray, ...]:
@@ -258,7 +284,11 @@ def _anchored_step(q, c, start, model: ReflectionModel) -> tuple[np.ndarray, ...
             if (short := np.abs(step) <= _ANCHOR_TOL).all():
                 break
         value = f - step * (d1 - 0.5 * d2 * step)
-    return x % TWO_PI, value, short & (q > 0.0) & _beats_the_band_bound(q, np.abs(c), value)
+        x, floor = x % TWO_PI, value + 1e-12 * (q + 3.0 * np.abs(c))   # slack far above rounding
+        sure = short & (q > 0.0) & _beats_the_band_bound(q, np.abs(c), floor)
+        if (left := short & (q > 0.0) & ~sure).any():
+            sure[left] = _beats_the_sector_bounds(q[left], c[left], x[left], floor[left], model)
+    return x, value, sure
 
 
 def minimize_phase_objectives(

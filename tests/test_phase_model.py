@@ -446,7 +446,12 @@ def _grid_best(q, c, model):
 
 @st.composite
 def band_batches(draw, sizes=st.just(_BAND_BATCH)):
-    """(q, c, model): a batch with z = -conj(c) / q on or near the law curve or far from it."""
+    """(q, c, model): a batch with z = -conj(c) / q on or near the law curve, or off it.
+
+    Off the curve, |z| is 0.3 to 3 times the law's amplitude at its phase
+    (where the sector bound certifies most entries the ray bound leaves) or
+    e^-5 to e^5 times it.
+    """
     model = ReflectionModel(
         beta_min=draw(st.floats(0.0, 0.99)),
         alpha=draw(st.floats(1.0, 3.0)),
@@ -455,8 +460,9 @@ def band_batches(draw, sizes=st.just(_BAND_BATCH)):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(sizes)
     near = rng.random(n) < draw(st.floats(0.0, 1.0))
+    wide = rng.random(n) < draw(st.floats(0.0, 1.0))
     radius = np.where(near, 1.0 + draw(st.floats(0.0, 1e-2)) * rng.standard_normal(n),
-                      np.exp(rng.uniform(-5.0, 5.0, n)))
+                      np.where(wide, np.exp(rng.uniform(-5.0, 5.0, n)), rng.uniform(0.3, 3.0, n)))
     z = radius * reflection_coefficient(rng.uniform(0.0, TWO_PI, n), model)
     q = rng.uniform(0.01, 10.0, n)
     return q, -np.conj(q * z), model
@@ -506,6 +512,22 @@ def _searched(q, c, model, monkeypatch):
     monkeypatch.setattr(phase_model, "_search",
                         lambda q, c, m: batches.append(q.size) or search(q, c, m))
     got = minimize_phase_objectives(q, c, model)
+    monkeypatch.undo()
+    return got, batches
+
+
+def _turn(a, b):
+    """The signed angle from phase b to phase a, in [-pi, pi)."""
+    return (a - b + np.pi) % TWO_PI - np.pi
+
+
+def _searched_anchored(q, c, start, model, monkeypatch):
+    """minimize_phase_objectives from the law point at start, and the batch sizes of its _search calls."""
+    batches = []
+    search = phase_model._search
+    monkeypatch.setattr(phase_model, "_search",
+                        lambda q, c, m: batches.append(q.size) or search(q, c, m))
+    got = minimize_phase_objectives(q, c, model, reflection_coefficient(np.array([start]), model))
     monkeypatch.undo()
     return got, batches
 
@@ -562,6 +584,52 @@ class TestBand:
         q, c = np.append(q, pq[entry]), np.append(c, pc[entry])
         with np.errstate(invalid="ignore"):
             self.assert_uncertified_search(q, c, np.arange(q.size) == q.size - 1, monkeypatch)
+
+    def test_entry_off_the_curve_certifies_by_the_sector_bound(self, monkeypatch):
+        # q = 2 and z at 0.7 of the law point: the ray bound leaves each of
+        # these entries, the sector bound certifies it at the global answer.
+        theta_d = (self.MODEL.delta - np.pi / 2) % TWO_PI
+        z = 0.7 * reflection_coefficient(theta_d + np.array([-2.18, -0.21, 0.18]), self.MODEL)
+        q, c = _on_curve_batch(self.MODEL, _BAND_BATCH)
+        q, c = np.append(q, [2.0] * 3), np.append(c, -np.conj(2.0 * z))
+        (thetas, values), batches = _searched(q, c, self.MODEL, monkeypatch)
+        assert _arg_z_step(q, c, self.MODEL).all() and not batches
+        _, value, _ = phase_model._anchored_step(q, c, np.arctan2(c.imag, -c.real), self.MODEL)
+        floor = value + 1e-12 * (q + 3.0 * np.abs(c))
+        assert not phase_model._beats_the_band_bound(q, np.abs(c), floor)[-3:].any()
+        assert np.all(np.abs(_turn(thetas, phase_model._search(q, c, self.MODEL)[0])) <= 1e-12)
+
+    def test_near_tied_minima_two_sectors_apart_keep_the_search(self, monkeypatch):
+        # z on the law's symmetry axis, turned by 1e-6 rad: two minima
+        # +-0.98 rad from theta_d whose values differ by 5e-7.  From the
+        # higher one the sector bound of the lower one's sector fails, so the
+        # entry is the global search's, bit for bit, at the lower minimum.
+        theta_d = (self.MODEL.delta - np.pi / 2) % TWO_PI
+        q = np.array([2.0])
+        c = -np.conj(q * 0.3 * np.exp(1j * (theta_d + np.pi + 1e-6)))
+        x, _, sure = phase_model._anchored_step(q, c, np.array([theta_d + 0.977]), self.MODEL)
+        assert abs(_turn(x[0], theta_d + 0.977)) < 1e-2 and not sure[0]
+        (thetas, values), batches = _searched_anchored(q, c, theta_d + 0.977, self.MODEL, monkeypatch)
+        want_thetas, want_values = phase_model._search(q, c, self.MODEL)
+        assert batches == [1] and abs(_turn(want_thetas[0], theta_d - 0.977)) < 1e-2
+        assert np.array_equal(thetas, want_thetas) and np.array_equal(values, want_values)
+
+    def test_pinned_entries_meet_the_sector_bound_quietly(self, monkeypatch):
+        # c = 0 started at theta_d, where at alpha = 1 its step converges and
+        # reaches the sector bound with z = 0: the bound needs no division by
+        # |z|, and it certifies the entry's global minimum q beta_min^2.  q = 0
+        # and a NaN q stay uncertified.  No RuntimeWarning leaks (pytest makes
+        # one an error).
+        model = ReflectionModel(beta_min=0.2, alpha=1.0, delta=1.0)
+        theta_d = (model.delta - np.pi / 2) % TWO_PI
+        q = np.array([1.0, 0.0, np.nan, 2.0])
+        c = np.array([0.0, 1.0 + 1.0j, 1.0, 1.0j])
+        seen, sectors = [], phase_model._beats_the_sector_bounds
+        monkeypatch.setattr(phase_model, "_beats_the_sector_bounds",
+                            lambda q, c, *args: seen.append(c) or sectors(q, c, *args))
+        x, value, sure = phase_model._anchored_step(q, c, np.array([theta_d, 1.0, 1.0, 1.0]), model)
+        assert seen and 0.0 in seen[0] and sure[0] and not sure[1:3].any()
+        assert abs(_turn(x[0], theta_d)) <= 1e-12 and value[0] == pytest.approx(0.04, abs=1e-15)
 
     def test_alpha_below_one_and_small_batches_score_the_whole_grid(self, monkeypatch):
         # The gate: such a batch (every desk LMMSE step) is _search's, bit for
@@ -815,9 +883,13 @@ def test_paper_lmmse_design_calls_certify_at_the_global_answer(monkeypatch):
     design_lmmse(cfg.system(10.0), cfg.model, r_gamma, accelerate=True)
     monkeypatch.undo()
     assert len(seen) > 10
+    certified = by_ray = 0
     for q, c in seen:
         c = c.ravel()
         thetas, _ = minimize_phase_objectives(q, c, cfg.model)
-        sure = _arg_z_step(q, c, cfg.model)
-        gap = (thetas - phase_model._search(q, c, cfg.model)[0] + np.pi) % TWO_PI - np.pi
-        assert sure.any() and np.all(np.abs(gap[sure]) <= 1e-10)
+        _, value, sure = phase_model._anchored_step(q, c, np.arctan2(c.imag, -c.real), cfg.model)
+        floor = value + 1e-12 * (q + 3.0 * np.abs(c))
+        certified += np.count_nonzero(sure)
+        by_ray += np.count_nonzero(sure & phase_model._beats_the_band_bound(q, np.abs(c), floor))
+        assert np.all(np.abs(_turn(thetas, phase_model._search(q, c, cfg.model)[0])[sure]) <= 1e-10)
+    assert certified > by_ray > 0

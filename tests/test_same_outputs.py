@@ -82,8 +82,8 @@ def test_wrong_arguments_exit_2():
 
 
 def test_runs_include_a_backtracking_squarem_converge():
-    # Seventeen distinct runs; at 60 dB a desk LMMSE SQUAREM step back-tracks.
-    assert len(set(same_outputs.RUNS)) == len(same_outputs.RUNS) == 17
+    # Nineteen distinct runs; at 60 dB a desk LMMSE SQUAREM step back-tracks.
+    assert len(set(same_outputs.RUNS)) == len(same_outputs.RUNS) == 19
     assert ("converge", "--estimator", "lmmse", "--snr-db", "60") in same_outputs.RUNS
 
 
@@ -115,10 +115,23 @@ def test_runs_include_non_square_simulated_sweeps():
 def test_runs_include_the_paper_sweeps_at_beta_min_zero():
     # The proposed scheme's paper analytic sweeps at beta_min = 0, where
     # pattern entries at theta_d are 0: both estimators, plain and SQUAREM.
-    zero = [run for run in same_outputs.RUNS if "--beta-min" in run]
+    zero = [run for run in same_outputs.RUNS
+            if "--beta-min" in run and run[run.index("--beta-min") + 1] == "0"]
     assert sorted((run[run.index("--estimator") + 1], *(a for a in run if a.endswith("accel")))
                   for run in zero) == [
         ("lmmse", "--accel"), ("lmmse", "--no-accel"), ("ls", "--accel"), ("ls", "--no-accel")]
     for run in zero:
         assert run[:4] == ("sweep", "--profile", "paper", "--analytic-only")
         assert run[run.index("--beta-min") + 1] == "0" and run[run.index("--scheme") + 1] == "proposed"
+
+
+def test_runs_include_the_paper_lmmse_sweeps_on_desk_law_one():
+    # Desk benchmark law 1, to four decimals: the LMMSE step's sector bound
+    # certifies the entries its ray bound leaves, plain and SQUAREM.
+    law = ("--beta-min", "0.4378", "--alpha", "1.8806", "--delta", "2.7526")
+    desk = [run for run in same_outputs.RUNS if run[-len(law):] == law]
+    assert sorted(run[run.index("--estimator") + 1:run.index("--scheme")] for run in desk) == [
+        ("lmmse", "--accel"), ("lmmse", "--no-accel")]
+    for run in desk:
+        assert run[:4] == ("sweep", "--profile", "paper", "--analytic-only")
+        assert run[run.index("--scheme") + 1] == "proposed"

@@ -5,7 +5,11 @@
 In each checkout it runs ``python -m risce.cli`` with ``PYTHONPATH=<root>/src``
 for the four paper-profile analytic sweeps (LS and LMMSE, SQUAREM and plain
 MM), for the same four of the ``proposed`` scheme at ``--beta-min 0`` (a law
-whose pattern entries at theta_d are 0), for six simulated sweeps, for the
+whose pattern entries at theta_d are 0), for the two LMMSE ones of the
+``proposed`` scheme on desk benchmark law 1 of 0 to 11, to four decimals
+(``--beta-min 0.4378 --alpha 1.8806 --delta 2.7526``, where the phase
+search's sector bound certifies what its ray bound leaves), for six
+simulated sweeps, for the
 desk ``converge`` runs of both estimators, and for a desk LMMSE ``converge``
 run at 60 dB, where a SQUAREM step back-tracks and so anchors its next update
 on an accepted candidate's spectrum.  The simulated sweeps compare the
@@ -40,6 +44,10 @@ RUNS = tuple(
     ("sweep", "--profile", "paper", "--analytic-only", "--estimator", est, accel, *law)
     for law in ((), ("--scheme", "proposed", "--beta-min", "0"))
     for est in ("ls", "lmmse") for accel in ("--accel", "--no-accel")
+) + tuple(
+    ("sweep", "--profile", "paper", "--analytic-only", "--estimator", "lmmse", accel, "--scheme",
+     "proposed", "--beta-min", "0.4378", "--alpha", "1.8806", "--delta", "2.7526")
+    for accel in ("--accel", "--no-accel")
 ) + tuple(
     ("sweep", "--profile", profile, "--estimator", est, "--scheme", schemes, *rho)
     for profile, schemes, rho in (
