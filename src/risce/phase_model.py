@@ -39,9 +39,8 @@ peak's piece), and the cost is at least q t (t - 2 p), with p = |z| cos(the
 angle from arg z to the piece, 0 on it) and t = p clipped to those values;
 the window is the end's sector and the two next to it, less any piece past
 theta_d (at beta_min = 0, a cusp whose sides can each hold a minimum).  The
-start is the anchor's phase if given (LS steps: 99% or more certified on the
-benchmark laws), else arg z in a batch of at least _BAND_BATCH (paper LMMSE
-steps: 98.9% plain, 97.4% SQUAREM); desk LMMSE steps run the global search.
+start is the anchor's phase if given, else arg z in a batch of at least
+_BAND_BATCH; smaller unanchored batches run the global search alone.
 
 Everything the global search reads per law (grid, basis, derivative table and
 theta_d) is one read-only record, :func:`_tables`, cached for the last law
@@ -284,9 +283,10 @@ def _anchored_step(q, c, start, model: ReflectionModel) -> tuple[np.ndarray, ...
             if (short := np.abs(step) <= _ANCHOR_TOL).all():
                 break
         value = f - step * (d1 - 0.5 * d2 * step)
-        x, floor = x % TWO_PI, value + 1e-12 * (q + 3.0 * np.abs(c))   # slack far above rounding
-        sure = short & (q > 0.0) & _beats_the_band_bound(q, np.abs(c), floor)
-        if (left := short & (q > 0.0) & ~sure).any():
+        x, abs_c = x % TWO_PI, np.abs(c)
+        floor = value + 1e-12 * (q + 3.0 * abs_c)   # slack far above rounding
+        sure = (ok := short & (q > 0.0)) & _beats_the_band_bound(q, abs_c, floor)
+        if not sure.all() and (left := ok & ~sure).any():
             sure[left] = _beats_the_sector_bounds(q[left], c[left], x[left], floor[left], model)
     return x, value, sure
 

@@ -533,7 +533,7 @@ def _searched_anchored(q, c, start, model, monkeypatch):
 
 
 class TestBand:
-    """The ray bound over the grid steps _BAND or more from arg z, from the arg z start."""
+    """The ray bound over the grid steps _BAND or more from arg z, and the sector bound."""
 
     MODEL = ReflectionModel(beta_min=0.2, alpha=2.0, delta=1.0)
 
