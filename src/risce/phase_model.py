@@ -32,15 +32,14 @@ certified as the global minimum within the slack (all that MM monotonicity
 needs; a second basin inside the window is not excluded), and only the other
 entries run the global search.  The ray bound: the point at phase theta is on
 the ray at angle theta, so it costs at least -(|c| cos(theta - arg z))^2 / q;
-the window is _BAND grid steps either side of arg z.  The sector bound: cut
-the circle into _SECTORS sectors, and theta_d's in two there.  beta is
-unimodal, so on each piece it lies between its edge values (up to 1 on the
-peak's piece), and the cost is at least q t (t - 2 p), with p = |z| cos(the
-angle from arg z to the piece, 0 on it) and t = p clipped to those values;
-the window is the end's sector and the two next to it, less any piece past
-theta_d (at beta_min = 0, a cusp whose sides can each hold a minimum).  The
-start is the anchor's phase if given, else arg z in a batch of at least
-_BAND_BATCH; smaller unanchored batches run the global search alone.
+the window is _BAND grid steps either side of arg z.  The sector bound cuts
+the circle into _SECTORS sectors and at theta_d and theta_d + pi, between
+which beta is monotone: on a piece the cost is at least q t (t - 2 p), p =
+|z| cos(the angle from arg z to the piece, 0 on it), t = p clipped to the
+piece's edge amplitudes.  Its window is the end's sector and the two next to
+it, less the pieces past theta_d and at it (at beta_min = 0, a cusp with a
+minimum on each side) but the end's.  The start is the anchor's phase if
+given, else arg z in a batch of at least _BAND_BATCH; else _search alone.
 
 Everything the global search reads per law (grid, basis, derivative table and
 theta_d) is one read-only record, :func:`_tables`, cached for the last law
@@ -251,12 +250,11 @@ def _beats_the_band_bound(q, abs_c, floor):
 
 def _beats_the_sector_bounds(q, c, theta, floor, model: ReflectionModel):
     """True where no phase outside theta's window costs below floor; q > 0 (module docstring)."""
-    width, theta_d = TWO_PI / _SECTORS, (model.delta - 0.5 * math.pi) % TWO_PI
-    edges = np.sort(np.append(np.linspace(0.0, TWO_PI, _SECTORS + 1), theta_d))
+    width, theta_d, z = TWO_PI / _SECTORS, (model.delta - 0.5 * math.pi) % TWO_PI, -np.conj(c) / q
+    cuts = np.linspace(0.0, TWO_PI, _SECTORS + 1), [theta_d, (theta_d + math.pi) % TWO_PI]
+    edges = np.sort(np.concatenate(cuts))   # beta is monotone between theta_d and its peak
     amp, mid = amplitude_of_phase(edges, model), 0.5 * (edges[:-1] + edges[1:])
     lo, hi = np.minimum(amp[:-1], amp[1:]), np.maximum(amp[:-1], amp[1:])
-    hi[np.searchsorted(edges, (theta_d + math.pi) % TWO_PI) - 1] = 1.0   # the peak's piece
-    z = -np.conj(c) / q
     proj = np.stack([z.real, z.imag], axis=1) @ np.stack([np.cos(edges), np.sin(edges)])
     p = np.maximum(proj[:, :-1], proj[:, 1:])   # |z| cos g, and |z| on arg z's own piece
     p[np.arange(q.size), np.searchsorted(edges[1:-1], np.angle(z) % TWO_PI, "right")] = abs(z)
@@ -264,7 +262,9 @@ def _beats_the_sector_bounds(q, c, theta, floor, model: ReflectionModel):
     centre = (theta // width + 0.5) * width   # the window: pieces within 1.5 sectors of it
     near = np.stack([np.cos(centre), np.sin(centre)], axis=1) @ np.stack([np.cos(mid), np.sin(mid)])
     side = np.where(np.cos(mid - theta_d) > 0.0, np.sin(mid - theta_d), 0.0)
-    far = (near < math.cos(1.5 * width)) | (np.sin(theta - theta_d)[:, None] * side < 0.0)
+    own = np.searchsorted(edges[1:-1], theta, "right")   # the end's piece
+    far = (near < math.cos(1.5 * width)) | (np.sin(theta - theta_d)[:, None] * side < 0.0) | (
+        ((edges[:-1] == theta_d) | (edges[1:] == theta_d)) & (np.arange(mid.size) != own[:, None]))
     return np.where(far, t * (t - 2.0 * p), np.inf).min(axis=1) >= floor / q
 
 

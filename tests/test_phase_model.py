@@ -614,12 +614,11 @@ class TestBand:
         assert batches == [1] and abs(_turn(want_thetas[0], theta_d - 0.977)) < 1e-2
         assert np.array_equal(thetas, want_thetas) and np.array_equal(values, want_values)
 
-    def test_pinned_entries_meet_the_sector_bound_quietly(self, monkeypatch):
+    def test_pinned_entries_leave_the_sector_bound_uncertified_and_quiet(self, monkeypatch):
         # c = 0 started at theta_d, where at alpha = 1 its step converges and
-        # reaches the sector bound with z = 0: the bound needs no division by
-        # |z|, and it certifies the entry's global minimum q beta_min^2.  q = 0
-        # and a NaN q stay uncertified.  No RuntimeWarning leaks (pytest makes
-        # one an error).
+        # reaches the sector bound with z = 0 (the piece on theta_d's other
+        # side is bounded, at the end's own value), q = 0 and a NaN q: none
+        # certifies, and no RuntimeWarning leaks (pytest makes one an error).
         model = ReflectionModel(beta_min=0.2, alpha=1.0, delta=1.0)
         theta_d = (model.delta - np.pi / 2) % TWO_PI
         q = np.array([1.0, 0.0, np.nan, 2.0])
@@ -627,9 +626,8 @@ class TestBand:
         seen, sectors = [], phase_model._beats_the_sector_bounds
         monkeypatch.setattr(phase_model, "_beats_the_sector_bounds",
                             lambda q, c, *args: seen.append(c) or sectors(q, c, *args))
-        x, value, sure = phase_model._anchored_step(q, c, np.array([theta_d, 1.0, 1.0, 1.0]), model)
-        assert seen and 0.0 in seen[0] and sure[0] and not sure[1:3].any()
-        assert abs(_turn(x[0], theta_d)) <= 1e-12 and value[0] == pytest.approx(0.04, abs=1e-15)
+        _, _, sure = phase_model._anchored_step(q, c, np.array([theta_d, 1.0, 1.0, 1.0]), model)
+        assert seen and 0.0 in seen[0] and not sure[:3].any()
 
     def test_alpha_below_one_and_small_batches_score_the_whole_grid(self, monkeypatch):
         # The gate: such a batch (every desk LMMSE step) is _search's, bit for
