@@ -28,18 +28,17 @@ search wants the law point nearest z.  For alpha >= 1 an entry first takes
 Newton steps from a start phase, the local step.  Where they converged and, by
 either of two lower bounds, no phase outside a window around their end costs
 less than the end's value minus the slack 1e-12 (q + 3|c|), the end is
-certified as the global minimum within the slack (all that MM monotonicity
-needs; a second basin inside the window is not excluded), and only the other
+certified (its window is taken to hold no other basin) and only the other
 entries run the global search.  The ray bound: the point at phase theta is on
 the ray at angle theta, so it costs at least -(|c| cos(theta - arg z))^2 / q;
 the window is _BAND grid steps either side of arg z.  The sector bound cuts
-the circle into _SECTORS sectors and at theta_d and theta_d + pi, between
-which beta is monotone: on a piece the cost is at least q t (t - 2 p), p =
-|z| cos(the angle from arg z to the piece, 0 on it), t = p clipped to the
-piece's edge amplitudes.  Its window is the end's sector and the two next to
-it, less the pieces past theta_d and at it (at beta_min = 0, a cusp with a
-minimum on each side) but the end's.  The start is the anchor's phase if
-given, else arg z in a batch of at least _BAND_BATCH; else _search alone.
+the circle into _SECTORS sectors and at theta_d, theta_d + pi and the ends of
+the tip, where beta <= 2 beta_min: on a piece the cost is at least
+q t (t - 2 p), p = |z| cos(the angle from arg z to the piece, 0 on it), t = p
+clipped to the piece's edge amplitudes.  Its window is the end's sector and
+the two next to it, less the pieces on theta_d's other side and, if the tip
+reaches less than 4 sectors either side, the tip if the end is off it (a tip
+basin can lie by a lower arm one) or the rest if the end is on it.
 
 Everything the global search reads per law (grid, basis, derivative table and
 theta_d) is one read-only record, :func:`_tables`, cached for the last law
@@ -251,20 +250,20 @@ def _beats_the_band_bound(q, abs_c, floor):
 def _beats_the_sector_bounds(q, c, theta, floor, model: ReflectionModel):
     """True where no phase outside theta's window costs below floor; q > 0 (module docstring)."""
     width, theta_d, z = TWO_PI / _SECTORS, (model.delta - 0.5 * math.pi) % TWO_PI, -np.conj(c) / q
-    cuts = np.linspace(0.0, TWO_PI, _SECTORS + 1), [theta_d, (theta_d + math.pi) % TWO_PI]
-    edges = np.sort(np.concatenate(cuts))   # beta is monotone between theta_d and its peak
+    tip = 2.0 * math.asin(min(1.0, (model.beta_min / (1.0 - model.beta_min)) ** (0.5 / model.alpha)))
+    cuts = (theta_d + np.array([0.0, math.pi, -tip, tip])) % TWO_PI   # theta_d, the peak, the tip
+    edges = np.sort(np.append(np.linspace(0.0, TWO_PI, _SECTORS + 1), cuts))   # beta monotone on each
     amp, mid = amplitude_of_phase(edges, model), 0.5 * (edges[:-1] + edges[1:])
-    lo, hi = np.minimum(amp[:-1], amp[1:]), np.maximum(amp[:-1], amp[1:])
     proj = np.stack([z.real, z.imag], axis=1) @ np.stack([np.cos(edges), np.sin(edges)])
     p = np.maximum(proj[:, :-1], proj[:, 1:])   # |z| cos g, and |z| on arg z's own piece
     p[np.arange(q.size), np.searchsorted(edges[1:-1], np.angle(z) % TWO_PI, "right")] = abs(z)
-    t = np.minimum(np.maximum(p, lo), hi)
+    t = np.clip(p, np.minimum(amp[:-1], amp[1:]), np.maximum(amp[:-1], amp[1:]))
     centre = (theta // width + 0.5) * width   # the window: pieces within 1.5 sectors of it
     near = np.stack([np.cos(centre), np.sin(centre)], axis=1) @ np.stack([np.cos(mid), np.sin(mid)])
     side = np.where(np.cos(mid - theta_d) > 0.0, np.sin(mid - theta_d), 0.0)
-    own = np.searchsorted(edges[1:-1], theta, "right")   # the end's piece
+    on_tip = np.cos(np.append(mid, theta) - theta_d) >= math.cos(tip if tip < 4 * width else math.pi)
     far = (near < math.cos(1.5 * width)) | (np.sin(theta - theta_d)[:, None] * side < 0.0) | (
-        ((edges[:-1] == theta_d) | (edges[1:] == theta_d)) & (np.arange(mid.size) != own[:, None]))
+        on_tip[:mid.size] != on_tip[mid.size:, None])
     return np.where(far, t * (t - 2.0 * p), np.inf).min(axis=1) >= floor / q
 
 
@@ -282,13 +281,14 @@ def _anchored_step(q, c, start, model: ReflectionModel) -> tuple[np.ndarray, ...
             x = x - step
             if (short := np.abs(step) <= _ANCHOR_TOL).all():
                 break
-        value = f - step * (d1 - 0.5 * d2 * step)
-        x, abs_c = x % TWO_PI, np.abs(c)
-        floor = value + 1e-12 * (q + 3.0 * abs_c)   # slack far above rounding
-        sure = (ok := short & (q > 0.0)) & _beats_the_band_bound(q, abs_c, floor)
-        if not sure.all() and (left := ok & ~sure).any():
-            sure[left] = _beats_the_sector_bounds(q[left], c[left], x[left], floor[left], model)
-    return x, value, sure
+        value, x, ok = f - step * (d1 - 0.5 * d2 * step), x % TWO_PI, short & (q > 0.0)
+    q, c, theta = q[ok], c[ok], x[ok]   # the bounds divide by q > 0 alone: no error state
+    floor = value[ok] + 1e-12 * (q + 3.0 * np.abs(c))   # slack far above rounding
+    sure = _beats_the_band_bound(q, np.abs(c), floor)
+    if (left := ~sure).any():
+        sure[left] = _beats_the_sector_bounds(q[left], c[left], theta[left], floor[left], model)
+    ok[ok] = sure
+    return x, value, ok
 
 
 def minimize_phase_objectives(

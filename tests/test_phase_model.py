@@ -505,13 +505,13 @@ def _on_curve_batch(model, n):
     return q, -np.conj(q * z)
 
 
-def _searched(q, c, model, monkeypatch):
-    """minimize_phase_objectives(q, c, model) and the batch sizes it passed to _search."""
+def _searched(q, c, model, monkeypatch, anchor=None):
+    """minimize_phase_objectives(q, c, model, anchor) and the batch sizes it passed to _search."""
     batches = []
     search = phase_model._search
     monkeypatch.setattr(phase_model, "_search",
                         lambda q, c, m: batches.append(q.size) or search(q, c, m))
-    got = minimize_phase_objectives(q, c, model)
+    got = minimize_phase_objectives(q, c, model, anchor)
     monkeypatch.undo()
     return got, batches
 
@@ -519,17 +519,6 @@ def _searched(q, c, model, monkeypatch):
 def _turn(a, b):
     """The signed angle from phase b to phase a, in [-pi, pi)."""
     return (a - b + np.pi) % TWO_PI - np.pi
-
-
-def _searched_anchored(q, c, start, model, monkeypatch):
-    """minimize_phase_objectives from the law point at start, and the batch sizes of its _search calls."""
-    batches = []
-    search = phase_model._search
-    monkeypatch.setattr(phase_model, "_search",
-                        lambda q, c, m: batches.append(q.size) or search(q, c, m))
-    got = minimize_phase_objectives(q, c, model, reflection_coefficient(np.array([start]), model))
-    monkeypatch.undo()
-    return got, batches
 
 
 class TestBand:
@@ -609,16 +598,42 @@ class TestBand:
         c = -np.conj(q * 0.3 * np.exp(1j * (theta_d + np.pi + 1e-6)))
         x, _, sure = phase_model._anchored_step(q, c, np.array([theta_d + 0.977]), self.MODEL)
         assert abs(_turn(x[0], theta_d + 0.977)) < 1e-2 and not sure[0]
-        (thetas, values), batches = _searched_anchored(q, c, theta_d + 0.977, self.MODEL, monkeypatch)
+        anchor = reflection_coefficient(np.array([theta_d + 0.977]), self.MODEL)
+        (thetas, values), batches = _searched(q, c, self.MODEL, monkeypatch, anchor)
         want_thetas, want_values = phase_model._search(q, c, self.MODEL)
         assert batches == [1] and abs(_turn(want_thetas[0], theta_d - 0.977)) < 1e-2
         assert np.array_equal(thetas, want_thetas) and np.array_equal(values, want_values)
 
-    def test_pinned_entries_leave_the_sector_bound_uncertified_and_quiet(self, monkeypatch):
+    @pytest.mark.parametrize("law, q, c, start", [
+        ((2.826407843993864e-05, 1.0, 5.589989521236754), 2.8485467282045254,
+         0.03238622478104489 + 0.028105180589837513j, 4.01835460339706),
+        ((2.852282006575791e-05, 1.0, 4.457392319064945), 0.159725699109471,
+         0.00039718090002745286 - 0.0016632139022772512j, 2.88605513584007),
+    ])
+    def test_end_on_the_tip_above_a_lower_arm_keeps_the_search(self, law, q, c, start, monkeypatch):
+        # beta_min near 3e-5 at alpha = 1: the tip, the arc around theta_d
+        # where beta <= 2 beta_min, is 0.02 rad wide.  The local step ends on
+        # it, 0.003 rad from theta_d, above a minimum on the arm 0.04 to
+        # 0.07 rad away, inside the end's window.  The end stays uncertified
+        # and the entry is the global search's, bit for bit.
+        model = ReflectionModel(*law)
+        theta_d = (model.delta - np.pi / 2) % TWO_PI
+        q, c, start = np.array([q]), np.array([c]), np.array([start])
+        x, value, sure = phase_model._anchored_step(q, c, start, model)
+        (thetas, values), batches = _searched(q, c, model, monkeypatch,
+                                              reflection_coefficient(start, model))
+        want_thetas, want_values = phase_model._search(q, c, model)
+        assert abs(_turn(x[0], theta_d)) < 4e-3 and not sure[0] and batches == [1]
+        assert 0.04 < abs(_turn(want_thetas[0], theta_d)) < 0.08 and want_values[0] < value[0]
+        assert np.array_equal(thetas, want_thetas) and np.array_equal(values, want_values)
+
+    def test_pinned_entries_reach_the_sector_bound_quietly(self, monkeypatch):
         # c = 0 started at theta_d, where at alpha = 1 its step converges and
-        # reaches the sector bound with z = 0 (the piece on theta_d's other
-        # side is bounded, at the end's own value), q = 0 and a NaN q: none
-        # certifies, and no RuntimeWarning leaks (pytest makes one an error).
+        # reaches the sector bound with z = 0: certified at theta_d, the
+        # minimum of q beta^2.  q = 0 and a NaN q never reach the bounds and
+        # stay uncertified.  The bounds run outside the local step's error
+        # state, so a RuntimeWarning from them fails the test (pytest makes
+        # one an error).
         model = ReflectionModel(beta_min=0.2, alpha=1.0, delta=1.0)
         theta_d = (model.delta - np.pi / 2) % TWO_PI
         q = np.array([1.0, 0.0, np.nan, 2.0])
@@ -626,8 +641,9 @@ class TestBand:
         seen, sectors = [], phase_model._beats_the_sector_bounds
         monkeypatch.setattr(phase_model, "_beats_the_sector_bounds",
                             lambda q, c, *args: seen.append(c) or sectors(q, c, *args))
-        _, _, sure = phase_model._anchored_step(q, c, np.array([theta_d, 1.0, 1.0, 1.0]), model)
-        assert seen and 0.0 in seen[0] and not sure[:3].any()
+        x, _, sure = phase_model._anchored_step(q, c, np.array([theta_d, 1.0, 1.0, 1.0]), model)
+        assert seen and 0.0 in seen[0] and sure[0] and not sure[1:3].any()
+        assert abs(_turn(x[0], theta_d)) <= 1e-12
 
     def test_alpha_below_one_and_small_batches_score_the_whole_grid(self, monkeypatch):
         # The gate: such a batch (every desk LMMSE step) is _search's, bit for
@@ -889,5 +905,5 @@ def test_paper_lmmse_design_calls_certify_at_the_global_answer(monkeypatch):
         floor = value + 1e-12 * (q + 3.0 * np.abs(c))
         certified += np.count_nonzero(sure)
         by_ray += np.count_nonzero(sure & phase_model._beats_the_band_bound(q, np.abs(c), floor))
-        assert np.all(np.abs(_turn(thetas, phase_model._search(q, c, cfg.model)[0])[sure]) <= 1e-10)
+        assert sure.any() and np.all(np.abs(_turn(thetas, phase_model._search(q, c, cfg.model)[0])[sure]) <= 1e-10)
     assert certified > by_ray > 0
