@@ -281,14 +281,13 @@ def _anchored_step(q, c, start, model: ReflectionModel) -> tuple[np.ndarray, ...
             x = x - step
             if (short := np.abs(step) <= _ANCHOR_TOL).all():
                 break
-        value, x, ok = f - step * (d1 - 0.5 * d2 * step), x % TWO_PI, short & (q > 0.0)
-    q, c, theta = q[ok], c[ok], x[ok]   # the bounds divide by q > 0 alone: no error state
-    floor = value[ok] + 1e-12 * (q + 3.0 * np.abs(c))   # slack far above rounding
-    sure = _beats_the_band_bound(q, np.abs(c), floor)
-    if (left := ~sure).any():
-        sure[left] = _beats_the_sector_bounds(q[left], c[left], theta[left], floor[left], model)
-    ok[ok] = sure
-    return x, value, ok
+        value, x = f - step * (d1 - 0.5 * d2 * step), x % TWO_PI
+    abs_c = np.abs(c)   # the bounds divide by q > 0 alone, so no error state is set
+    floor = value + 1e-12 * (q + 3.0 * abs_c)   # slack far above rounding
+    sure = (ok := short & (q > 0.0)) & _beats_the_band_bound(q, abs_c, floor)
+    if (left := ok & ~sure).any():
+        sure[left] = _beats_the_sector_bounds(q[left], c[left], x[left], floor[left], model)
+    return x, value, sure
 
 
 def minimize_phase_objectives(

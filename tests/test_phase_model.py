@@ -630,10 +630,10 @@ class TestBand:
     def test_pinned_entries_reach_the_sector_bound_quietly(self, monkeypatch):
         # c = 0 started at theta_d, where at alpha = 1 its step converges and
         # reaches the sector bound with z = 0: certified at theta_d, the
-        # minimum of q beta^2.  q = 0 and a NaN q never reach the bounds and
-        # stay uncertified.  The bounds run outside the local step's error
-        # state, so a RuntimeWarning from them fails the test (pytest makes
-        # one an error).
+        # minimum of q beta^2.  q = 0 and a NaN q never reach the sector
+        # bound and stay uncertified.  The bounds run outside the local
+        # step's error state, so a RuntimeWarning from them fails the test
+        # (pytest makes one an error).
         model = ReflectionModel(beta_min=0.2, alpha=1.0, delta=1.0)
         theta_d = (model.delta - np.pi / 2) % TWO_PI
         q = np.array([1.0, 0.0, np.nan, 2.0])
