@@ -37,8 +37,8 @@ the tip, where beta <= 2 beta_min: on a piece the cost is at least
 q t (t - 2 p), p = |z| cos(the angle from arg z to the piece, 0 on it), t = p
 clipped to the piece's edge amplitudes.  Its window is the end's sector and
 the two next to it, less the pieces on theta_d's other side and, if the tip
-reaches less than 4 sectors either side, the tip if the end is off it (a tip
-basin can lie by a lower arm one) or the rest if the end is on it.
+reaches less than 4 sectors either side, the tip if the end is off it or the
+rest if on it (a basin on the tip can lie by a lower one on the arm).
 
 Everything the global search reads per law (grid, basis, derivative table and
 theta_d) is one read-only record, :func:`_tables`, cached for the last law
@@ -282,7 +282,7 @@ def _anchored_step(q, c, start, model: ReflectionModel) -> tuple[np.ndarray, ...
             if (short := np.abs(step) <= _ANCHOR_TOL).all():
                 break
         value, x = f - step * (d1 - 0.5 * d2 * step), x % TWO_PI
-    abs_c = np.abs(c)   # the bounds divide by q > 0 alone, so no error state is set
+    abs_c = np.abs(c)   # the bounds divide by nothing but q > 0: no error state
     floor = value + 1e-12 * (q + 3.0 * abs_c)   # slack far above rounding
     sure = (ok := short & (q > 0.0)) & _beats_the_band_bound(q, abs_c, floor)
     if (left := ok & ~sure).any():
