@@ -341,6 +341,7 @@ CONVERGENCE_COLUMNS = tuple(f.name for f in fields(ConvergenceRow))
 
 def run_convergence(cfg: ExperimentConfig) -> list[ConvergenceRow]:
     """Plain-MM and accelerated traces of the proposed design at the first SNR."""
+    replace(cfg, schemes=(SchemeId.PROPOSED,))   # the SNR cut of a sweep that designs
     sys_cfg = cfg.system(cfg.snr_db[0])
     rows: list[ConvergenceRow] = []
     correlations: dict = {}
@@ -379,6 +380,7 @@ def run_validation(cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
 
     Returns (name, passed, detail) triples; used by the `validate` subcommand.
     """
+    replace(cfg, estimator="lmmse", schemes=(SchemeId.PROPOSED,))   # the LMMSE design's SNR cut
     checks: list[tuple[str, bool, str]] = []
     rng = np.random.default_rng(cfg.seed)
     model = cfg.model
@@ -413,43 +415,31 @@ def run_validation(cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
         rel = abs(direct - lemma) / abs(direct)
         add("lmmse-mse-forms-agree", rel < 1e-8, f"rel err {rel:.2e}")
 
-    add(
-        "lmmse-not-worse-than-ls",
-        lemma <= system.mse_ls(v.v, x.x, cfg.sigma2, cfg.l) + 1e-9,
-        "",
-    )
+    add("lmmse-not-worse-than-ls", lemma <= system.mse_ls(v.v, x.x, cfg.sigma2, cfg.l) + 1e-9)
 
     # Reflection-law projection is idempotent.
     z = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     once = phase_model.project_to_feasible(z, model)
     twice = phase_model.project_to_feasible(once, model)
-    add("projection-idempotent", np.allclose(once, twice, atol=1e-12), "")
+    add("projection-idempotent", np.allclose(once, twice, atol=1e-12))
 
     # Amplitude law stays inside [beta_min, 1].
     thetas = rng.uniform(0.0, 2.0 * np.pi, 512)
     amps = phase_model.amplitude_of_phase(thetas, model)
-    add(
-        "amplitude-bounds",
-        bool(np.all(amps >= model.beta_min - 1e-12) and np.all(amps <= 1.0 + 1e-12)),
-        "",
-    )
+    add("amplitude-bounds", np.all(amps >= model.beta_min - 1e-12) and np.all(amps <= 1.0 + 1e-12))
 
     # Cascaded correlation structure.
-    add(
-        "correlation-trace",
-        abs(np.trace(r_gamma).real - cfg.l * cfg.k * (cfg.m + 1)) < 1e-9,
-        "",
-    )
+    add("correlation-trace", abs(np.trace(r_gamma).real - cfg.l * cfg.k * (cfg.m + 1)) < 1e-9)
 
     # Short design runs descend monotonically.
     _, trace = design_ls(sys_cfg, model, eps=cfg.eps, max_iter=20,
                          accelerate=cfg.accelerate)
     diffs = np.diff(trace.objectives)
-    add("ls-design-monotone", bool(np.all(diffs <= 1e-10)), "")
+    add("ls-design-monotone", np.all(diffs <= 1e-10))
     _, _, trace = design_lmmse(sys_cfg, model, r_gamma, eps=cfg.eps, max_iter=10,
                                accelerate=cfg.accelerate)
     diffs = np.diff(trace.objectives)
-    add("lmmse-design-monotone", bool(np.all(diffs <= 1e-10)), "")
+    add("lmmse-design-monotone", np.all(diffs <= 1e-10))
 
     # Trace bound for the estimator-gap argument.
     ok = True
@@ -460,7 +450,7 @@ def run_validation(cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
         inv_trace = np.trace(np.linalg.inv(a)).real
         bound = n * inv_trace / (n + inv_trace)
         ok &= np.trace(np.linalg.inv(np.eye(n) + a)).real <= bound + 1e-10
-    add("trace-bound", bool(ok), "")
+    add("trace-bound", ok)
 
     return checks
 

@@ -115,6 +115,7 @@ class PatternTerms(NamedTuple):
 
     curvature: float       # mu_V
     c: np.ndarray          # (M+1, B); c[m, n] is the trace of C0's block (n, m)
+    v0: np.ndarray         # (M+1, B); the anchor, whose phases start the step
 
 
 def _anchor_factors(lam: np.ndarray, he: np.ndarray, t0: np.ndarray):
@@ -168,7 +169,7 @@ def refresh_pattern_terms(
     curvature = SAFETY_MARGIN * numerics.largest_eigenvalue(kw).value * a_max
     z = (dinv @ np.sum(f2 * pxu2.T, axis=1))[:, None] * f1
     c = curvature * np.conj(state.v0) + (state.u1 @ (z @ state.factors.a - kw @ f1)).T
-    return PatternTerms(curvature=curvature, c=c)
+    return PatternTerms(curvature=curvature, c=c, v0=state.v0)
 
 
 def largest_power(p: np.ndarray) -> float:
@@ -202,8 +203,8 @@ def update_training(terms: TrainingTerms, power) -> np.ndarray:
 
 
 def update_pattern(terms: PatternTerms, model: ReflectionModel) -> np.ndarray:
-    """Entrywise (M+1, B) pattern update of the decoupled quadratic problem."""
-    return minimize_pattern_entries(terms.curvature, -terms.c[:-1], model)
+    """Entrywise (M+1, B) pattern update of the decoupled quadratic problem, from V0."""
+    return minimize_pattern_entries(terms.curvature, -terms.c[:-1], model, terms.v0[:-1])
 
 
 def project_training_rows(x: np.ndarray, power) -> np.ndarray:

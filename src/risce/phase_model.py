@@ -25,12 +25,13 @@ and then neither the grid nor the refinement finds a minimum that sits on it.
 
 For q > 0 the cost is q |v - z|^2 - |c|^2 / q with z = -conj(c) / q: the
 search wants the law point nearest z.  For alpha >= 1 an entry first takes
-Newton steps from a start phase, the local step.  Where they converged and, by
-either of two lower bounds, no phase outside a window around their end costs
-less than the end's value minus the slack 1e-12 (q + 3|c|), the end is
-certified (its window is taken to hold no other basin) and only the other
-entries run the global search.  The ray bound: the point at phase theta is on
-the ray at angle theta, so it costs at least -(|c| cos(theta - arg z))^2 / q;
+Newton steps from the phase of its anchor, the iterate the MM update moves
+(descent needs no end above the anchor's cost): the local step.  Where they
+converged and, by either of two lower bounds, no phase outside a window around
+their end costs less than the end's value minus the slack 1e-12 (q + 3|c|),
+the end is certified (its window is taken to hold no other basin) and only the
+other entries run the global search.  The ray bound: the law point at phase
+theta lies on that ray, so costs at least -(|c| cos(theta - arg z))^2 / q;
 the window is _BAND grid steps either side of arg z.  The sector bound cuts
 the circle into _SECTORS sectors and at theta_d, theta_d + pi and the ends of
 the tip, where beta <= 2 beta_min: on a piece the cost is at least
@@ -40,10 +41,10 @@ the two next to it, less the pieces on theta_d's other side and, if the tip
 reaches less than 4 sectors either side, the tip if the end is off it or the
 rest if on it (a basin on the tip can lie by a lower one on the arm).
 
-Everything the global search reads per law (grid, basis, derivative table and
-theta_d) is one read-only record, :func:`_tables`, cached for the last law
-only: a design keeps one law; the ideal law and the local step never read it.
-A caller that alternates laws rebuilds the record, about 0.3 ms, per switch.
+The global search's per-law grid, basis, derivative table and basis at theta_d
+are one read-only record, :func:`_tables`, and the sector bound's edges are
+:func:`_pieces`, each cached for the last law only (a design keeps one law).
+The local step never reads _tables, which a law switch rebuilds in 0.3 ms.
 """
 
 from __future__ import annotations
@@ -61,9 +62,6 @@ TWO_PI = 2.0 * math.pi
 # search, and the anchored step's step count, longest step and last-step bound.
 GRID_POINTS = 1024
 _BAND = 8
-# The least unanchored batch that starts at arg z.  Below it (desk LMMSE
-# steps) 39-59% of entries certify, and the step costs more than it saves.
-_BAND_BATCH = 128
 _NEWTON_CAP = 60
 _STEP_TOL = 4 * float(np.spacing(TWO_PI))   # 4 ulps of 2 pi
 _ANCHOR_STEPS, _ANCHOR_REACH, _ANCHOR_TOL = 4, 0.2, 1e-6
@@ -96,6 +94,11 @@ class ReflectionModel:
     @property
     def is_ideal(self) -> bool:
         return self.beta_min == 1.0
+
+    @property
+    def theta_d(self) -> float:
+        """The phase of the amplitude minimum, delta - pi/2 in [0, 2*pi)."""
+        return (self.delta - 0.5 * math.pi) % TWO_PI
 
 
 def ideal_model() -> ReflectionModel:
@@ -160,7 +163,6 @@ class _Tables(NamedTuple):
     grid: np.ndarray         # (GRID_POINTS,) phases
     basis: np.ndarray        # (3, GRID_POINTS): [beta^2; 2 beta cos; -2 beta sin]
     slopes: np.ndarray       # (GRID_POINTS, 3, 3) theta-derivatives of the basis
-    theta_d: float           # delta - pi/2 in [0, 2*pi), where beta = beta_min
     at_theta_d: np.ndarray   # (3,) basis at theta_d
 
 
@@ -176,7 +178,7 @@ def _tables(model: ReflectionModel) -> _Tables:
     s, so it is not finite at a grid point on the cusp, and the first step
     from there bisects.
     """
-    theta_d, a, k = (model.delta - 0.5 * math.pi) % TWO_PI, model.alpha, 1.0 - model.beta_min
+    theta_d, a, k = model.theta_d, model.alpha, 1.0 - model.beta_min
     start = theta_d + math.pi / GRID_POINTS if a < 1.0 else 0.0
     grid = np.linspace(start, start + TWO_PI, GRID_POINTS, endpoint=False)
     unit_q, unit_c = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 1.0j])
@@ -196,7 +198,7 @@ def _tables(model: ReflectionModel) -> _Tables:
     slopes[:, :, 0], slopes[:, :, 1], slopes[:, :, 2] = quad.T, h.real.T, -h.imag.T
     grid.flags.writeable = basis.flags.writeable = False
     slopes.flags.writeable = at_theta_d.flags.writeable = False
-    return _Tables(grid, basis, slopes, theta_d, at_theta_d)
+    return _Tables(grid, basis, slopes, at_theta_d)
 
 
 def _newton_refine(q, c, x, lo, hi, slopes, model: ReflectionModel) -> np.ndarray:
@@ -247,23 +249,31 @@ def _beats_the_band_bound(q, abs_c, floor):
     return q * floor <= -(math.cos(_BAND * TWO_PI / GRID_POINTS) * abs_c) ** 2
 
 
-def _beats_the_sector_bounds(q, c, theta, floor, model: ReflectionModel):
-    """True where no phase outside theta's window costs below floor; q > 0 (module docstring)."""
-    width, theta_d, z = TWO_PI / _SECTORS, (model.delta - 0.5 * math.pi) % TWO_PI, -np.conj(c) / q
+@lru_cache(maxsize=1)   # the last law only, as _tables
+def _pieces(model: ReflectionModel) -> tuple:
+    """The sector bound's per-law edges, phasors, amplitude ranges, window flags and tip cosine."""
+    width, theta_d = TWO_PI / _SECTORS, model.theta_d
     tip = 2.0 * math.asin(min(1.0, (model.beta_min / (1.0 - model.beta_min)) ** (0.5 / model.alpha)))
     cuts = (theta_d + np.array([0.0, math.pi, -tip, tip])) % TWO_PI   # theta_d, the peak, the tip
     edges = np.sort(np.append(np.linspace(0.0, TWO_PI, _SECTORS + 1), cuts))   # beta monotone on each
     amp, mid = amplitude_of_phase(edges, model), 0.5 * (edges[:-1] + edges[1:])
-    proj = np.stack([z.real, z.imag], axis=1) @ np.stack([np.cos(edges), np.sin(edges)])
+    u, tip = mid - theta_d, math.cos(tip if tip < 4 * width else math.pi)
+    return (edges, np.stack([np.cos(edges), np.sin(edges)]), np.stack([np.cos(mid), np.sin(mid)]),
+            np.minimum(amp[:-1], amp[1:]), np.maximum(amp[:-1], amp[1:]),
+            np.where(np.cos(u) > 0.0, np.sin(u), 0.0), np.cos(u) >= tip, tip)
+
+
+def _beats_the_sector_bounds(q, c, theta, floor, model: ReflectionModel):
+    """True where no phase outside theta's window costs below floor; |z| < 1e150 (module docstring)."""
+    (edges, edge_dir, mid_dir, lo, hi, side, tip_mid, tip), z = _pieces(model), -np.conj(c) / q
+    proj = np.stack([z.real, z.imag], axis=1) @ edge_dir
     p = np.maximum(proj[:, :-1], proj[:, 1:])   # |z| cos g, and |z| on arg z's own piece
     p[np.arange(q.size), np.searchsorted(edges[1:-1], np.angle(z) % TWO_PI, "right")] = abs(z)
-    t = np.clip(p, np.minimum(amp[:-1], amp[1:]), np.maximum(amp[:-1], amp[1:]))
+    t, width, u = np.clip(p, lo, hi), TWO_PI / _SECTORS, theta - model.theta_d
     centre = (theta // width + 0.5) * width   # the window: pieces within 1.5 sectors of it
-    near = np.stack([np.cos(centre), np.sin(centre)], axis=1) @ np.stack([np.cos(mid), np.sin(mid)])
-    side = np.where(np.cos(mid - theta_d) > 0.0, np.sin(mid - theta_d), 0.0)
-    on_tip = np.cos(np.append(mid, theta) - theta_d) >= math.cos(tip if tip < 4 * width else math.pi)
-    far = (near < math.cos(1.5 * width)) | (np.sin(theta - theta_d)[:, None] * side < 0.0) | (
-        on_tip[:mid.size] != on_tip[mid.size:, None])
+    near = np.stack([np.cos(centre), np.sin(centre)], axis=1) @ mid_dir
+    far = (near < math.cos(1.5 * width)) | (np.sin(u)[:, None] * side < 0.0) | (
+        tip_mid != (np.cos(u) >= tip)[:, None])
     return np.where(far, t * (t - 2.0 * p), np.inf).min(axis=1) >= floor / q
 
 
@@ -282,9 +292,9 @@ def _anchored_step(q, c, start, model: ReflectionModel) -> tuple[np.ndarray, ...
             if (short := np.abs(step) <= _ANCHOR_TOL).all():
                 break
         value, x = f - step * (d1 - 0.5 * d2 * step), x % TWO_PI
-    abs_c = np.abs(c)   # the bounds divide by nothing but q > 0: no error state
+    abs_c = np.abs(c)   # the bounds run where q > 0 and |z| = |c| / q < 1e150: no error state
     floor = value + 1e-12 * (q + 3.0 * abs_c)   # slack far above rounding
-    sure = (ok := short & (q > 0.0)) & _beats_the_band_bound(q, abs_c, floor)
+    sure = (ok := short & (1e-150 * abs_c < q)) & _beats_the_band_bound(q, abs_c, floor)
     if (left := ok & ~sure).any():
         sure[left] = _beats_the_sector_bounds(q[left], c[left], x[left], floor[left], model)
     return x, value, sure
@@ -294,24 +304,23 @@ def minimize_phase_objectives(
     quad_coeffs: np.ndarray,
     lin_coeffs: np.ndarray,
     model: ReflectionModel,
-    anchor: np.ndarray | None = None,
+    anchor: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minimize q * beta(theta)^2 + 2*Re{c * beta(theta) * e^{j theta}} per entry.
 
-    Batched over the (q, c) pairs, theta in [0, 2*pi).  Under the ideal law
-    the step is exact: pi - arg(c), or 0 when c = 0.  Otherwise the best grid
-    point (for alpha < 1, of each side of the cusp theta_d) is refined within
-    one grid step, by safeguarded Halley steps that read f''' (and, for the
-    first, f' and f'') from the per-law derivative table, and kept only if
-    strictly better; theta_d, scored from the basis there, is the last
-    candidate.  Where beta_min = 0 and alpha >= 1, theta_d is a stationary
-    zero of the cost, flat to order 2 alpha, toward which the steps creep:
-    an entry whose grid best it matches is not refined and returns theta_d.
-    Ties break toward the grid point.  Given anchor, the complex entries
-    whose phases start the local step, or in a batch of at least _BAND_BATCH,
-    certified entries skip the grid (module docstring).  Returns the thetas
-    and their values; both pattern updates call it via
-    :func:`minimize_pattern_entries`.
+    Batched over the (q, c) pairs, theta in [0, 2*pi).  Under the ideal law the
+    step is exact: pi - arg(c), or 0 when c = 0.  For alpha >= 1 the local step
+    starts at the phases of anchor, the entries of the iterate the MM update
+    moves, and certified entries skip the grid (module docstring).  The rest run
+    the global search: the best grid point (for alpha < 1, of each side of the
+    cusp theta_d) is refined within one grid step, by safeguarded Halley steps
+    that read f''' (and, for the first, f' and f'') from the per-law derivative
+    table, and kept only if strictly better; theta_d, scored from the basis
+    there, is the last candidate.  Where beta_min = 0 and alpha >= 1, theta_d
+    is a stationary zero of the cost, flat to order 2 alpha, toward which the
+    steps creep: an entry whose grid best it matches is not refined and returns
+    theta_d.  Ties break toward the grid point.  Returns the thetas and their
+    values; both pattern updates call it via :func:`minimize_pattern_entries`.
     """
     q = np.asarray(quad_coeffs, dtype=float).ravel()
     c = np.asarray(lin_coeffs, dtype=complex).ravel()
@@ -319,10 +328,9 @@ def minimize_phase_objectives(
         raise ValueError("quad_coeffs and lin_coeffs must have the same length")
     if model.is_ideal:   # q + 2|c| cos(theta + arg c) is least at pi - arg c
         return np.where(c == 0.0, 0.0, (math.pi - np.angle(c)) % TWO_PI), q - 2.0 * np.abs(c)
-    if model.alpha < 1.0 or (anchor is None and q.size < _BAND_BATCH):
+    if model.alpha < 1.0:
         return _search(q, c, model)
-    start = (np.arctan2(c.imag, -c.real) if anchor is None   # arg z, z = -conj(c) / q
-             else np.angle(np.asarray(anchor, dtype=complex).ravel()))
+    start = np.angle(np.asarray(anchor, dtype=complex).ravel())
     theta, value, sure = _anchored_step(q, c, start, model)
     if not sure.all():
         theta[~sure], value[~sure] = _search(q[~sure], c[~sure], model)
@@ -332,7 +340,7 @@ def minimize_phase_objectives(
 def _search(q: np.ndarray, c: np.ndarray, model: ReflectionModel) -> tuple[np.ndarray, np.ndarray]:
     """The global search of :func:`minimize_phase_objectives` under a non-ideal law."""
     tables, span = _tables(model), TWO_PI / GRID_POINTS
-    lo, hi = (tables.theta_d, tables.theta_d + TWO_PI) if model.alpha < 1.0 else (-np.inf, np.inf)
+    lo, hi = (model.theta_d, model.theta_d + TWO_PI) if model.alpha < 1.0 else (-np.inf, np.inf)
     coeffs = np.stack([q, c.real, c.imag], axis=1)
     table, sides = coeffs @ tables.basis, 2 if model.alpha < 1.0 else 1   # alpha < 1: per cusp side
     width = GRID_POINTS // sides
@@ -354,7 +362,7 @@ def _search(q: np.ndarray, c: np.ndarray, model: ReflectionModel) -> tuple[np.nd
     cands = [(theta0 % TWO_PI, low.ravel()), (refined, _phase_cost(qs, cs, refined, model))]
     cands = [(t[j::sides], v[j::sides]) for t, v in cands for j in range(sides)]
     theta, value = cands[0]
-    for t, v in cands[1:] + [(tables.theta_d, value_d)]:
+    for t, v in cands[1:] + [(model.theta_d, value_d)]:
         better = v < value
         theta, value = np.where(better, t, theta), np.where(better, v, value)
     return theta, value
@@ -364,14 +372,14 @@ def minimize_pattern_entries(
     q: float,
     c: np.ndarray,
     model: ReflectionModel,
-    anchor: np.ndarray | None = None,
+    anchor: np.ndarray,
 ) -> np.ndarray:
     """Entrywise pattern step: the (M+1, B) minimizer of the separable cost.
 
     Entry (m, n) minimizes q |v|^2 + 2 Re{c[m, n] v} over the reflection law
     (the phase search with quad coeff q and lin coeff c[m, n]); the all-ones
     direct-link row is appended.  c is the (M, B) matrix of linear
-    coefficients; the (M, B) anchor, if given, is the search's.
+    coefficients and anchor the (M, B) entries of the iterate the step moves.
     """
     m, b = c.shape
     thetas, _ = minimize_phase_objectives(np.full(m * b, q), c, model, anchor)

@@ -455,6 +455,14 @@ class TestCli:
         assert main(args + ["naive,onoff"]) == 0
         assert main(args + ["naive,proposed"]) == 2
 
+    @pytest.mark.parametrize("command", [["converge", "--estimator", "lmmse", "--scheme", "naive"],
+                                         ["validate"]], ids=["converge", "validate"])
+    def test_lmmse_snr_cut_holds_for_every_command_that_designs(self, command, capsys):
+        # converge designs LMMSE whatever the schemes, and validate whatever
+        # the estimator: past the cut each is a config error, not a warning.
+        assert main(command + ["--snr-db", "1600", "--output", "-"]) == 2
+        assert "overflows the LMMSE design" in capsys.readouterr().err
+
     @pytest.mark.parametrize("estimator", ["ls", "lmmse"])
     def test_near_singular_correlation_sweep(self, tmp_path, estimator):
         # psi = 1 - 1e-10 everywhere: the sweep either succeeds with every

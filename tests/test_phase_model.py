@@ -12,7 +12,6 @@ from risce.lmmse_design import design_lmmse
 from risce.ls_design import design_ls
 from risce.phase_model import (
     _BAND,
-    _BAND_BATCH,
     _NEWTON_CAP,
     _STEP_TOL,
     GRID_POINTS,
@@ -31,6 +30,12 @@ from risce.phase_model import (
 from risce.types import SystemConfig
 
 TWO_PI = 2.0 * np.pi
+
+
+def _global(q, c, model):
+    """The reference global search, phase_model._search, of the (q, c) lists or arrays."""
+    return phase_model._search(np.asarray(q, dtype=float).ravel(),
+                               np.asarray(c, dtype=complex).ravel(), model)
 
 
 class TestAmplitudeLaw:
@@ -158,13 +163,13 @@ class TestProjection:
 class TestPhaseSearch:
     def test_pure_linear_ideal(self):
         # For beta = 1 the objective is 2*cos(theta): minimum -2 at pi.
-        (theta,), (value,) = minimize_phase_objectives([0.0], [1.0 + 0j], ideal_model())
+        (theta,), (value,) = minimize_phase_objectives([0.0], [1.0 + 0j], ideal_model(), [1.0])
         assert theta == pytest.approx(np.pi, abs=1e-6)
         assert value == pytest.approx(-2.0, abs=1e-10)
 
     def test_pure_quadratic(self, model):
         # Minimizing beta(theta)^2 lands at the amplitude minimum.
-        (theta,), (value,) = minimize_phase_objectives([1.0], [0j], model)
+        (theta,), (value,) = _global([1.0], [0j], model)
         assert value == pytest.approx(model.beta_min**2, abs=1e-12)
         # The bowl is quartically flat there, so the phase tolerance is loose.
         target = (model.delta - np.pi / 2) % TWO_PI
@@ -175,7 +180,7 @@ class TestPhaseSearch:
         for _ in range(10):
             qs.append(rng.uniform(0.0, 5.0))
             cs.append(rng.standard_normal() + 1j * rng.standard_normal())
-        thetas, values = minimize_phase_objectives(qs, cs, model)
+        thetas, values = _global(qs, cs, model)
         grid = np.linspace(0.0, TWO_PI, GRID_POINTS, endpoint=False)
         for q, c, theta, value in zip(qs, cs, thetas, values):
             assert value <= np.min(phase_cost(q, c, grid, model)) + 1e-14
@@ -188,7 +193,7 @@ class TestPhaseSearch:
         for _ in range(30):
             qs.append(rng.uniform(0.0, 10.0))
             cs.append(3.0 * (rng.standard_normal() + 1j * rng.standard_normal()))
-        _, values = minimize_phase_objectives(qs, cs, model)
+        _, values = _global(qs, cs, model)
         for q, c, value in zip(qs, cs, values):
             oracle = float(np.min(phase_cost(q, c, dense, model)))
             scale = max(abs(oracle), 1e-9)
@@ -224,7 +229,7 @@ class TestPhaseSearch:
         # cusp whose dip is narrower than the grid spacing.  With beta_min = 0
         # the cost is 0 there, while the smooth minimum elsewhere is 1.15.
         m = ReflectionModel(beta_min=0.0, alpha=0.05, delta=0.43 * np.pi)
-        (theta,), (value,) = minimize_phase_objectives([4.0], [1.0 + 1j], m)
+        (theta,), (value,) = _global([4.0], [1.0 + 1j], m)
         assert value == pytest.approx(0.0, abs=1e-12)
         assert theta == pytest.approx((m.delta - np.pi / 2) % TWO_PI, abs=1e-12)
 
@@ -234,7 +239,7 @@ class TestPhaseSearch:
         # grid error; refining only the best grid point found -2.23e-6.
         m = ReflectionModel(beta_min=0.0, alpha=0.5, delta=1.71875)
         q, c = 3.0, 0.0103 + 0.0879j
-        _, (value,) = minimize_phase_objectives([q], [c], m)
+        _, (value,) = _global([q], [c], m)
         oracle = float(np.min(phase_cost(q, c, DENSE_GRID, m)))
         assert oracle == pytest.approx(-2.900145e-6, rel=1e-6)
         assert value == pytest.approx(-2.900162e-6, rel=1e-6)
@@ -246,7 +251,7 @@ class TestPhaseSearch:
         q = 1.7
         c = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
         c[1, 2] = 0.0
-        v = minimize_pattern_entries(q, c, ideal_model())
+        v = minimize_pattern_entries(q, c, ideal_model(), c)   # any anchor: the step is exact
         a0 = np.zeros((4, 4), dtype=complex)     # (B, M+1), last column unused
         a0[:, :3] = c.T
         assert np.allclose(v, ideal_update_ls(a0).v, rtol=0.0, atol=1e-15)
@@ -254,7 +259,7 @@ class TestPhaseSearch:
         c_map[:3] = -c
         assert np.allclose(v, ideal_update_lmmse(c_map).v, rtol=0.0, atol=1e-15)
         assert v[1, 2] == 1.0
-        thetas, values = minimize_phase_objectives(np.full(c.size, q), c, ideal_model())
+        thetas, values = minimize_phase_objectives(np.full(c.size, q), c, ideal_model(), c)
         assert np.allclose(values, q - 2.0 * np.abs(c.ravel()), rtol=0.0, atol=1e-15)
         assert np.all((thetas >= 0.0) & (thetas < TWO_PI))
 
@@ -277,10 +282,10 @@ class TestPhaseSearch:
         # and at theta_d, for alpha above and below 1 and beta_min = 0.
         m = ReflectionModel(*law)
         tables = _tables(m)
-        assert tables.theta_d == (m.delta - np.pi / 2) % TWO_PI
+        assert m.theta_d == (m.delta - np.pi / 2) % TWO_PI
         for row, (q, c) in enumerate([(1.0, 0.0), (0.0, 1.0), (0.0, 1.0j)]):
             assert np.array_equal(tables.basis[row], _phase_cost(q, c, tables.grid, m))
-            assert np.array_equal(tables.at_theta_d[row], _phase_cost(q, c, tables.theta_d, m))
+            assert np.array_equal(tables.at_theta_d[row], _phase_cost(q, c, m.theta_d, m))
         beta = amplitude_of_phase(tables.grid, m)
         assert np.array_equal(tables.basis, np.stack([beta**2, 2.0 * beta * np.cos(tables.grid),
                                                       -2.0 * beta * np.sin(tables.grid)]))
@@ -316,7 +321,7 @@ def test_phase_cost_slopes_match_central_differences(
 
 @st.composite
 def pattern_problems(draw, alphas):
-    """(q, c, model): an (M, B) pattern-step problem over a random law."""
+    """(q, c, model, anchor): an (M, B) pattern-step problem over a random law and iterate."""
     m = draw(st.integers(1, 3))
     b = m + draw(st.integers(1, 2))
     model = ReflectionModel(
@@ -331,7 +336,7 @@ def pattern_problems(draw, alphas):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     c = draw(st.floats(0.1, 5.0)) * (
         rng.standard_normal((m, b)) + 1j * rng.standard_normal((m, b)))
-    return q, c, model
+    return q, c, model, reflection_coefficient(rng.uniform(0.0, TWO_PI, (m, b)), model)
 
 
 def _amplitude_rounding(theta, model):
@@ -348,14 +353,15 @@ def _amplitude_rounding(theta, model):
     return (1.0 - model.beta_min) * ((s + ds) ** model.alpha - lo**model.alpha)
 
 
-def _check_pattern_step(q, c, model, grid, rtol, cusp_rounding=False):
-    # Every entry is within rtol * (q + 2|c|) of the best point of grid plus
-    # theta_d, is a fixed point of the projection, and the last row is ones.
-    # A zero entry (beta_min = 0, at theta_d) is on the law but has no phase
-    # to keep, so it is exempt from the fixed-point check.  With cusp_rounding
-    # every entry must be the law point at the phase the search returns, and
-    # the fixed-point check allows 1e-12 plus the rounding of beta there.
-    v = minimize_pattern_entries(q, c, model)
+def _check_pattern_step(q, c, model, anchor, grid, rtol, cusp_rounding=False):
+    # From anchor, every entry is within rtol * (q + 2|c|) of the best point
+    # of grid plus theta_d, is a fixed point of the projection, and the last
+    # row is ones.  A zero entry (beta_min = 0, at theta_d) is on the law but
+    # has no phase to keep, so it is exempt from the fixed-point check.  With
+    # cusp_rounding every entry must be the law point at the phase the search
+    # returns, and the fixed-point check allows 1e-12 plus the rounding of
+    # beta there.
+    v = minimize_pattern_entries(q, c, model, anchor)
     m, b = c.shape
     assert v.shape == (m + 1, b)
     assert np.all(v[-1] == 1.0)
@@ -364,7 +370,7 @@ def _check_pattern_step(q, c, model, grid, rtol, cusp_rounding=False):
     assert model.beta_min == 0.0 or nonzero.size == m * b
     atol = 1e-12
     if cusp_rounding:
-        thetas = minimize_phase_objectives(np.full(m * b, q), c, model)[0].reshape(m, b)
+        thetas = minimize_phase_objectives(np.full(m * b, q), c, model, anchor)[0].reshape(m, b)
         assert np.array_equal(v[:m], reflection_coefficient(thetas, model))
         atol = atol + _amplitude_rounding(thetas[mask], model)
     assert np.allclose(project_to_feasible(nonzero, model), nonzero, rtol=0.0, atol=atol)
@@ -387,6 +393,10 @@ def _off_cusp(grid, model):
 
 @settings(max_examples=20, deadline=None)
 @given(problem=pattern_problems(st.floats(1.0, 3.0)))
+@example(problem=(1.1125369292536007e-308,   # z = -conj(c) / q overflows: no bound may read it
+                  np.array([[1.03675258 + 0.99131123j, 2.46485443 - 3.90947169j]]),
+                  ReflectionModel(beta_min=0.0, alpha=1.0, delta=0.0),
+                  np.array([[-0.36468494 + 0.89099502j, -0.64839141 + 0.33900655j]])))
 def test_pattern_step_matches_dense_oracle(problem):
     _check_pattern_step(*problem, DENSE_GRID, rtol=1e-9)
 
@@ -416,7 +426,8 @@ _DIP_C = np.array([[0.25146044 + 2.60800009j, -0.26420973 + 1.89416193j, 1.28084
 
 @settings(max_examples=10, deadline=None)
 @given(problem=pattern_problems(st.floats(0.0, 0.5, exclude_max=True)))
-@example(problem=(5.0, _CUSP_C, ReflectionModel(beta_min=0.0, alpha=0.08203125, delta=6.0)))
+@example(problem=(5.0, _CUSP_C, ReflectionModel(beta_min=0.0, alpha=0.08203125, delta=6.0),
+                  np.ones_like(_CUSP_C)))
 def test_pattern_step_beats_its_candidates_below_half(problem):
     # For alpha < 1/2 a minimum next to the cusp can be narrower than the
     # grid spacing and no dense-oracle bound holds; the step still never
@@ -432,7 +443,8 @@ def test_pattern_step_beats_its_candidates_below_half(problem):
                           "at the cusp narrower than its grid step (CHANGES.md FOUND)")
 def test_pattern_step_beats_search_grid_in_a_narrow_cusp_dip():
     model = ReflectionModel(beta_min=0.0, alpha=0.015625, delta=1.0)
-    _check_pattern_step(3.0, _DIP_C, model, SEARCH_GRID, rtol=1e-12, cusp_rounding=True)
+    _check_pattern_step(3.0, _DIP_C, model, np.ones_like(_DIP_C), SEARCH_GRID, rtol=1e-12,
+                        cusp_rounding=True)
 
 
 def _grid_best(q, c, model):
@@ -445,7 +457,7 @@ def _grid_best(q, c, model):
 
 
 @st.composite
-def band_batches(draw, sizes=st.just(_BAND_BATCH)):
+def band_batches(draw, sizes=st.just(128)):
     """(q, c, model): a batch with z = -conj(c) / q on or near the law curve, or off it.
 
     Off the curve, |z| is 0.3 to 3 times the law's amplitude at its phase
@@ -479,22 +491,29 @@ def _assert_search_results(q, c, model, thetas, values, sure):
     assert np.array_equal(values[~sure], want_values[~sure])
 
 
-def _arg_z_step(q, c, model):
-    """Which entries the arg z start certifies."""
-    return phase_model._anchored_step(q, c, np.arctan2(c.imag, -c.real), model)[2]
+def _arg_z_anchor(c, model):
+    """The law points at arg z, z = -conj(c) / q: on the curve, each entry's answer."""
+    return reflection_coefficient(np.arctan2(c.imag, -c.real), model)
+
+
+def _certified(q, c, model, anchor):
+    """Which entries the local step from anchor's phases certifies."""
+    return phase_model._anchored_step(q, c, np.angle(anchor), model)[2]
 
 
 @settings(max_examples=40, deadline=None)
-@given(problem=band_batches(st.integers(_BAND_BATCH, 3 * _BAND_BATCH)), flat=st.booleans())
+@given(problem=band_batches(st.integers(1, 384)), flat=st.booleans())
 def test_arg_z_start_is_never_above_the_global_search(problem, flat):
+    # Anchored at arg z, far from the answer for entries off the curve.
     # One-sided: next to theta_d, with beta_min = 0 and |z| near 1e-5, the
     # local step can end a few 1e-11 below the search's grid miss (ROADMAP
     # item 6), never more than the slack above it.
     q, c, model = problem
     if flat:
         model = ReflectionModel(beta_min=0.0, alpha=model.alpha, delta=model.delta)
-    _assert_search_results(q, c, model, *minimize_phase_objectives(q, c, model),
-                           _arg_z_step(q, c, model))
+    anchor = _arg_z_anchor(c, model)
+    _assert_search_results(q, c, model, *minimize_phase_objectives(q, c, model, anchor),
+                           _certified(q, c, model, anchor))
 
 
 def _on_curve_batch(model, n):
@@ -505,7 +524,7 @@ def _on_curve_batch(model, n):
     return q, -np.conj(q * z)
 
 
-def _searched(q, c, model, monkeypatch, anchor=None):
+def _searched(q, c, model, anchor, monkeypatch):
     """minimize_phase_objectives(q, c, model, anchor) and the batch sizes it passed to _search."""
     batches = []
     search = phase_model._search
@@ -522,7 +541,10 @@ def _turn(a, b):
 
 
 class TestBand:
-    """The ray bound over the grid steps _BAND or more from arg z, and the sector bound."""
+    """The ray bound over the grid steps _BAND or more from arg z, and the sector bound.
+
+    Unless a case says otherwise, each entry is anchored at arg z.
+    """
 
     MODEL = ReflectionModel(beta_min=0.2, alpha=2.0, delta=1.0)
 
@@ -535,33 +557,36 @@ class TestBand:
 
     def assert_uncertified_search(self, q, c, hard, monkeypatch):
         # The hard entries, and only they, go to _search, whose result they keep bit for bit.
-        (thetas, values), batches = _searched(q, c, self.MODEL, monkeypatch)
-        sure = _arg_z_step(q, c, self.MODEL)
+        anchor = _arg_z_anchor(c, self.MODEL)
+        (thetas, values), batches = _searched(q, c, self.MODEL, anchor, monkeypatch)
+        sure = _certified(q, c, self.MODEL, anchor)
         assert np.array_equal(~sure, hard) and batches == [np.count_nonzero(hard)]
         want_thetas, want_values = phase_model._search(q[hard], c[hard], self.MODEL)
         assert np.array_equal(thetas[hard], want_thetas)
         assert np.array_equal(values[hard], want_values, equal_nan=True)
 
     def test_entries_on_the_curve_skip_the_grid(self, monkeypatch):
-        q, c = _on_curve_batch(self.MODEL, _BAND_BATCH)
-        (thetas, values), batches = _searched(q, c, self.MODEL, monkeypatch)
-        assert _arg_z_step(q, c, self.MODEL).all() and not batches
+        q, c = _on_curve_batch(self.MODEL, 128)
+        anchor = _arg_z_anchor(c, self.MODEL)
+        (thetas, values), batches = _searched(q, c, self.MODEL, anchor, monkeypatch)
+        assert _certified(q, c, self.MODEL, anchor).all() and not batches
         _assert_search_results(q, c, self.MODEL, thetas, values, np.ones(q.size, bool))
 
     def test_arg_z_next_to_phase_zero_certifies(self, monkeypatch):
         # Within one grid step of theta = 0, where a band of grid points
         # around arg z would wrap past the end of the grid.
         grid = _tables(self.MODEL).grid
-        q, c = _on_curve_batch(self.MODEL, _BAND_BATCH)
+        q, c = _on_curve_batch(self.MODEL, 128)
         z = reflection_coefficient(np.array([grid[0], grid[1], grid[-1], 0.5 * grid[1]]), self.MODEL)
         q, c = np.append(q, [2.0] * 4), np.append(c, -np.conj(2.0 * z))
-        (thetas, values), batches = _searched(q, c, self.MODEL, monkeypatch)
-        assert _arg_z_step(q, c, self.MODEL).all() and not batches
+        anchor = _arg_z_anchor(c, self.MODEL)
+        (thetas, values), batches = _searched(q, c, self.MODEL, anchor, monkeypatch)
+        assert _certified(q, c, self.MODEL, anchor).all() and not batches
         _assert_search_results(q, c, self.MODEL, thetas, values, np.ones(q.size, bool))
 
     def test_pinned_entries_score_the_whole_grid(self, monkeypatch):
         pq, pc = self.pinned()
-        q, c = _on_curve_batch(self.MODEL, _BAND_BATCH)
+        q, c = _on_curve_batch(self.MODEL, 128)
         q, c = np.concatenate([pq, q]), np.concatenate([pc, c])
         with np.errstate(invalid="ignore"):   # NaN in the grid products
             self.assert_uncertified_search(q, c, np.arange(q.size) < pq.size, monkeypatch)
@@ -569,7 +594,7 @@ class TestBand:
     @pytest.mark.parametrize("entry", range(6))
     def test_lone_wide_entry_matches_the_full_grid(self, entry, monkeypatch):
         pq, pc = self.pinned()
-        q, c = _on_curve_batch(self.MODEL, _BAND_BATCH)
+        q, c = _on_curve_batch(self.MODEL, 128)
         q, c = np.append(q, pq[entry]), np.append(c, pc[entry])
         with np.errstate(invalid="ignore"):
             self.assert_uncertified_search(q, c, np.arange(q.size) == q.size - 1, monkeypatch)
@@ -579,11 +604,12 @@ class TestBand:
         # these entries, the sector bound certifies it at the global answer.
         theta_d = (self.MODEL.delta - np.pi / 2) % TWO_PI
         z = 0.7 * reflection_coefficient(theta_d + np.array([-2.18, -0.21, 0.18]), self.MODEL)
-        q, c = _on_curve_batch(self.MODEL, _BAND_BATCH)
+        q, c = _on_curve_batch(self.MODEL, 128)
         q, c = np.append(q, [2.0] * 3), np.append(c, -np.conj(2.0 * z))
-        (thetas, values), batches = _searched(q, c, self.MODEL, monkeypatch)
-        assert _arg_z_step(q, c, self.MODEL).all() and not batches
-        _, value, _ = phase_model._anchored_step(q, c, np.arctan2(c.imag, -c.real), self.MODEL)
+        anchor = _arg_z_anchor(c, self.MODEL)
+        (thetas, values), batches = _searched(q, c, self.MODEL, anchor, monkeypatch)
+        assert _certified(q, c, self.MODEL, anchor).all() and not batches
+        _, value, _ = phase_model._anchored_step(q, c, np.angle(anchor), self.MODEL)
         floor = value + 1e-12 * (q + 3.0 * np.abs(c))
         assert not phase_model._beats_the_band_bound(q, np.abs(c), floor)[-3:].any()
         assert np.all(np.abs(_turn(thetas, phase_model._search(q, c, self.MODEL)[0])) <= 1e-12)
@@ -599,7 +625,7 @@ class TestBand:
         x, _, sure = phase_model._anchored_step(q, c, np.array([theta_d + 0.977]), self.MODEL)
         assert abs(_turn(x[0], theta_d + 0.977)) < 1e-2 and not sure[0]
         anchor = reflection_coefficient(np.array([theta_d + 0.977]), self.MODEL)
-        (thetas, values), batches = _searched(q, c, self.MODEL, monkeypatch, anchor)
+        (thetas, values), batches = _searched(q, c, self.MODEL, anchor, monkeypatch)
         want_thetas, want_values = phase_model._search(q, c, self.MODEL)
         assert batches == [1] and abs(_turn(want_thetas[0], theta_d - 0.977)) < 1e-2
         assert np.array_equal(thetas, want_thetas) and np.array_equal(values, want_values)
@@ -620,8 +646,8 @@ class TestBand:
         theta_d = (model.delta - np.pi / 2) % TWO_PI
         q, c, start = np.array([q]), np.array([c]), np.array([start])
         x, value, sure = phase_model._anchored_step(q, c, start, model)
-        (thetas, values), batches = _searched(q, c, model, monkeypatch,
-                                              reflection_coefficient(start, model))
+        (thetas, values), batches = _searched(q, c, model, reflection_coefficient(start, model),
+                                              monkeypatch)
         want_thetas, want_values = phase_model._search(q, c, model)
         assert abs(_turn(x[0], theta_d)) < 4e-3 and not sure[0] and batches == [1]
         assert 0.04 < abs(_turn(want_thetas[0], theta_d)) < 0.08 and want_values[0] < value[0]
@@ -645,24 +671,23 @@ class TestBand:
         assert seen and 0.0 in seen[0] and sure[0] and not sure[1:3].any()
         assert abs(_turn(x[0], theta_d)) <= 1e-12
 
-    def test_alpha_below_one_and_small_batches_score_the_whole_grid(self, monkeypatch):
-        # The gate: such a batch (every desk LMMSE step) is _search's, bit for
-        # bit, and evaluates no slopes before the grid scan.
-        cusp = ReflectionModel(beta_min=0.2, alpha=0.75, delta=1.0)
-        for model, n in ((self.MODEL, _BAND_BATCH - 1), (cusp, 2 * _BAND_BATCH)):
-            q, c = _on_curve_batch(model, n)
-            events, search, slopes = [], phase_model._search, phase_model._phase_cost_slopes
-            monkeypatch.setattr(phase_model, "_search",
-                                lambda *args: events.append("grid") or search(*args))
-            monkeypatch.setattr(phase_model, "_phase_cost_slopes",
-                                lambda *args: events.append("slopes") or slopes(*args))
-            got = minimize_phase_objectives(q, c, model)
-            monkeypatch.undo()
-            assert events[0] == "grid" and events.count("grid") == 1
-            assert all(np.array_equal(g, w) for g, w in zip(got, phase_model._search(q, c, model)))
+    def test_alpha_below_one_scores_the_whole_grid(self, monkeypatch):
+        # Such a batch is _search's, bit for bit, and evaluates no slopes
+        # before the grid scan, whatever its anchor.
+        model = ReflectionModel(beta_min=0.2, alpha=0.75, delta=1.0)
+        q, c = _on_curve_batch(model, 256)
+        events, search, slopes = [], phase_model._search, phase_model._phase_cost_slopes
+        monkeypatch.setattr(phase_model, "_search",
+                            lambda *args: events.append("grid") or search(*args))
+        monkeypatch.setattr(phase_model, "_phase_cost_slopes",
+                            lambda *args: events.append("slopes") or slopes(*args))
+        got = minimize_phase_objectives(q, c, model, _arg_z_anchor(c, model))
+        monkeypatch.undo()
+        assert events[0] == "grid" and events.count("grid") == 1
+        assert all(np.array_equal(g, w) for g, w in zip(got, phase_model._search(q, c, model)))
 
     def test_non_finite_entries_score_the_whole_grid(self, monkeypatch):
-        q, c = _on_curve_batch(self.MODEL, _BAND_BATCH)
+        q, c = _on_curve_batch(self.MODEL, 128)
         q[:2], c[2:5] = [np.nan, np.inf], [np.nan, np.inf, complex(0.0, -np.inf)]
         with np.errstate(invalid="ignore"):   # inf - inf in the grid products
             self.assert_uncertified_search(q, c, np.arange(q.size) < 5, monkeypatch)
@@ -757,7 +782,7 @@ def test_desk_batch_needs_at_most_two_slope_evaluations(monkeypatch):
     slopes = phase_model._phase_cost_slopes
     monkeypatch.setattr(phase_model, "_phase_cost_slopes",
                         lambda *args: calls.append(args[3].size) or slopes(*args))
-    minimize_phase_objectives(q, c, DESK_MODEL)
+    phase_model._search(q, c, DESK_MODEL)
     assert len(calls) <= 2 and calls[0] == q.size and sum(calls[1:]) <= q.size // 4
 
 
@@ -785,7 +810,7 @@ def test_refinement_below_one_is_as_good_as_plain_newton():
     hi = np.minimum(x + TWO_PI / GRID_POINTS, theta_d + TWO_PI)
     plain = np.min([phase_cost(q, c, _plain_newton(q, c, x[:, j], lo[:, j], hi[:, j], m), m)
                     for j in range(2)], axis=0)
-    _, values = minimize_phase_objectives(q, c, m)
+    _, values = phase_model._search(q, c, m)
     assert np.all(values <= plain + 1e-14 * (q + 2.0 * np.abs(c)))
 
 
@@ -802,7 +827,7 @@ def test_flat_minimum_on_theta_d_leaves_the_batch(monkeypatch):
     slopes = phase_model._phase_cost_slopes
     monkeypatch.setattr(phase_model, "_phase_cost_slopes",
                         lambda *args: batches.append(args[1] + 1j * args[2]) or slopes(*args))
-    thetas, values = minimize_phase_objectives(q, c, m)
+    thetas, values = phase_model._search(q, c, m)
     assert np.array_equal(batches[0], c[1:]) and not any(c[0] in b for b in batches)
     assert thetas[0] == theta_d and abs(values[0]) <= 1e-15
     assert np.all(values[1:] < 0.0)
@@ -816,8 +841,8 @@ def anchored_batches(draw):
 
     z = -conj(c) / q lies on or near the law curve for some entries (where
     the ray bound can certify the anchored step) and anywhere for the rest.
-    A start is the unanchored answer, that answer moved by up to 1e-6, 1e-2
-    or 1 rad, or a uniform phase.  Half the laws have beta_min = 0.
+    A start is the global search's answer, that answer moved by up to 1e-6,
+    1e-2 or 1 rad, or a uniform phase.  Half the laws have beta_min = 0.
     """
     q, c, model = draw(band_batches())
     if draw(st.booleans()):
@@ -849,20 +874,20 @@ def test_anchored_search_ignores_the_anchor_below_alpha_one_and_under_the_ideal_
     c = rng.standard_normal(200) + 1j * rng.standard_normal(200)
     anchor = np.exp(1j * rng.uniform(-np.pi, np.pi, 200))
     for m in (ReflectionModel(beta_min=0.3, alpha=0.7, delta=2.0), ideal_model()):
-        got, want = minimize_phase_objectives(q, c, m, anchor), minimize_phase_objectives(q, c, m)
+        got, want = (minimize_phase_objectives(q, c, m, a) for a in (anchor, np.ones(200)))
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
     with pytest.raises(ValueError):
         minimize_phase_objectives(q, c, ReflectionModel(), anchor[:-1])
 
 
-def test_zero_anchor_returns_the_unanchored_pattern():
+def test_zero_anchor_returns_the_global_pattern():
     # beta_min = 0: an entry at theta_d is 0, whose np.angle, and so its
-    # local step's start, is 0, not theta_d.
+    # local step's start, is 0, not theta_d.  Both entries are the law
+    # points at the global search's phases, bit for bit.
     m = ReflectionModel(beta_min=0.0, alpha=2.0, delta=1.0)
-    theta_d = (m.delta - np.pi / 2) % TWO_PI
-    q, c = 3.0, np.array([[np.exp(-1j * theta_d), -1.0 + 0.5j]])
+    q, c = 3.0, np.array([[np.exp(-1j * m.theta_d), -1.0 + 0.5j]])
     v = minimize_pattern_entries(q, c, m, np.array([[0.0, reflection_coefficient(2.0, m)]]))
-    assert np.array_equal(v, minimize_pattern_entries(q, c, m))
+    assert np.array_equal(v[:1], reflection_coefficient(_global([q, q], c, m)[0], m)[None])
 
 
 def test_paper_ls_design_calls_certify_every_entry_at_their_answer(monkeypatch):
@@ -872,7 +897,7 @@ def test_paper_ls_design_calls_certify_every_entry_at_their_answer(monkeypatch):
     model, seen = ReflectionModel(), []
     search = phase_model.minimize_phase_objectives
     monkeypatch.setattr(phase_model, "minimize_phase_objectives",
-                        lambda q, c, m, anchor=None: seen.append((q, c)) or search(q, c, m, anchor))
+                        lambda q, c, m, anchor: seen.append((q, c)) or search(q, c, m, anchor))
     for accelerate in (False, True):
         design_ls(SystemConfig(k=4, m=20, l=16), model, max_iter=20, accelerate=accelerate)
     monkeypatch.undo()
@@ -885,23 +910,25 @@ def test_paper_ls_design_calls_certify_every_entry_at_their_answer(monkeypatch):
     assert len(seen) > 30 and not grid_calls
 
 
-def test_paper_lmmse_design_calls_certify_at_the_global_answer(monkeypatch):
-    # Paper default law and profile, SQUAREM at 10 dB: every pattern step is
-    # unanchored and starts at arg z, and every entry it certifies is within
-    # 1e-10 rad of the global search's phase.
-    cfg, seen = ExperimentConfig(**PAPER_PROFILE), []
+@pytest.mark.parametrize("dims, calls", [(PAPER_PROFILE, 10), ({}, 9)], ids=["paper", "desk"])
+def test_paper_lmmse_design_calls_certify_at_the_global_answer(dims, calls, monkeypatch):
+    # Default law, SQUAREM at 10 dB, paper and desk profiles: every pattern
+    # step starts at the phases of the iterate it moves, certifies some
+    # entries, and every entry it certifies is within 1e-10 rad of the
+    # global search's phase.
+    cfg, seen = ExperimentConfig(**dims), []
     r_gamma = cascaded_correlation(cfg.corr, cfg.m, cfg.k, cfg.l)
     search = phase_model.minimize_phase_objectives
     monkeypatch.setattr(phase_model, "minimize_phase_objectives",
-                        lambda q, c, m, anchor=None: seen.append((q, c)) or search(q, c, m, anchor))
+                        lambda q, c, m, anchor: seen.append((q, c, anchor)) or search(q, c, m, anchor))
     design_lmmse(cfg.system(10.0), cfg.model, r_gamma, accelerate=True)
     monkeypatch.undo()
-    assert len(seen) > 10
+    assert len(seen) > calls
     certified = by_ray = 0
-    for q, c in seen:
+    for q, c, anchor in seen:
         c = c.ravel()
-        thetas, _ = minimize_phase_objectives(q, c, cfg.model)
-        _, value, sure = phase_model._anchored_step(q, c, np.arctan2(c.imag, -c.real), cfg.model)
+        thetas, _ = search(q, c, cfg.model, anchor)
+        _, value, sure = phase_model._anchored_step(q, c, np.angle(anchor.ravel()), cfg.model)
         floor = value + 1e-12 * (q + 3.0 * np.abs(c))
         certified += np.count_nonzero(sure)
         by_ray += np.count_nonzero(sure & phase_model._beats_the_band_bound(q, np.abs(c), floor))
