@@ -144,11 +144,6 @@ def cascaded_channel(ch: ChannelRealization) -> np.ndarray:
     return gamma
 
 
-def direct_correlation(corr: CorrelationSpec, k: int, l: int) -> np.ndarray:
-    """P = L * Psi_UE, the direct block of every cascaded correlation R = kron(A, P)."""
-    return l * exp_correlation(k, corr.psi_ue)
-
-
 def cascaded_correlation(corr: CorrelationSpec, m: int, k: int, l: int) -> np.ndarray:
     """Analytic correlation matrix E{Gamma^H Gamma} of the cascaded channel.
 
@@ -177,7 +172,7 @@ def grouped_cascaded_correlation(
     n = (m_g + 1) * k
     r = np.zeros((n, n))
     r[: m_g * k, : m_g * k] = l * np.kron(factor, psi_ue)
-    r[m_g * k :, m_g * k :] = direct_correlation(corr, k, l)
+    r[m_g * k :, m_g * k :] = l * psi_ue
     return r
 
 

@@ -38,13 +38,12 @@ from .channel import (
     KroneckerFactors,
     cascaded_channel,
     cascaded_correlation,
-    direct_correlation,
     grouped_cascaded_correlation,
     kronecker_factors,
     sample_channels,
 )
 from .errors import ConfigError, RisceError
-from .lmmse_design import design_lmmse, largest_power
+from .lmmse_design import design_lmmse, project_training_rows
 from .ls_design import DEFAULT_EPS, design_ls, dft_training, project_pattern
 from .phase_model import ReflectionModel, ideal_model
 from .system import ReflectionPattern, TrainingMatrix, build_S
@@ -130,10 +129,6 @@ class ExperimentConfig:
             raise ConfigError(f"snr_db {max(self.snr_db)} overflows the power budget") from exc
         except (ValueError, RisceError) as exc:
             raise ConfigError(str(exc)) from exc
-        if self.estimator == "lmmse" and set(self.schemes) - {SchemeId.NAIVE, SchemeId.ON_OFF}:
-            p = direct_correlation(self.corr, self.k, self.l)
-            if self.power(max(self.snr_db))[0] > largest_power(p):   # only designs overflow
-                raise ConfigError(f"snr_db {max(self.snr_db)} overflows the LMMSE design")
 
     @property
     def model(self) -> ReflectionModel:
@@ -341,7 +336,6 @@ CONVERGENCE_COLUMNS = tuple(f.name for f in fields(ConvergenceRow))
 
 def run_convergence(cfg: ExperimentConfig) -> list[ConvergenceRow]:
     """Plain-MM and accelerated traces of the proposed design at the first SNR."""
-    replace(cfg, schemes=(SchemeId.PROPOSED,))   # the SNR cut of a sweep that designs
     sys_cfg = cfg.system(cfg.snr_db[0])
     rows: list[ConvergenceRow] = []
     correlations: dict = {}
@@ -380,7 +374,6 @@ def run_validation(cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
 
     Returns (name, passed, detail) triples; used by the `validate` subcommand.
     """
-    replace(cfg, estimator="lmmse", schemes=(SchemeId.PROPOSED,))   # the LMMSE design's SNR cut
     checks: list[tuple[str, bool, str]] = []
     rng = np.random.default_rng(cfg.seed)
     model = cfg.model
@@ -390,14 +383,18 @@ def run_validation(cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
     def add(name: str, passed: bool, detail: str = "") -> None:
         checks.append((name, bool(passed), detail))
 
-    # The factored LS MSE the sweep uses against the dense Tr[(S S^H)^-1].
+    def normal(*shape) -> np.ndarray:
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    # The factored LS MSE the sweep uses against the dense Tr[(S S^H)^-1], at
+    # feasible points drawn through the SQUAREM projections.
     worst = 0.0
     for _ in range(20):
-        v = _random_feasible_pattern(rng, cfg.m, cfg.b, model)
-        x = _random_training(rng, cfg.k, cfg.tau, sys_cfg.power)
-        s = build_S(v, x)
+        v = project_pattern(normal(cfg.m + 1, cfg.b), model)
+        x = project_training_rows(normal(cfg.k, cfg.tau), sys_cfg.power)
+        s = np.kron(v, x)
         dense = np.trace(np.linalg.inv(s @ s.conj().T)).real
-        worst = max(worst, abs(system.mse_ls(v.v, x.x, 1.0, 1) - dense) / dense)
+        worst = max(worst, abs(system.mse_ls(v, x, 1.0, 1) - dense) / dense)
     add("kronecker-trace-identity", worst < 1e-8, f"max rel err {worst:.2e}")
 
     # LMMSE MSE: factored form vs direct form.
@@ -418,7 +415,7 @@ def run_validation(cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
     add("lmmse-not-worse-than-ls", lemma <= system.mse_ls(v.v, x.x, cfg.sigma2, cfg.l) + 1e-9)
 
     # Reflection-law projection is idempotent.
-    z = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    z = normal(64)
     once = phase_model.project_to_feasible(z, model)
     twice = phase_model.project_to_feasible(once, model)
     add("projection-idempotent", np.allclose(once, twice, atol=1e-12))
@@ -445,7 +442,7 @@ def run_validation(cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
     ok = True
     for _ in range(50):
         n = 6
-        a_half = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a_half = normal(n, n)
         a = a_half @ a_half.conj().T + 0.1 * np.eye(n)
         inv_trace = np.trace(np.linalg.inv(a)).real
         bound = n * inv_trace / (n + inv_trace)
@@ -453,17 +450,3 @@ def run_validation(cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
     add("trace-bound", ok)
 
     return checks
-
-
-def _random_feasible_pattern(rng, m, b, model) -> ReflectionPattern:
-    thetas = rng.uniform(0.0, 2.0 * np.pi, (m, b))
-    v = np.ones((m + 1, b), dtype=complex)
-    v[:m] = phase_model.reflection_coefficient(thetas, model)
-    return ReflectionPattern(v=v)
-
-
-def _random_training(rng, k, tau, power) -> TrainingMatrix:
-    x = rng.standard_normal((k, tau)) + 1j * rng.standard_normal((k, tau))
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    x = x / norms * np.sqrt(np.asarray(power))[:, None]
-    return TrainingMatrix(x=x, power=np.asarray(power, dtype=float))

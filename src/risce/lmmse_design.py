@@ -65,7 +65,7 @@ from . import numerics
 from .accel import mm_loop, plain_step, squarem_step
 from .baselines import naive_pattern
 from .channel import KroneckerFactors, kronecker_factors
-from .errors import DimensionMismatch
+from .errors import ConfigError, DimensionMismatch
 from .ls_design import (
     DEFAULT_EPS,
     DEFAULT_MAX_ITER_ACCEL,
@@ -172,15 +172,6 @@ def refresh_pattern_terms(
     return PatternTerms(curvature=curvature, c=c, v0=state.v0)
 
 
-def largest_power(p: np.ndarray) -> float:
-    """The largest per-UE power whose :func:`refresh_pattern_terms` stays finite, for factor P.
-
-    Its entrywise K x K product reaches power^2 lambda_max(P)^3 at the DFT start;
-    1e-12 covers the rounding of a power read off an SNR.
-    """
-    return float(np.sqrt(np.finfo(float).max / (1.0 + 1e-12) / np.linalg.eigvalsh(p)[-1] ** 3))
-
-
 def update_training(terms: TrainingTerms, power) -> np.ndarray:
     """Closed-form per-UE (K, tau) training update of the decoupled quadratic problem.
 
@@ -246,6 +237,10 @@ def design_lmmse(
     power = config.power
     factors = kronecker_factors(r_gamma, config.k)
     p_max = numerics.largest_eigenvalue(factors.p).value
+    # refresh_pattern_terms' entrywise K x K product reaches power^2 lambda_max(P)^3 at the
+    # DFT start; 1e-12 covers the rounding of a power read off an SNR.
+    if max(power) > np.sqrt(np.finfo(float).max / (1.0 + 1e-12) / p_max**3):
+        raise ConfigError(f"power {max(power)} overflows the LMMSE design")
     a_max = numerics.largest_eigenvalue(factors.a).value
 
     anchor = partial(build_surrogate, factors=factors, sigma2=sigma2, l=l)

@@ -32,7 +32,7 @@ their end costs less than the end's value minus the slack 1e-12 (q + 3|c|),
 the end is certified (its window is taken to hold no other basin) and only the
 other entries run the global search.  The ray bound: the law point at phase
 theta lies on that ray, so costs at least -(|c| cos(theta - arg z))^2 / q;
-the window is _BAND grid steps either side of arg z.  The sector bound cuts
+the window is half a sector either side of arg z.  The sector bound cuts
 the circle into _SECTORS sectors and at theta_d, theta_d + pi and the ends of
 the tip, where beta <= 2 beta_min: on a piece the cost is at least
 q t (t - 2 p), p = |z| cos(the angle from arg z to the piece, 0 on it), t = p
@@ -58,10 +58,9 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# Grid size, the ray bound's reach in grid steps and Newton limits of the phase
-# search, and the anchored step's step count, longest step and last-step bound.
+# Grid size and Newton limits of the phase search, and the anchored step's
+# step count, longest step and last-step bound.
 GRID_POINTS = 1024
-_BAND = 8
 _NEWTON_CAP = 60
 _STEP_TOL = 4 * float(np.spacing(TWO_PI))   # 4 ulps of 2 pi
 _ANCHOR_STEPS, _ANCHOR_REACH, _ANCHOR_TOL = 4, 0.2, 1e-6
@@ -245,8 +244,8 @@ def _newton_refine(q, c, x, lo, hi, slopes, model: ReflectionModel) -> np.ndarra
 
 
 def _beats_the_band_bound(q, abs_c, floor):
-    """True where no phase _BAND or more grid steps from arg z costs less than floor."""
-    return q * floor <= -(math.cos(_BAND * TWO_PI / GRID_POINTS) * abs_c) ** 2
+    """True where no phase half a sector or more from arg z costs less than floor."""
+    return q * floor <= -(math.cos(math.pi / _SECTORS) * abs_c) ** 2
 
 
 @lru_cache(maxsize=1)   # the last law only, as _tables

@@ -423,14 +423,15 @@ class TestCli:
 
     @pytest.mark.parametrize("profile", ["desk", "paper"])
     def test_lmmse_snr_cut_is_where_the_pattern_step_overflows(self, capsys, profile):
-        # Bisected over floats, the largest SNR the config accepts designs
-        # both MM variants without a floating-point warning (an error under
-        # pytest); the next float up is a config error.
-        dims = {"desk": {}, "paper": dict(k=4, m=20, l=16)}[profile]
+        # Bisected over floats, the largest SNR whose LMMSE design accepts its
+        # power designs both MM variants without a floating-point warning (an
+        # error under pytest); the next float up is a config error.
+        cfg = ExperimentConfig(**{"desk": {}, "paper": dict(k=4, m=20, l=16)}[profile])
+        r_gamma = cascaded_correlation(cfg.corr, cfg.m, cfg.k, cfg.l)
 
         def accepted(snr):
             try:
-                ExperimentConfig(estimator="lmmse", snr_db=(snr,), **dims)
+                design_lmmse(cfg.system(snr), cfg.model, r_gamma, max_iter=0)
             except ConfigError:
                 return False
             return True

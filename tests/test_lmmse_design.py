@@ -22,7 +22,7 @@ from risce.channel import (
     grouped_cascaded_correlation,
     kronecker_factors,
 )
-from risce.errors import DimensionMismatch
+from risce.errors import ConfigError, DimensionMismatch
 from risce.ls_design import design_ls, dft_training
 from risce.lmmse_design import (
     SAFETY_MARGIN,
@@ -320,6 +320,14 @@ class TestDesignLmmse:
         # R for M = 2 is a valid kron(A, P), but not (M+1)K square for M = 4
         with pytest.raises(DimensionMismatch):
             design_lmmse(self.BIG, model, R)
+
+    def test_power_past_the_pattern_step_overflow_is_rejected(self, model):
+        # On the desk profile at 1e160 the pattern step's K x K product,
+        # power^2 lambda_max(P)^3, would pass the largest float: a
+        # ConfigError before any round, not an overflow warning.
+        desk = SystemConfig(k=2, m=8, l=4, power=np.full(2, 1e160))
+        with pytest.raises(ConfigError, match="overflows the LMMSE design"):
+            design_lmmse(desk, model, cascaded_correlation(CORR, 8, 2, 4))
 
     def test_refresh_keeps_anchor_quantities(self, model, rng):
         state, x0, v0 = _state(rng, model)
