@@ -1,19 +1,18 @@
 """Seeded Monte Carlo experiment harness over schemes, estimators and SNRs.
 
-Sweeps and convergence traces design through :func:`_design`, with the
-config's eps and max_iter.  A sweep runs each distinct design once and
-caches it whole, (X, V, DesignTrace), for every cell that reads it.
-Channel and noise draws use per-(SNR, trial) seed streams shared by all
-schemes (common random numbers).  Both estimators are linear in the received
-block, so each (scheme, SNR) cell builds its estimator W once, through the
-public system.estimate_ls / estimate_lmmse, from (V, X) and, for LMMSE, the
-Kronecker factors of R: no cell forms or decomposes the (M+1)K-sized S S^H.
-Only LMMSE sweeps build R, once per grouping, with its factors, in one memo
-per sweep that its designs and cells share.  Each cell's trials run in
-blocks of TRIAL_BLOCK: each trial still draws from its own channel and noise
-streams, and the block colors, cascades, receives (one (block L) x n product
-Gamma S) and applies W (one product Y W) together, through sample_channels,
-cascaded_channel and simulate_reception, which take a block of trials.
+Sweeps and convergence traces design through :func:`_design`, with the config's eps and
+max_iter.  A sweep runs each distinct design once and caches it whole, (X, V,
+DesignTrace), for every cell that reads it.  Channel and noise draws use per-(SNR,
+trial) seed streams shared by all schemes (common random numbers).  Both estimators are
+linear in the received block, so each (scheme, SNR) cell builds its estimator W once,
+through the public system.estimate_ls / estimate_lmmse, from (V, X) and, for LMMSE, the
+Kronecker factors of R: no cell forms or decomposes the (M+1)K-sized S S^H.  Only LMMSE
+sweeps build R, once per grouping, with its factors, in one memo per sweep that its
+designs and cells share.  Each cell's trials run in blocks of TRIAL_BLOCK: each trial
+still draws from its own channel and noise streams (seeded by a uint32 word array that
+gives the same streams as the seed list), and the block colors, cascades, receives (one
+(block L) x n product Gamma S) and applies W (one product Y W) together, through
+sample_channels, cascaded_channel and simulate_reception, which take a block of trials.
 Output rows are emitted in deterministic (scheme, SNR, trial) order.
 """
 
@@ -257,8 +256,9 @@ def _empirical_nmses(cell: CellDesign, cfg: ExperimentConfig, snr_index: int) ->
     """Empirical NMSE of every trial of one (scheme, SNR) cell.
 
     Trial t draws its channel and noise from SeedSequence([seed, snr_index,
-    t, 0 | 1]), the same streams for every scheme.  Trials run in blocks of
-    TRIAL_BLOCK, so a block's arithmetic is one batched pass.
+    t, 0 | 1]), the same streams for every scheme, built faster from the uint32
+    words numpy splits that list into (least significant first, 0 as [0]).
+    Trials run in blocks of TRIAL_BLOCK, so a block's arithmetic is one batched pass.
     """
     s = build_S(cell.pattern, cell.training)
     vx = cell.pattern.v, cell.training.x
@@ -272,11 +272,13 @@ def _empirical_nmses(cell: CellDesign, cfg: ExperimentConfig, snr_index: int) ->
         w = system.estimate_lmmse(eye, vx, cell.factors, cfg.sigma2, cfg.l)
     sys_cfg = cfg.system(cfg.snr_db[snr_index])
     corr = cfg.corr
+    words = [(cfg.seed >> b) & 0xFFFFFFFF for b in range(0, int(cfg.seed).bit_length() or 1, 32)]
     out = []
     for start in range(0, cfg.trials, TRIAL_BLOCK):
         trials = range(start, min(start + TRIAL_BLOCK, cfg.trials))
         ch_seeds, noise_seeds = (
-            [np.random.SeedSequence([cfg.seed, snr_index, t, stream]) for t in trials]
+            [np.random.SeedSequence(np.array([*words, snr_index, t, stream], dtype=np.uint32))
+             for t in trials]
             for stream in (0, 1))
         gamma = cascaded_channel(sample_channels(ch_seeds, sys_cfg, corr))
         if cell.grouping is not None:
@@ -284,7 +286,7 @@ def _empirical_nmses(cell: CellDesign, cfg: ExperimentConfig, snr_index: int) ->
         y = system.simulate_reception(gamma, s, cfg.sigma2, noise_seeds)
         residual = y.reshape(-1, s.shape[1]) @ w
         residual -= gamma.reshape(residual.shape)
-        errs = np.sum(np.abs(residual.reshape(len(trials), -1)) ** 2, axis=1)
+        errs = np.sum(residual.reshape(len(trials), -1).view(float) ** 2, axis=1)
         out.extend(system.nmse(float(err), cfg.l, cfg.k, cell.pattern.m) for err in errs)
     return out
 

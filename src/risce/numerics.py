@@ -3,10 +3,11 @@
 One LAPACK call each, exact to rounding: ``eigvalsh`` for ``largest_eigenvalue`` and
 ``trace_of_inverse``, ``eigh`` for ``conditioned_eigh``, Cholesky for ``solve_hpd``.
 ``trace_of_inverse`` and ``conditioned_eigh`` take the Kronecker factors of A, one call
-per factor, so S S^H = kron(V V^H, X X^H) is never formed.  Explicit inverses are
-reserved for test oracles.  No kernel checks symmetry (LAPACK reads A's lower triangle):
-risce's Gram products are Hermitian by construction, and a caller's R is checked where it
-enters, in :func:`~risce.channel.kronecker_factors`.  Failures map to SingularGram in
+per factor, so S S^H = kron(V V^H, X X^H) is never formed.  Explicit inverses and
+``solve_hpd`` serve only the dense test oracles (``solve_hpd`` stays: the benchmark
+tracer wraps it by name).  No kernel checks symmetry (LAPACK reads A's lower triangle):
+risce's Gram products are Hermitian by construction, and a caller's R is checked where
+it enters, in :func:`~risce.channel.kronecker_factors`.  Failures map to SingularGram in
 :func:`checked_eigh` and :func:`solve_hpd`.
 """
 

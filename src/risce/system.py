@@ -1,8 +1,8 @@
 """Effective training matrix, reception model, and LS/LMMSE estimators.
 
-The stacked received signal over B subframes is Y = Gamma S + Z with the
-effective training S = (V kron I_K)(I_B kron X) = V kron X, so the Gram
-factorizes as S S^H = (V V^H) kron (X X^H).  Analytic MSEs:
+The stacked received signal over B subframes is Y = Gamma S + Z with the effective
+training S = (V kron I_K)(I_B kron X) = V kron X, so the Gram factorizes as
+S S^H = (V V^H) kron (X X^H).  Analytic MSEs:
 
     J_LS    = sigma^2 L Tr[(S S^H)^{-1}] = sigma^2 L Tr[(V V^H)^{-1}] Tr[(X X^H)^{-1}]
     J_LMMSE = Tr[(R^{-1} + S S^H / (sigma^2 L))^{-1}]
@@ -10,16 +10,19 @@ factorizes as S S^H = (V V^H) kron (X X^H).  Analytic MSEs:
 
 for R = kron(A, P) (:func:`~risce.channel.kronecker_factors`), with
 (lam1, E1) = eigh(A^1/2 V V^H A^1/2), (lam2, E2) = eigh(P^1/2 X X^H P^1/2),
-a1 = diag(E1^H A E1) and a2 = diag(E2^H P E2).  Every term is non-negative,
-so nothing cancels, and no R^{-1} is needed.
+a1 = diag(E1^H A E1) and a2 = diag(E2^H P E2).  Every term is non-negative, so nothing
+cancels, and no R^{-1} is needed.
 
-J_LS and both estimators take (V, X) (and R's factors), never S S^H: the
-MSEs as two arguments v, x, the estimators as one, s = (V, X), S by its
-factors.  The estimators are Y W for Y with any leading trial axes; the LS
-filter is W = kron(V^H (V V^H)^{-1}, X^H (X X^H)^{-1}), and, like J_LS, it
-raises SingularGram unless cond(V V^H) cond(X X^H) = cond(S S^H) <=
-CONDITION_LIMIT.  V and X are checked by their types, R by kronecker_factors,
-and the products built here go to :mod:`~risce.numerics` unchecked.
+J_LS and both estimators take (V, X) (and R's factors), never S S^H: the MSEs as two
+arguments v, x, the estimators as one, s = (V, X).  The estimators are Y W for Y with
+any leading trial axes.  The LS filter is W = kron(V^H (V V^H)^{-1}, X^H (X X^H)^{-1}),
+and, like J_LS, it raises SingularGram unless cond(V V^H) cond(X X^H) = cond(S S^H) <=
+CONDITION_LIMIT.  The LMMSE filter is W = kron(Q1, Q2) diag(1 / den) kron(Q1^H V^H A,
+Q2^H X^H P) with (lam1, Q1) = eigh(V^H A V), (lam2, Q2) = eigh(X^H P X) and den_ij =
+lam1_i lam2_j + sigma^2 L, where an eigenvalue at or below n eps times its factor's
+largest counts as 0; it raises SingularGram unless every den_ij > 0 (at sigma^2 = 0, a
+singular S^H R S).  V and X are checked by their types, R by kronecker_factors, and the
+products built here go to :mod:`~risce.numerics` unchecked.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from . import numerics
 from .channel import KroneckerFactors, complex_gaussians
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, SingularGram
 
 POWER_TOL = 1e-9  # relative: a row on its budget meets P_k only to rounding
 
@@ -119,12 +122,15 @@ def estimate_ls(y: np.ndarray, s: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
 
 def estimate_lmmse(y: np.ndarray, s: tuple[np.ndarray, np.ndarray], factors: KroneckerFactors,
                    sigma2: float, l: int) -> np.ndarray:
-    """LMMSE estimate Y W, W = (S^H R S + sigma^2 L I)^{-1} S^H R, S^H R = kron(V^H A, X^H P)."""
+    """LMMSE estimate Y W from one eigh per factor of S^H R S; SingularGram unless all den > 0."""
     v, x = s
     va, xp = v.conj().T @ factors.a, x.conj().T @ factors.p
-    a = _kron(va @ v, xp @ x)
-    a.flat[:: a.shape[0] + 1] += sigma2 * l
-    return y @ numerics.solve_hpd(a, _kron(va, xp))
+    (lam1, q1), (lam2, q2) = (numerics.checked_eigh(h @ t) for h, t in ((va, v), (xp, x)))
+    kept = [lam * (lam > lam.size * np.finfo(float).eps * lam[-1]) for lam in (lam1, lam2)]
+    den = np.outer(*kept).ravel() + sigma2 * l
+    if not np.all(den > 0.0):
+        raise SingularGram("S^H R S + sigma^2 L I is not positive definite")
+    return ((y @ _kron(q1, q2)) / den) @ _kron(q1.conj().T @ va, q2.conj().T @ xp)
 
 
 def mse_ls(v: np.ndarray, x: np.ndarray, sigma2: float, l: int) -> float:

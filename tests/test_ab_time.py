@@ -30,8 +30,9 @@ def test_tiny_run_reports_every_operation():
         for name in [n for n in sys.modules if n.startswith("risce_ab_")]:
             del sys.modules[name]
     names = [line.split()[0] for line in lines[1:]]
-    assert names == [f"{kind}-{est}-{variant}" for kind in ("sweep", "desk")
-                     for est in ("ls", "lmmse") for variant in ("mm", "squarem")] + ["total"]
+    sweeps, desk = ([f"{kind}-{est}-{variant}" for est in ("ls", "lmmse")
+                     for variant in ("mm", "squarem")] for kind in ("sweep", "desk"))
+    assert names == sweeps + ["mc-ls", "mc-lmmse"] + desk + ["total"]
     for line in lines[1:]:
         fields = line.split()
         q1, median, q3 = map(float, fields[3:6])

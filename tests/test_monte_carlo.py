@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from risce import experiments, system
 from risce.baselines import SchemeId
@@ -86,7 +86,9 @@ def sweeps(draw):
         # Trial counts below, at and across the block size, so a partial
         # last block is covered.
         trials=draw(st.integers(1, 2 * experiments.TRIAL_BLOCK + 1)),
-        snr_db=(0.0, 10.0), seed=draw(st.integers(0, 2**32 - 1)),
+        # Seeds of one to three 32-bit words: the sweep seeds each trial from
+        # the seed's words, the oracle from the int itself.
+        snr_db=(0.0, 10.0), seed=draw(st.integers(0, 2**70)),
         estimator=draw(st.sampled_from(["ls", "lmmse"])), schemes=tuple(schemes),
         rho=rho, max_iter=3,
     )
@@ -94,6 +96,12 @@ def sweeps(draw):
 
 @settings(max_examples=10, deadline=None)
 @given(cfg=sweeps())
+@example(cfg=ExperimentConfig(k=2, m=2, l=2, b=3, tau=3, trials=9, snr_db=(0.0, 10.0),
+                              seed=2**32, estimator="lmmse", max_iter=3,
+                              schemes=(SchemeId.NAIVE, SchemeId.ON_OFF)))
+@example(cfg=ExperimentConfig(k=1, m=3, l=3, b=5, tau=2, trials=3, snr_db=(0.0, 10.0),
+                              seed=2**64 + 3, estimator="ls", max_iter=3,
+                              schemes=(SchemeId.NAIVE,)))
 def test_sweep_matches_per_trial_oracle_and_reproduces(cfg):
     rows = run_sweep(cfg)
     cells = {(s.value, si): experiments._design_cell(s, cfg, snr, {}, {})
@@ -103,6 +111,18 @@ def test_sweep_matches_per_trial_oracle_and_reproduces(cfg):
         want = _per_trial_nmse(cfg, cells[(row.scheme, si)], si, row.trial)
         assert row.empirical_nmse == pytest.approx(want, rel=1e-12, abs=0.0)
     assert _outputs(run_sweep(cfg)) == _outputs(rows)
+
+
+@pytest.mark.parametrize("seed, words", [(0, [0]), (2**32 - 1, [2**32 - 1]), (2**32, [0, 1]),
+                                         (2**64 + 3, [3, 0, 1])])
+def test_seed_words_give_the_seed_list_stream(seed, words):
+    # numpy splits each int of a seed list into 32-bit words, least
+    # significant first, 0 as one word; the sweep seeds its trials from that
+    # uint32 array, which must give the pool of the list itself.
+    for snr_index, trial, stream in ((0, 0, 0), (3, 17, 1)):
+        listed = np.random.SeedSequence([seed, snr_index, trial, stream])
+        packed = np.random.SeedSequence(np.array([*words, snr_index, trial, stream], np.uint32))
+        assert np.array_equal(listed.generate_state(8), packed.generate_state(8))
 
 
 @pytest.mark.parametrize("trials", [1, experiments.TRIAL_BLOCK, 2 * experiments.TRIAL_BLOCK + 3])

@@ -349,6 +349,37 @@ def test_estimate_lmmse_matches_dense_solve(k, m, b, tau, rows, sigma2, l, seed)
     assert np.linalg.norm(got - y @ w) <= tol * np.linalg.norm(y) * np.linalg.norm(w)
 
 
+@settings(max_examples=50, deadline=None)
+@given(k=st.integers(1, 3), m=st.integers(1, 4), rows=st.integers(1, 6), l=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1))
+def test_estimate_lmmse_at_zero_noise_is_the_zero_forcing_filter(k, m, rows, l, seed):
+    # B = M+1 and tau = K: S^H R S is full rank, and at sigma^2 = 0 the
+    # factored filter is the dense (S^H R S)^-1 S^H R.
+    rng = np.random.default_rng(seed)
+    v, x = _conditioned_factors(rng, m + 1, m + 1), _conditioned_factors(rng, k, k)
+    f = random_factors(rng, m + 1, k)
+    s = np.kron(v, x)
+    y = rng.standard_normal((rows, s.shape[1])) + 1j * rng.standard_normal((rows, s.shape[1]))
+    want = y @ lmmse_filter(s, np.kron(f.a, f.p), 0.0, l)
+    got = estimate_lmmse(y, (v, x), f, 0.0, l)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("k, tau", [(1, 2), (2, 3), (2, 4), (3, 5)])
+@pytest.mark.parametrize("training", ["dft", "random"])
+def test_estimate_lmmse_at_zero_noise_with_tau_above_k_is_singular(k, tau, training):
+    # X^H P X is tau x tau of rank K, so S^H R S is singular; its zero
+    # eigenvalues come out of eigh at rounding level, not exactly 0, and must
+    # still count as 0 rather than give a huge filter.
+    rng = np.random.default_rng(k * 10 + tau)
+    v = _conditioned_factors(rng, 4, 4)
+    x = (dft_training(k, tau, np.full(k, 3.0)).x if training == "dft"
+         else _conditioned_factors(rng, k, tau))
+    f = random_factors(rng, 4, k)
+    with pytest.raises(SingularGram):
+        estimate_lmmse(np.ones((2, 4 * tau), dtype=complex), (v, x), f, 0.0, 2)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @settings(max_examples=50, deadline=None)
 @given(k=st.integers(1, 3), m=st.integers(1, 4), extra_b=st.integers(0, 2),

@@ -13,6 +13,9 @@ benchmark's design workloads:
 
 * the four ``--analytic-only`` sweeps of all five schemes at the paper
   profile (LS and LMMSE, plain MM and SQUAREM), as ``risce sweep`` runs them;
+* the two simulated sweeps of the design-free ``naive`` and ``onoff``
+  schemes at the paper profile (``mc-ls`` and ``mc-lmmse``), the Monte Carlo
+  path that the benchmark's ``mc-paper`` workload runs;
 * the design-desk designs (``K=2, M=8, L=4`` over the instances that
   ``perfbench/workloads.py`` fixes), one operation per estimator and variant,
   each designing every instance.
@@ -56,13 +59,16 @@ def load(root: Path, name: str):
 
 def operations(pkg, profile: str, instances: int) -> dict:
     """name -> zero-argument callable, for one loaded package: sweeps at profile, desk instances."""
+    def sweep(*argv: str):
+        args = pkg.cli.make_parser().parse_args(["sweep", "--profile", profile, *argv])
+        return partial(pkg.experiments.run_sweep, pkg.cli.build_config(args))
+
     ops = {}
     for est in ("ls", "lmmse"):
         for variant, flag in (("mm", "--no-accel"), ("squarem", "--accel")):
-            args = pkg.cli.make_parser().parse_args(
-                ["sweep", "--profile", profile, "--analytic-only", "--estimator", est, flag])
-            ops[f"sweep-{est}-{variant}"] = partial(pkg.experiments.run_sweep,
-                                                    pkg.cli.build_config(args))
+            ops[f"sweep-{est}-{variant}"] = sweep("--analytic-only", "--estimator", est, flag)
+    for est in ("ls", "lmmse"):
+        ops[f"mc-{est}"] = sweep("--scheme", "naive,onoff", "--estimator", est)
     rng = np.random.default_rng(DESK_INSTANCE_SEED)
     desk = []
     for i in range(instances):
