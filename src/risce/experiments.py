@@ -1,18 +1,20 @@
 """Seeded Monte Carlo experiment harness over schemes, estimators and SNRs.
 
-Sweeps and convergence traces design through :func:`_design`, with the config's eps and
-max_iter.  A sweep runs each distinct design once and caches it whole, (X, V,
-DesignTrace), for every cell that reads it.  Channel and noise draws use per-(SNR,
-trial) seed streams shared by all schemes (common random numbers).  Both estimators are
-linear in the received block, so each (scheme, SNR) cell builds its estimator W once,
-through the public system.estimate_ls / estimate_lmmse, from (V, X) and, for LMMSE, the
-Kronecker factors of R: no cell forms or decomposes the (M+1)K-sized S S^H.  Only LMMSE
-sweeps build R, once per grouping, with its factors, in one memo per sweep that its
-designs and cells share.  Each cell's trials run in blocks of TRIAL_BLOCK: each trial
-still draws from its own channel and noise streams (seeded by a uint32 word array that
-gives the same streams as the seed list), and the block colors, cascades, receives (one
-(block L) x n product Gamma S) and applies W (one product Y W) together, through
-sample_channels, cascaded_channel and simulate_reception, which take a block of trials.
+Sweeps and convergence traces design through :func:`_design`, with the
+config's eps and max_iter.  A sweep runs each distinct design once and
+caches it whole, (X, V, DesignTrace), for every cell that reads it.
+Channel and noise draws use per-(SNR, trial) seed streams shared by all
+schemes (common random numbers).  Both estimators are linear in the received
+block, so each (scheme, SNR) cell builds its estimator W once, through the
+public system.estimate_ls / estimate_lmmse, from (V, X) and, for LMMSE, the
+Kronecker factors of R: no cell forms or decomposes the (M+1)K-sized S S^H.
+Only LMMSE sweeps build R, once per grouping, with its factors, in one memo
+per sweep that its designs and cells share.  Each cell's trials run in
+blocks of TRIAL_BLOCK: each trial still draws from its own channel and noise
+streams (seeded from uint32 word arrays, the same streams as the seed lists),
+and the block colors, cascades, receives (one (block L) x n product Gamma S)
+and applies W (one product Y W) together, through sample_channels,
+cascaded_channel and simulate_reception, which take a block of trials.
 Output rows are emitted in deterministic (scheme, SNR, trial) order.
 """
 

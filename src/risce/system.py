@@ -1,8 +1,8 @@
 """Effective training matrix, reception model, and LS/LMMSE estimators.
 
-The stacked received signal over B subframes is Y = Gamma S + Z with the effective
-training S = (V kron I_K)(I_B kron X) = V kron X, so the Gram factorizes as
-S S^H = (V V^H) kron (X X^H).  Analytic MSEs:
+The stacked received signal over B subframes is Y = Gamma S + Z with the
+effective training S = (V kron I_K)(I_B kron X) = V kron X, so the Gram
+factorizes as S S^H = (V V^H) kron (X X^H).  Analytic MSEs:
 
     J_LS    = sigma^2 L Tr[(S S^H)^{-1}] = sigma^2 L Tr[(V V^H)^{-1}] Tr[(X X^H)^{-1}]
     J_LMMSE = Tr[(R^{-1} + S S^H / (sigma^2 L))^{-1}]
@@ -10,8 +10,8 @@ S S^H = (V V^H) kron (X X^H).  Analytic MSEs:
 
 for R = kron(A, P) (:func:`~risce.channel.kronecker_factors`), with
 (lam1, E1) = eigh(A^1/2 V V^H A^1/2), (lam2, E2) = eigh(P^1/2 X X^H P^1/2),
-a1 = diag(E1^H A E1) and a2 = diag(E2^H P E2).  Every term is non-negative, so nothing
-cancels, and no R^{-1} is needed.
+a1 = diag(E1^H A E1) and a2 = diag(E2^H P E2).  Every term is non-negative,
+so nothing cancels, and no R^{-1} is needed.
 
 J_LS and both estimators take (V, X) (and R's factors), never S S^H: the MSEs as two
 arguments v, x, the estimators as one, s = (V, X).  The estimators are Y W for Y with
@@ -123,9 +123,8 @@ def estimate_ls(y: np.ndarray, s: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
 def estimate_lmmse(y: np.ndarray, s: tuple[np.ndarray, np.ndarray], factors: KroneckerFactors,
                    sigma2: float, l: int) -> np.ndarray:
     """LMMSE estimate Y W from one eigh per factor of S^H R S; SingularGram unless all den > 0."""
-    v, x = s
-    va, xp = v.conj().T @ factors.a, x.conj().T @ factors.p
-    (lam1, q1), (lam2, q2) = (numerics.checked_eigh(h @ t) for h, t in ((va, v), (xp, x)))
+    va, xp = (t.conj().T @ f for t, f in zip(s, (factors.a, factors.p)))
+    (lam1, q1), (lam2, q2) = (numerics.checked_eigh(h @ t) for h, t in zip((va, xp), s))
     kept = [lam * (lam > lam.size * np.finfo(float).eps * lam[-1]) for lam in (lam1, lam2)]
     den = np.outer(*kept).ravel() + sigma2 * l
     if not np.all(den > 0.0):

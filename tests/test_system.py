@@ -388,7 +388,7 @@ def test_estimate_lmmse_at_zero_noise_with_tau_above_k_is_singular(k, tau, train
        seed=st.integers(0, 2**32 - 1))
 def test_non_finite_pattern_or_training_is_singular(k, m, extra_b, extra_tau, side, bad, seed):
     # No Gram product is scanned before LAPACK; a NaN or infinite entry of V
-    # or X reaches each kernel's eigen-solve or Cholesky, which raises
+    # or X reaches each kernel's eigen-solve, which raises
     # SingularGram.  (Products of an inf entry can warn of a NaN first.)
     rng = np.random.default_rng(seed)
     vx = [_conditioned_factors(rng, m + 1, m + 1 + extra_b),
