@@ -17,16 +17,11 @@ which is majorized once more per block to decouple the variables:
 An MM update reads only these majorizers' minimizers, so their values are
 never built; the rounds score J_LMMSE = Tr[R] + g(S) by :func:`~risce.system.lmmse_score`.
 
-R = kron(A, P) (:func:`~risce.channel.kronecker_factors`) and S0 = V0 kron X0, so Xi0 =
-(U1 kron U2) diag(dinv) (F1 kron F2) from the spectra (lam1, E1) of A^1/2 V0 V0^H A^1/2
-and (lam2, E2) of P^1/2 X0 X0^H P^1/2 that J is read off (:func:`~risce.system.lmmse_spectrum`):
-F1 = diag(lam1)^1/2 E1^H A^1/2 = U1^H V0^H A for the right singular vectors
-U1 = V0^H A^1/2 E1 diag(lam1)^-1/2 of A^1/2 V0 (B x (M+1), 0 where lam1 = 0), likewise
-F2 and U2 (tau x K), and dinv = 1 / (lam1_i lam2_j + sigma^2 L) ((M+1) x K, 0 for a
-dropped rounding-level direction at sigma^2 = 0).  As U1^H V0^H A V0 U1 = diag(lam1), each
-block sum a step reads is a product of arrays sized M+1, K, B or tau, none (M+1)K or tau B:
-the per-UE sums b_k of B0's diagonal blocks (:func:`training_terms`), and the K x K block
-traces of C0 at the X the pattern step sees (:func:`refresh_pattern_terms`).
+R = kron(A, P) and S0 = V0 kron X0, so Xi0 = (U1 kron U2) diag(dinv) (F1 kron F2) is
+:func:`~risce.system.lmmse_filter` at the anchor, the filter the LMMSE estimator applies.  As
+U1^H V0^H A V0 U1 = diag(lam1), a step's block sums are products of arrays sized M+1, K, B or
+tau, none (M+1)K or tau B: the per-UE b_k of B0's diagonal blocks (:func:`training_terms`) and
+the K x K block traces of C0 at the pattern step's X (:func:`refresh_pattern_terms`).
 
 The curvatures are exact, not the paper's looser lambda2 B and lambda3 K: any
 mu >= lambda_max of a quadratic's Hessian gives a majorizer mu ||x||^2 (Sun,
@@ -78,7 +73,7 @@ from .phase_model import (
     minimize_pattern_entries,
     minimize_phase_objectives,  # noqa: F401  perfbench/selftest.py checks the tracer rebinds it here
 )
-from .system import ReflectionPattern, TrainingMatrix, lmmse_score, lmmse_spectrum
+from .system import ReflectionPattern, TrainingMatrix, lmmse_filter, lmmse_score, lmmse_spectrum
 from .types import DesignTrace, SystemConfig
 
 # Multiplicative slack on the exact block curvatures: a curvature equal to the
@@ -90,12 +85,12 @@ SAFETY_MARGIN = 1.0001
 class LmmseSurrogateState(NamedTuple):
     """Anchor of the first majorization in factors, Xi0 = (U1 kron U2) diag(dinv) (F1 kron F2)."""
 
-    u1: np.ndarray         # V0^H A^1/2 E1 diag(lam1)^-1/2, 0 where lam1 = 0, (B, M+1)
-    u2: np.ndarray         # X0^H P^1/2 E2 diag(lam2)^-1/2, 0 where lam2 = 0, (tau, K)
+    u1: np.ndarray         # V0^H A^1/2 E1 diag(lam1)^-1/2, 0 where lam1 is cut, (B, M+1)
+    u2: np.ndarray         # X0^H P^1/2 E2 diag(lam2)^-1/2, 0 where lam2 is cut, (tau, K)
     f1: np.ndarray         # diag(lam1)^1/2 E1^H A^1/2 = U1^H V0^H A, (M+1, M+1)
     f2: np.ndarray         # diag(lam2)^1/2 E2^H P^1/2 = U2^H X0^H P, (K, K)
     f2f2: np.ndarray       # F2 F2^H, (K, K)
-    dinv: np.ndarray       # 1 / (lam1_i lam2_j + sigma^2 L), 0 where dropped, (M+1, K)
+    dinv: np.ndarray       # 1 / (lam1_i lam2_j + sigma^2 L), 0 where not > 0, (M+1, K)
     w1: np.ndarray         # lam1 times F1's squared row norms, (M+1,)
     x0: np.ndarray         # (K, tau)
     v0: np.ndarray         # (M+1, B)
@@ -118,23 +113,11 @@ class PatternTerms(NamedTuple):
     v0: np.ndarray         # (M+1, B); the anchor, whose phases start the step
 
 
-def _anchor_factors(lam: np.ndarray, he: np.ndarray, t0: np.ndarray):
-    """U = T0^H H E diag(lam)^-1/2, 0 where lam = 0, and F = diag(lam)^1/2 (H E)^H."""
-    root = np.sqrt(lam)
-    u = (t0.conj().T @ he) * np.divide(1.0, root, out=np.zeros_like(root), where=root > 0.0)
-    return u, root[:, None] * he.conj().T
-
-
 def build_surrogate(x0: np.ndarray, v0: np.ndarray, spectra, factors: KroneckerFactors,
                     sigma2: float, l: int) -> LmmseSurrogateState:
-    """The factors of the anchor Xi0 at (X0, V0) from their spectra (see the module docstring)."""
-    (lam1, he1, _), (lam2, he2, _) = spectra
-    (u1, f1), (u2, f2) = _anchor_factors(lam1, he1, v0), _anchor_factors(lam2, he2, x0)
-    # Pseudo-inverse anchor: drop rounding-level directions (sigma2 = 0 and a singular factor).
-    den = np.outer(lam1, lam2) + sigma2 * l
-    kept = den > den.size * np.finfo(float).eps * np.max(den)
-    dinv = np.divide(1.0, den, out=np.zeros(den.shape), where=kept)
-    w1 = lam1 * np.sum(np.abs(f1) ** 2, axis=1)
+    """Xi0 at (X0, V0): :func:`~risce.system.lmmse_filter` of their spectra, the estimator's W."""
+    u1, u2, dinv, f1, f2 = lmmse_filter(spectra, v0, x0, sigma2, l)
+    w1 = spectra[0][0] * np.sum(np.abs(f1) ** 2, axis=1)
     return LmmseSurrogateState(u1, u2, f1, f2, f2 @ f2.conj().T, dinv, w1, x0, v0, factors)
 
 

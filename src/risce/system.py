@@ -17,12 +17,14 @@ J_LS and both estimators take (V, X) (and R's factors), never S S^H: the MSEs as
 arguments v, x, the estimators as one, s = (V, X).  The estimators are Y W for Y with
 any leading trial axes.  The LS filter is W = kron(V^H (V V^H)^{-1}, X^H (X X^H)^{-1}),
 and, like J_LS, it raises SingularGram unless cond(V V^H) cond(X X^H) = cond(S S^H) <=
-CONDITION_LIMIT.  The LMMSE filter is W = kron(Q1, Q2) diag(1 / den) kron(Q1^H V^H A,
-Q2^H X^H P) with (lam1, Q1) = eigh(V^H A V), (lam2, Q2) = eigh(X^H P X) and den_ij =
-lam1_i lam2_j + sigma^2 L, where an eigenvalue at or below n eps times its factor's
-largest counts as 0; it raises SingularGram unless every den_ij > 0 (at sigma^2 = 0, a
-singular S^H R S).  V and X are checked by their types, R by kronecker_factors, and the
-products built here go to :mod:`~risce.numerics` unchecked.
+CONDITION_LIMIT.  The LMMSE filter W = (S^H R S + sigma^2 L I)^{-1} S^H R, the LMMSE
+design's MM anchor Xi0, is kron(U1, U2) diag(dinv) kron(F1, F2) from J's spectra
+(:func:`lmmse_filter`): F1 = diag(lam1)^1/2 E1^H A^1/2, U1 = V^H A^1/2 E1 diag(lam1)^-1/2,
+F2 and U2 likewise, dinv_ij = 1 / (lam1_i lam2_j + sigma^2 L).  A lam at or below n eps
+times its side's largest counts as 0, and dinv is 0 where its sum is.  At sigma^2 L = 0
+dinv has rank S non-zero entries, and estimate_lmmse raises SingularGram unless it has
+B tau (S^H R S is positive definite exactly then).  V and X are checked by their types,
+R by kronecker_factors, and the products built here go to :mod:`~risce.numerics` unchecked.
 """
 
 from __future__ import annotations
@@ -122,14 +124,12 @@ def estimate_ls(y: np.ndarray, s: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
 
 def estimate_lmmse(y: np.ndarray, s: tuple[np.ndarray, np.ndarray], factors: KroneckerFactors,
                    sigma2: float, l: int) -> np.ndarray:
-    """LMMSE estimate Y W from one eigh per factor of S^H R S; SingularGram unless all den > 0."""
-    va, xp = (t.conj().T @ f for t, f in zip(s, (factors.a, factors.p)))
-    (lam1, q1), (lam2, q2) = (numerics.checked_eigh(h @ t) for h, t in zip((va, xp), s))
-    kept = [lam * (lam > lam.size * np.finfo(float).eps * lam[-1]) for lam in (lam1, lam2)]
-    den = np.outer(*kept).ravel() + sigma2 * l
-    if not np.all(den > 0.0):
-        raise SingularGram("S^H R S + sigma^2 L I is not positive definite")
-    return ((y @ _kron(q1, q2)) / den) @ _kron(q1.conj().T @ va, q2.conj().T @ xp)
+    """LMMSE estimate Y W, W = :func:`lmmse_filter` of J's spectra; see the module docstring."""
+    spectra = [lmmse_spectrum(h, t) for h, t in zip((factors.a_half, factors.p_half), s)]
+    u1, u2, dinv, f1, f2 = lmmse_filter(spectra, *s, sigma2, l)
+    if sigma2 * l == 0.0 and np.count_nonzero(dinv) < s[0].shape[1] * s[1].shape[1]:
+        raise SingularGram("S^H R S is singular at sigma^2 = 0")
+    return ((y @ _kron(u1, u2)) * dinv.ravel()) @ _kron(f1, f2)
 
 
 def mse_ls(v: np.ndarray, x: np.ndarray, sigma2: float, l: int) -> float:
@@ -146,6 +146,23 @@ def lmmse_spectrum(half: np.ndarray, t: np.ndarray):
     lam, e = numerics.checked_eigh(g @ g.conj().T)
     he = half @ e
     return np.clip(lam, 0.0, None), he, np.sum(np.abs(he) ** 2, axis=0)
+
+
+def lmmse_filter(spectra, v: np.ndarray, x: np.ndarray, sigma2: float, l: int):
+    """(U1, U2, dinv, F1, F2) of W = kron(U1, U2) diag(dinv) kron(F1, F2) at S = kron(V, X).
+
+    spectra are [V's, X's] of :func:`lmmse_spectrum`.  A lam at or below n eps times its
+    side's largest counts as 0, and dinv is 0 where lam1_i lam2_j + sigma^2 L is not > 0.
+    """
+    sides = []
+    for (lam, he, _), t in zip(spectra, (v, x)):
+        lam = lam * (lam > lam.size * np.finfo(float).eps * lam[-1])
+        root = np.sqrt(lam)
+        u = (t.conj().T @ he) * np.divide(1.0, root, out=np.zeros_like(root), where=root > 0.0)
+        sides.append((lam, u, root[:, None] * he.conj().T))
+    (lam1, u1, f1), (lam2, u2, f2) = sides
+    den = np.outer(lam1, lam2) + sigma2 * l
+    return u1, u2, np.divide(1.0, den, out=np.zeros(den.shape), where=den > 0.0), f1, f2
 
 
 def lmmse_score(spectra, sigma2: float, l: int) -> float:

@@ -100,6 +100,18 @@ def lmmse_filter(s, r_gamma, sigma2, l) -> np.ndarray:
     return numerics.solve_hpd(f @ s + sigma2 * l * np.eye(s.shape[1]), f)
 
 
+def lmmse_filter_push_through(s, r_gamma, sigma2, l) -> np.ndarray:
+    """Dense LMMSE filter W = S^H R (S S^H R + sigma^2 L I)^{-1}, solved at (M+1)K (test oracle).
+
+    The push-through form of :func:`lmmse_filter`.  Where S has full row rank (B >= M+1 and
+    tau >= K), S S^H R stays well conditioned as the power grows, while S^H R S + sigma^2 L I
+    does not when B tau > (M+1)K.
+    """
+    f = s.conj().T @ r_gamma
+    gram = s @ f + sigma2 * l * np.eye(s.shape[0])
+    return np.linalg.solve(gram.T, f.T).T
+
+
 def lmmse_objective(s, r_gamma, sigma2, l) -> float:
     """Dense design objective g(S) = -Tr[R S (S^H R S + sigma^2 L I)^{-1} S^H R] (test oracle).
 

@@ -45,6 +45,18 @@ def test_replaced_ls_estimator_reaches_every_trial(monkeypatch):
     assert [r.analytic_nmse for r in honest] == [r.analytic_nmse for r in scaled]
 
 
+def test_lmmse_sweep_at_180_db_with_rank_deficient_s_h_r_s_matches_its_analytic_nmse():
+    # B = 10 > M+1 = 9 and tau = 3 > K = 2, so S^H R S is singular and only
+    # sigma^2 L I keeps the LMMSE filter finite.  At 180 dB the rounding of Y
+    # (about eps 1e9) stays far below the unit noise, so the band allows for
+    # the Monte Carlo spread of 20 trials only.
+    cfg = ExperimentConfig(estimator="lmmse", b=10, tau=3, schemes=(SchemeId.NAIVE,),
+                           snr_db=(180.0,), trials=20)
+    rows = run_sweep(cfg)
+    ratio = np.mean([r.empirical_nmse for r in rows]) / rows[0].analytic_nmse
+    assert 0.5 <= ratio <= 2.0
+
+
 def _per_trial_nmse(cfg, cell, si, trial):
     """One trial estimated on its own received block, as an oracle."""
     ch_seed = np.random.SeedSequence([cfg.seed, si, trial, 0])

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     lmmse_filter,
+    lmmse_filter_push_through,
     lmmse_objective,
     ls_filter,
     ls_mse,
@@ -302,9 +303,10 @@ class TestEstimators:
 
 def _conditioned_factors(rng, rows, cols):
     """rows x cols with singular values in [0.5, 2]: a Gram with condition number at most 16."""
+    n = min(rows, cols)
     q1, _ = np.linalg.qr(rng.standard_normal((rows, rows)) + 1j * rng.standard_normal((rows, rows)))
     q2, _ = np.linalg.qr(rng.standard_normal((cols, cols)) + 1j * rng.standard_normal((cols, cols)))
-    return (q1 * rng.uniform(0.5, 2.0, rows)) @ q2[:rows]
+    return (q1[:, :n] * rng.uniform(0.5, 2.0, n)) @ q2[:n]
 
 
 @settings(max_examples=50, deadline=None)
@@ -350,13 +352,35 @@ def test_estimate_lmmse_matches_dense_solve(k, m, b, tau, rows, sigma2, l, seed)
 
 
 @settings(max_examples=50, deadline=None)
-@given(k=st.integers(1, 3), m=st.integers(1, 4), rows=st.integers(1, 6), l=st.integers(1, 8),
+@given(k=st.integers(1, 3), m=st.integers(1, 4), extra_b=st.integers(0, 2),
+       extra_tau=st.integers(0, 2), log_power=st.floats(0.0, 30.0), l=st.integers(1, 8),
        seed=st.integers(0, 2**32 - 1))
-def test_estimate_lmmse_at_zero_noise_is_the_zero_forcing_filter(k, m, rows, l, seed):
-    # B = M+1 and tau = K: S^H R S is full rank, and at sigma^2 = 0 the
-    # factored filter is the dense (S^H R S)^-1 S^H R.
+def test_estimate_lmmse_keeps_its_digits_at_high_snr(k, m, extra_b, extra_tau, log_power, l,
+                                                     seed):
+    # With B > M+1 or tau > K, S^H R S has rank (M+1)K < B tau, and S^H R S +
+    # sigma^2 L I grows ill conditioned with the power budget; the filter read
+    # off the (M+1)- and K-sized spectra does not lose digits to it.  S has full
+    # row rank, so the push-through oracle solves a well-conditioned system.
     rng = np.random.default_rng(seed)
-    v, x = _conditioned_factors(rng, m + 1, m + 1), _conditioned_factors(rng, k, k)
+    v = _conditioned_factors(rng, m + 1, m + 1 + extra_b)
+    x = _conditioned_factors(rng, k, k + extra_tau) * 10.0 ** (log_power / 2)
+    f = random_factors(rng, m + 1, k)
+    s = np.kron(v, x)
+    want = lmmse_filter_push_through(s, np.kron(f.a, f.p), 1.0, l)
+    got = estimate_lmmse(np.eye(s.shape[1]), (v, x), f, 1.0, l)
+    assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+
+
+@settings(max_examples=50, deadline=None)
+@given(k=st.integers(1, 3), m=st.integers(1, 4), data=st.data(), rows=st.integers(1, 6),
+       l=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_estimate_lmmse_at_zero_noise_is_the_zero_forcing_filter(k, m, data, rows, l, seed):
+    # B <= M+1 and tau <= K: S has full column rank, so S^H R S is positive
+    # definite, and at sigma^2 = 0 the factored filter is the dense
+    # (S^H R S)^-1 S^H R.
+    b, tau = data.draw(st.integers(1, m + 1)), data.draw(st.integers(1, k))
+    rng = np.random.default_rng(seed)
+    v, x = _conditioned_factors(rng, m + 1, b), _conditioned_factors(rng, k, tau)
     f = random_factors(rng, m + 1, k)
     s = np.kron(v, x)
     y = rng.standard_normal((rows, s.shape[1])) + 1j * rng.standard_normal((rows, s.shape[1]))
@@ -365,19 +389,22 @@ def test_estimate_lmmse_at_zero_noise_is_the_zero_forcing_filter(k, m, rows, l, 
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("k, tau", [(1, 2), (2, 3), (2, 4), (3, 5)])
+@pytest.mark.parametrize("k, tau, b", [
+    *(pytest.param(k, tau, 4, id=f"{k}-{tau}") for k, tau in [(1, 2), (2, 3), (2, 4), (3, 5)]),
+    (1, 1, 5), (2, 2, 6), (2, 3, 5), (3, 4, 6)])
 @pytest.mark.parametrize("training", ["dft", "random"])
-def test_estimate_lmmse_at_zero_noise_with_tau_above_k_is_singular(k, tau, training):
-    # X^H P X is tau x tau of rank K, so S^H R S is singular; its zero
+def test_estimate_lmmse_at_zero_noise_with_tau_above_k_is_singular(k, tau, b, training):
+    # With M+1 = 4, X^H P X is tau x tau of rank K and V^H A V is B x B of
+    # rank 4, so S^H R S is singular when tau > K or B > 4; its zero
     # eigenvalues come out of eigh at rounding level, not exactly 0, and must
     # still count as 0 rather than give a huge filter.
     rng = np.random.default_rng(k * 10 + tau)
-    v = _conditioned_factors(rng, 4, 4)
+    v = _conditioned_factors(rng, 4, b)
     x = (dft_training(k, tau, np.full(k, 3.0)).x if training == "dft"
          else _conditioned_factors(rng, k, tau))
     f = random_factors(rng, 4, k)
     with pytest.raises(SingularGram):
-        estimate_lmmse(np.ones((2, 4 * tau), dtype=complex), (v, x), f, 0.0, 2)
+        estimate_lmmse(np.ones((2, b * tau), dtype=complex), (v, x), f, 0.0, 2)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
