@@ -394,10 +394,9 @@ def test_estimate_lmmse_at_zero_noise_is_the_zero_forcing_filter(k, m, data, row
     (1, 1, 5), (2, 2, 6), (2, 3, 5), (3, 4, 6)])
 @pytest.mark.parametrize("training", ["dft", "random"])
 def test_estimate_lmmse_at_zero_noise_with_tau_above_k_is_singular(k, tau, b, training):
-    # With M+1 = 4, X^H P X is tau x tau of rank K and V^H A V is B x B of
-    # rank 4, so S^H R S is singular when tau > K or B > 4; its zero
-    # eigenvalues come out of eigh at rounding level, not exactly 0, and must
-    # still count as 0 rather than give a huge filter.
+    # With M+1 = 4, rank S^H R S = rank S <= 4 K, below B tau when tau > K or
+    # B > 4.  The filter, read off the 4- and K-sized spectra, has at most 4 K
+    # non-zero entries of dinv, and must raise rather than give a huge filter.
     rng = np.random.default_rng(k * 10 + tau)
     v = _conditioned_factors(rng, 4, b)
     x = (dft_training(k, tau, np.full(k, 3.0)).x if training == "dft"
