@@ -1,14 +1,14 @@
 """Dense Hermitian kernels: largest eigenvalue, trace of inverse, HPD solves.
 
-One LAPACK call each, exact to rounding: ``eigvalsh`` for ``largest_eigenvalue`` and
-``trace_of_inverse``, ``eigh`` for ``conditioned_eigh``, Cholesky for ``solve_hpd``.
+numpy's LAPACK calls, exact to rounding: ``eigvalsh`` for ``largest_eigenvalue`` and
+``trace_of_inverse``, ``eigh`` for ``conditioned_eigh``, ``cholesky`` for ``solve_hpd``.
 ``trace_of_inverse`` and ``conditioned_eigh`` take the Kronecker factors of A, one call
 per factor, so S S^H = kron(V V^H, X X^H) is never formed.  Explicit inverses and
 ``solve_hpd`` serve only the dense test oracles (``solve_hpd`` stays: the benchmark
 tracer wraps it by name).  No kernel checks symmetry (LAPACK reads A's lower triangle):
 risce's Gram products are Hermitian by construction, and a caller's R is checked where
-it enters, in :func:`~risce.channel.kronecker_factors`.  Failures map to SingularGram in
-:func:`checked_eigh` and :func:`solve_hpd`.
+it enters, in :func:`~risce.channel.kronecker_factors`.  LinAlgError, a non-finite
+eigenvalue (:func:`checked_eigh`) and a non-finite A (:func:`solve_hpd`) raise SingularGram.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SingularGram
 
@@ -84,10 +83,11 @@ def trace_of_inverse(*factors) -> float:
 
 
 def solve_hpd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A X = B for Hermitian PD A via Cholesky; SingularGram unless A is finite and PD."""
+    """Solve A X = B for Hermitian PD A by numpy's Cholesky; SingularGram unless A is finite and PD."""
+    if not np.all(np.isfinite(a)):   # numpy's Cholesky turns NaN or inf into NaNs, unraised
+        raise SingularGram("matrix is not finite and positive definite")
     try:
-        low = scipy.linalg.cholesky(a, lower=True)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:   # ValueError: a NaN or inf entry
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
         raise SingularGram("matrix is not finite and positive definite") from exc
-    y = scipy.linalg.solve_triangular(low, b, lower=True)
-    return scipy.linalg.solve_triangular(low.conj().T, y, lower=False)
+    return np.linalg.solve(low.conj().T, np.linalg.solve(low, b))

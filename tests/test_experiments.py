@@ -1,6 +1,9 @@
 """Tests for the sweep/convergence harness and the command-line interface."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -513,3 +516,33 @@ def test_readme_quick_start_runs(capsys):
     [(empirical, analytic)] = re.findall(
         r"^Monte Carlo LS NMSE: (\S+) analytic: (\S+)$", out, flags=re.M)
     assert float(empirical) == pytest.approx(float(analytic), rel=0.05)
+
+
+_SCIPY_BLOCKED = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError("blocked: " + name)
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+from risce.cli import main
+codes = [main(["validate"]),
+         main(["sweep", "--estimator", "ls", "--trials", "3", "--output", sys.argv[1]]),
+         main(["sweep", "--estimator", "lmmse", "--trials", "3", "--output", sys.argv[1]])]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_risce_runs_with_scipy_unimportable(tmp_path):
+    # risce's one runtime dependency is numpy.  With every scipy import made
+    # to fail, validate and an LS and an LMMSE desk sweep still exit 0, and
+    # no scipy module is loaded.  As in pytest, a RuntimeWarning is an error.
+    src = Path(__file__).parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONWARNINGS="error::RuntimeWarning")
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_BLOCKED, str(tmp_path / "sweep.csv")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     ideal_update_lmmse,
@@ -56,9 +56,12 @@ def _state(rng, model, cfg=CFG, r=R):
     return _anchor(x0.x, v0.v, kronecker_factors(r, cfg.k), cfg.sigma2, cfg.l), x0, v0
 
 
+def _spectra(x0, v0, f):
+    return [lmmse_spectrum(f.a_half, v0), lmmse_spectrum(f.p_half, x0)]
+
+
 def _anchor(x0, v0, f, sigma2, l):
-    spectra = [lmmse_spectrum(f.a_half, v0), lmmse_spectrum(f.p_half, x0)]
-    return build_surrogate(x0, v0, spectra, f, sigma2, l)
+    return build_surrogate(x0, v0, _spectra(x0, v0, f), f, sigma2, l)
 
 
 def _dense_anchor(x0, v0, r=R, cfg=CFG):
@@ -535,18 +538,36 @@ def factored_problems(draw):
     return cfg, r, model, draw(st.integers(0, 2**32 - 1))
 
 
+# K=1, M=4, L=1, B=5, tau=1 at 29 dB, R grouped with rho = 3, draw seed 0:
+# beta_min = 0 leaves a pattern entry near 0, so cond(lam1) is 1.1e6.
+_NEAR_ZERO_ENTRY = (
+    SystemConfig(k=1, m=4, l=1, b=5, tau=1, power=np.full(1, 10.0 ** 2.9)),
+    grouped_cascaded_correlation(CorrelationSpec(0.0, 0.5, 0.0), group_reduce(12, 3).indicator(),
+                                 1, 1),
+    ReflectionModel(beta_min=0.0, alpha=2.625, delta=0.5),
+    0,
+)
+
+
 def _assert_close(got, want, rel=1e-12):
     assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
 
 
-def _dense_rel(s0, r, l):
-    """1e-12, or the dense Cholesky solve's forward-error scale at the anchor S0.
+def _dense_rel(s0, r, l, spectra=()):
+    """1e-12, or the forward-error scale at the anchor S0 of the dense side and the factored one.
 
     Where the condition number kappa of S0^H R S0 + L I makes that coarser,
-    a dense side errs by about kappa eps.
+    a dense side errs by about kappa eps.  Given the anchor's factor spectra,
+    the factored side's scale is added: U1 = V0^H A^1/2 E1 diag(lam1)^-1/2 is
+    orthonormal only to about eps cond(lam1) over the kept lam1 (U2 likewise),
+    and a pattern entry near 0 (beta_min = 0) makes cond(lam1) large.
     """
+    eps = np.finfo(float).eps
     kappa = np.linalg.cond(s0.conj().T @ r @ s0 + l * np.eye(s0.shape[1]))
-    return max(1e-12, 32 * np.finfo(float).eps * kappa)
+    for lam, _, _ in spectra:
+        kept = lam[lam > lam.size * eps * lam[-1]]
+        kappa += kept[-1] / kept[0]
+    return max(1e-12, 32 * eps * kappa)
 
 
 def _block_hessian(r, gram, s_of, shape):
@@ -562,6 +583,7 @@ def _block_hessian(r, gram, s_of, shape):
 
 @settings(max_examples=100, deadline=None)
 @given(problem=factored_problems())
+@example(problem=_NEAR_ZERO_ENTRY)
 def test_block_curvatures_match_dense_hessians(problem):
     # mu_X / SAFETY_MARGIN is lambda_max of the Hessian of the first
     # majorization's quadratic Tr[R S Xi0 Xi0^H S^H] in vec(X) at V = V0, and
@@ -575,7 +597,7 @@ def test_block_curvatures_match_dense_hessians(problem):
     state = _anchor(x0, v0, f, 1.0, cfg.l)
 
     s0 = np.kron(v0, x0)
-    xi0, rel = lmmse_filter(s0, r, 1.0, cfg.l), _dense_rel(s0, r, cfg.l)
+    xi0, rel = lmmse_filter(s0, r, 1.0, cfg.l), _dense_rel(s0, r, cfg.l, _spectra(x0, v0, f))
     gram = xi0 @ xi0.conj().T
     mu_x = training_terms(state, numerics.largest_eigenvalue(f.p).value).curvature
     h_x = _block_hessian(r, gram, lambda x: np.kron(v0, x), x0.shape)
@@ -608,6 +630,7 @@ def _dense_step_terms(r, xi0, v0, x0, x1):
 
 @settings(max_examples=100, deadline=None)
 @given(problem=factored_problems())
+@example(problem=_NEAR_ZERO_ENTRY)
 def test_factored_terms_match_dense(problem):
     # The step terms, the factor spectra and the MSE from the Kronecker
     # factors against the dense (M+1)K-sized forms, with the dense anchor
@@ -624,7 +647,7 @@ def test_factored_terms_match_dense(problem):
 
     s0 = np.kron(v0.v, x0.x)
     b_sums, c = _dense_step_terms(r, lmmse_filter(s0, r, 1.0, l), v0.v, x0.x, x1.x)
-    rel = _dense_rel(s0, r, l)
+    rel = _dense_rel(s0, r, l, _spectra(x0.x, v0.v, f))
     _assert_close(train.b_sums, b_sums, rel)
     _assert_close(pattern.c, c, rel)
     assert a_max * p_max == pytest.approx(np.linalg.eigvalsh(r)[-1], rel=1e-12)
