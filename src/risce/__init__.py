@@ -5,7 +5,7 @@ the LS/LMMSE channel-estimation MSE under a phase-dependent reflection
 amplitude, and reproduces the MSE comparisons via seeded Monte Carlo.
 """
 
-from .baselines import SchemeId, group_reduce, naive_pattern, onoff_pattern
+from .baselines import SchemeId, dft_training, group_reduce, naive_pattern, onoff_pattern
 from .channel import (
     ChannelRealization,
     CorrelationSpec,
@@ -16,7 +16,7 @@ from .channel import (
 )
 from .experiments import ExperimentConfig, run_convergence, run_sweep
 from .lmmse_design import design_lmmse
-from .ls_design import design_ls, dft_training
+from .ls_design import design_ls
 from .phase_model import (
     ReflectionModel,
     amplitude_of_phase,

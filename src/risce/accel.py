@@ -17,7 +17,8 @@ Borwein step length l = -||L1||_F / ||L2||_F and extrapolates to
     V_cand = project(V0 - 2 l L1 + l^2 L2).
 
 Back-tracking (l <- (l - 1)/2) keeps the objective monotone; l = -1 recovers
-the plain MM point V2 when the projection is inactive.
+the plain MM point V2 when the projection is inactive.  DEFAULT_EPS and
+:func:`round_budget` are the defaults of the stop rule both designs run.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 
 from .types import DesignTrace
 
+DEFAULT_EPS = 1e-3
 DEGENERATE_STEP_TOL = 1e-14
 MAX_BACKTRACKS = 50
 
@@ -79,6 +81,11 @@ def plain_step(mm_update: MmUpdate, score: Score) -> Step:
         return iterate, *score(iterate), 1
 
     return step
+
+
+def round_budget(max_iter: int | None, accelerate) -> int:
+    """max_iter, or else the default budget: 100 SQUAREM rounds, 500 plain MM rounds."""
+    return (100 if accelerate else 500) if max_iter is None else max_iter
 
 
 def mm_loop(

@@ -1,11 +1,11 @@
-"""Reference schemes for performance comparison, plus element grouping.
+"""Reference schemes for performance comparison, the designs' start, and element grouping.
 
 Schemes: the proposed designs, the ideal unit-modulus RIS (the same MM
 designs, whose phase search is then exact), its entrywise projection onto the
-reflection law, the naive projected-DFT pattern (also the initial point of the
-iterative designs), and the classic on-off pattern.  Element grouping shares
-one coefficient across rho neighboring elements, cutting the training
-overhead to K(M/rho + 1).
+reflection law, the naive projected-DFT pattern (with :func:`dft_training`,
+the MM designs' start, :func:`start_pattern`), and the classic on-off
+pattern.  Element grouping shares one coefficient across rho neighboring
+elements, cutting the training overhead to K(M/rho + 1).
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDims, InvalidGrouping
+from .errors import DimensionMismatch, InvalidDims, InvalidGrouping
 from .phase_model import ReflectionModel, reflection_coefficient
-from .system import ReflectionPattern
+from .system import ReflectionPattern, TrainingMatrix
+from .types import SystemConfig
 
 TWO_PI = 2.0 * np.pi
 
@@ -46,6 +47,29 @@ def naive_pattern(m: int, b: int, model: ReflectionModel) -> ReflectionPattern:
     v = np.ones((m + 1, b), dtype=complex)
     v[:m] = reflection_coefficient(phases, model)
     return ReflectionPattern(v=v)
+
+
+def start_pattern(config: SystemConfig, model: ReflectionModel,
+                  init: ReflectionPattern | None) -> np.ndarray:
+    """The (M+1, B) start of an MM design: init's pattern, or else the naive one."""
+    if init is None:
+        return naive_pattern(config.m, config.b, model).v
+    if init.v.shape != (config.m + 1, config.b):
+        raise DimensionMismatch(f"init pattern {init.v.shape} is not the config's (M+1) x B")
+    return init.v
+
+
+def dft_training(k: int, tau: int, power) -> TrainingMatrix:
+    """Scaled DFT columns: x_k = sqrt(P_k) d_k / ||d_k||, so X X^H = diag(P)."""
+    if tau < k:
+        raise InvalidDims(f"tau must be >= k ({tau} < {k})")
+    power = np.asarray(power, dtype=float)
+    if power.shape != (k,):
+        raise InvalidDims("power must have one entry per UE")
+    idx = np.arange(tau)
+    dft = np.exp(-2j * np.pi * np.outer(idx, idx) / tau)
+    x = (np.sqrt(power)[:, None] / np.sqrt(tau)) * dft[:, :k].T
+    return TrainingMatrix(x=x, power=power)
 
 
 def onoff_pattern(m: int, b: int) -> ReflectionPattern:

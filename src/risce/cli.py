@@ -32,11 +32,11 @@ def _parse_bool(raw: str) -> bool:
 
 def _parse_scheme(token: str) -> SchemeId:
     token = token.strip().lower()
-    for scheme in SchemeId:
-        if scheme.value == token:
-            return scheme
-    names = ", ".join(s.value for s in SchemeId)
-    raise ConfigError(f"unknown scheme {token!r} (expected one of: {names})")
+    try:
+        return SchemeId(token)
+    except ValueError:
+        names = ", ".join(s.value for s in SchemeId)
+        raise ConfigError(f"unknown scheme {token!r} (expected one of: {names})") from None
 
 
 def _tokens(raw: str) -> list[str]:
@@ -104,10 +104,7 @@ def build_config(args: argparse.Namespace) -> experiments.ExperimentConfig:
         values["schemes"] = _KEYS["schemes"](",".join(args.scheme))
     if getattr(args, "analytic_only", False):
         values["simulate"] = False
-    try:
-        return experiments.ExperimentConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return experiments.ExperimentConfig(**values)
 
 
 def _fmt(value) -> str:

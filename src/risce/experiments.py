@@ -27,9 +27,11 @@ from typing import ClassVar
 import numpy as np
 
 from . import phase_model, system
+from .accel import DEFAULT_EPS
 from .baselines import (
     ElementGrouping,
     SchemeId,
+    dft_training,
     group_reduce,
     naive_pattern,
     onoff_pattern,
@@ -45,8 +47,8 @@ from .channel import (
 )
 from .errors import ConfigError, RisceError
 from .lmmse_design import design_lmmse, project_training_rows
-from .ls_design import DEFAULT_EPS, design_ls, dft_training, project_pattern
-from .phase_model import ReflectionModel, ideal_model
+from .ls_design import design_ls
+from .phase_model import ReflectionModel, ideal_model, project_pattern
 from .system import ReflectionPattern, TrainingMatrix, build_S
 from .types import SystemConfig
 

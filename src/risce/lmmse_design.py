@@ -39,7 +39,8 @@ lambda_max (Cauchy interlacing).  T2 = U2 H U2^H and Tw = U1 Kw U1^H for the K x
 and the (M+1) x (M+1) Kw the steps build; lambda_max(A), lambda_max(P) are computed once.
 
 The rounds run on :func:`risce.accel.mm_loop` over the pair of bare arrays
-(X, V); :func:`design_lmmse` validates its initial point and builds a
+(X, V), started, as for LS, at the DFT training and the pattern
+:func:`~risce.baselines.start_pattern` makes of :func:`design_lmmse`'s init; it builds a
 TrainingMatrix and a ReflectionPattern for its result only.  Both kinds of
 round use the same two block maps: the training update at an anchor, and
 the pattern update at an anchor and the X it sees, each anchored on the spectra
@@ -57,21 +58,15 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numerics
-from .accel import mm_loop, plain_step, squarem_step
-from .baselines import naive_pattern
+from .accel import DEFAULT_EPS, mm_loop, plain_step, round_budget, squarem_step
+from .baselines import dft_training, start_pattern
 from .channel import KroneckerFactors, kronecker_factors
 from .errors import ConfigError, DimensionMismatch
-from .ls_design import (
-    DEFAULT_EPS,
-    DEFAULT_MAX_ITER_ACCEL,
-    DEFAULT_MAX_ITER_PLAIN,
-    dft_training,
-    project_pattern,
-)
 from .phase_model import (
     ReflectionModel,
     minimize_pattern_entries,
     minimize_phase_objectives,  # noqa: F401  perfbench/selftest.py checks the tracer rebinds it here
+    project_pattern,
 )
 from .system import ReflectionPattern, TrainingMatrix, lmmse_filter, lmmse_score, lmmse_spectrum
 from .types import DesignTrace, SystemConfig
@@ -178,7 +173,7 @@ def update_training(terms: TrainingTerms, power) -> np.ndarray:
 
 def update_pattern(terms: PatternTerms, model: ReflectionModel) -> np.ndarray:
     """Entrywise (M+1, B) pattern update of the decoupled quadratic problem, from V0."""
-    return minimize_pattern_entries(terms.curvature, -terms.c[:-1], model, terms.v0[:-1])
+    return minimize_pattern_entries(terms.curvature, -terms.c, model, terms.v0)
 
 
 def project_training_rows(x: np.ndarray, power) -> np.ndarray:
@@ -193,28 +188,22 @@ def design_lmmse(
     config: SystemConfig,
     model: ReflectionModel,
     r_gamma: np.ndarray,
-    init_v: ReflectionPattern | None = None,
+    init: ReflectionPattern | None = None,
     eps: float = DEFAULT_EPS,
     max_iter: int | None = None,
     accelerate: bool = False,
 ) -> tuple[TrainingMatrix, ReflectionPattern, DesignTrace]:
     """Alternate training and pattern updates until the MSE change is < eps.
 
-    Starts from the DFT training and, unless init_v is given, the naive
-    projected-DFT pattern; DimensionMismatch unless init_v is (M+1, B) and
-    r_gamma is (M+1)K square.  The trace records J_LMMSE per iteration
-    (non-increasing) and the cumulative number of MM updates (surrogate
-    rebuilds); with accelerate=True each block update is wrapped in a
-    monotone SQUAREM step with its own projection.
+    Starts and stops as design_ls does, from the DFT training too;
+    DimensionMismatch unless r_gamma is (M+1)K square.  The trace records
+    J_LMMSE per iteration (non-increasing) and the cumulative number of MM
+    updates (surrogate rebuilds); with accelerate=True each block update is
+    wrapped in a monotone SQUAREM step with its own projection.
     """
     if np.shape(r_gamma) != ((config.m + 1) * config.k,) * 2:
         raise DimensionMismatch(f"R {np.shape(r_gamma)} is not the config's (M+1)K square")
-    if init_v is None:
-        init_v = naive_pattern(config.m, config.b, model)
-    elif init_v.v.shape != (config.m + 1, config.b):
-        raise DimensionMismatch(f"init pattern {init_v.v.shape} is not the config's (M+1) x B")
-    if max_iter is None:
-        max_iter = DEFAULT_MAX_ITER_ACCEL if accelerate else DEFAULT_MAX_ITER_PLAIN
+    v0 = start_pattern(config, model, init)
 
     sigma2, l = config.sigma2, config.l
     power = config.power
@@ -263,5 +252,5 @@ def design_lmmse(
 
     step = squarem_round if accelerate else plain_step(mm_round, score_pair)
     x0 = dft_training(config.k, config.tau, power)
-    (x, v), trace = mm_loop((x0.x, init_v.v), step, score_pair, eps, max_iter)
+    (x, v), trace = mm_loop((x0.x, v0), step, score_pair, eps, round_budget(max_iter, accelerate))
     return TrainingMatrix(x=x, power=power), ReflectionPattern(v=v), trace

@@ -8,7 +8,7 @@ the amplitude beta is a deterministic function of the phase shift theta,
 parameterized by (beta_min, alpha, delta).  The module also provides the
 feasibility projection (keep the phase, replace the amplitude by the law) and
 the one-dimensional phase search behind both pattern-design algorithms,
-:func:`minimize_pattern_entries`.
+:func:`minimize_pattern_entries`; both own the pattern's direct-link row.
 
 The phase search is exact under the ideal law.  Otherwise it scores a fixed
 grid of GRID_POINTS phases and theta_d = delta - pi/2, then refines the best
@@ -123,6 +123,13 @@ def project_to_feasible(z, model: ReflectionModel):
     or arrays; the projection is idempotent.
     """
     return reflection_coefficient(np.angle(np.asarray(z, dtype=complex)), model)
+
+
+def project_pattern(v: np.ndarray, model: ReflectionModel) -> np.ndarray:
+    """Entrywise reflection-law projection of an (M+1, B) pattern; the direct-link row stays 1."""
+    out = np.asarray(project_to_feasible(v, model), dtype=complex)
+    out[-1] = 1.0
+    return out
 
 
 def _phase_cost(q, c, theta, model: ReflectionModel):
@@ -375,13 +382,13 @@ def minimize_pattern_entries(
 ) -> np.ndarray:
     """Entrywise pattern step: the (M+1, B) minimizer of the separable cost.
 
-    Entry (m, n) minimizes q |v|^2 + 2 Re{c[m, n] v} over the reflection law
-    (the phase search with quad coeff q and lin coeff c[m, n]); the all-ones
-    direct-link row is appended.  c is the (M, B) matrix of linear
-    coefficients and anchor the (M, B) entries of the iterate the step moves.
+    Entry (m, n) of an RIS row minimizes q |v|^2 + 2 Re{c[m, n] v} over the
+    reflection law (the phase search with quad coeff q and lin coeff c[m, n]),
+    from the phase of anchor[m, n], the iterate the step moves.  c and anchor
+    are (M+1, B); their last row, the direct link's, is never read, and the
+    returned pattern's is all ones.
     """
-    m, b = c.shape
-    thetas, _ = minimize_phase_objectives(np.full(m * b, q), c, model, anchor)
-    v = np.ones((m + 1, b), dtype=complex)
-    v[:m] = reflection_coefficient(thetas, model).reshape(m, b)
+    thetas, _ = minimize_phase_objectives(np.full(c[:-1].size, q), c[:-1], model, anchor[:-1])
+    v = np.ones(c.shape, dtype=complex)
+    v[:-1] = reflection_coefficient(thetas, model).reshape(v[:-1].shape)
     return v

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import ls_objective, random_feasible_pattern
 from risce.accel import mm_loop, plain_step, squarem_step
-from risce.ls_design import ls_score, mm_update_ls, project_pattern
+from risce.ls_design import ls_score, mm_update_ls
+from risce.phase_model import project_pattern
 
 
 def _contraction(target, rate):

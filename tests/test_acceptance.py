@@ -17,7 +17,7 @@ from conftest import (
     random_training,
 )
 from risce import phase_model
-from risce.baselines import SchemeId, naive_pattern
+from risce.baselines import SchemeId, dft_training, naive_pattern
 from risce.channel import (
     CorrelationSpec,
     cascaded_channel,
@@ -31,7 +31,7 @@ from risce.lmmse_design import (
     design_lmmse,
     update_training,
 )
-from risce.ls_design import design_ls, dft_training
+from risce.ls_design import design_ls
 from risce.phase_model import ReflectionModel
 from risce.system import (
     ReflectionPattern,
@@ -151,7 +151,7 @@ def test_c3_monotone_convergence():
 
         init_v = random_feasible_pattern(np.random.default_rng(100 + seed), 8, 9, MODEL)
         _, _, trace = design_lmmse(
-            DESK, MODEL, R_DESK, init_v=init_v, eps=1e-3, accelerate=False
+            DESK, MODEL, R_DESK, init=init_v, eps=1e-3, accelerate=False
         )
         assert np.all(np.diff(trace.objectives) <= 1e-10), f"LMMSE seed {seed}"
         assert trace.converged, f"LMMSE stopping rule did not fire (seed {seed})"
@@ -277,7 +277,7 @@ def test_c6_beta_min_sensitivity():
         model = ReflectionModel(beta_min=bm)
         v_prop, _ = design_ls(DESK, model, accelerate=True)
         j_prop = mse_ls(v_prop.v, x.x, 1.0, 4) / dim
-        from risce.ls_design import project_pattern
+        from risce.phase_model import project_pattern
 
         v_proj = ReflectionPattern(project_pattern(ideal_v.v, model))
         j_proj = mse_ls(v_proj.v, x.x, 1.0, 4) / dim

@@ -9,13 +9,14 @@ from hypothesis import given, settings, strategies as st
 from conftest import ideal_update_lmmse, ideal_update_ls, ls_objective, random_feasible_pattern
 from risce.baselines import (
     SchemeId,
+    dft_training,
     group_reduce,
     naive_pattern,
     onoff_pattern,
 )
 from risce.channel import CorrelationSpec, cascaded_correlation, grouped_cascaded_correlation
 from risce.errors import InvalidDims, InvalidGrouping
-from risce.ls_design import design_ls, dft_training
+from risce.ls_design import design_ls
 from risce.phase_model import (
     amplitude_of_phase,
     ideal_model,
@@ -127,7 +128,7 @@ class TestOnOffPattern:
 
 class TestIdealProjectionStructure:
     def test_projection_is_entrywise(self, model, rng):
-        from risce.ls_design import project_pattern
+        from risce.phase_model import project_pattern
 
         ideal = random_feasible_pattern(rng, 3, 4, ideal_model())
         projected = project_pattern(ideal.v, model)

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import risce
-from risce.baselines import SchemeId
+from risce.accel import DEFAULT_EPS
+from risce.baselines import SchemeId, dft_training
 from risce import experiments
 from risce.channel import CorrelationSpec, cascaded_correlation
 from risce.cli import main, read_config_file
@@ -22,7 +23,7 @@ from risce.experiments import (
     run_validation,
 )
 from risce.lmmse_design import design_lmmse
-from risce.ls_design import DEFAULT_EPS, design_ls, dft_training
+from risce.ls_design import design_ls
 from risce.phase_model import ReflectionModel
 
 FAST = dict(k=2, m=3, l=2, trials=3, snr_db=(0.0, 10.0), accelerate=True)

@@ -15,7 +15,7 @@ from conftest import (
     random_training,
 )
 from risce import lmmse_design, numerics
-from risce.baselines import group_reduce, naive_pattern
+from risce.baselines import dft_training, group_reduce, naive_pattern
 from risce.channel import (
     CorrelationSpec,
     cascaded_correlation,
@@ -23,7 +23,7 @@ from risce.channel import (
     kronecker_factors,
 )
 from risce.errors import ConfigError, DimensionMismatch
-from risce.ls_design import design_ls, dft_training
+from risce.ls_design import design_ls
 from risce.lmmse_design import (
     SAFETY_MARGIN,
     TrainingTerms,
@@ -317,7 +317,7 @@ class TestDesignLmmse:
 
     def test_init_pattern_of_another_size_is_rejected(self, model):
         with pytest.raises(DimensionMismatch):
-            design_lmmse(self.BIG, model, self.R_BIG, init_v=naive_pattern(2, 3, model))
+            design_lmmse(self.BIG, model, self.R_BIG, init=naive_pattern(2, 3, model))
 
     def test_correlation_of_another_size_is_rejected(self, model):
         # R for M = 2 is a valid kron(A, P), but not (M+1)K square for M = 4

@@ -11,11 +11,10 @@ from conftest import (
     phase_cost,
     random_feasible_pattern,
 )
-from risce.baselines import naive_pattern
+from risce.baselines import dft_training, naive_pattern
 from risce.errors import DimensionMismatch, InvalidDims, SingularGram
 from risce.ls_design import (
     design_ls,
-    dft_training,
     ls_score,
     ls_surrogate,
     mm_update_ls,

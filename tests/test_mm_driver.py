@@ -1,11 +1,14 @@
 """The shared MM driver under every design: update bookkeeping and properties."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from risce.baselines import naive_pattern
 from risce.channel import CorrelationSpec, cascaded_correlation, kronecker_factors
+from risce.errors import DimensionMismatch
 from risce.lmmse_design import design_lmmse
 from risce.ls_design import design_ls, ls_score
 from risce.numerics import trace_of_inverse
@@ -34,6 +37,19 @@ def test_update_calls_per_iteration(model, criterion, accelerate, per_iteration)
     assert trace.iterations == 6
     assert trace.update_calls[0] == 0
     assert np.all(np.diff(trace.update_calls) == per_iteration)
+
+
+@pytest.mark.parametrize("criterion", ["ls", "lmmse"])
+def test_both_designs_share_the_start_and_its_check(model, criterion):
+    # No init starts at the naive pattern, and a misshapen init fails with
+    # the one message, whichever design is asked.
+    naive = naive_pattern(DESK.m, DESK.b, model)
+    default, given = (_design(criterion, DESK, model, DESK_R, False, init=init, max_iter=1)
+                      for init in (None, naive))
+    assert default.objectives[0] == given.objectives[0]
+    message = "init pattern (9, 8) is not the config's (M+1) x B"
+    with pytest.raises(DimensionMismatch, match=re.escape(message)):
+        _design(criterion, DESK, model, DESK_R, False, init=ReflectionPattern(naive.v[:, :-1]))
 
 
 @st.composite
@@ -121,7 +137,7 @@ def _turned_designs(config, model, r_gamma, phi):
     v = naive_pattern(config.m, config.b, model).v
     init = ReflectionPattern(np.vstack([v[:-1] * np.exp(1j * phi), v[-1:]]))
     ls = design_ls(config, law, init=init)[1]
-    lmmse = design_lmmse(config, law, r_gamma, init_v=init)[2]
+    lmmse = design_lmmse(config, law, r_gamma, init=init)[2]
     return [(trace.objectives[-1], trace.iterations) for trace in (ls, lmmse)]
 
 

@@ -38,6 +38,11 @@ def _global(q, c, model):
                                np.asarray(c, dtype=complex).ravel(), model)
 
 
+def _whole(rows):
+    """The (M, B) RIS rows with an unread NaN direct-link row appended, as the pattern step takes."""
+    return np.vstack([rows, np.full((1, np.shape(rows)[1]), np.nan)])
+
+
 class TestAmplitudeLaw:
     def test_peak_at_delta_plus_half_pi(self):
         for beta_min, alpha in [(0.0, 1.0), (0.2, 2.0), (0.7, 0.5)]:
@@ -251,7 +256,8 @@ class TestPhaseSearch:
         q = 1.7
         c = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
         c[1, 2] = 0.0
-        v = minimize_pattern_entries(q, c, ideal_model(), c)   # any anchor: the step is exact
+        # Any anchor: the step is exact.
+        v = minimize_pattern_entries(q, _whole(c), ideal_model(), _whole(c))
         a0 = np.zeros((4, 4), dtype=complex)     # (B, M+1), last column unused
         a0[:, :3] = c.T
         assert np.allclose(v, ideal_update_ls(a0).v, rtol=0.0, atol=1e-15)
@@ -361,7 +367,7 @@ def _check_pattern_step(q, c, model, anchor, grid, rtol, cusp_rounding=False):
     # cusp_rounding every entry must be the law point at the phase the search
     # returns, and the fixed-point check allows 1e-12 plus the rounding of
     # beta there.
-    v = minimize_pattern_entries(q, c, model, anchor)
+    v = minimize_pattern_entries(q, _whole(c), model, _whole(anchor))
     m, b = c.shape
     assert v.shape == (m + 1, b)
     assert np.all(v[-1] == 1.0)
@@ -932,8 +938,22 @@ def test_zero_anchor_returns_the_global_pattern():
     # points at the global search's phases, bit for bit.
     m = ReflectionModel(beta_min=0.0, alpha=2.0, delta=1.0)
     q, c = 3.0, np.array([[np.exp(-1j * m.theta_d), -1.0 + 0.5j]])
-    v = minimize_pattern_entries(q, c, m, np.array([[0.0, reflection_coefficient(2.0, m)]]))
+    v = minimize_pattern_entries(q, _whole(c), m, _whole([[0.0, reflection_coefficient(2.0, m)]]))
     assert np.array_equal(v[:1], reflection_coefficient(_global([q, q], c, m)[0], m)[None])
+
+
+@pytest.mark.parametrize("model", [ReflectionModel(), ReflectionModel(0.3, 0.7, 2.0), ideal_model()],
+                         ids=["default", "below-one", "ideal"])
+def test_pattern_step_never_reads_the_direct_link_row(model, rng):
+    # The step owns the direct-link row: NaN there in c and anchor gives an
+    # exact all-ones row and the same RIS rows as a finite last row.
+    c = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+    anchor = reflection_coefficient(rng.uniform(0.0, TWO_PI, (4, 5)), model)
+    finite = minimize_pattern_entries(2.0, c, model, anchor)
+    c[-1] = anchor[-1] = np.nan
+    v = minimize_pattern_entries(2.0, c, model, anchor)
+    assert np.all(v[-1] == 1.0)
+    assert np.array_equal(v[:-1], finite[:-1])
 
 
 def test_paper_ls_design_calls_certify_every_entry_at_their_answer(monkeypatch):

@@ -25,9 +25,7 @@ from risce.channel import (
 )
 from risce.errors import DimensionMismatch, InvalidDims, SingularGram
 from risce.numerics import CONDITION_LIMIT, trace_of_inverse
-from risce.baselines import group_reduce
-from risce.ls_design import dft_training
-from risce.baselines import naive_pattern
+from risce.baselines import dft_training, group_reduce, naive_pattern
 from risce.system import (
     ReflectionPattern,
     TrainingMatrix,

@@ -16,9 +16,9 @@ benchmark's design workloads:
 * the two simulated sweeps of the design-free ``naive`` and ``onoff``
   schemes at the paper profile (``mc-ls`` and ``mc-lmmse``), the Monte Carlo
   path that the benchmark's ``mc-paper`` workload runs;
-* the design-desk designs (``K=2, M=8, L=4`` over the instances that
-  ``perfbench/workloads.py`` fixes), one operation per estimator and variant,
-  each designing every instance.
+* the design-desk designs (``K=2, M=8, L=4``, the instances that
+  ``perfbench/workloads.py``'s ``desk_instances()`` returns), one operation
+  per estimator and variant, each designing every instance.
 
 Every operation runs once per tree before the timed pairs, to warm the
 caches.  The report gives, per operation and for their sum, the median
@@ -41,7 +41,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-from workloads import DESK_INSTANCE_SEED, DESK_INSTANCES, DESK_SNR_DB  # noqa: E402
+from workloads import DESK_INSTANCES, desk_instances  # noqa: E402
 
 
 def load(root: Path, name: str):
@@ -69,13 +69,9 @@ def operations(pkg, profile: str, instances: int) -> dict:
             ops[f"sweep-{est}-{variant}"] = sweep("--analytic-only", "--estimator", est, flag)
     for est in ("ls", "lmmse"):
         ops[f"mc-{est}"] = sweep("--scheme", "naive,onoff", "--estimator", est)
-    rng = np.random.default_rng(DESK_INSTANCE_SEED)
-    desk = []
-    for i in range(instances):
-        model = pkg.ReflectionModel(beta_min=rng.uniform(0.0, 0.5), alpha=rng.uniform(1.0, 3.0),
-                                    delta=rng.uniform(0.0, 2.0 * np.pi))
-        power = np.full(2, 10.0 ** (DESK_SNR_DB[i % len(DESK_SNR_DB)] / 10.0))
-        desk.append((pkg.SystemConfig(k=2, m=8, l=4, power=power), model))
+    # The benchmark's instances, rebuilt in this package's own types.
+    desk = [(pkg.SystemConfig(**vars(config)), pkg.ReflectionModel(**vars(model)))
+            for config, model in desk_instances()[:instances]]
     r_gamma = pkg.cascaded_correlation(pkg.CorrelationSpec(), 8, 2, 4)
 
     def designs(est: str, accelerate: bool):
